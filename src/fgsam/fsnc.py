@@ -29,6 +29,8 @@ class ClassSplit:
 
 def split_classes(num_classes: int, ratio, seed: int) -> ClassSplit:
     n_tr, n_val, n_novel = ratio
+    if min(ratio) < 0:
+        raise FsncError(f"ratio {ratio} has a negative class count")
     if n_tr + n_val + n_novel != num_classes:
         raise FsncError(f"ratio {ratio} does not sum to {num_classes}")
     perm = np.random.default_rng(seed).permutation(num_classes)
@@ -77,14 +79,11 @@ def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
                    query_idx=np.concatenate(query_idx))
 
 
-def proto_episode(params: mdl.ModelParams, graph: Graph,
-                  operator: PropagationOperator, episode: Episode,
-                  weight_decay: float = 0.0, compute_grad: bool = True):
-    """Prototypical episode: class prototypes are mean support embeddings,
-    query logits are negative squared distances. Returns (loss, accuracy,
-    flat gradient or None)."""
-    acts = mdl.forward(params, graph, operator)
-    emb = acts.logits
+def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
+    """Prototypical head on the node embeddings `emb` (n x d): class
+    prototypes are mean support embeddings, query logits are negative
+    squared distances. Returns (cross-entropy, accuracy, gradient of the
+    cross-entropy w.r.t. `emb` or None)."""
     way, shot = episode.way, episode.shot
     zs = emb[episode.support_idx]
     zq = emb[episode.query_idx]
@@ -97,9 +96,6 @@ def proto_episode(params: mdl.ModelParams, graph: Graph,
     lse = zmax.ravel() + np.log(np.exp(logits - zmax).sum(axis=1))
     value = float(np.mean(lse - logits[np.arange(m), labels]))
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-    flat = params.flatten()
-    if weight_decay:
-        value += weight_decay * float(flat @ flat)
     if not compute_grad:
         return value, acc, None
     probs = mdl.softmax_rows(logits)
@@ -110,13 +106,42 @@ def proto_episode(params: mdl.ModelParams, graph: Graph,
     dzq = 2.0 * (dd2[:, :, None] * diff).sum(axis=1)
     dprot = -2.0 * (dd2[:, :, None] * diff).sum(axis=0)
     dzs = np.repeat(dprot / shot, shot, axis=0)
-    d_out = np.zeros_like(emb)
-    np.add.at(d_out, episode.query_idx, dzq)
-    np.add.at(d_out, episode.support_idx, dzs)
-    grad = mdl.backward_from_output(params, operator, acts, d_out)
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, episode.query_idx, dzq)
+    np.add.at(d_emb, episode.support_idx, dzs)
+    return value, acc, d_emb
+
+
+def proto_episode(params: mdl.ModelParams, graph: Graph,
+                  operator: PropagationOperator, episode: Episode,
+                  weight_decay: float = 0.0, compute_grad: bool = True):
+    """Forward pass plus the prototypical head, with weight decay. Returns
+    (loss, accuracy, flat gradient or None)."""
+    acts = mdl.forward(params, graph, operator)
+    value, acc, d_emb = proto_head(acts.logits, episode, compute_grad)
+    flat = params.flatten()
+    if weight_decay:
+        value += weight_decay * float(flat @ flat)
+    if not compute_grad:
+        return value, acc, None
+    grad = mdl.backward_from_output(params, operator, acts, d_emb)
     if weight_decay:
         grad += 2.0 * weight_decay * flat
     return value, acc, grad
+
+
+def task_accuracy(params: mdl.ModelParams, graph: Graph,
+                  operator: PropagationOperator, classes, way: int, shot: int,
+                  query: int, tasks: int, rng):
+    """Mean and standard deviation of the accuracy over `tasks` episodes
+    drawn from `rng`. The weights are the same for every task, so one
+    forward serves them all."""
+    emb = mdl.forward(params, graph, operator).logits
+    accs = []
+    for _ in range(tasks):
+        episode = sample_episode(graph, classes, way, shot, query, rng=rng)
+        accs.append(proto_head(emb, episode, compute_grad=False)[1])
+    return float(np.mean(accs)), float(np.std(accs))
 
 
 def episode_objective(dims, graph: Graph, operator: PropagationOperator,
@@ -185,26 +210,24 @@ class TrainReport:
     wall_seconds: float
 
 
-def _episode_accuracy(w, dims, graph, operator, episode):
-    params = mdl.ModelParams.from_flat(w, dims)
-    _, acc, _ = proto_episode(params, graph, operator, episode,
-                              compute_grad=False)
-    return acc
-
-
 def _mean_task_accuracy(w, dims, graph, operator, classes, cfg, count, rng):
-    accs = []
-    for _ in range(count):
-        ep = sample_episode(graph, classes, cfg.way, cfg.shot, cfg.query,
-                            rng=rng)
-        accs.append(_episode_accuracy(w, dims, graph, operator, ep))
-    return float(np.mean(accs)), float(np.std(accs))
+    params = mdl.ModelParams.from_flat(w, dims)
+    return task_accuracy(params, graph, operator, classes, cfg.way, cfg.shot,
+                         cfg.query, count, rng)
+
+
+def _check_finite(loss: float, where: str) -> None:
+    """Stop the run at the first non-finite training loss."""
+    if not np.isfinite(loss):
+        raise FsncError(f"non-finite loss {loss} at {where}")
 
 
 def train_protocol(config: ProtocolConfig, graph: Graph,
                    split: ClassSplit) -> TrainReport:
     t0 = time.perf_counter()
     operator = normalize(graph, config.scheme)
+    # fill the A.X memo here, not inside the first timed step
+    operator.propagate_input(graph.features)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
                             config.layers)
     results = []
@@ -228,6 +251,7 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
             step_start = time.perf_counter()
             w, rec = opt.step(obj, w)
             wall_ms = (time.perf_counter() - step_start) * 1e3
+            _check_finite(rec.loss, f"repeat {r} episode {t}")
             gnn_cum += obj.gnn_evals
             mlp_cum += obj.mlp_evals
             trace.append({"step": t, "loss": rec.loss,
@@ -274,14 +298,8 @@ def meta_test(params: mdl.ModelParams, graph: Graph,
     """Evaluate `tasks` fresh episodes; message passing must be on."""
     if operator.is_identity:
         raise FsncError("meta-test requires message passing enabled")
-    rng = np.random.default_rng(seed)
-    accs = []
-    for _ in range(tasks):
-        ep = sample_episode(graph, novel_classes, way, shot, query, rng=rng)
-        _, acc, _ = proto_episode(params, graph, operator, ep,
-                                  compute_grad=False)
-        accs.append(acc)
-    return float(np.mean(accs)), float(np.std(accs))
+    return task_accuracy(params, graph, operator, novel_classes, way, shot,
+                         query, tasks, np.random.default_rng(seed))
 
 
 @dataclass
@@ -326,6 +344,8 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
     if np.unique(combined).size != combined.size:
         raise FsncError("train/val/test masks overlap")
     operator = normalize(graph, config.scheme)
+    # fill the A.X memo here, not inside the first timed step
+    operator.propagate_input(graph.features)
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
                             config.layers)
     spec = mdl.loss_spec_from_labels(train_idx, graph.labels,
@@ -341,6 +361,7 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
         step_start = time.perf_counter()
         w, rec = opt.step(obj, w)
         wall_ms = (time.perf_counter() - step_start) * 1e3
+        _check_finite(rec.loss, f"step {t}")
         trace.append({"step": t, "loss": rec.loss, "grad_norm": rec.grad_norm,
                       "gv_norm": rec.gv_norm, "gG_norm": rec.gG_norm,
                       "branch": rec.branch, "gnn_evals_cum": obj.gnn_evals,

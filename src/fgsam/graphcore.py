@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,12 +91,35 @@ class PropagationOperator:
     scheme: str
     matrix: sp.csr_matrix | None  # None for identity
     apply_count: int = 0          # message-passing applications (identity not counted)
+    # (x, A @ x) for the last network input seen by propagate_input
+    _input_memo: tuple = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.scheme == "identity":
             return x
         self.apply_count += 1
         return self.matrix @ x
+
+    def propagate_input(self, x: np.ndarray) -> np.ndarray:
+        """`apply(x)` for the network input, computed once per input array.
+
+        A one-slot memo keyed by the identity of `x`: A @ x does not depend
+        on the parameters, so the first layer of every forward over the same
+        features reuses one product. The memo holds `x` itself, so its
+        identity cannot be recycled, and relies on `x` not being mutated
+        (graph arrays are immutable after construction). The cached product
+        is read-only because every forward shares it.
+        """
+        if self.scheme == "identity":
+            return x
+        memo = self._input_memo
+        if memo is None or memo[0] is not x:
+            out = self.apply(x)
+            out.flags.writeable = False
+            memo = (x, out)
+            self._input_memo = memo
+        return memo[1]
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Multiply by the transpose (needed for reverse-mode gradients)."""

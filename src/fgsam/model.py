@@ -6,8 +6,9 @@ PeerMLP (identity operator); removing message passing is literally just
 swapping the operator.
 """
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +90,12 @@ class Activations:
     inputs: list            # per layer: post-propagation input M^(l)
     preacts: list           # per layer: Z^(l) = M W + b
     logits: np.ndarray      # final layer output, n x C
-    probs: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        if self.probs is None:
-            self.probs = softmax_rows(self.logits)
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        """Row softmax of all n logits, computed on first use: the losses
+        read only their own rows."""
+        return softmax_rows(self.logits)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -142,7 +144,8 @@ def forward_features(params: ModelParams, x: np.ndarray,
     inputs, preacts = [], []
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        m = operator.apply(h)
+        # layer 0 propagates the fixed input: one product per operator
+        m = operator.propagate_input(h) if l == 0 else operator.apply(h)
         z = m @ w + b
         inputs.append(m)
         preacts.append(z)
@@ -207,10 +210,10 @@ def backward(params: ModelParams, graph: Graph, operator: PropagationOperator,
 
 def backward_from_acts(params: ModelParams, operator: PropagationOperator,
                        acts: Activations, spec: LossSpec) -> np.ndarray:
-    n = acts.logits.shape[0]
     m = spec.indices.size
     d_out = np.zeros_like(acts.logits)
-    d_out[spec.indices] = (acts.probs[spec.indices] - spec.targets) / m
+    probs = softmax_rows(acts.logits[spec.indices])
+    d_out[spec.indices] = (probs - spec.targets) / m
     grad = backward_from_output(params, operator, acts, d_out)
     if spec.weight_decay:
         grad += 2.0 * spec.weight_decay * params.flatten()
@@ -240,7 +243,19 @@ def save_checkpoint(path: str, params: ModelParams, hidden: int) -> None:
 
 def load_checkpoint(path: str) -> tuple[ModelParams, int]:
     with open(path, "rb") as fh:
-        layers, d0, hidden, out = _HEADER.unpack(fh.read(_HEADER.size))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
+        header = fh.read(_HEADER.size)
+        payload = fh.read()
+    if len(header) != _HEADER.size:
+        raise ModelError(f"checkpoint {path}: truncated header "
+                         f"({len(header)} of {_HEADER.size} bytes)")
+    layers, d0, hidden, out = _HEADER.unpack(header)
+    if min(layers, d0, hidden, out) < 1:
+        raise ModelError(f"checkpoint {path}: invalid header "
+                         f"(L={layers}, d0={d0}, h={hidden}, C={out})")
     dims = uniform_dims(d0, hidden, out, layers)
+    expected = 8 * num_params(dims)
+    if len(payload) != expected:
+        raise ModelError(f"checkpoint {path}: payload has {len(payload)} "
+                         f"bytes, header needs {expected}")
+    flat = np.frombuffer(payload, dtype="<f8")
     return ModelParams.from_flat(flat, dims), hidden

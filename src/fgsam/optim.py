@@ -5,7 +5,8 @@ evaluations of the GNN and of its PeerMLP over the shared flat weight
 vector, and feeds its composed gradient into a bias-corrected Adam update.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +31,11 @@ class Hyperparams:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        # every comparison with NaN is false, so the range checks below
+        # would let it through
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise OptimError(f"{f.name} must be finite")
         if self.lr <= 0:
             raise OptimError("lr must be positive")
         if self.rho < 0:

@@ -205,6 +205,15 @@ class TestErrors:
                        "--out", str(tmp_path / "y"),
                        "--config", str(cfg)) == 1
 
+    def test_truncated_checkpoint(self, graph_dir, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(bytes(10))
+        assert run_cli("landscape", "--graph", graph_dir,
+                       "--out", str(tmp_path / "land"),
+                       "--checkpoint", str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and err.count("\n") == 1
+
     def test_bad_split(self, graph_dir, tmp_path):
         assert run_cli("fsnc", "--graph", graph_dir,
                        "--out", str(tmp_path / "z"),

@@ -43,6 +43,11 @@ class TestSplitClasses:
         with pytest.raises(FsncError):
             split_classes(20, (10, 5, 6), 0)
 
+    def test_negative_count_rejected(self):
+        # sums to 3, but would put class 0 in both train and novel
+        with pytest.raises(FsncError, match="negative"):
+            split_classes(3, (-1, 2, 2), 0)
+
 
 class TestSampleEpisode:
     def test_counts_and_disjointness(self):
@@ -135,6 +140,36 @@ class TestProtoEpisode:
         fd = gradcheck.finite_difference(f, params.flatten())
         assert gradcheck.relative_error(grad, fd) < 1e-4
 
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_warm_operator_bit_identical_to_fresh(self, scheme):
+        # the cached A.X of a long-lived operator gives the same floats as
+        # a fresh operator, call after call
+        g = small_graph(K=4, npc=15)
+        warm = normalize(g, scheme)
+        warm.propagate_input(g.features)
+        ep = sample_episode(g, np.arange(4), 2, 3, 4, seed=1)
+        ep_dims = mdl.uniform_dims(g.d0, 6, 6, 2)
+        nc_dims = mdl.uniform_dims(g.d0, 6, g.num_classes, 2)
+        spec = mdl.loss_spec_from_labels(np.arange(0, g.n, 2), g.labels,
+                                         g.num_classes, weight_decay=0.01)
+        warm_obj = optim.model_objective(nc_dims, g, warm, spec)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            params = mdl.init_params(ep_dims, rng)
+            got = proto_episode(params, g, warm, ep, weight_decay=0.01)
+            want = proto_episode(params, g, normalize(g, scheme), ep,
+                                 weight_decay=0.01)
+            assert got[:2] == want[:2]
+            assert np.array_equal(got[2], want[2])
+            w = mdl.init_params(nc_dims, rng).flatten()
+            value, grad = warm_obj.gnn_grad(w)
+            fresh = optim.model_objective(nc_dims, g, normalize(g, scheme),
+                                          spec)
+            value0, grad0 = fresh.gnn_grad(w)
+            assert value == value0
+            assert np.array_equal(grad, grad0)
+        assert warm.apply_count == 1 + 2 * 4  # A.X once, then A.H per call
+
 
 class TestTrainProtocol:
     def test_no_validation_when_interval_exceeds_horizon(self):
@@ -185,6 +220,13 @@ class TestTrainProtocol:
                                               repeats=1), g, split)
             assert 0.0 <= rep.test_acc_mean <= 1.0
 
+    def test_non_finite_loss_stops_run(self):
+        g = small_graph()
+        g.features = np.full_like(g.features, np.nan)
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        with pytest.raises(FsncError, match="repeat 0 episode 0"):
+            train_protocol(small_config(), g, split)
+
     def test_config_validation(self):
         with pytest.raises(FsncError):
             small_config(episodes=0)
@@ -208,7 +250,11 @@ class TestMetaTest:
                                  np.random.default_rng(0))
         before = op.apply_count
         meta_test(params, g, op, np.arange(4), 2, 1, 1, 3, 0)
-        assert op.apply_count == before + 3 * 2  # 2 layers per episode
+        # one forward for all 3 tasks: A.X once, then A.H for layer 2
+        assert op.apply_count == before + 2
+        meta_test(params, g, op, np.arange(4), 2, 1, 1, 3, 1)
+        # A.X is cached on the operator: a second round adds only A.H
+        assert op.apply_count == before + 3
 
     def test_separable_reaches_perfect_accuracy(self):
         g = small_graph(D=20.0, p=0.9, q=0.01)
@@ -221,6 +267,25 @@ class TestMetaTest:
         mean, std = meta_test(params, g, op, split.novel_classes,
                               2, 3, 5, 20, 0)
         assert mean >= 0.99
+
+    def test_one_forward_matches_per_task_episodes(self):
+        g = small_graph()
+        op = normalize(g, "gcn-sym")
+        params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
+                                 np.random.default_rng(0))
+        classes = np.arange(4)
+        shared, per_task = np.random.default_rng(5), np.random.default_rng(5)
+        accs = []
+        for _ in range(8):
+            acc, _ = fsnc.task_accuracy(params, g, op, classes, 2, 2, 3, 1,
+                                        shared)
+            ep = sample_episode(g, classes, 2, 2, 3, rng=per_task)
+            accs.append(proto_episode(params, g, op, ep,
+                                      compute_grad=False)[1])
+            assert acc == accs[-1]
+        both = fsnc.task_accuracy(params, g, op, classes, 2, 2, 3, 8,
+                                  np.random.default_rng(5))
+        assert both == (float(np.mean(accs)), float(np.std(accs)))
 
     def test_reproducible(self):
         g = small_graph()
@@ -284,6 +349,13 @@ class TestStandardNC:
         for ta, tb in zip(fg.trace, ad.trace):
             assert ta["loss"] == tb["loss"]
             assert ta["grad_norm"] == tb["grad_norm"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_stops_run(self):
+        g = small_graph(K=2, npc=10)
+        g.features = np.full_like(g.features, np.inf)
+        with pytest.raises(FsncError, match="at step 0"):
+            standard_nc_train(NCConfig(steps=5, seed=0), g, nc_masks(g))
 
     def test_all_optimizers_run(self):
         g = small_graph(K=3, npc=15)

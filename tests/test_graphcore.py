@@ -107,6 +107,23 @@ class TestOperators:
         ident.apply(x)
         assert ident.apply_count == 0
 
+    def test_input_propagation_cached_read_only(self):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 20)
+        op = normalize(g, "mean-neighbors")
+        ax = op.propagate_input(g.features)
+        assert np.array_equal(ax, op.matrix @ g.features)
+        assert op.propagate_input(g.features) is ax
+        assert op.apply_count == 1
+        assert not ax.flags.writeable
+        with pytest.raises(ValueError):
+            ax[0, 0] = 1.0
+        # a different array, even with equal contents, replaces the memo
+        op.propagate_input(g.features.copy())
+        assert op.apply_count == 2
+        ident = normalize(g, "identity")
+        assert ident.propagate_input(g.features) is g.features
+
     def test_unknown_scheme(self):
         g = build_graph(2, [(0, 1)], np.zeros((2, 1)), [0, 0])
         with pytest.raises(GraphError):

@@ -148,6 +148,13 @@ class TestLoss:
 
 
 class TestBackward:
+    def test_softmax_only_on_loss_rows(self):
+        graph, operator, _, params, spec = make_instance(6)
+        acts = mdl.forward(params, graph, operator)
+        mdl.backward_from_acts(params, operator, acts, spec)
+        assert "probs" not in vars(acts)  # the full softmax never ran
+        assert np.array_equal(acts.probs, mdl.softmax_rows(acts.logits))
+
     def test_identity_equals_mlp_gradient_path(self):
         for seed in range(10):
             graph, _, dims, params, spec = make_instance(seed)
@@ -217,3 +224,26 @@ class TestCheckpoint:
         assert hidden == 7
         assert back.dims == dims
         assert np.array_equal(back.flatten(), params.flatten())
+
+    @pytest.mark.parametrize("keep", [0, 10, 16 + 8, -8, -1])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        dims = mdl.uniform_dims(5, 7, 3, 2)
+        params = mdl.init_params(dims, np.random.default_rng(1))
+        path = tmp_path / "w.ckpt"
+        mdl.save_checkpoint(str(path), params, 7)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(mdl.ModelError, match="checkpoint"):
+            mdl.load_checkpoint(str(path))
+
+    def test_trailing_bytes_and_bad_header_rejected(self, tmp_path):
+        dims = mdl.uniform_dims(5, 7, 3, 2)
+        params = mdl.init_params(dims, np.random.default_rng(1))
+        path = tmp_path / "w.ckpt"
+        mdl.save_checkpoint(str(path), params, 7)
+        blob = path.read_bytes()
+        path.write_bytes(blob + bytes(8))
+        with pytest.raises(mdl.ModelError, match="payload"):
+            mdl.load_checkpoint(str(path))
+        path.write_bytes(mdl._HEADER.pack(2, -5, 7, 3) + blob[16:])
+        with pytest.raises(mdl.ModelError, match="header"):
+            mdl.load_checkpoint(str(path))

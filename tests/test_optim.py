@@ -46,6 +46,16 @@ class TestHyperparams:
         with pytest.raises(OptimError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": float("nan"), "rho": float("inf")}, {"lr": float("inf")},
+        {"rho": float("nan")}, {"lambda_topo": float("inf")},
+        {"alpha": float("nan")}, {"beta1": float("nan")},
+        {"eps": float("inf")}, {"weight_decay": float("nan")},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(OptimError, match="must be finite"):
+            Hyperparams(**kwargs)
+
 
 class TestSamEpsilon:
     def test_hand_examples(self):
