@@ -23,7 +23,6 @@ from .model import (
     forward,
     init_params,
     loss,
-    perturbed_backward,
     uniform_dims,
 )
 from .optim import (

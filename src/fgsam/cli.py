@@ -45,17 +45,30 @@ class CliError(ValueError):
 
 def _load_config(path: str) -> dict:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise CliError(f"cannot read config {path}")
     flat = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise CliError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise CliError(f"unknown key {key!r} in section [{section}]")
-            flat[_CFG_ALIASES.get(key, key)] = value
+    try:
+        if not parser.read(path):
+            raise CliError(f"cannot read config {path}")
+        for section in parser.sections():
+            if section not in _SCHEMA:
+                raise CliError(f"unknown config section [{section}]")
+            for key, value in parser.items(section):
+                if key not in _SCHEMA[section]:
+                    raise CliError(
+                        f"unknown key {key!r} in section [{section}]")
+                flat[_CFG_ALIASES.get(key, key)] = value
+    except configparser.Error as exc:
+        one_line = " ".join(str(exc).split())  # its messages span lines
+        raise CliError(f"config {path}: {one_line}") from None
     return flat
+
+
+def _cast(cast, text, what):
+    try:
+        return cast(text)
+    except ValueError:
+        raise CliError(
+            f"{what}: {text!r} is not a valid {cast.__name__}") from None
 
 
 def _resolve(args, cfg, name, cast, default):
@@ -63,7 +76,7 @@ def _resolve(args, cfg, name, cast, default):
     if value is not None:
         return value
     if name in cfg:
-        return cast(cfg[name])
+        return _cast(cast, cfg[name], f"config value {name}")
     return default
 
 
@@ -128,32 +141,14 @@ def _echo_ini(outdir: str, sections: dict) -> None:
         parser.write(fh)
 
 
-def _protocol_sections(seed, graph_path, config, ratio) -> dict:
-    hp = config.hp
-    return {
-        "run": {"seed": seed},
-        "graph": {"path": graph_path},
-        "protocol": {
-            "way": config.way, "shot": config.shot, "query": config.query,
-            "episodes": config.episodes, "patience": config.patience,
-            "val_interval": config.val_interval,
-            "val_tasks": config.val_tasks, "test_tasks": config.test_tasks,
-            "repeats": config.repeats, "layers": config.layers,
-            "hidden": config.hidden, "scheme": config.scheme,
-            "optimizer": config.optimizer,
-            "split": "/".join(str(r) for r in ratio),
-        },
-        "optim": {
-            "lr": hp.lr, "rho": hp.rho, "lambda": hp.lambda_topo,
+def _optim_section(hp) -> dict:
+    return {"lr": hp.lr, "rho": hp.rho, "lambda": hp.lambda_topo,
             "alpha": hp.alpha, "k": hp.k, "beta1": hp.beta1,
-            "beta2": hp.beta2, "eps": hp.eps,
-            "weight_decay": hp.weight_decay,
-        },
-    }
+            "beta2": hp.beta2, "eps": hp.eps, "weight_decay": hp.weight_decay}
 
 
 def _parse_split(text: str):
-    parts = [int(p) for p in text.split("/")]
+    parts = [_cast(int, p, "split") for p in text.split("/")]
     if len(parts) != 3:
         raise CliError("split must look like TRAIN/VAL/NOVEL, e.g. 12/4/4")
     return tuple(parts)
@@ -167,14 +162,52 @@ def _load_graph_arg(args, get):
 
 
 def _threads() -> int:
-    return max(1, int(os.environ.get("FGSAM_THREADS", "1")))
+    return max(1, _cast(int, os.environ.get("FGSAM_THREADS", "1"),
+                        "FGSAM_THREADS"))
+
+
+def _out(get) -> str:
+    out = get("out", str, None)
+    if out is None:
+        raise CliError("--out required")
+    return out
+
+
+def _episodic(args):
+    """The preamble of the episodic commands: settings, output directory,
+    graph, seed and class split, plus `echo(config)`, which writes the
+    re-runnable config echo of a protocol config."""
+    _, get = _settings(args)
+    out = _out(get)
+    graph, graph_path = _load_graph_arg(args, get)
+    seed = get("seed", int, 0)
+    ratio = _parse_split(get("split_ratio", str,
+                             f"{graph.num_classes - 4}/2/2"))
+    split = fsnc.split_classes(graph.num_classes, ratio, seed)
+
+    def echo(config):
+        _echo_ini(out, {
+            "run": {"seed": seed},
+            "graph": {"path": graph_path},
+            "protocol": {
+                "way": config.way, "shot": config.shot, "query": config.query,
+                "episodes": config.episodes, "patience": config.patience,
+                "val_interval": config.val_interval,
+                "val_tasks": config.val_tasks, "test_tasks": config.test_tasks,
+                "repeats": config.repeats, "layers": config.layers,
+                "hidden": config.hidden, "scheme": config.scheme,
+                "optimizer": config.optimizer,
+                "split": "/".join(str(r) for r in ratio),
+            },
+            "optim": _optim_section(config.hp),
+        })
+
+    return get, out, graph, seed, ratio, split, echo
 
 
 def cmd_gen_csbm(args) -> int:
     _, get = _settings(args)
-    out = get("out", str, None)
-    if out is None:
-        raise CliError("--out required")
+    out = _out(get)
     params = CsbmParams(
         K=get("csbm_classes", int, 2),
         nodes_per_class=get("nodes_per_class", int, 100),
@@ -199,18 +232,10 @@ def _run_fsnc_arm(config, graph, split, outdir):
 
 
 def cmd_fsnc(args) -> int:
-    _, get = _settings(args)
-    out = get("out", str, None)
-    if out is None:
-        raise CliError("--out required")
-    graph, graph_path = _load_graph_arg(args, get)
-    seed = get("seed", int, 0)
-    ratio = _parse_split(get("split_ratio", str,
-                             f"{graph.num_classes - 4}/2/2"))
-    split = fsnc.split_classes(graph.num_classes, ratio, seed)
+    get, out, graph, seed, ratio, split, echo = _episodic(args)
     config = _build_protocol(get)
     report = _run_fsnc_arm(config, graph, split, out)
-    _echo_ini(out, _protocol_sections(seed, graph_path, config, ratio))
+    echo(config)
     print(f"fsnc [{config.optimizer}] test acc "
           f"{report.test_acc_mean:.4f} +/- {report.test_acc_std:.4f} "
           f"(gnn evals {report.gnn_evals}, mlp evals {report.mlp_evals})")
@@ -218,29 +243,14 @@ def cmd_fsnc(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _, get = _settings(args)
-    out = get("out", str, None)
-    if out is None:
-        raise CliError("--out required")
-    graph, graph_path = _load_graph_arg(args, get)
-    seed = get("seed", int, 0)
-    ratio = _parse_split(get("split_ratio", str,
-                             f"{graph.num_classes - 4}/2/2"))
-    split = fsnc.split_classes(graph.num_classes, ratio, seed)
+    get, out, graph, seed, ratio, split, echo = _episodic(args)
     names = list(optim.OPTIMIZER_NAMES)
     configs = {name: _build_protocol(get, optimizer=name) for name in names}
-    reports = {}
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_run_fsnc_arm, configs[name], graph,
-                                         split, os.path.join(out, name))
-                       for name in names}
-            reports = {name: fut.result() for name, fut in futures.items()}
-    else:
-        for name in names:
-            reports[name] = _run_fsnc_arm(configs[name], graph, split,
-                                          os.path.join(out, name))
+    # with one worker (the default) the arms run one after another
+    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+        runs = pool.map(lambda name: _run_fsnc_arm(
+            configs[name], graph, split, os.path.join(out, name)), names)
+        reports = dict(zip(names, runs))
     traces = {name: {"gnn_evals": rep.gnn_evals, "mlp_evals": rep.mlp_evals,
                      "wall_seconds": rep.wall_seconds}
               for name, rep in reports.items()}
@@ -254,8 +264,7 @@ def cmd_compare(args) -> int:
         {"command": "compare", "seed": seed, "split": ratio,
          "input_hash": analysis.content_hash(graph.features, graph.edges,
                                              graph.labels)})
-    _echo_ini(out, _protocol_sections(seed, graph_path,
-                                      configs[names[0]], ratio))
+    echo(configs[names[0]])
     for name in names:
         rep = reports[name]
         print(f"{name:7s} test acc {rep.test_acc_mean:.4f} "
@@ -281,9 +290,7 @@ def make_nc_masks(graph, seed, train_frac=0.6, val_frac=0.2):
 
 def cmd_nc(args) -> int:
     _, get = _settings(args)
-    out = get("out", str, None)
-    if out is None:
-        raise CliError("--out required")
+    out = _out(get)
     graph, graph_path = _load_graph_arg(args, get)
     config = fsnc.NCConfig(
         steps=get("episodes", int, 200),
@@ -299,7 +306,6 @@ def cmd_nc(args) -> int:
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
     fsnc.write_nc_report(report, out)
-    hp = config.hp
     _echo_ini(out, {
         "run": {"seed": config.seed},
         "graph": {"path": graph_path},
@@ -307,10 +313,7 @@ def cmd_nc(args) -> int:
                      "val_interval": config.val_interval,
                      "layers": config.layers, "hidden": config.hidden,
                      "scheme": config.scheme, "optimizer": config.optimizer},
-        "optim": {"lr": hp.lr, "rho": hp.rho, "lambda": hp.lambda_topo,
-                  "alpha": hp.alpha, "k": hp.k, "beta1": hp.beta1,
-                  "beta2": hp.beta2, "eps": hp.eps,
-                  "weight_decay": hp.weight_decay},
+        "optim": _optim_section(config.hp),
     })
     print(f"nc [{config.optimizer}] test acc {report.test_acc:.4f} "
           f"(stopped at step {report.stop_step})")
@@ -319,9 +322,7 @@ def cmd_nc(args) -> int:
 
 def cmd_landscape(args) -> int:
     _, get = _settings(args)
-    out = get("out", str, None)
-    if out is None:
-        raise CliError("--out required")
+    out = _out(get)
     graph, _ = _load_graph_arg(args, get)
     seed = get("seed", int, 0)
     layers = get("layers", int, 2)
@@ -329,6 +330,10 @@ def cmd_landscape(args) -> int:
     scheme = get("scheme", str, "gcn-sym")
     if args.checkpoint:
         params, hidden = mdl.load_checkpoint(args.checkpoint)
+        if params.dims[-1] != graph.num_classes:
+            raise CliError(f"checkpoint {args.checkpoint} has output width "
+                           f"{params.dims[-1]}, the graph has "
+                           f"{graph.num_classes} classes")
     else:
         dims = mdl.uniform_dims(graph.d0, hidden, graph.num_classes, layers)
         params = mdl.init_params(dims, stream_rng(seed, "init"))
@@ -363,15 +368,7 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    _, get = _settings(args)
-    out = get("out", str, None)
-    if out is None:
-        raise CliError("--out required")
-    graph, graph_path = _load_graph_arg(args, get)
-    seed = get("seed", int, 0)
-    ratio = _parse_split(get("split_ratio", str,
-                             f"{graph.num_classes - 4}/2/2"))
-    split = fsnc.split_classes(graph.num_classes, ratio, seed)
+    get, out, graph, seed, ratio, split, echo = _episodic(args)
     config = _build_protocol(get, optimizer="fgsam+", repeats=1,
                              collect_bundles=True)
     report = fsnc.train_protocol(config, graph, split)
@@ -391,7 +388,7 @@ def cmd_drift(args) -> int:
         os.path.join(out, "drift.csv"), tuple(header), rows,
         {"command": "drift", "seed": seed,
          "input_hash": analysis.content_hash(graph.features, graph.edges)})
-    _echo_ini(out, _protocol_sections(seed, graph_path, config, ratio))
+    echo(config)
     for name in analysis.DRIFT_NAMES:
         med = float(np.median(drift[name]["raw"]))
         print(f"median drift {name}: {med:.6g}")
@@ -399,17 +396,9 @@ def cmd_drift(args) -> int:
 
 
 def cmd_rho_sweep(args) -> int:
-    _, get = _settings(args)
-    out = get("out", str, None)
-    if out is None:
-        raise CliError("--out required")
-    graph, graph_path = _load_graph_arg(args, get)
-    seed = get("seed", int, 0)
-    ratio = _parse_split(get("split_ratio", str,
-                             f"{graph.num_classes - 4}/2/2"))
-    split = fsnc.split_classes(graph.num_classes, ratio, seed)
+    get, out, graph, seed, ratio, split, echo = _episodic(args)
     config = _build_protocol(get)
-    rhos = [float(r) for r in args.rhos.split(",")]
+    rhos = [_cast(float, r, "--rhos") for r in args.rhos.split(",")]
     curves = analysis.rho_sweep(config, rhos, graph, split)
     rows = [(config.optimizer, rho, step, loss)
             for rho, losses in sorted(curves.items())
@@ -420,7 +409,7 @@ def cmd_rho_sweep(args) -> int:
         ("optimizer", "rho", "step", "loss"), rows,
         {"command": "rho-sweep", "seed": seed,
          "input_hash": analysis.content_hash(graph.features, graph.edges)})
-    _echo_ini(out, _protocol_sections(seed, graph_path, config, ratio))
+    echo(config)
     print(f"rho sweep: {len(curves)} curves written")
     return 0
 

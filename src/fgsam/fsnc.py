@@ -146,17 +146,12 @@ def task_accuracy(params: mdl.ModelParams, graph: Graph,
 
 def episode_objective(dims, graph: Graph, operator: PropagationOperator,
                       episode: Episode, weight_decay: float = 0.0) -> optim.Objective:
-    identity = PropagationOperator("identity", None)
+    def loss_grad(params, op):
+        value, _, grad = proto_episode(params, graph, op, episode,
+                                       weight_decay=weight_decay)
+        return value, grad
 
-    def make(op):
-        def fn(w):
-            params = mdl.ModelParams.from_flat(w, dims)
-            value, _, grad = proto_episode(params, graph, op, episode,
-                                           weight_decay=weight_decay)
-            return value, grad
-        return fn
-
-    return optim.Objective(make(operator), make(identity))
+    return optim.peer_objective(dims, operator, loss_grad)
 
 
 @dataclass
@@ -210,85 +205,104 @@ class TrainReport:
     wall_seconds: float
 
 
-def _mean_task_accuracy(w, dims, graph, operator, classes, cfg, count, rng):
-    params = mdl.ModelParams.from_flat(w, dims)
-    return task_accuracy(params, graph, operator, classes, cfg.way, cfg.shot,
-                         cfg.query, count, rng)
+def _operator(graph: Graph, scheme: str) -> PropagationOperator:
+    """The propagation operator with its A.X memo filled here, so that the
+    product is not paid inside the first timed step."""
+    operator = normalize(graph, scheme)
+    operator.propagate_input(graph.features)
+    return operator
 
 
-def _check_finite(loss: float, where: str) -> None:
-    """Stop the run at the first non-finite training loss."""
-    if not np.isfinite(loss):
-        raise FsncError(f"non-finite loss {loss} at {where}")
+def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
+           where, collect_bundles=False):
+    """The step / trace / early-stopping loop of both trainers.
+
+    `objective_at(t)` builds step t's objective before the timed region,
+    `val_acc(w)` scores a validation round and `where` prefixes the step
+    index in the non-finite-loss error. The evaluation counts are per-step
+    deltas, so an objective may serve one step or the whole run. Returns
+    (w, best_w, best_val, stop, trace, bundles); without a validation round
+    best_w is the final w and best_val is NaN."""
+    best_val, best_w, bad_vals = -1.0, None, 0
+    gnn_cum = mlp_cum = 0
+    trace, bundles = [], []
+    stop = steps
+    for t in range(steps):
+        obj = objective_at(t)
+        gnn_before, mlp_before = obj.gnn_evals, obj.mlp_evals
+        step_start = time.perf_counter()
+        w, rec = opt.step(obj, w)
+        wall_ms = (time.perf_counter() - step_start) * 1e3
+        if not np.isfinite(rec.loss):
+            raise FsncError(f"non-finite loss {rec.loss} at {where}{t}")
+        gnn_cum += obj.gnn_evals - gnn_before
+        mlp_cum += obj.mlp_evals - mlp_before
+        trace.append({"step": t, "loss": rec.loss, "grad_norm": rec.grad_norm,
+                      "gv_norm": rec.gv_norm, "gG_norm": rec.gG_norm,
+                      "branch": rec.branch, "gnn_evals_cum": gnn_cum,
+                      "mlp_evals_cum": mlp_cum, "wall_ms": wall_ms})
+        if collect_bundles and rec.bundle is not None:
+            bundles.append(rec.bundle)
+        if (t + 1) % val_interval == 0:
+            acc = val_acc(w)
+            if acc > best_val:
+                best_val, best_w, bad_vals = acc, w.copy(), 0
+            else:
+                bad_vals += 1
+            if bad_vals == patience:
+                stop = t + 1
+                break
+    if best_w is None:
+        return w, w, float("nan"), stop, trace, bundles
+    return w, best_w, best_val, stop, trace, bundles
 
 
 def train_protocol(config: ProtocolConfig, graph: Graph,
                    split: ClassSplit) -> TrainReport:
     t0 = time.perf_counter()
-    operator = normalize(graph, config.scheme)
-    # fill the A.X memo here, not inside the first timed step
-    operator.propagate_input(graph.features)
+    operator = _operator(graph, config.scheme)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
                             config.layers)
+
+    def accuracy(w, classes, tasks, rng):
+        return task_accuracy(mdl.ModelParams.from_flat(w, dims), graph,
+                             operator, classes, config.way, config.shot,
+                             config.query, tasks, rng)
+
     results = []
-    total_gnn = total_mlp = 0
     for r in range(config.repeats):
         root = config.seed + r
-        w = mdl.init_params(dims, stream_rng(root, "init")).flatten()
         ep_rng = stream_rng(root, "episodes")
         val_rng = stream_rng(root, "val")
-        test_rng = stream_rng(root, "test")
-        opt = optim.make_optimizer(config.optimizer, config.hp)
-        gnn_cum = mlp_cum = 0
-        best_val, best_w, bad_vals = -1.0, None, 0
-        trace, bundles = [], []
-        stop_episode = config.episodes
-        for t in range(config.episodes):
+
+        def objective_at(t):
             episode = sample_episode(graph, split.train_classes, config.way,
                                      config.shot, config.query, rng=ep_rng)
-            obj = episode_objective(dims, graph, operator, episode,
-                                    weight_decay=config.hp.weight_decay)
-            step_start = time.perf_counter()
-            w, rec = opt.step(obj, w)
-            wall_ms = (time.perf_counter() - step_start) * 1e3
-            _check_finite(rec.loss, f"repeat {r} episode {t}")
-            gnn_cum += obj.gnn_evals
-            mlp_cum += obj.mlp_evals
-            trace.append({"step": t, "loss": rec.loss,
-                          "grad_norm": rec.grad_norm, "gv_norm": rec.gv_norm,
-                          "gG_norm": rec.gG_norm, "branch": rec.branch,
-                          "gnn_evals_cum": gnn_cum, "mlp_evals_cum": mlp_cum,
-                          "wall_ms": wall_ms})
-            if config.collect_bundles and rec.bundle is not None:
-                bundles.append(rec.bundle)
-            if (t + 1) % config.val_interval == 0:
-                val_acc, _ = _mean_task_accuracy(
-                    w, dims, graph, operator, split.val_classes, config,
-                    config.val_tasks, val_rng)
-                if val_acc > best_val:
-                    best_val, best_w, bad_vals = val_acc, w.copy(), 0
-                else:
-                    bad_vals += 1
-                if bad_vals == config.patience:
-                    stop_episode = t + 1
-                    break
-        eval_w = best_w if best_w is not None else w
-        test_mean, test_std = _mean_task_accuracy(
-            eval_w, dims, graph, operator, split.novel_classes, config,
-            config.test_tasks, test_rng)
-        total_gnn += gnn_cum
-        total_mlp += mlp_cum
+            return episode_objective(dims, graph, operator, episode,
+                                     weight_decay=config.hp.weight_decay)
+
+        w, best_w, best_val, stop, trace, bundles = _train(
+            optim.make_optimizer(config.optimizer, config.hp),
+            mdl.init_params(dims, stream_rng(root, "init")).flatten(),
+            config.episodes, objective_at,
+            lambda w: accuracy(w, split.val_classes, config.val_tasks,
+                               val_rng)[0],
+            config.val_interval, config.patience, f"repeat {r} episode ",
+            config.collect_bundles)
+        test_mean, test_std = accuracy(best_w, split.novel_classes,
+                                       config.test_tasks,
+                                       stream_rng(root, "test"))
         results.append(RepeatResult(
-            seed=root, stop_episode=stop_episode,
-            best_val_acc=best_val if best_val >= 0 else float("nan"),
+            seed=root, stop_episode=stop, best_val_acc=best_val,
             test_acc_mean=test_mean, test_acc_std=test_std, trace=trace,
-            bundles=bundles, final_params=w, best_params=eval_w))
+            bundles=bundles, final_params=w, best_params=best_w))
     repeat_means = [r.test_acc_mean for r in results]
     return TrainReport(
-        config=_config_dict(config), repeats=results,
+        config=asdict(config), repeats=results,
         test_acc_mean=float(np.mean(repeat_means)),
         test_acc_std=float(np.std(repeat_means)),
-        gnn_evals=total_gnn, mlp_evals=total_mlp,
+        gnn_evals=sum(r.trace[-1]["gnn_evals_cum"] for r in results),
+        mlp_evals=sum(r.trace[-1]["mlp_evals_cum"] for r in results),
         wall_seconds=time.perf_counter() - t0)
 
 
@@ -328,13 +342,6 @@ class NCReport:
     final_params: np.ndarray = None
 
 
-def _mask_accuracy(w, dims, graph, operator, idx):
-    params = mdl.ModelParams.from_flat(w, dims)
-    acts = mdl.forward(params, graph, operator)
-    pred = np.argmax(acts.logits[idx], axis=1)
-    return float(np.mean(pred == graph.labels[idx]))
-
-
 def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
     """Full-batch supervised training on the train mask with early stopping
     on the validation mask; reports accuracy on the test mask."""
@@ -343,51 +350,30 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
     combined = np.concatenate([train_idx, val_idx, test_idx])
     if np.unique(combined).size != combined.size:
         raise FsncError("train/val/test masks overlap")
-    operator = normalize(graph, config.scheme)
-    # fill the A.X memo here, not inside the first timed step
-    operator.propagate_input(graph.features)
+    operator = _operator(graph, config.scheme)
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
                             config.layers)
     spec = mdl.loss_spec_from_labels(train_idx, graph.labels,
                                      graph.num_classes,
                                      weight_decay=config.hp.weight_decay)
     obj = optim.model_objective(dims, graph, operator, spec)
-    w = mdl.init_params(dims, stream_rng(config.seed, "init")).flatten()
-    opt = optim.make_optimizer(config.optimizer, config.hp)
-    best_val, best_w, bad_vals = -1.0, None, 0
-    trace = []
-    stop_step = config.steps
-    for t in range(config.steps):
-        step_start = time.perf_counter()
-        w, rec = opt.step(obj, w)
-        wall_ms = (time.perf_counter() - step_start) * 1e3
-        _check_finite(rec.loss, f"step {t}")
-        trace.append({"step": t, "loss": rec.loss, "grad_norm": rec.grad_norm,
-                      "gv_norm": rec.gv_norm, "gG_norm": rec.gG_norm,
-                      "branch": rec.branch, "gnn_evals_cum": obj.gnn_evals,
-                      "mlp_evals_cum": obj.mlp_evals, "wall_ms": wall_ms})
-        if (t + 1) % config.val_interval == 0:
-            val_acc = _mask_accuracy(w, dims, graph, operator, val_idx)
-            if val_acc > best_val:
-                best_val, best_w, bad_vals = val_acc, w.copy(), 0
-            else:
-                bad_vals += 1
-            if bad_vals == config.patience:
-                stop_step = t + 1
-                break
-    eval_w = best_w if best_w is not None else w
-    test_acc = _mask_accuracy(eval_w, dims, graph, operator, test_idx)
-    return NCReport(config=_config_dict(config), stop_step=stop_step,
-                    best_val_acc=best_val if best_val >= 0 else float("nan"),
-                    test_acc=test_acc, trace=trace, gnn_evals=obj.gnn_evals,
+
+    def accuracy(w, idx):
+        acts = mdl.forward(mdl.ModelParams.from_flat(w, dims), graph, operator)
+        pred = np.argmax(acts.logits[idx], axis=1)
+        return float(np.mean(pred == graph.labels[idx]))
+
+    _, best_w, best_val, stop, trace, _ = _train(
+        optim.make_optimizer(config.optimizer, config.hp),
+        mdl.init_params(dims, stream_rng(config.seed, "init")).flatten(),
+        config.steps, lambda t: obj, lambda w: accuracy(w, val_idx),
+        config.val_interval, config.patience, "step ")
+    return NCReport(config=asdict(config), stop_step=stop,
+                    best_val_acc=best_val, test_acc=accuracy(best_w, test_idx),
+                    trace=trace, gnn_evals=obj.gnn_evals,
                     mlp_evals=obj.mlp_evals,
                     wall_seconds=time.perf_counter() - t0,
-                    final_params=eval_w)
-
-
-def _config_dict(config) -> dict:
-    d = asdict(config)
-    return d
+                    final_params=best_w)
 
 
 TRACE_COLUMNS = ("step", "loss", "grad_norm", "gv_norm", "gG_norm", "branch",

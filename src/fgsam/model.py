@@ -220,17 +220,6 @@ def backward_from_acts(params: ModelParams, operator: PropagationOperator,
     return grad
 
 
-def perturbed_backward(params: ModelParams, epsilon: np.ndarray, graph: Graph,
-                       operator: PropagationOperator,
-                       spec: LossSpec) -> np.ndarray:
-    flat = params.flatten()
-    epsilon = np.asarray(epsilon, dtype=np.float64)
-    if epsilon.shape != flat.shape:
-        raise ModelError("epsilon length does not match parameter count")
-    shifted = ModelParams.from_flat(flat + epsilon, params.dims)
-    return backward(shifted, graph, operator, spec)
-
-
 _HEADER = struct.Struct("<4i")  # L, d0, h, C
 
 

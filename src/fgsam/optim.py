@@ -110,21 +110,28 @@ class Objective:
         return self._mlp_fn(w)
 
 
-def model_objective(dims, graph: Graph, operator: PropagationOperator,
-                    spec: mdl.LossSpec) -> Objective:
-    """Supervised node-classification objective over the flat weight vector."""
+def peer_objective(dims, operator: PropagationOperator,
+                   loss_grad) -> Objective:
+    """The GNN, propagating with `operator`, and its PeerMLP, the same model
+    under the identity operator, over one flat weight vector.
+    `loss_grad(params, op)` returns (loss, flat gradient) under `op`."""
     identity = PropagationOperator("identity", None)
 
     def make(op):
-        def fn(w):
-            params = mdl.ModelParams.from_flat(w, dims)
-            acts = mdl.forward(params, graph, op)
-            value = mdl.loss(acts, spec, params)
-            grad = mdl.backward_from_acts(params, op, acts, spec)
-            return value, grad
-        return fn
+        return lambda w: loss_grad(mdl.ModelParams.from_flat(w, dims), op)
 
     return Objective(make(operator), make(identity))
+
+
+def model_objective(dims, graph: Graph, operator: PropagationOperator,
+                    spec: mdl.LossSpec) -> Objective:
+    """Supervised node-classification objective over the flat weight vector."""
+    def loss_grad(params, op):
+        acts = mdl.forward(params, graph, op)
+        return (mdl.loss(acts, spec, params),
+                mdl.backward_from_acts(params, op, acts, spec))
+
+    return peer_objective(dims, operator, loss_grad)
 
 
 def sam_epsilon(grad: np.ndarray, rho: float):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fgsam import cli
+from fgsam import model as mdl
 
 
 def run_cli(*argv):
@@ -218,3 +219,42 @@ class TestErrors:
         assert run_cli("fsnc", "--graph", graph_dir,
                        "--out", str(tmp_path / "z"),
                        "--split", "4/4") == 1
+
+    @pytest.mark.parametrize("command, flags, config, threads", [
+        ("fsnc", ["--split", "4/x/2"], None, None),
+        ("rho-sweep", ["--rhos", "0.1,abc"], None, None),
+        ("fsnc", [], "[protocol]\nway = two\n", None),
+        ("fsnc", [], "way = 2\n", None),
+        ("compare", [], None, "two"),
+    ], ids=["split", "rhos", "config-value", "config-no-section", "threads"])
+    def test_malformed_input_one_line_error(self, graph_dir, tmp_path, capsys,
+                                            monkeypatch, command, flags,
+                                            config, threads):
+        argv = [command, "--graph", graph_dir, "--out", str(tmp_path / "o"),
+                *flags]
+        if config is not None:
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        if threads is not None:
+            monkeypatch.setenv("FGSAM_THREADS", threads)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_checkpoint_width_must_match_classes(self, graph_dir, tmp_path,
+                                                 capsys):
+        def landscape(hidden, out):
+            ckpt = str(tmp_path / f"h{hidden}-c{out}.ckpt")
+            dims = mdl.uniform_dims(8, hidden, out, 2)
+            mdl.save_checkpoint(ckpt, mdl.init_params(dims, 0), hidden)
+            return run_cli("landscape", "--graph", graph_dir,
+                           "--out", str(tmp_path / "land"),
+                           "--grid-points", "3", "--checkpoint", ckpt)
+
+        # an FSNC-shaped model: output width = hidden, not the 8 classes
+        assert landscape(16, 16) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "output width 16" in err and "8 classes" in err
+        assert landscape(16, 8) == 0

@@ -350,6 +350,16 @@ class TestStandardNC:
             assert ta["loss"] == tb["loss"]
             assert ta["grad_norm"] == tb["grad_norm"]
 
+    def test_patience_one_constant_metric_stops_at_second_validation(self):
+        # two disjoint cliques keep validation accuracy pinned at 1.0
+        g = small_graph(K=2, npc=40, p=1.0, q=0.0, D=10.0)
+        cfg = NCConfig(steps=40, val_interval=5, patience=1, hidden=8,
+                       seed=0)
+        rep = standard_nc_train(cfg, g, nc_masks(g))
+        assert rep.best_val_acc == 1.0
+        assert rep.stop_step == 10
+        assert len(rep.trace) == 10
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_stops_run(self):
         g = small_graph(K=2, npc=10)
@@ -365,6 +375,51 @@ class TestStandardNC:
                            hp=optim.Hyperparams(rho=0.05, k=2), seed=0)
             rep = standard_nc_train(cfg, g, masks)
             assert 0.0 <= rep.test_acc <= 1.0
+
+
+def exact_ledger(name, t, k=2):
+    """Cumulative (GNN, MLP) gradient evaluations after steps 0..t."""
+    steps = t + 1
+    if name == "fgsam+":
+        exact = (steps + k - 1) // k        # steps 0, k, 2k, ... are exact
+        return exact, 2 * exact + (steps - exact)
+    per_step = {"adam": (1, 0), "sam": (2, 0), "fgsam": (1, 1)}[name]
+    return per_step[0] * steps, per_step[1] * steps
+
+
+def assert_ledger(name, trace):
+    for row in trace:
+        assert ((row["gnn_evals_cum"], row["mlp_evals_cum"])
+                == exact_ledger(name, row["step"])), (name, row)
+
+
+class TestLedger:
+    """Every trace row of both trainers carries the exact evaluation
+    counts, and each report's totals are the sums of the last rows."""
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_train_protocol_rows_reset_per_repeat(self, name):
+        g = small_graph()
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        rep = train_protocol(small_config(optimizer=name, episodes=9,
+                                          repeats=2), g, split)
+        for r in rep.repeats:
+            assert len(r.trace) == r.stop_episode
+            assert_ledger(name, r.trace)
+        last = [r.trace[-1] for r in rep.repeats]
+        assert rep.gnn_evals == sum(row["gnn_evals_cum"] for row in last)
+        assert rep.mlp_evals == sum(row["mlp_evals_cum"] for row in last)
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_standard_nc_train_rows(self, name):
+        g = small_graph(K=3, npc=15)
+        cfg = NCConfig(steps=9, val_interval=50, optimizer=name,
+                       hp=optim.Hyperparams(rho=0.05, k=2), seed=0)
+        rep = standard_nc_train(cfg, g, nc_masks(g))
+        assert len(rep.trace) == 9
+        assert_ledger(name, rep.trace)
+        assert rep.gnn_evals == rep.trace[-1]["gnn_evals_cum"]
+        assert rep.mlp_evals == rep.trace[-1]["mlp_evals_cum"]
 
 
 class TestReports:

@@ -178,34 +178,6 @@ class TestBackward:
         fd = gradcheck.finite_difference(f, params.flatten())
         assert gradcheck.relative_error(grad, fd) < 1e-4
 
-    def test_perturbed_backward_zero_epsilon(self):
-        graph, operator, _, params, spec = make_instance(7)
-        eps = np.zeros(params.flatten().size)
-        g1 = mdl.perturbed_backward(params, eps, graph, operator, spec)
-        g2 = mdl.backward(params, graph, operator, spec)
-        assert np.array_equal(g1, g2)
-
-    def test_perturbed_backward_definitional(self):
-        graph, operator, dims, params, spec = make_instance(8)
-        rng = np.random.default_rng(0)
-        eps = 0.01 * rng.standard_normal(params.flatten().size)
-        g1 = mdl.perturbed_backward(params, eps, graph, operator, spec)
-        shifted = mdl.ModelParams.from_flat(params.flatten() + eps, dims)
-        g2 = mdl.backward(shifted, graph, operator, spec)
-        assert np.array_equal(g1, g2)
-
-    def test_perturbed_backward_restores_params(self):
-        graph, operator, _, params, spec = make_instance(9)
-        before = params.flatten().copy()
-        eps = np.full(before.size, 0.5)
-        mdl.perturbed_backward(params, eps, graph, operator, spec)
-        assert np.array_equal(params.flatten(), before)
-
-    def test_epsilon_length_mismatch(self):
-        graph, operator, _, params, spec = make_instance(10)
-        with pytest.raises(mdl.ModelError):
-            mdl.perturbed_backward(params, np.zeros(3), graph, operator, spec)
-
 
 class TestGradcheckSuite:
     def test_small_suite(self):

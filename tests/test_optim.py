@@ -290,7 +290,8 @@ class TestRecomposition:
         g_gnn = mdl.backward(params, g, op, spec)
         eps, _ = sam_epsilon(g_gnn, hp.rho)
         ident = PropagationOperator("identity", None)
-        g_s = mdl.perturbed_backward(params, eps, g, ident, spec)
+        g_s = mdl.backward(mdl.ModelParams.from_flat(w0 + eps, dims), g,
+                           ident, spec)
         composed = hp.lambda_topo * g_gnn + g_s
         state = OptimizerState(hp=hp)
         w1_ref = adam_step(state, composed, w0)
