@@ -39,7 +39,6 @@ from .fsnc import (
     ClassSplit,
     Episode,
     ProtocolConfig,
-    meta_test,
     proto_episode,
     sample_episode,
     split_classes,

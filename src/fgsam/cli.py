@@ -86,7 +86,7 @@ def _settings(args):
     def get(name, cast, default):
         return _resolve(args, cfg, name, cast, default)
 
-    return cfg, get
+    return get
 
 
 def _build_hp(get) -> Hyperparams:
@@ -154,7 +154,7 @@ def _parse_split(text: str):
     return tuple(parts)
 
 
-def _load_graph_arg(args, get):
+def _load_graph_arg(get):
     path = get("graph", str, None)
     if path is None:
         raise CliError("no graph directory given (--graph or [graph] path)")
@@ -177,9 +177,9 @@ def _episodic(args):
     """The preamble of the episodic commands: settings, output directory,
     graph, seed and class split, plus `echo(config)`, which writes the
     re-runnable config echo of a protocol config."""
-    _, get = _settings(args)
+    get = _settings(args)
     out = _out(get)
-    graph, graph_path = _load_graph_arg(args, get)
+    graph, graph_path = _load_graph_arg(get)
     seed = get("seed", int, 0)
     ratio = _parse_split(get("split_ratio", str,
                              f"{graph.num_classes - 4}/2/2"))
@@ -206,7 +206,7 @@ def _episodic(args):
 
 
 def cmd_gen_csbm(args) -> int:
-    _, get = _settings(args)
+    get = _settings(args)
     out = _out(get)
     params = CsbmParams(
         K=get("csbm_classes", int, 2),
@@ -289,9 +289,9 @@ def make_nc_masks(graph, seed, train_frac=0.6, val_frac=0.2):
 
 
 def cmd_nc(args) -> int:
-    _, get = _settings(args)
+    get = _settings(args)
     out = _out(get)
-    graph, graph_path = _load_graph_arg(args, get)
+    graph, graph_path = _load_graph_arg(get)
     config = fsnc.NCConfig(
         steps=get("episodes", int, 200),
         patience=get("patience", int, 10),
@@ -306,6 +306,11 @@ def cmd_nc(args) -> int:
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
     fsnc.write_nc_report(report, out)
+    dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
+                            config.layers)
+    mdl.save_checkpoint(os.path.join(out, "best.ckpt"),
+                        mdl.ModelParams.from_flat(report.final_params, dims),
+                        config.hidden)
     _echo_ini(out, {
         "run": {"seed": config.seed},
         "graph": {"path": graph_path},
@@ -321,9 +326,12 @@ def cmd_nc(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    _, get = _settings(args)
+    get = _settings(args)
+    if args.grid_points < 3:
+        raise CliError(f"--grid-points must be at least 3, "
+                       f"got {args.grid_points}")
     out = _out(get)
-    graph, _ = _load_graph_arg(args, get)
+    graph, _ = _load_graph_arg(get)
     seed = get("seed", int, 0)
     layers = get("layers", int, 2)
     hidden = get("hidden", int, 16)
@@ -415,7 +423,7 @@ def cmd_rho_sweep(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    _, get = _settings(args)
+    get = _settings(args)
     params = CsbmParams(
         K=get("csbm_classes", int, 3),
         nodes_per_class=1,
@@ -432,7 +440,9 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_check_grads(args) -> int:
-    _, get = _settings(args)
+    get = _settings(args)
+    if args.instances < 1:
+        raise CliError(f"--instances must be positive, got {args.instances}")
     results = gradcheck.run_suite(instances=args.instances,
                                   seed=get("seed", int, 0))
     worst = max(results, key=lambda r: r.rel_err)
@@ -468,7 +478,7 @@ def run_bench(graph, steps, hp_base, seed=0):
 
 
 def cmd_bench(args) -> int:
-    _, get = _settings(args)
+    get = _settings(args)
     out = get("out", str, None)
     seed = get("seed", int, 0)
     steps = get("episodes", int, 200)

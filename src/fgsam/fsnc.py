@@ -49,18 +49,12 @@ class Episode:
     query_idx: np.ndarray      # class-major, way*query entries
 
     @property
-    def support_labels(self) -> np.ndarray:
-        return np.repeat(np.arange(self.way), self.shot)
-
-    @property
     def query_labels(self) -> np.ndarray:
         return np.repeat(np.arange(self.way), self.query_per_class)
 
 
 def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
-                   seed=None, rng=None) -> Episode:
-    if rng is None:
-        rng = np.random.default_rng(seed)
+                   rng: np.random.Generator) -> Episode:
     classes = np.asarray(classes)
     if classes.size < way:
         raise FsncError(f"need {way} classes, only {classes.size} available")
@@ -154,6 +148,12 @@ def episode_objective(dims, graph: Graph, operator: PropagationOperator,
     return optim.peer_objective(dims, operator, loss_grad)
 
 
+def _require_positive(config, names) -> None:
+    for name in names:
+        if getattr(config, name) < 1:
+            raise FsncError(f"{name} must be positive")
+
+
 @dataclass
 class ProtocolConfig:
     way: int = 2
@@ -174,11 +174,9 @@ class ProtocolConfig:
     collect_bundles: bool = False
 
     def __post_init__(self):
-        for name in ("way", "shot", "query", "repeats", "episodes", "patience",
-                     "val_interval", "val_tasks", "test_tasks", "layers",
-                     "hidden"):
-            if getattr(self, name) < 1:
-                raise FsncError(f"{name} must be positive")
+        _require_positive(self, ("way", "shot", "query", "repeats", "episodes",
+                                 "patience", "val_interval", "val_tasks",
+                                 "test_tasks", "layers", "hidden"))
 
 
 @dataclass
@@ -306,16 +304,6 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
         wall_seconds=time.perf_counter() - t0)
 
 
-def meta_test(params: mdl.ModelParams, graph: Graph,
-              operator: PropagationOperator, novel_classes, way, shot, query,
-              tasks, seed):
-    """Evaluate `tasks` fresh episodes; message passing must be on."""
-    if operator.is_identity:
-        raise FsncError("meta-test requires message passing enabled")
-    return task_accuracy(params, graph, operator, novel_classes, way, shot,
-                         query, tasks, np.random.default_rng(seed))
-
-
 @dataclass
 class NCConfig:
     steps: int = 200
@@ -327,6 +315,10 @@ class NCConfig:
     optimizer: str = "adam"
     hp: optim.Hyperparams = field(default_factory=optim.Hyperparams)
     seed: int = 0
+
+    def __post_init__(self):
+        _require_positive(self, ("steps", "patience", "val_interval", "layers",
+                                 "hidden"))
 
 
 @dataclass

@@ -6,7 +6,6 @@ PeerMLP (identity operator); removing message passing is literally just
 swapping the operator.
 """
 
-import functools
 import struct
 from dataclasses import dataclass
 
@@ -65,10 +64,6 @@ class ModelParams:
             off += dout
         return cls(weights, biases)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases])
-
 
 def num_params(dims: list[int]) -> int:
     return sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
@@ -90,12 +85,6 @@ class Activations:
     inputs: list            # per layer: post-propagation input M^(l)
     preacts: list           # per layer: Z^(l) = M W + b
     logits: np.ndarray      # final layer output, n x C
-
-    @functools.cached_property
-    def probs(self) -> np.ndarray:
-        """Row softmax of all n logits, computed on first use: the losses
-        read only their own rows."""
-        return softmax_rows(self.logits)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -148,19 +137,6 @@ def forward_features(params: ModelParams, x: np.ndarray,
         m = operator.propagate_input(h) if l == 0 else operator.apply(h)
         z = m @ w + b
         inputs.append(m)
-        preacts.append(z)
-        h = z if l == last else np.maximum(z, 0.0)
-    return Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])
-
-
-def forward_mlp(params: ModelParams, x: np.ndarray) -> Activations:
-    """Dedicated MLP path: the layer rule without any propagation operator."""
-    h = x
-    inputs, preacts = [], []
-    last = params.num_layers - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        inputs.append(h)
         preacts.append(z)
         h = z if l == last else np.maximum(z, 0.0)
     return Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])

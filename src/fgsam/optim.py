@@ -56,8 +56,6 @@ class Hyperparams:
 
 @dataclass
 class GradientBundle:
-    g: np.ndarray = None
-    g_gnn: np.ndarray = None
     g_mlp: np.ndarray = None
     g_s: np.ndarray = None
     g_h: np.ndarray = None
@@ -197,31 +195,22 @@ class BaseOptimizer:
 class AdamOptimizer(BaseOptimizer):
     name = "adam"
 
-    def __init__(self, hp, minimize_with="gnn"):
-        super().__init__(hp)
-        self.minimize_with = minimize_with
-
-    def _grad(self, objective, w):
-        if self.minimize_with == "gnn":
-            return objective.gnn_grad(w)
-        return objective.mlp_grad(w)
-
     def step(self, objective, w):
-        value, g = self._grad(objective, w)
+        value, g = objective.gnn_grad(w)
         w_new = adam_step(self.state, g, w)
         rec = StepRecord(self.state.t, value, float(np.linalg.norm(g)))
         return w_new, rec
 
 
-class SamOptimizer(AdamOptimizer):
-    """Baseline SAM: perturb and minimize with the same model."""
+class SamOptimizer(BaseOptimizer):
+    """Baseline SAM: perturb and minimize with the GNN."""
 
     name = "sam"
 
     def step(self, objective, w):
-        value, g = self._grad(objective, w)
+        value, g = objective.gnn_grad(w)
         eps, degenerate = sam_epsilon(g, self.state.hp.rho)
-        _, g_s = self._grad(objective, w + eps)
+        _, g_s = objective.gnn_grad(w + eps)
         w_new = adam_step(self.state, g_s, w)
         rec = StepRecord(self.state.t, value, float(np.linalg.norm(g_s)),
                          flags=["zero-grad"] if degenerate else [])
@@ -274,8 +263,8 @@ class FgsamPlusOptimizer(BaseOptimizer):
         st.cached_g_v = g_v
         st.cached_g_G = g_G
         w_new = adam_step(st, g, w)
-        bundle = GradientBundle(g=g, g_gnn=g_gnn, g_mlp=g_mlp, g_s=g_s,
-                                g_h=g_h, g_v=g_v, g_G=g_G)
+        bundle = GradientBundle(g_mlp=g_mlp, g_s=g_s, g_h=g_h, g_v=g_v,
+                                g_G=g_G)
         rec = StepRecord(st.t, value, float(np.linalg.norm(g_s)),
                          gv_norm=float(np.linalg.norm(g_v)),
                          gG_norm=float(np.linalg.norm(g_G)),
@@ -316,7 +305,7 @@ _OPTIMIZERS = {
 OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 
 
-def make_optimizer(name: str, hp: Hyperparams, **kwargs) -> BaseOptimizer:
+def make_optimizer(name: str, hp: Hyperparams) -> BaseOptimizer:
     if name not in _OPTIMIZERS:
         raise OptimError(f"unknown optimizer {name!r}")
-    return _OPTIMIZERS[name](hp, **kwargs)
+    return _OPTIMIZERS[name](hp)

@@ -8,8 +8,6 @@ import zlib
 
 import numpy as np
 
-STREAMS = ("init", "episodes", "val", "test", "noise", "directions")
-
 
 def stream_seed(root_seed: int, name: str) -> np.random.SeedSequence:
     # crc32 is stable across platforms, unlike hash()

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from fgsam import cli
+from fgsam import cli, fsnc, optim
 from fgsam import model as mdl
+from fgsam.graphcore import load_graph, normalize
 
 
 def run_cli(*argv):
@@ -148,6 +149,32 @@ class TestNc:
         assert report_payload(out1) == report_payload(out2)
 
 
+class TestNcCheckpoint:
+    def test_landscape_at_best_weights(self, graph_dir, tmp_path):
+        out = str(tmp_path / "nc")
+        assert run_cli("nc", "--graph", graph_dir, "--out", out,
+                       "--optimizer", "fgsam", "--episodes", "30",
+                       "--rho", "0.05", "--seed", "3") == 0
+        ckpt = os.path.join(out, "best.ckpt")
+        land = str(tmp_path / "land")
+        assert run_cli("landscape", "--graph", graph_dir, "--out", land,
+                       "--grid-points", "3", "--checkpoint", ckpt) == 0
+        meta = json.load(open(os.path.join(land, "landscape.meta.json")))
+        # the same run outside the CLI: its best weights are the checkpoint
+        graph = load_graph(graph_dir)
+        config = fsnc.NCConfig(steps=30, optimizer="fgsam",
+                               hp=optim.Hyperparams(rho=0.05, k=2), seed=3)
+        report = fsnc.standard_nc_train(config, graph,
+                                        cli.make_nc_masks(graph, 3))
+        params, hidden = mdl.load_checkpoint(ckpt)
+        assert hidden == config.hidden
+        assert np.array_equal(params.flatten(), report.final_params)
+        spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
+                                         graph.num_classes)
+        acts = mdl.forward(params, graph, normalize(graph, "gcn-sym"))
+        assert meta["base_loss"] == mdl.loss(acts, spec, params)
+
+
 class TestAnalysisCommands:
     def test_verify_theorem_exit_zero(self, capsys):
         assert run_cli("verify-theorem", "--k", "3", "--p", "0.6",
@@ -226,7 +253,15 @@ class TestErrors:
         ("fsnc", [], "[protocol]\nway = two\n", None),
         ("fsnc", [], "way = 2\n", None),
         ("compare", [], None, "two"),
-    ], ids=["split", "rhos", "config-value", "config-no-section", "threads"])
+        ("nc", ["--episodes", "0"], None, None),
+        ("nc", ["--patience", "0"], None, None),
+        ("nc", ["--val-interval", "0"], None, None),
+        ("nc", ["--layers", "0"], None, None),
+        ("nc", ["--hidden", "0"], None, None),
+        ("landscape", ["--grid-points", "-5"], None, None),
+    ], ids=["split", "rhos", "config-value", "config-no-section", "threads",
+            "nc-episodes", "nc-patience", "nc-val-interval", "nc-layers",
+            "nc-hidden", "grid-points"])
     def test_malformed_input_one_line_error(self, graph_dir, tmp_path, capsys,
                                             monkeypatch, command, flags,
                                             config, threads):
@@ -241,6 +276,12 @@ class TestErrors:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_check_grads_needs_instances(self, capsys, instances):
+        assert run_cli("check-grads", "--instances", instances) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --instances") and err.count("\n") == 1
 
     def test_checkpoint_width_must_match_classes(self, graph_dir, tmp_path,
                                                  capsys):

@@ -3,9 +3,9 @@ import pytest
 
 import fgsam.model as mdl
 from fgsam import fsnc, gradcheck, optim
-from fgsam.fsnc import (FsncError, NCConfig, ProtocolConfig, meta_test,
-                        proto_episode, sample_episode, split_classes,
-                        standard_nc_train, train_protocol)
+from fgsam.fsnc import (FsncError, NCConfig, ProtocolConfig, proto_episode,
+                        sample_episode, split_classes, standard_nc_train,
+                        task_accuracy, train_protocol)
 from fgsam.graphcore import (CsbmParams, PropagationOperator, generate_csbm,
                              normalize)
 from fgsam.seeding import stream_rng
@@ -52,7 +52,8 @@ class TestSplitClasses:
 class TestSampleEpisode:
     def test_counts_and_disjointness(self):
         g = small_graph()
-        ep = sample_episode(g, np.arange(4), way=2, shot=3, query=2, seed=1)
+        ep = sample_episode(g, np.arange(4), way=2, shot=3, query=2,
+                            rng=np.random.default_rng(1))
         assert ep.support_idx.size == 6 and ep.query_idx.size == 4
         assert not set(ep.support_idx) & set(ep.query_idx)
         # class-major layout and label membership
@@ -73,23 +74,28 @@ class TestSampleEpisode:
                                 rng=rng)
             nodes = np.concatenate([ep.support_idx, ep.query_idx])
             assert np.unique(nodes).size == nodes.size  # without replacement
-            assert np.array_equal(ep.support_labels,
-                                  np.repeat(np.arange(way), shot))
+            # class-major support: `shot` nodes of each chosen class
+            assert np.array_equal(g.labels[ep.support_idx],
+                                  np.repeat(ep.classes, shot))
 
     def test_insufficient_classes(self):
         g = small_graph()
         with pytest.raises(FsncError):
-            sample_episode(g, np.arange(2), way=3, shot=1, query=1, seed=0)
+            sample_episode(g, np.arange(2), way=3, shot=1, query=1,
+                           rng=np.random.default_rng(0))
 
     def test_insufficient_nodes(self):
         g = small_graph(npc=3)
         with pytest.raises(FsncError):
-            sample_episode(g, np.arange(4), way=2, shot=3, query=2, seed=0)
+            sample_episode(g, np.arange(4), way=2, shot=3, query=2,
+                           rng=np.random.default_rng(0))
 
     def test_seed_determinism(self):
         g = small_graph()
-        a = sample_episode(g, np.arange(5), 2, 3, 2, seed=4)
-        b = sample_episode(g, np.arange(5), 2, 3, 2, seed=4)
+        a = sample_episode(g, np.arange(5), 2, 3, 2,
+                           rng=np.random.default_rng(4))
+        b = sample_episode(g, np.arange(5), 2, 3, 2,
+                           rng=np.random.default_rng(4))
         assert np.array_equal(a.support_idx, b.support_idx)
         assert np.array_equal(a.query_idx, b.query_idx)
 
@@ -100,7 +106,8 @@ class TestProtoEpisode:
         op = normalize(g, "gcn-sym")
         dims = mdl.uniform_dims(g.d0, 6, 6, 2)
         params = mdl.init_params(dims, np.random.default_rng(0))
-        ep = sample_episode(g, np.arange(4), way=2, shot=1, query=2, seed=3)
+        ep = sample_episode(g, np.arange(4), way=2, shot=1, query=2,
+                            rng=np.random.default_rng(3))
         emb = mdl.forward(params, g, op).logits
         protos = emb[ep.support_idx]
         diff = emb[ep.query_idx][:, None, :] - protos[None, :, :]
@@ -118,7 +125,8 @@ class TestProtoEpisode:
         g = build_graph(n, [], features, [0] * 5 + [1] * 5)
         ident = PropagationOperator("identity", None)
         params = mdl.ModelParams([np.eye(2)], [np.zeros(2)])
-        ep = sample_episode(g, np.arange(2), way=2, shot=2, query=2, seed=0)
+        ep = sample_episode(g, np.arange(2), way=2, shot=2, query=2,
+                            rng=np.random.default_rng(0))
         _, acc, _ = proto_episode(params, g, ident, ep, compute_grad=False)
         assert acc == 1.0
 
@@ -128,7 +136,8 @@ class TestProtoEpisode:
         op = normalize(g, "mean-neighbors")
         dims = mdl.uniform_dims(g.d0, 3, 3, 2)
         params = mdl.init_params(dims, np.random.default_rng(1))
-        ep = sample_episode(g, np.arange(4), way=2, shot=2, query=2, seed=5)
+        ep = sample_episode(g, np.arange(4), way=2, shot=2, query=2,
+                            rng=np.random.default_rng(5))
         _, _, grad = proto_episode(params, g, op, ep, weight_decay=wd)
 
         def f(w):
@@ -147,7 +156,8 @@ class TestProtoEpisode:
         g = small_graph(K=4, npc=15)
         warm = normalize(g, scheme)
         warm.propagate_input(g.features)
-        ep = sample_episode(g, np.arange(4), 2, 3, 4, seed=1)
+        ep = sample_episode(g, np.arange(4), 2, 3, 4,
+                            rng=np.random.default_rng(1))
         ep_dims = mdl.uniform_dims(g.d0, 6, 6, 2)
         nc_dims = mdl.uniform_dims(g.d0, 6, g.num_classes, 2)
         spec = mdl.loss_spec_from_labels(np.arange(0, g.n, 2), g.labels,
@@ -235,13 +245,7 @@ class TestTrainProtocol:
 
 
 class TestMetaTest:
-    def test_requires_message_passing(self):
-        g = small_graph()
-        params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
-                                 np.random.default_rng(0))
-        ident = PropagationOperator("identity", None)
-        with pytest.raises(FsncError):
-            meta_test(params, g, ident, np.arange(4), 2, 1, 1, 2, 0)
+    """`task_accuracy`, the evaluation of validation and meta-test rounds."""
 
     def test_mp_counter_increments(self):
         g = small_graph()
@@ -249,10 +253,12 @@ class TestMetaTest:
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         before = op.apply_count
-        meta_test(params, g, op, np.arange(4), 2, 1, 1, 3, 0)
+        task_accuracy(params, g, op, np.arange(4), 2, 1, 1, 3,
+                      np.random.default_rng(0))
         # one forward for all 3 tasks: A.X once, then A.H for layer 2
         assert op.apply_count == before + 2
-        meta_test(params, g, op, np.arange(4), 2, 1, 1, 3, 1)
+        task_accuracy(params, g, op, np.arange(4), 2, 1, 1, 3,
+                      np.random.default_rng(1))
         # A.X is cached on the operator: a second round adds only A.H
         assert op.apply_count == before + 3
 
@@ -264,8 +270,8 @@ class TestMetaTest:
         rep = train_protocol(cfg, g, split)
         params = mdl.ModelParams.from_flat(
             rep.repeats[0].best_params, mdl.uniform_dims(g.d0, 8, 8, 2))
-        mean, std = meta_test(params, g, op, split.novel_classes,
-                              2, 3, 5, 20, 0)
+        mean, std = task_accuracy(params, g, op, split.novel_classes,
+                                  2, 3, 5, 20, np.random.default_rng(0))
         assert mean >= 0.99
 
     def test_one_forward_matches_per_task_episodes(self):
@@ -277,14 +283,14 @@ class TestMetaTest:
         shared, per_task = np.random.default_rng(5), np.random.default_rng(5)
         accs = []
         for _ in range(8):
-            acc, _ = fsnc.task_accuracy(params, g, op, classes, 2, 2, 3, 1,
-                                        shared)
+            acc, _ = task_accuracy(params, g, op, classes, 2, 2, 3, 1,
+                                   shared)
             ep = sample_episode(g, classes, 2, 2, 3, rng=per_task)
             accs.append(proto_episode(params, g, op, ep,
                                       compute_grad=False)[1])
             assert acc == accs[-1]
-        both = fsnc.task_accuracy(params, g, op, classes, 2, 2, 3, 8,
-                                  np.random.default_rng(5))
+        both = task_accuracy(params, g, op, classes, 2, 2, 3, 8,
+                             np.random.default_rng(5))
         assert both == (float(np.mean(accs)), float(np.std(accs)))
 
     def test_reproducible(self):
@@ -292,8 +298,10 @@ class TestMetaTest:
         op = normalize(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
-        a = meta_test(params, g, op, np.arange(4), 2, 2, 3, 10, 7)
-        b = meta_test(params, g, op, np.arange(4), 2, 2, 3, 10, 7)
+        a = task_accuracy(params, g, op, np.arange(4), 2, 2, 3, 10,
+                          np.random.default_rng(7))
+        b = task_accuracy(params, g, op, np.arange(4), 2, 2, 3, 10,
+                          np.random.default_rng(7))
         assert a == b
 
     def test_way_exceeds_novel_classes(self):
@@ -302,7 +310,8 @@ class TestMetaTest:
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         with pytest.raises(FsncError):
-            meta_test(params, g, op, np.arange(2), 3, 1, 1, 2, 0)
+            task_accuracy(params, g, op, np.arange(2), 3, 1, 1, 2,
+                          np.random.default_rng(0))
 
 
 def nc_masks(g, seed=0):
