@@ -292,8 +292,12 @@ def cmd_nc(args) -> int:
     get = _settings(args)
     out = _out(get)
     graph, graph_path = _load_graph_arg(get)
+    steps = get("episodes", int, 200)
+    if steps < 1:
+        # NCConfig would name its own field, `steps`
+        raise CliError("episodes must be positive")
     config = fsnc.NCConfig(
-        steps=get("episodes", int, 200),
+        steps=steps,
         patience=get("patience", int, 10),
         val_interval=get("val_interval", int, 10),
         layers=get("layers", int, 2),
@@ -309,7 +313,7 @@ def cmd_nc(args) -> int:
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
                             config.layers)
     mdl.save_checkpoint(os.path.join(out, "best.ckpt"),
-                        mdl.ModelParams.from_flat(report.final_params, dims),
+                        mdl.ModelParams.from_flat(report.best_params, dims),
                         config.hidden)
     _echo_ini(out, {
         "run": {"seed": config.seed},
@@ -327,9 +331,10 @@ def cmd_nc(args) -> int:
 
 def cmd_landscape(args) -> int:
     get = _settings(args)
-    if args.grid_points < 3:
-        raise CliError(f"--grid-points must be at least 3, "
-                       f"got {args.grid_points}")
+    if args.grid_points < 3 or args.grid_points % 2 == 0:
+        # the grid is symmetric about the base point, so its count is odd
+        raise CliError(f"--grid-points must be an odd number of at least "
+                       f"3, got {args.grid_points}")
     out = _out(get)
     graph, _ = _load_graph_arg(get)
     seed = get("seed", int, 0)
@@ -348,8 +353,7 @@ def cmd_landscape(args) -> int:
     operator = normalize(graph, scheme)
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                      graph.num_classes)
-    half = (args.grid_points - 1) // 2
-    grid = np.linspace(-args.grid_range, args.grid_range, 2 * half + 1)
+    grid = np.linspace(-args.grid_range, args.grid_range, args.grid_points)
     slc = analysis.landscape_slice(params, graph, operator, spec,
                                    args.slice_dims, grid,
                                    seed=int(stream_rng(seed, "directions")

@@ -52,6 +52,12 @@ class Episode:
     def query_labels(self) -> np.ndarray:
         return np.repeat(np.arange(self.way), self.query_per_class)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The episode's nodes, support then query: the rows its loss
+        reads, in the order `proto_head` takes their embeddings."""
+        return np.concatenate([self.support_idx, self.query_idx])
+
 
 def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
                    rng: np.random.Generator) -> Episode:
@@ -59,12 +65,13 @@ def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
     if classes.size < way:
         raise FsncError(f"need {way} classes, only {classes.size} available")
     chosen = rng.choice(classes, size=way, replace=False)
+    pools = graph.class_nodes
     support, query_idx = [], []
     for c in chosen:
-        pool = np.flatnonzero(graph.labels == c)
-        if pool.size < shot + query:
+        pool = pools[c] if 0 <= c < len(pools) else pools[:0]
+        if len(pool) < shot + query:
             raise FsncError(
-                f"class {c} has {pool.size} nodes, needs {shot + query}")
+                f"class {c} has {len(pool)} nodes, needs {shot + query}")
         picked = rng.choice(pool, size=shot + query, replace=False)
         support.append(picked[:shot])
         query_idx.append(picked[shot:])
@@ -74,13 +81,14 @@ def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
 
 
 def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
-    """Prototypical head on the node embeddings `emb` (n x d): class
-    prototypes are mean support embeddings, query logits are negative
-    squared distances. Returns (cross-entropy, accuracy, gradient of the
-    cross-entropy w.r.t. `emb` or None)."""
+    """Prototypical head on the embeddings `emb` of the episode's rows
+    (`episode.rows`: support then query): class prototypes are mean support
+    embeddings, query logits are negative squared distances. Returns
+    (cross-entropy, accuracy, gradient of the cross-entropy w.r.t. `emb` or
+    None)."""
     way, shot = episode.way, episode.shot
-    zs = emb[episode.support_idx]
-    zq = emb[episode.query_idx]
+    ns = way * shot
+    zs, zq = emb[:ns], emb[ns:]
     protos = zs.reshape(way, shot, -1).mean(axis=1)
     diff = zq[:, None, :] - protos[None, :, :]
     logits = -(diff * diff).sum(axis=2)
@@ -100,25 +108,32 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     dzq = 2.0 * (dd2[:, :, None] * diff).sum(axis=1)
     dprot = -2.0 * (dd2[:, :, None] * diff).sum(axis=0)
     dzs = np.repeat(dprot / shot, shot, axis=0)
-    d_emb = np.zeros_like(emb)
-    np.add.at(d_emb, episode.query_idx, dzq)
-    np.add.at(d_emb, episode.support_idx, dzs)
-    return value, acc, d_emb
+    return value, acc, np.concatenate([dzs, dzq])
 
 
 def proto_episode(params: mdl.ModelParams, graph: Graph,
                   operator: PropagationOperator, episode: Episode,
-                  weight_decay: float = 0.0, compute_grad: bool = True):
+                  weight_decay: float = 0.0, compute_grad: bool = True,
+                  blocks=None):
     """Forward pass plus the prototypical head, with weight decay. Returns
-    (loss, accuracy, flat gradient or None)."""
-    acts = mdl.forward(params, graph, operator)
-    value, acc, d_emb = proto_head(acts.logits, episode, compute_grad)
+    (loss, accuracy, flat gradient or None). `blocks` restrict the forward
+    to the episode's receptive field (`model.receptive_field` of
+    `episode.rows`); None runs it on all n rows."""
+    rows = episode.rows
+    acts = mdl.forward(params, graph, operator, blocks)
+    emb = acts.logits if blocks is not None else acts.logits[rows]
+    value, acc, d_emb = proto_head(emb, episode, compute_grad)
     flat = params.flatten()
     if weight_decay:
         value += weight_decay * float(flat @ flat)
     if not compute_grad:
         return value, acc, None
-    grad = mdl.backward_from_output(params, operator, acts, d_emb)
+    if blocks is None:
+        # the rows are distinct, so each gets 0.0 + its gradient
+        d_out = np.zeros_like(acts.logits)
+        d_out[rows] += d_emb
+        d_emb = d_out
+    grad = mdl.backward_from_output(params, operator, acts, d_emb, blocks)
     if weight_decay:
         grad += 2.0 * weight_decay * flat
     return value, acc, grad
@@ -129,20 +144,35 @@ def task_accuracy(params: mdl.ModelParams, graph: Graph,
                   query: int, tasks: int, rng):
     """Mean and standard deviation of the accuracy over `tasks` episodes
     drawn from `rng`. The weights are the same for every task, so one
-    forward serves them all."""
-    emb = mdl.forward(params, graph, operator).logits
+    forward over the union of the tasks' rows serves them all; a forward
+    draws no random numbers, so sampling every task first leaves the
+    stream as it was."""
+    episodes = [sample_episode(graph, classes, way, shot, query, rng=rng)
+                for _ in range(tasks)]
+    union = np.unique(np.concatenate([e.rows for e in episodes]))
+    blocks = mdl.blocks_for(operator, union, params.num_layers)
+    emb = mdl.forward(params, graph, operator, blocks).logits
     accs = []
-    for _ in range(tasks):
-        episode = sample_episode(graph, classes, way, shot, query, rng=rng)
-        accs.append(proto_head(emb, episode, compute_grad=False)[1])
+    for e in episodes:
+        local = e.rows if blocks is None else np.searchsorted(union, e.rows)
+        accs.append(proto_head(emb[local], e, compute_grad=False)[1])
     return float(np.mean(accs)), float(np.std(accs))
 
 
 def episode_objective(dims, graph: Graph, operator: PropagationOperator,
                       episode: Episode, weight_decay: float = 0.0) -> optim.Objective:
+    """The episode's GNN / PeerMLP objective pair. Each operator's blocks
+    are cut on its first gradient evaluation and reused by the later ones
+    of the same episode."""
+    blocks = {}
+
     def loss_grad(params, op):
+        if id(op) not in blocks:
+            blocks[id(op)] = mdl.blocks_for(op, episode.rows,
+                                            params.num_layers)
         value, _, grad = proto_episode(params, graph, op, episode,
-                                       weight_decay=weight_decay)
+                                       weight_decay=weight_decay,
+                                       blocks=blocks[id(op)])
         return value, grad
 
     return optim.peer_objective(dims, operator, loss_grad)
@@ -331,7 +361,7 @@ class NCReport:
     gnn_evals: int
     mlp_evals: int
     wall_seconds: float
-    final_params: np.ndarray = None
+    best_params: np.ndarray = None   # best-validation weights
 
 
 def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
@@ -365,7 +395,7 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
                     trace=trace, gnn_evals=obj.gnn_evals,
                     mlp_evals=obj.mlp_evals,
                     wall_seconds=time.perf_counter() - t0,
-                    final_params=best_w)
+                    best_params=best_w)
 
 
 TRACE_COLUMNS = ("step", "loss", "grad_norm", "gv_norm", "gG_norm", "branch",

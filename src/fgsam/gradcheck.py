@@ -102,8 +102,11 @@ def check_episode(rng, scheme: str, layers: int) -> CheckResult:
     episode = fsnc.sample_episode(graph, eligible, way=2, shot=1, query=1,
                                   rng=rng)
     wd = float(rng.choice([0.0, 0.01]))
+    # the analytic gradient runs on the episode's receptive field, the
+    # finite differences on all n rows
+    blocks = mdl.receptive_field(operator, episode.rows, layers)
     _, _, grad = fsnc.proto_episode(params, graph, operator, episode,
-                                    weight_decay=wd)
+                                    weight_decay=wd, blocks=blocks)
 
     def f(w):
         p = mdl.ModelParams.from_flat(w, dims)

@@ -1,5 +1,6 @@
 """Graph container, propagation operators, CSBM synthesis, noise injection and file I/O."""
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -33,6 +34,13 @@ class Graph:
     @property
     def d0(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def class_nodes(self) -> list:
+        """Entry c holds the nodes of class c in ascending order, the same
+        array as `np.flatnonzero(labels == c)`; built once per graph."""
+        order = np.argsort(self.labels, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.labels))[:-1])
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)
@@ -86,7 +94,12 @@ SCHEMES = ("gcn-sym", "mean-neighbors", "identity")
 
 @dataclass
 class PropagationOperator:
-    """Sparse n x n propagation matrix; the identity scheme bypasses the matmul."""
+    """Sparse propagation matrix; the identity scheme bypasses the matmul.
+
+    The matrix of a graph's operator is n x n. A block cut from it by
+    `restrict` holds a rectangular slice and counts its products on the
+    operator it was cut from.
+    """
 
     scheme: str
     matrix: sp.csr_matrix | None  # None for identity
@@ -94,11 +107,17 @@ class PropagationOperator:
     # (x, A @ x) for the last network input seen by propagate_input
     _input_memo: tuple = field(default=None, init=False, repr=False,
                               compare=False)
+    # A^T in CSR form, built on the first transpose product
+    _transpose: sp.csr_matrix = field(default=None, init=False, repr=False,
+                                      compare=False)
+    # the operator whose apply_count a block's products add to
+    _source: "PropagationOperator" = field(default=None, repr=False,
+                                           compare=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.scheme == "identity":
             return x
-        self.apply_count += 1
+        (self if self._source is None else self._source).apply_count += 1
         return self.matrix @ x
 
     def propagate_input(self, x: np.ndarray) -> np.ndarray:
@@ -122,10 +141,49 @@ class PropagationOperator:
         return memo[1]
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
-        """Multiply by the transpose (needed for reverse-mode gradients)."""
+        """Multiply by the transpose (needed for reverse-mode gradients).
+
+        The product runs on a CSR copy of A^T with sorted indices, which
+        sums every output row in the same order as `matrix.T @ x` and gives
+        the same bits, faster. A graph's `gcn-sym` matrix is symmetric bit
+        for bit and has sorted rows, so it serves as its own transpose.
+        """
         if self.scheme == "identity":
             return x
-        return self.matrix.T @ x
+        if self._transpose is None:
+            symmetric = self.scheme == "gcn-sym" and self._source is None
+            self._transpose = (self.matrix if symmetric
+                               else self.matrix.T.tocsr())
+        return self._transpose @ x
+
+    def restrict(self, rows: np.ndarray):
+        """The block of this operator that produces only `rows`.
+
+        Returns (block, cols): `cols` are the sorted columns that A[rows]
+        reads, and `block` is the operator of the slice A[rows][:, cols],
+        whose products count on this operator. The slice is cut from the
+        CSR arrays and keeps every row's entries in A's order, so a row of
+        `block.apply(h[cols])` is the same row of `A @ h`, bit for bit.
+        The identity operator is its own block and reads `rows`.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.scheme == "identity":
+            return self, rows
+        a = self.matrix
+        starts = a.indptr[rows]
+        counts = a.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        cols, local = np.unique(a.indices[pos], return_inverse=True)
+        block = sp.csr_matrix((a.data[pos], local, indptr),
+                              shape=(rows.size, cols.size))
+        return PropagationOperator(self.scheme, block, _source=self), cols
+
+    def row_nnz(self, rows: np.ndarray) -> int:
+        """Stored entries of A[rows], read from the row pointers."""
+        indptr = self.matrix.indptr
+        return int((indptr[rows + 1] - indptr[rows]).sum())
 
     @property
     def is_identity(self) -> bool:

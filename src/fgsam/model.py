@@ -8,6 +8,7 @@ swapping the operator.
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,22 +120,77 @@ def loss_spec_from_labels(indices, labels, num_classes, weight_decay=0.0) -> Los
     return LossSpec(indices, onehot, weight_decay)
 
 
+class Block(NamedTuple):
+    """Layer l of a forward that produces only some rows: `rows` are the
+    rows S_l it outputs (None: all n rows), and `op` propagates the rows
+    that layer l-1 output into them. Layer 0 reads rows S_0 of the cached
+    A.X instead, so its `op` is the graph's operator."""
+
+    rows: np.ndarray | None
+    op: PropagationOperator
+
+
+def receptive_field(operator: PropagationOperator, targets,
+                    layers: int) -> list[Block]:
+    """The exact per-layer blocks of a forward whose last layer outputs only
+    `targets`, in their order: S_{L-1} = targets and S_{l-1} = the columns
+    of A[S_l]. The PeerMLP (identity operator) reads `targets` at every
+    layer."""
+    rows = np.asarray(targets, dtype=np.int64)
+    blocks = [None] * layers
+    for l in range(layers - 1, 0, -1):
+        op, below = operator.restrict(rows)
+        blocks[l] = Block(rows, op)
+        rows = below
+    blocks[0] = Block(rows, operator)
+    return blocks
+
+
+def blocks_for(operator: PropagationOperator, targets,
+               layers: int) -> list[Block] | None:
+    """`receptive_field` when slicing shrinks the work, otherwise None (a
+    forward over all n rows).
+
+    The rule is read from the row pointers in O(|targets|): slice while
+    A[targets] holds fewer stored entries than A has rows. Above that, the
+    receptive field is a large share of the graph, and cutting it costs
+    more than the rows it saves. A one-layer forward only gathers rows of
+    A.X and the PeerMLP reads only the target rows, so both always slice.
+    """
+    if (layers > 1 and not operator.is_identity
+            and operator.row_nnz(targets) >= operator.matrix.shape[0]):
+        return None
+    return receptive_field(operator, targets, layers)
+
+
 def forward(params: ModelParams, graph: Graph,
-            operator: PropagationOperator) -> Activations:
-    return forward_features(params, graph.features, operator)
+            operator: PropagationOperator, blocks=None) -> Activations:
+    return forward_features(params, graph.features, operator, blocks)
 
 
 def forward_features(params: ModelParams, x: np.ndarray,
-                     operator: PropagationOperator) -> Activations:
+                     operator: PropagationOperator,
+                     blocks=None) -> Activations:
+    """Forward pass over all n rows, or over the rows of `blocks` (see
+    `receptive_field`), in which case row i of every output is row
+    `blocks[l].rows[i]` of the full forward."""
     if x.shape[1] != params.dims[0]:
         raise ModelError(
             f"feature dim {x.shape[1]} != model input dim {params.dims[0]}")
+    if blocks is None:
+        blocks = [Block(None, operator)] * params.num_layers
     h = x
     inputs, preacts = [], []
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        # layer 0 propagates the fixed input: one product per operator
-        m = operator.propagate_input(h) if l == 0 else operator.apply(h)
+        rows, op = blocks[l]
+        if l == 0:
+            # layer 0 propagates the fixed input: one product per operator
+            m = operator.propagate_input(h)
+            if rows is not None:
+                m = m[rows]
+        else:
+            m = op.apply(h)
         z = m @ w + b
         inputs.append(m)
         preacts.append(z)
@@ -155,11 +211,12 @@ def loss(activations: Activations, spec: LossSpec, params: ModelParams) -> float
 
 
 def backward_from_output(params: ModelParams, operator: PropagationOperator,
-                         activations: Activations,
-                         d_out: np.ndarray) -> np.ndarray:
+                         activations: Activations, d_out: np.ndarray,
+                         blocks=None) -> np.ndarray:
     """Backpropagate a gradient w.r.t. the final layer output down to the
     flat parameter vector. The last layer has no nonlinearity, so d_out is
-    also the gradient w.r.t. its preactivation."""
+    also the gradient w.r.t. its preactivation. `blocks` are those of the
+    forward that made `activations`."""
     grads_w = [None] * params.num_layers
     grads_b = [None] * params.num_layers
     dz = d_out
@@ -169,7 +226,7 @@ def backward_from_output(params: ModelParams, operator: PropagationOperator,
         grads_b[l] = dz.sum(axis=0)
         if l > 0:
             dm = dz @ params.weights[l].T
-            dh = operator.apply_t(dm)
+            dh = (operator if blocks is None else blocks[l].op).apply_t(dm)
             dz = dh * (activations.preacts[l - 1] > 0)
     parts = []
     for gw, gb in zip(grads_w, grads_b):

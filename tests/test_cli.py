@@ -168,7 +168,7 @@ class TestNcCheckpoint:
                                         cli.make_nc_masks(graph, 3))
         params, hidden = mdl.load_checkpoint(ckpt)
         assert hidden == config.hidden
-        assert np.array_equal(params.flatten(), report.final_params)
+        assert np.array_equal(params.flatten(), report.best_params)
         spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                          graph.num_classes)
         acts = mdl.forward(params, graph, normalize(graph, "gcn-sym"))
@@ -259,9 +259,10 @@ class TestErrors:
         ("nc", ["--layers", "0"], None, None),
         ("nc", ["--hidden", "0"], None, None),
         ("landscape", ["--grid-points", "-5"], None, None),
+        ("landscape", ["--grid-points", "4"], None, None),
     ], ids=["split", "rhos", "config-value", "config-no-section", "threads",
             "nc-episodes", "nc-patience", "nc-val-interval", "nc-layers",
-            "nc-hidden", "grid-points"])
+            "nc-hidden", "grid-points", "grid-points-even"])
     def test_malformed_input_one_line_error(self, graph_dir, tmp_path, capsys,
                                             monkeypatch, command, flags,
                                             config, threads):
@@ -276,6 +277,13 @@ class TestErrors:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nc_error_names_the_setting_typed(self, graph_dir, tmp_path,
+                                              capsys):
+        # `nc` stores --episodes as NCConfig.steps
+        assert run_cli("nc", "--graph", graph_dir, "--out",
+                       str(tmp_path / "o"), "--episodes", "0") == 1
+        assert capsys.readouterr().err == "error: episodes must be positive\n"
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_check_grads_needs_instances(self, capsys, instances):

@@ -99,6 +99,34 @@ class TestSampleEpisode:
         assert np.array_equal(a.support_idx, b.support_idx)
         assert np.array_equal(a.query_idx, b.query_idx)
 
+    def test_class_pools_match_rescan_oracle(self):
+        def rescan(graph, classes, way, shot, query, rng):
+            # the sampler before per-class pools: scan the labels per class
+            chosen = rng.choice(classes, size=way, replace=False)
+            picked = [rng.choice(np.flatnonzero(graph.labels == c),
+                                 size=shot + query, replace=False)
+                      for c in chosen]
+            return (chosen, np.concatenate([p[:shot] for p in picked]),
+                    np.concatenate([p[shot:] for p in picked]))
+
+        g = small_graph(npc=15)
+        ours, oracle = np.random.default_rng(8), np.random.default_rng(8)
+        for i in range(200):
+            way, shot, query = 2 + i % 3, 1 + i % 4, 1 + i % 5
+            ep = sample_episode(g, np.arange(1, 8), way, shot, query,
+                                rng=ours)
+            chosen, support, qry = rescan(g, np.arange(1, 8), way, shot,
+                                          query, oracle)
+            assert np.array_equal(ep.classes, chosen)
+            assert np.array_equal(ep.support_idx, support)
+            assert np.array_equal(ep.query_idx, qry)
+
+    def test_class_without_nodes(self):
+        g = small_graph(K=4, npc=5)
+        with pytest.raises(FsncError, match="class 9 has 0 nodes"):
+            sample_episode(g, np.array([0, 9]), 2, 1, 1,
+                           rng=np.random.default_rng(0))
+
 
 class TestProtoEpisode:
     def test_single_shot_prototype_is_support_embedding(self):
@@ -179,6 +207,151 @@ class TestProtoEpisode:
             assert value == value0
             assert np.array_equal(grad, grad0)
         assert warm.apply_count == 1 + 2 * 4  # A.X once, then A.H per call
+
+
+def sparse_graph(seed=1):
+    """1200 nodes of mean degree about 4: an episode's receptive field is a
+    small share of the graph, so `blocks_for` slices."""
+    return small_graph(seed=seed, K=6, npc=200, p=0.02, q=0.001)
+
+
+def relative(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# sliced and full-graph products sum in different orders
+REL_TOL = 1e-12
+
+
+class TestReceptiveField:
+    """The episode engine on the rows of its receptive field, against the
+    same engine on all n rows (the full-graph oracle)."""
+
+    def assert_matches_oracle(self, params, g, op, ep, blocks):
+        want = proto_episode(params, g, op, ep, weight_decay=0.01)
+        got = proto_episode(params, g, op, ep, weight_decay=0.01,
+                            blocks=blocks)
+        assert abs(got[0] - want[0]) <= REL_TOL * abs(want[0])
+        assert got[1] == want[1]
+        assert relative(got[2], want[2]) <= REL_TOL
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("scheme",
+                             ["gcn-sym", "mean-neighbors", "identity"])
+    def test_matches_full_graph_oracle(self, scheme, layers):
+        g = sparse_graph()
+        op = normalize(g, scheme)
+        dims = mdl.uniform_dims(g.d0, 6, 6, layers)
+        rng = np.random.default_rng(layers)
+        for _ in range(3):
+            ep = sample_episode(g, np.arange(6), 2, 3, 10, rng=rng)
+            blocks = mdl.blocks_for(op, ep.rows, layers)
+            assert blocks is not None
+            assert [b.rows.size for b in blocks][-1] == 26
+            self.assert_matches_oracle(mdl.init_params(dims, rng), g, op, ep,
+                                       blocks)
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_isolated_target_node(self, scheme):
+        g = sparse_graph()
+        ep = sample_episode(g, np.arange(6), 2, 2, 3,
+                            rng=np.random.default_rng(0))
+        lonely = np.setdiff1d(np.flatnonzero(g.degrees() == 0), ep.rows)
+        assert lonely.size
+        ep.query_idx = ep.query_idx.copy()
+        ep.query_idx[0] = lonely[0]    # an isolated node of any class
+        op = normalize(g, scheme)
+        dims = mdl.uniform_dims(g.d0, 5, 5, 3)
+        blocks = mdl.receptive_field(op, ep.rows, 3)
+        # the node reads only itself at every layer
+        assert lonely[0] in blocks[0].rows
+        self.assert_matches_oracle(
+            mdl.init_params(dims, np.random.default_rng(1)), g, op, ep,
+            blocks)
+
+    def test_receptive_field_is_whole_graph(self):
+        g = small_graph(K=4, npc=10, p=0.5, q=0.1)
+        op = normalize(g, "gcn-sym")
+        ep = sample_episode(g, np.arange(4), 2, 2, 3,
+                            rng=np.random.default_rng(2))
+        blocks = mdl.receptive_field(op, ep.rows, 3)
+        assert np.array_equal(blocks[0].rows, np.arange(g.n))
+        dims = mdl.uniform_dims(g.d0, 5, 5, 3)
+        self.assert_matches_oracle(
+            mdl.init_params(dims, np.random.default_rng(3)), g, op, ep,
+            blocks)
+        # slicing would not shrink the work: the cutover keeps all rows
+        assert mdl.blocks_for(op, ep.rows, 3) is None
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_cutover_sides_match_oracle(self, dense):
+        g = small_graph() if dense else sparse_graph()
+        op = normalize(g, "mean-neighbors")
+        ep = sample_episode(g, np.arange(4), 2, 3, 10,
+                            rng=np.random.default_rng(4))
+        assert (op.row_nnz(ep.rows) >= g.n) == dense
+        assert (mdl.blocks_for(op, ep.rows, 2) is None) == dense
+        # the PeerMLP reads only the episode's rows, whatever the graph
+        ident = PropagationOperator("identity", None)
+        mlp = mdl.blocks_for(ident, ep.rows, 2)
+        assert all(np.array_equal(b.rows, ep.rows) for b in mlp)
+        dims = mdl.uniform_dims(g.d0, 6, 6, 2)
+        obj = fsnc.episode_objective(dims, g, op, ep, weight_decay=0.01)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            params = mdl.init_params(dims, rng)
+            w = params.flatten()
+            for got, o in ((obj.gnn_grad(w), op), (obj.mlp_grad(w), ident)):
+                want = proto_episode(params, g, o, ep, weight_decay=0.01)
+                assert abs(got[0] - want[0]) <= REL_TOL * abs(want[0])
+                assert relative(got[1], want[2]) <= REL_TOL
+
+    def test_blocks_cut_once_per_operator(self, monkeypatch):
+        g = sparse_graph()
+        op = normalize(g, "gcn-sym")
+        ep = sample_episode(g, np.arange(6), 2, 3, 10,
+                            rng=np.random.default_rng(6))
+        calls = []
+        real = mdl.blocks_for
+        monkeypatch.setattr(mdl, "blocks_for",
+                            lambda *a: calls.append(a[0]) or real(*a))
+        dims = mdl.uniform_dims(g.d0, 4, 4, 2)
+        obj = fsnc.episode_objective(dims, g, op, ep)
+        assert calls == []               # cut inside the first evaluation
+        w = mdl.init_params(dims, np.random.default_rng(0)).flatten()
+        for _ in range(3):
+            obj.gnn_grad(w)
+            obj.mlp_grad(w)
+        assert len(calls) == 2 and calls[0] is op and calls[1].is_identity
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_full_path_bit_identical_to_scatter_oracle(self, scheme):
+        # on all n rows the head's gradient goes back through an n-row
+        # array; it must hold the same bits as the scatter-add it replaced
+        g = small_graph()
+        op = normalize(g, scheme)
+        dims = mdl.uniform_dims(g.d0, 6, 6, 2)
+        params = mdl.init_params(dims, np.random.default_rng(7))
+        ep = sample_episode(g, np.arange(4), 2, 3, 4,
+                            rng=np.random.default_rng(8))
+        acts = mdl.forward(params, g, op)
+        value, acc, d = fsnc.proto_head(acts.logits[ep.rows], ep)
+        d_emb = np.zeros_like(acts.logits)
+        ns = ep.support_idx.size
+        np.add.at(d_emb, ep.query_idx, d[ns:])
+        np.add.at(d_emb, ep.support_idx, d[:ns])
+        want = mdl.backward_from_output(params, op, acts, d_emb)
+        got = proto_episode(params, g, op, ep)
+        assert got[:2] == (value, acc)
+        assert got[2].tobytes() == want.tobytes()
+
+    def test_head_reads_only_episode_rows(self):
+        g = small_graph()
+        ep = sample_episode(g, np.arange(4), 2, 3, 4,
+                            rng=np.random.default_rng(9))
+        emb = np.random.default_rng(0).standard_normal((ep.rows.size, 5))
+        _, _, d = fsnc.proto_head(emb, ep)
+        assert d.shape == emb.shape
 
 
 class TestTrainProtocol:
@@ -293,6 +466,28 @@ class TestMetaTest:
                              np.random.default_rng(5))
         assert both == (float(np.mean(accs)), float(np.std(accs)))
 
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_sliced_round_matches_per_task_episodes(self, scheme):
+        g = sparse_graph()
+        op = normalize(g, scheme)
+        params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
+                                 np.random.default_rng(0))
+        classes = np.arange(6)
+        accs, rows = [], []
+        per_task = np.random.default_rng(3)
+        for _ in range(6):
+            ep = sample_episode(g, classes, 2, 3, 10, rng=per_task)
+            accs.append(proto_episode(params, g, op, ep,
+                                      compute_grad=False)[1])
+            rows.append(ep.rows)
+        union = np.unique(np.concatenate(rows))
+        assert mdl.blocks_for(op, union, 2) is not None
+        before = op.apply_count
+        got = task_accuracy(params, g, op, classes, 2, 3, 10, 6,
+                            np.random.default_rng(3))
+        assert got == (float(np.mean(accs)), float(np.std(accs)))
+        assert op.apply_count == before + 1  # one sliced forward
+
     def test_reproducible(self):
         g = small_graph()
         op = normalize(g, "gcn-sym")
@@ -354,7 +549,7 @@ class TestStandardNC:
         ad = standard_nc_train(
             NCConfig(steps=15, val_interval=50, scheme="identity",
                      optimizer="adam", hp=hp0, seed=0), g, masks)
-        assert np.array_equal(fg.final_params, ad.final_params)
+        assert np.array_equal(fg.best_params, ad.best_params)
         for ta, tb in zip(fg.trace, ad.trace):
             assert ta["loss"] == tb["loss"]
             assert ta["grad_norm"] == tb["grad_norm"]

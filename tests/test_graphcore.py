@@ -129,6 +129,61 @@ class TestOperators:
         with pytest.raises(GraphError):
             normalize(g, "laplacian")
 
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_transpose_product_bit_identical(self, scheme):
+        rng = np.random.default_rng(4)
+        g = random_graph(rng, 60)
+        # node 59 loses its edges: mean-neighbors gives it a self-entry,
+        # and its matrix is not symmetric
+        g = build_graph(g.n, g.edges[(g.edges != 59).all(axis=1)],
+                        g.features, g.labels)
+        assert g.degrees()[59] == 0
+        op = normalize(g, scheme)
+        if scheme == "gcn-sym":
+            assert (op.matrix != op.matrix.T).nnz == 0
+        else:
+            assert (op.matrix != op.matrix.T).nnz > 0
+        for cols in (1, 3, 16):
+            x = rng.standard_normal((g.n, cols))
+            want = op.matrix.T @ x
+            assert np.array_equal(op.apply_t(x), want)
+            assert np.array_equal(op.apply_t(x), want)  # cached transpose
+        assert op.apply_count == 0  # the counter is for forward products
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_restrict_rows_bit_identical(self, scheme):
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 80)
+        op = normalize(g, scheme)
+        h = rng.standard_normal((g.n, 4))
+        rows = np.array([17, 3, 64, 40])          # any order, not sorted
+        block, cols = op.restrict(rows)
+        dense = op.matrix.toarray()
+        assert np.array_equal(cols, np.flatnonzero(dense[rows].any(axis=0)))
+        assert np.array_equal(block.matrix.toarray(), dense[rows][:, cols])
+        assert np.array_equal(block.apply(h[cols]), (op.matrix @ h)[rows])
+        dm = rng.standard_normal((rows.size, 4))
+        np.testing.assert_allclose(block.apply_t(dm),
+                                   dense[rows][:, cols].T @ dm,
+                                   rtol=1e-14, atol=1e-15)
+        # products on a block count on the operator it was cut from
+        assert (op.apply_count, block.apply_count) == (1, 0)
+        assert op.row_nnz(rows) == block.matrix.nnz
+        ident = normalize(g, "identity")
+        assert ident.restrict(rows)[0] is ident
+        assert np.array_equal(ident.restrict(rows)[1], rows)
+
+
+class TestClassNodes:
+    def test_equal_to_label_scan(self):
+        rng = np.random.default_rng(6)
+        g = with_num_classes(random_graph(rng, 50), 5)  # classes 3, 4 empty
+        pools = g.class_nodes
+        assert g.class_nodes is pools  # built once per graph
+        for c in range(3):
+            assert np.array_equal(pools[c], np.flatnonzero(g.labels == c))
+        assert len(pools) == 3
+
 
 class TestSimplexMeans:
     def test_k2_distance(self):
