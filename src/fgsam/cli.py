@@ -184,6 +184,9 @@ def _episodic(args):
     ratio = _parse_split(get("split_ratio", str,
                              f"{graph.num_classes - 4}/2/2"))
     split = fsnc.split_classes(graph.num_classes, ratio, seed)
+    # the graph's propagation matrix, built before any arm so that the
+    # first arm's wall time does not carry it and threaded arms share it
+    normalize(graph, get("scheme", str, "gcn-sym"))
 
     def echo(config):
         _echo_ini(out, {

@@ -26,6 +26,9 @@ class Graph:
     edges: np.ndarray     # (E, 2) int64, u < v
     labels: np.ndarray    # (n,) int64
     num_classes: int
+    # scheme -> normalized matrix, filled by `propagation_matrix`
+    _matrices: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -41,6 +44,20 @@ class Graph:
         array as `np.flatnonzero(labels == c)`; built once per graph."""
         order = np.argsort(self.labels, kind="stable")
         return np.split(order, np.cumsum(np.bincount(self.labels))[:-1])
+
+    def propagation_matrix(self, scheme: str) -> sp.csr_matrix:
+        """The normalized n x n matrix of `scheme` ("gcn-sym" or
+        "mean-neighbors"), built on the first call and shared by every
+        operator of this graph. Its arrays are read-only, so an in-place
+        change such as `sort_indices` raises instead of re-ordering the
+        products of every later run on the graph."""
+        mat = self._matrices.get(scheme)
+        if mat is None:
+            mat = _BUILDERS[scheme](self)
+            for array in (mat.data, mat.indices, mat.indptr):
+                array.flags.writeable = False
+            self._matrices[scheme] = mat
+        return mat
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)
@@ -96,9 +113,10 @@ SCHEMES = ("gcn-sym", "mean-neighbors", "identity")
 class PropagationOperator:
     """Sparse propagation matrix; the identity scheme bypasses the matmul.
 
-    The matrix of a graph's operator is n x n. A block cut from it by
-    `restrict` holds a rectangular slice and counts its products on the
-    operator it was cut from.
+    The matrix of a graph's operator is n x n, read-only and shared by
+    every operator of the graph (`Graph.propagation_matrix`). A block cut
+    from it by `restrict` holds a rectangular slice and counts its products
+    on the operator it was cut from.
     """
 
     scheme: str
@@ -191,29 +209,52 @@ class PropagationOperator:
 
 
 def normalize(graph: Graph, scheme: str) -> PropagationOperator:
+    """A fresh operator over the graph's shared `scheme` matrix: its
+    `apply_count`, A.X memo and transpose belong to this operator alone, so
+    A.X lives no longer than the run that holds the operator."""
     if scheme not in SCHEMES:
         raise GraphError(f"unknown scheme {scheme!r}")
     if scheme == "identity":
         return PropagationOperator("identity", None)
+    return PropagationOperator(scheme, graph.propagation_matrix(scheme))
+
+
+def _gcn_sym_matrix(graph: Graph) -> sp.csr_matrix:
+    """D~^{-1/2} (A + I) D~^{-1/2} in CSR, built directly from the edge
+    list plus self-loops: the row lengths are the degrees of A + I."""
+    loops = np.arange(graph.n)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    rows = np.concatenate([u, v, loops])
+    cols = np.concatenate([v, u, loops])
+    mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                        shape=(graph.n, graph.n))
+    count = np.diff(mat.indptr)
+    dinv = 1.0 / np.sqrt(count)
+    mat.data = np.repeat(dinv, count) * dinv[mat.indices]
+    return mat
+
+
+def _mean_neighbors_matrix(graph: Graph) -> sp.csr_matrix:
+    """D^{-1} A, isolated nodes keeping their own features. The product
+    leaves each row's columns in descending order (sorted when a node is
+    isolated); a sorted rebuild would change the order every row of a
+    product sums in, and with it the bits of every trace."""
     adj = graph.adjacency()
-    if scheme == "mean-neighbors":
-        deg = np.asarray(adj.sum(axis=1)).ravel()
-        isolated = deg == 0
-        inv = np.zeros_like(deg)
-        inv[~isolated] = 1.0 / deg[~isolated]
-        mat = sp.diags(inv) @ adj
-        if isolated.any():
-            # isolated nodes keep their own features (self-entry 1)
-            idx = np.flatnonzero(isolated)
-            mat = mat + sp.csr_matrix(
-                (np.ones(idx.size), (idx, idx)), shape=(graph.n, graph.n))
-        return PropagationOperator(scheme, sp.csr_matrix(mat))
-    # gcn-sym: D~^{-1/2} (A + I) D~^{-1/2}
-    adj_t = adj + sp.identity(graph.n, format="csr")
-    deg = np.asarray(adj_t.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(deg)
-    mat = sp.diags(dinv) @ adj_t @ sp.diags(dinv)
-    return PropagationOperator(scheme, sp.csr_matrix(mat))
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    isolated = deg == 0
+    inv = np.zeros_like(deg)
+    inv[~isolated] = 1.0 / deg[~isolated]
+    mat = sp.diags(inv) @ adj
+    if isolated.any():
+        # isolated nodes keep their own features (self-entry 1)
+        idx = np.flatnonzero(isolated)
+        mat = mat + sp.csr_matrix(
+            (np.ones(idx.size), (idx, idx)), shape=(graph.n, graph.n))
+    return sp.csr_matrix(mat)
+
+
+_BUILDERS = {"gcn-sym": _gcn_sym_matrix,
+             "mean-neighbors": _mean_neighbors_matrix}
 
 
 @dataclass

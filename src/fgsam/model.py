@@ -53,15 +53,17 @@ class ModelParams:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: list[int]) -> "ModelParams":
+        """Weights and biases as views of `flat`, which callers do not
+        mutate while the returned params are in use."""
         flat = np.asarray(flat, dtype=np.float64)
         expected = num_params(dims)
         if flat.shape != (expected,):
             raise ModelError(f"flat vector must have length {expected}")
         weights, biases, off = [], [], 0
         for din, dout in zip(dims[:-1], dims[1:]):
-            weights.append(flat[off:off + din * dout].reshape(din, dout).copy())
+            weights.append(flat[off:off + din * dout].reshape(din, dout))
             off += din * dout
-            biases.append(flat[off:off + dout].copy())
+            biases.append(flat[off:off + dout])
             off += dout
         return cls(weights, biases)
 

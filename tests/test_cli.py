@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from fgsam import cli, fsnc, optim
+from fgsam import cli, fsnc, graphcore, optim
 from fgsam import model as mdl
 from fgsam.graphcore import load_graph, normalize
 
@@ -42,6 +42,31 @@ def report_payload(outdir):
             row.pop("wall_ms", None)
         traces.append(rows)
     return rep, traces
+
+
+WALL_FIELDS = ("wall_ms", "wall_seconds", "wall_ratio_vs_adam")
+
+
+def run_dir_payload(outdir):
+    """Every file a run wrote, keyed by its path under `outdir`, with the
+    wall-time fields dropped."""
+    payload = {}
+    for root, _, files in os.walk(outdir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                if name.endswith(".json"):
+                    content = json.load(fh)
+                    for key in WALL_FIELDS:
+                        content.pop(key, None)
+                elif name.endswith(".csv"):
+                    content = [{k: v for k, v in row.items()
+                                if k not in WALL_FIELDS}
+                               for row in csv.DictReader(fh)]
+                else:
+                    content = fh.read()
+            payload[os.path.relpath(path, outdir)] = content
+    return payload
 
 
 class TestGenCsbm:
@@ -109,20 +134,32 @@ class TestCompare:
         assert int(byname["fgsam"]["mlp_evals"]) == T
         assert os.path.exists(os.path.join(out, "cost_report.meta.json"))
 
-    def test_threaded_matches_serial(self, graph_dir, tmp_path):
-        out1 = str(tmp_path / "serial")
-        out2 = str(tmp_path / "threads")
-        assert run_cli("compare", "--graph", graph_dir, "--out", out1,
+    def test_threaded_matches_serial(self, graph_dir, tmp_path, monkeypatch):
+        serial = str(tmp_path / "serial")
+        assert run_cli("compare", "--graph", graph_dir, "--out", serial,
                        *FSNC_FLAGS) == 0
-        os.environ["FGSAM_THREADS"] = "4"
-        try:
-            assert run_cli("compare", "--graph", graph_dir, "--out", out2,
+        want = run_dir_payload(serial)
+        assert len(want) == 11  # 4 x (report, trace), cost report + meta, echo
+        for threads in ("2", "4"):
+            out = str(tmp_path / f"threads{threads}")
+            monkeypatch.setenv("FGSAM_THREADS", threads)
+            assert run_cli("compare", "--graph", graph_dir, "--out", out,
                            *FSNC_FLAGS) == 0
-        finally:
-            del os.environ["FGSAM_THREADS"]
-        for name in ("adam", "sam", "fgsam", "fgsam+"):
-            assert (report_payload(os.path.join(out1, name)) ==
-                    report_payload(os.path.join(out2, name)))
+            assert run_dir_payload(out) == want
+
+    def test_matrix_built_once_before_the_arms(self, graph_dir, tmp_path,
+                                               monkeypatch):
+        events = []
+        build = graphcore._BUILDERS["gcn-sym"]
+        monkeypatch.setitem(graphcore._BUILDERS, "gcn-sym",
+                            lambda graph: events.append("build")
+                            or build(graph))
+        train = fsnc.train_protocol
+        monkeypatch.setattr(fsnc, "train_protocol", lambda *args: (
+            events.append("arm"), train(*args))[1])
+        assert run_cli("compare", "--graph", graph_dir, "--out",
+                       str(tmp_path / "cmp"), *FSNC_FLAGS) == 0
+        assert events == ["build"] + ["arm"] * 4
 
     def test_adam_arm_matches_standalone_fsnc(self, graph_dir, tmp_path):
         out_cmp = str(tmp_path / "cmp2")

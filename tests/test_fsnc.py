@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fgsam.model as mdl
 from fgsam import fsnc, gradcheck, optim
@@ -415,6 +419,35 @@ class TestTrainProtocol:
             small_config(episodes=0)
         with pytest.raises(FsncError):
             small_config(way=0)
+
+    def test_run_leaves_no_dense_propagation_on_the_graph(self, monkeypatch):
+        # A.X belongs to the run's operator and is freed with it; the graph
+        # keeps only its sparse matrix, here smaller than the features
+        g = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
+                                     q=0.001, D=3.0, l=32, seed=1))
+        products = []
+        propagate = PropagationOperator.propagate_input
+
+        def spy(op, x):
+            out = propagate(op, x)
+            if not op.is_identity:
+                products.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(PropagationOperator, "propagate_input", spy)
+        split = split_classes(g.num_classes, (2, 2, 2), 0)
+        train_protocol(small_config(repeats=1, episodes=4, val_interval=2),
+                       g, split)
+        gc.collect()
+        assert products and all(ref() is None for ref in products)
+        fields = {"n", "features", "edges", "labels", "num_classes"}
+        assert set(vars(g)) - fields == {"_matrices", "class_nodes"}
+        assert list(g._matrices) == ["gcn-sym"]
+        for mat in g._matrices.values():
+            assert sp.isspmatrix_csr(mat)
+            assert (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+                    < g.features.nbytes)
+        assert all(pool.ndim == 1 for pool in g.class_nodes)
 
 
 class TestMetaTest:

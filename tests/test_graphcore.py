@@ -174,6 +174,84 @@ class TestOperators:
         assert np.array_equal(ident.restrict(rows)[1], rows)
 
 
+def gcn_sym_by_products(graph):
+    """The gcn-sym oracle: D~^{-1/2} (A + I) D~^{-1/2} as sparse products
+    over the adjacency matrix."""
+    adj_t = graph.adjacency() + sp.identity(graph.n, format="csr")
+    deg = np.asarray(adj_t.sum(axis=1)).ravel()
+    dinv = 1.0 / np.sqrt(deg)
+    return sp.csr_matrix(sp.diags(dinv) @ adj_t @ sp.diags(dinv))
+
+
+class TestSharedMatrix:
+    @pytest.mark.parametrize("graph", [
+        generate_csbm(CsbmParams(K=4, nodes_per_class=100, p=0.1, q=0.01,
+                                 D=2.0, l=4, seed=0)),
+        # p=0.02 within 30-node classes leaves some nodes isolated
+        generate_csbm(CsbmParams(K=3, nodes_per_class=30, p=0.02, q=0.0,
+                                 D=2.0, l=4, seed=1)),
+        build_graph(5, [], np.zeros((5, 2)), [0, 1, 0, 1, 0]),
+    ], ids=["csbm", "isolated", "edgeless"])
+    def test_gcn_sym_bit_identical_to_products(self, graph):
+        want = gcn_sym_by_products(graph)
+        got = normalize(graph, "gcn-sym").matrix
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert got.has_sorted_indices == want.has_sorted_indices
+        assert got.shape == want.shape
+
+    def test_isolated_case_is_covered(self):
+        g = generate_csbm(CsbmParams(K=3, nodes_per_class=30, p=0.02, q=0.0,
+                                     D=2.0, l=4, seed=1))
+        assert (g.degrees() == 0).any() and (g.degrees() > 0).any()
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_operators_share_matrix_not_state(self, scheme):
+        rng = np.random.default_rng(7)
+        g = random_graph(rng, 40)
+        a, b = normalize(g, scheme), normalize(g, scheme)
+        assert a is not b and a.matrix is b.matrix
+        ax = a.propagate_input(g.features)
+        assert (a.apply_count, b.apply_count) == (1, 0)
+        assert b._input_memo is None
+        assert b.propagate_input(g.features) is not ax
+        assert (a.apply_count, b.apply_count) == (1, 1)
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_matrix_arrays_read_only(self, scheme):
+        g = random_graph(np.random.default_rng(8), 40)
+        mat = normalize(g, scheme).matrix
+        for array in (mat.data, mat.indices, mat.indptr):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_sorting_unsorted_mean_neighbors_raises(self):
+        g = generate_csbm(CsbmParams(K=2, nodes_per_class=20, p=0.5, q=0.1,
+                                     D=2.0, l=2, seed=0))
+        assert (g.degrees() > 0).all()
+        mat = normalize(g, "mean-neighbors").matrix
+        assert not mat.has_sorted_indices
+        with pytest.raises(ValueError):
+            mat.sort_indices()
+
+    def test_built_once_per_graph_and_scheme(self, monkeypatch):
+        from fgsam import graphcore
+        calls = []
+        build = graphcore._BUILDERS["gcn-sym"]
+        monkeypatch.setitem(graphcore._BUILDERS, "gcn-sym",
+                            lambda graph: calls.append(graph) or build(graph))
+        g = random_graph(np.random.default_rng(10), 30)
+        normalize(g, "gcn-sym")
+        normalize(g, "gcn-sym")
+        normalize(g, "mean-neighbors")
+        assert calls == [g]
+        # a graph derived from it is a new graph with its own matrices
+        normalize(with_num_classes(g, 4), "gcn-sym")
+        assert len(calls) == 2
+
+
 class TestClassNodes:
     def test_equal_to_label_scan(self):
         rng = np.random.default_rng(6)

@@ -32,6 +32,14 @@ class TestParams:
             assert np.array_equal(back.flatten(), flat)
             assert back.dims == dims
 
+    def test_from_flat_returns_views(self):
+        dims = [3, 4, 2]
+        flat = mdl.init_params(dims, np.random.default_rng(1)).flatten()
+        params = mdl.ModelParams.from_flat(flat, dims)
+        for array in params.weights + params.biases:
+            assert np.shares_memory(array, flat)
+        assert params.weights[1].flags.c_contiguous
+
     def test_from_flat_length_check(self):
         with pytest.raises(mdl.ModelError):
             mdl.ModelParams.from_flat(np.zeros(5), [2, 2])
