@@ -60,11 +60,7 @@ class Graph:
         return mat
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def adjacency(self) -> sp.csr_matrix:
         if self.num_edges == 0:
@@ -79,9 +75,14 @@ class Graph:
 def build_graph(n, edges, features, labels) -> Graph:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+        raise GraphError(f"edges must have shape (E, 2), got shape {edges.shape}")
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(f"features must have {n} rows, got shape {features.shape}")
+    bad = features.size - np.count_nonzero(np.isfinite(features))
+    if bad:
+        raise GraphError(f"features must be finite, got {bad} non-finite values")
     if labels.shape != (n,):
         raise GraphError(f"labels must have {n} entries, got shape {labels.shape}")
     if labels.size and labels.min() < 0:
@@ -92,12 +93,28 @@ def build_graph(n, edges, features, labels) -> Graph:
             raise GraphError("edge endpoint out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise GraphError("self-loop present")
-        edges = np.sort(edges, axis=1)
-        edges = np.unique(edges, axis=0)
+        edges = _dedup_pairs(n, edges)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
     return Graph(n=n, features=features, edges=edges, labels=labels,
                  num_classes=num_classes)
+
+
+def _dedup_pairs(n: int, edges: np.ndarray) -> np.ndarray:
+    """The distinct pairs of `edges` as (min, max) rows in lexicographic
+    order, the rows `np.unique(np.sort(edges, axis=1), axis=0)` gives.
+
+    Each pair becomes the key u * n + v, which orders pairs as (u, v) rows
+    do because v < n; keys are exact while n * n < 2**63 (n < 3.03e9). A
+    1-D sort and an adjacent-repeat mask take time near-linear in the edge
+    count; `np.unique` is several times slower on both forms (it sorts a
+    structured view of the rows, and hashes the keys).
+    """
+    u = np.minimum(edges[:, 0], edges[:, 1])
+    v = np.maximum(edges[:, 0], edges[:, 1])
+    keys = np.sort(u * n + v)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return np.column_stack([keys // n, keys % n])
 
 
 def with_num_classes(graph: Graph, num_classes: int) -> Graph:
@@ -305,9 +322,20 @@ def _sample_block_pairs(rng, rows, cols, prob, intra):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     chosen = rng.choice(npairs, size=count, replace=False)
     if intra:
-        iu, ju = np.triu_indices(rows.size, k=1)
-        return rows[iu[chosen]], rows[ju[chosen]]
+        i, j = _upper_pair(rows.size, chosen)
+        return rows[i], rows[j]
     return rows[chosen // cols.size], cols[chosen % cols.size]
+
+
+def _upper_pair(m: int, index: np.ndarray):
+    """Row and column of the pairs at `index` in the row-major upper
+    triangle of an m x m matrix, `np.triu_indices(m, k=1)[·][index]`,
+    computed without building the m * (m - 1) / 2 pairs. Row i starts at
+    pair i * (2m - i - 1) / 2."""
+    i = np.arange(m - 1)
+    starts = i * (2 * m - i - 1) // 2
+    row = np.searchsorted(starts, index, "right") - 1
+    return row, index - starts[row] + row + 1
 
 
 def generate_csbm(params: CsbmParams) -> Graph:

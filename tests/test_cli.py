@@ -315,6 +315,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_edge_file_with_extra_column(self, tmp_path, capsys):
+        out = str(tmp_path / "g")
+        graphcore.save_graph(graphcore.build_graph(
+            3, [], np.zeros((3, 1)), [0, 1, 2]), out)
+        with open(os.path.join(out, "edges.csv"), "w") as fh:
+            fh.write("src,dst,w\n0,1,2\n0,2,1\n")
+        assert run_cli("fsnc", "--graph", out,
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: edges must have shape (E, 2)")
+        assert "(2, 3)" in err and err.count("\n") == 1
+
     def test_nc_error_names_the_setting_typed(self, graph_dir, tmp_path,
                                               capsys):
         # `nc` stores --episodes as NCConfig.steps

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fgsam.graphcore import (CsbmParams, GraphError, build_graph,
+from fgsam import cli, graphcore
+from fgsam.graphcore import (CsbmParams, Graph, GraphError, build_graph,
                              generate_csbm, inject_edge_noise,
                              inject_feature_noise, load_graph, normalize,
                              save_graph, simplex_means, with_num_classes)
@@ -50,6 +51,58 @@ class TestBuildGraph:
         g = random_graph(rng, 50)
         assert np.all(g.edges[:, 0] < g.edges[:, 1])
         assert np.unique(g.edges, axis=0).shape == g.edges.shape
+
+    @pytest.mark.parametrize("n, edges", [
+        (2, [(0, 1)]), (2, [(1, 0)]), (2, [(1, 0), (0, 1), (1, 0)]),
+        *[(n, None) for n in (3, 10, 97, 1000)],
+    ])
+    def test_dedup_matches_row_unique(self, n, edges):
+        if edges is None:
+            # duplicates and reversed pairs in random order
+            rng = np.random.default_rng(n)
+            pairs = rng.integers(0, n, size=(4 * n, 2))
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            edges = np.concatenate([pairs, pairs[::3, ::-1], pairs[::5]])
+            edges = edges[rng.permutation(len(edges))]
+        want = row_unique_dedup(edges)
+        got = build_graph(n, edges, np.zeros((n, 1)), np.zeros(n, int)).edges
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_edges_must_be_pairs(self):
+        with pytest.raises(GraphError, match=r"\(2, 3\)"):
+            build_graph(3, [(0, 1, 2), (0, 2, 1)], np.zeros((3, 1)), [0] * 3)
+        with pytest.raises(GraphError, match=r"\(4,\)"):
+            build_graph(3, [0, 1, 1, 2], np.zeros((3, 1)), [0] * 3)
+        for empty in ([], np.zeros((0, 2)), np.zeros((0, 3))):
+            g = build_graph(3, empty, np.zeros((3, 1)), [0] * 3)
+            assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        features = np.zeros((3, 2))
+        features[1, 0] = value
+        with pytest.raises(GraphError, match="1 non-finite"):
+            build_graph(3, [(0, 1)], features, [0, 1, 0])
+
+    @pytest.mark.parametrize("n, edges", [
+        (5, []), (2, [(0, 1)]), (50, None)])
+    def test_degrees_match_scatter_add(self, n, edges):
+        g = (random_graph(np.random.default_rng(9), n) if edges is None
+             else build_graph(n, edges, np.zeros((n, 1)), [0] * n))
+        want = np.zeros(n, dtype=np.int64)
+        np.add.at(want, g.edges[:, 0], 1)
+        np.add.at(want, g.edges[:, 1], 1)
+        got = g.degrees()
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def row_unique_dedup(edges):
+    """The dedup oracle: each pair sorted within its row, then the distinct
+    rows in lexicographic order."""
+    return np.unique(np.sort(np.asarray(edges, dtype=np.int64), axis=1),
+                     axis=0)
 
 
 class TestOperators:
@@ -348,6 +401,51 @@ class TestCsbm:
             emp = g.features[g.labels == k].mean(axis=0)
             assert np.all(np.abs(emp - means[k]) < 4 / np.sqrt(2000))
 
+    @pytest.mark.parametrize("m", [2, 3, 7, 1000])
+    def test_upper_pair_matches_triu_indices(self, m):
+        iu, ju = np.triu_indices(m, k=1)
+        npairs = m * (m - 1) // 2
+        index = np.concatenate([[0, npairs - 1],
+                                np.random.default_rng(m).permutation(npairs)])
+        i, j = graphcore._upper_pair(m, index)
+        assert np.array_equal(i, iu[index]) and np.array_equal(j, ju[index])
+        assert i.dtype == iu.dtype and j.dtype == ju.dtype
+
+    # (K, nodes per class, p, q, D, l) of the benchmark's graphs: the bench
+    # graph (`cli.bench_instance`), fsnc-large and fsnc-small
+    BENCH_CSBMS = {"nc-bench": (5, 1000, 0.03, 0.0025, 4.0, 128),
+                   "fsnc-large": (20, 1000, 0.015, 0.0002, 4.0, 128),
+                   "fsnc-small": (8, 25, 0.35, 0.05, 3.0, 8)}
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("name", list(BENCH_CSBMS))
+    def test_bit_identical_to_triangle_generator(self, name, seed):
+        params = CsbmParams(*self.BENCH_CSBMS[name], seed=seed)
+        got = (cli.bench_instance(seed) if name == "nc-bench"
+               else generate_csbm(params))
+        features, edges, labels = triangle_csbm(params)
+        want = Graph(got.n, features, edges, labels, params.K)
+        for a, b in ((got.features, features), (got.edges, edges),
+                     (got.labels, labels)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got.num_classes == params.K
+        for scheme in ("gcn-sym", "mean-neighbors"):
+            a = got.propagation_matrix(scheme)
+            b = want.propagation_matrix(scheme)
+            for part in ("indptr", "indices", "data"):
+                x, y = getattr(a, part), getattr(b, part)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_sparse_path_builds_no_triangle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.triu_indices called")
+
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        g = generate_csbm(CsbmParams(K=3, nodes_per_class=667, p=0.01,
+                                     q=0.002, D=2.0, l=3, seed=0))
+        assert g.n == 2001 and g.num_edges > 0
+
     def test_invalid_params(self):
         with pytest.raises(GraphError):
             CsbmParams(K=2, nodes_per_class=10, p=1.5, q=0.1, D=1, l=2, seed=0)
@@ -355,6 +453,45 @@ class TestCsbm:
             CsbmParams(K=2, nodes_per_class=10, p=0.5, q=0.1, D=-1, l=2, seed=0)
         with pytest.raises(GraphError):
             CsbmParams(K=3, nodes_per_class=10, p=0.5, q=0.1, D=1, l=2, seed=0)
+
+
+def triangle_csbm(params):
+    """The CSBM generator oracle: (features, edges, labels) drawn the way
+    `generate_csbm` draws them, with each block's pairs indexed through
+    `np.triu_indices` and duplicates dropped by `row_unique_dedup`."""
+    K, npc = params.K, params.nodes_per_class
+    n = K * npc
+    rng = np.random.default_rng(params.seed)
+    labels = np.repeat(np.arange(K), npc)
+    features = (rng.standard_normal((n, params.l))
+                + simplex_means(K, params.D, params.l)[labels])
+    if n <= 2000:
+        iu, ju = np.triu_indices(n, k=1)
+        prob = np.where(labels[iu] == labels[ju], params.p, params.q)
+        keep = rng.random(iu.size) < prob
+        return features, row_unique_dedup(
+            np.column_stack([iu[keep], ju[keep]])), labels
+
+    def block_pairs(rows, cols, prob, intra):
+        npairs = (rows.size * (rows.size - 1) // 2 if intra
+                  else rows.size * cols.size)
+        count = rng.binomial(npairs, prob) if npairs and prob else 0
+        if count == 0:
+            return np.zeros((0, 2), dtype=np.int64)
+        chosen = rng.choice(npairs, size=count, replace=False)
+        if intra:
+            iu, ju = np.triu_indices(rows.size, k=1)
+            return np.column_stack([rows[iu[chosen]], rows[ju[chosen]]])
+        return np.column_stack([rows[chosen // cols.size],
+                                cols[chosen % cols.size]])
+
+    blocks = [np.arange(k * npc, (k + 1) * npc) for k in range(K)]
+    pairs = []
+    for a in range(K):
+        pairs.append(block_pairs(blocks[a], blocks[a], params.p, True))
+        for b in range(a + 1, K):
+            pairs.append(block_pairs(blocks[a], blocks[b], params.q, False))
+    return features, row_unique_dedup(np.concatenate(pairs)), labels
 
 
 class TestNoise:
@@ -434,6 +571,22 @@ class TestIO:
         with open(tmp_path / "g" / "edges.csv", "a") as fh:
             fh.write("0,99\n")
         with pytest.raises(GraphError):
+            load_graph(str(tmp_path / "g"))
+
+    def test_edge_rows_must_be_pairs(self, tmp_path):
+        g = build_graph(3, [], np.zeros((3, 1)), [0, 1, 2])
+        save_graph(g, str(tmp_path / "g"))
+        # a weight column must not be read as more endpoints
+        (tmp_path / "g" / "edges.csv").write_text("src,dst,w\n0,1,2\n0,2,1\n")
+        with pytest.raises(GraphError, match=r"\(2, 3\)"):
+            load_graph(str(tmp_path / "g"))
+
+    def test_non_finite_feature_rejected(self, tmp_path):
+        g = build_graph(3, [(0, 1)], np.zeros((3, 2)), [0, 1, 2])
+        save_graph(g, str(tmp_path / "g"))
+        (tmp_path / "g" / "features.csv").write_text(
+            "f0,f1\n0,0\nnan,0\n0,0\n")
+        with pytest.raises(GraphError, match="non-finite"):
             load_graph(str(tmp_path / "g"))
 
     def test_meta_mismatch(self, tmp_path):
