@@ -8,8 +8,6 @@ from .graphcore import (
     PropagationOperator,
     build_graph,
     generate_csbm,
-    inject_edge_noise,
-    inject_feature_noise,
     load_graph,
     normalize,
     save_graph,

@@ -3,6 +3,7 @@ prototypical episode head, the training protocol with validation/patience,
 meta-testing, and a standard node-classification trainer."""
 
 import csv
+import functools
 import json
 import os
 import time
@@ -39,8 +40,11 @@ def split_classes(num_classes: int, ratio, seed: int) -> ClassSplit:
                       novel_classes=np.sort(perm[n_tr + n_val:]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Episode:
+    """One N-way K-shot task. Frozen, so that `query_labels` and `rows`,
+    computed on first use and read-only, stay those of its fields."""
+
     way: int
     shot: int
     query_per_class: int
@@ -48,15 +52,20 @@ class Episode:
     support_idx: np.ndarray    # class-major, way*shot entries
     query_idx: np.ndarray      # class-major, way*query entries
 
-    @property
+    @functools.cached_property
     def query_labels(self) -> np.ndarray:
-        return np.repeat(np.arange(self.way), self.query_per_class)
+        return _read_only(np.repeat(np.arange(self.way), self.query_per_class))
 
-    @property
+    @functools.cached_property
     def rows(self) -> np.ndarray:
         """The episode's nodes, support then query: the rows its loss
         reads, in the order `proto_head` takes their embeddings."""
-        return np.concatenate([self.support_idx, self.query_idx])
+        return _read_only(np.concatenate([self.support_idx, self.query_idx]))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
@@ -95,18 +104,20 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     labels = episode.query_labels
     m = labels.size
     zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax.ravel() + np.log(np.exp(logits - zmax).sum(axis=1))
+    e = np.exp(logits - zmax)
+    sums = e.sum(axis=1, keepdims=True)
+    lse = zmax.ravel() + np.log(sums.ravel())
     value = float(np.mean(lse - logits[np.arange(m), labels]))
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
     if not compute_grad:
         return value, acc, None
-    probs = mdl.softmax_rows(logits)
-    dlogits = probs.copy()
+    dlogits = e / sums                             # the softmax of the logits
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m
     dd2 = -dlogits                                 # logits = -d^2
-    dzq = 2.0 * (dd2[:, :, None] * diff).sum(axis=1)
-    dprot = -2.0 * (dd2[:, :, None] * diff).sum(axis=0)
+    grad_diff = dd2[:, :, None] * diff
+    dzq = 2.0 * grad_diff.sum(axis=1)
+    dprot = -2.0 * grad_diff.sum(axis=0)
     dzs = np.repeat(dprot / shot, shot, axis=0)
     return value, acc, np.concatenate([dzs, dzq])
 
@@ -139,18 +150,28 @@ def proto_episode(params: mdl.ModelParams, graph: Graph,
     return value, acc, grad
 
 
+def draw_tasks(graph: Graph, classes, way: int, shot: int, query: int,
+               tasks: int, rng) -> list:
+    """`tasks` episodes drawn one after another from `rng`."""
+    return [sample_episode(graph, classes, way, shot, query, rng=rng)
+            for _ in range(tasks)]
+
+
+def task_rows(episodes) -> np.ndarray:
+    """The sorted union of the episodes' rows."""
+    return np.unique(np.concatenate([e.rows for e in episodes]))
+
+
 def task_accuracy(params: mdl.ModelParams, graph: Graph,
-                  operator: PropagationOperator, classes, way: int, shot: int,
-                  query: int, tasks: int, rng):
-    """Mean and standard deviation of the accuracy over `tasks` episodes
-    drawn from `rng`. The weights are the same for every task, so one
-    forward over the union of the tasks' rows serves them all; a forward
-    draws no random numbers, so sampling every task first leaves the
-    stream as it was."""
-    episodes = [sample_episode(graph, classes, way, shot, query, rng=rng)
-                for _ in range(tasks)]
-    union = np.unique(np.concatenate([e.rows for e in episodes]))
-    blocks = mdl.blocks_for(operator, union, params.num_layers)
+                  operator: PropagationOperator, episodes, blocks=None):
+    """Mean and standard deviation of the accuracy over the `episodes` of
+    an evaluation round. The weights are the same for every task, so one
+    forward over the union of the tasks' rows serves them all. `blocks`
+    are the union's (`model.blocks_for`); when None they are cut here, and
+    a round on the full-graph path gets None again."""
+    union = task_rows(episodes)
+    if blocks is None:
+        blocks = mdl.blocks_for(operator, union, params.num_layers)
     emb = mdl.forward(params, graph, operator, blocks).logits
     accs = []
     for e in episodes:
@@ -160,19 +181,21 @@ def task_accuracy(params: mdl.ModelParams, graph: Graph,
 
 
 def episode_objective(dims, graph: Graph, operator: PropagationOperator,
-                      episode: Episode, weight_decay: float = 0.0) -> optim.Objective:
-    """The episode's GNN / PeerMLP objective pair. Each operator's blocks
-    are cut on its first gradient evaluation and reused by the later ones
-    of the same episode."""
-    blocks = {}
+                      episode: Episode, weight_decay: float = 0.0,
+                      blocks=None) -> optim.Objective:
+    """The episode's GNN / PeerMLP objective pair. `blocks` are the GNN
+    operator's blocks for the episode (`model.blocks_for`). Blocks not
+    given are cut on the operator's first gradient evaluation, and an
+    episode on the full-graph path gets None again; the later evaluations
+    of the same episode reuse them."""
+    cut = {} if blocks is None else {id(operator): blocks}
 
     def loss_grad(params, op):
-        if id(op) not in blocks:
-            blocks[id(op)] = mdl.blocks_for(op, episode.rows,
-                                            params.num_layers)
+        if id(op) not in cut:
+            cut[id(op)] = mdl.blocks_for(op, episode.rows, params.num_layers)
         value, _, grad = proto_episode(params, graph, op, episode,
                                        weight_decay=weight_decay,
-                                       blocks=blocks[id(op)])
+                                       blocks=cut[id(op)])
         return value, grad
 
     return optim.peer_objective(dims, operator, loss_grad)
@@ -233,14 +256,6 @@ class TrainReport:
     wall_seconds: float
 
 
-def _operator(graph: Graph, scheme: str) -> PropagationOperator:
-    """The propagation operator with its A.X memo filled here, so that the
-    product is not paid inside the first timed step."""
-    operator = normalize(graph, scheme)
-    operator.propagate_input(graph.features)
-    return operator
-
-
 def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
            where, collect_bundles=False):
     """The step / trace / early-stopping loop of both trainers.
@@ -285,41 +300,78 @@ def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
     return w, best_w, best_val, stop, trace, bundles
 
 
+def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
+          operator: PropagationOperator, root: int):
+    """A repeat's tasks, drawn up front, with their blocks, and the layer-0
+    rows they read filled before its first step.
+
+    The episode of every step, every validation round and the test round
+    are drawn from the repeat's `episodes`, `val` and `test` streams, which
+    gives the same draws as drawing each task when it is used. Each
+    episode and each round's row union gets its `blocks_for`. If any of
+    them takes the full-graph path, the whole A.X is filled; otherwise only
+    the union of their layer-0 rows is (rows an earlier repeat filled are
+    not filled again). Early stopping leaves a superset filled. Returns
+    (steps, validation rounds, test round): each step an (episode, blocks)
+    pair, each round a (tasks, blocks) pair."""
+    def draw(classes, tasks, rng):
+        return draw_tasks(graph, classes, config.way, config.shot,
+                          config.query, tasks, rng)
+
+    def cut(rows):
+        return mdl.blocks_for(operator, rows, config.layers)
+
+    steps = draw(split.train_classes, config.episodes,
+                 stream_rng(root, "episodes"))
+    val_rng = stream_rng(root, "val")
+    rounds = [draw(split.val_classes, config.val_tasks, val_rng)
+              for _ in range(config.episodes // config.val_interval)]
+    rounds.append(draw(split.novel_classes, config.test_tasks,
+                       stream_rng(root, "test")))
+    steps = [(e, cut(e.rows)) for e in steps]
+    rounds = [(tasks, cut(task_rows(tasks))) for tasks in rounds]
+    blocks = [b for _, b in steps + rounds]
+    if any(b is None for b in blocks):
+        operator.propagate_input(graph.features)
+    else:
+        operator.propagate_input(
+            graph.features, np.unique(np.concatenate([b[0].rows
+                                                      for b in blocks])))
+    return steps, rounds[:-1], rounds[-1]
+
+
 def train_protocol(config: ProtocolConfig, graph: Graph,
                    split: ClassSplit) -> TrainReport:
     t0 = time.perf_counter()
-    operator = _operator(graph, config.scheme)
+    operator = normalize(graph, config.scheme)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
                             config.layers)
 
-    def accuracy(w, classes, tasks, rng):
+    def accuracy(w, tasks, blocks):
         return task_accuracy(mdl.ModelParams.from_flat(w, dims), graph,
-                             operator, classes, config.way, config.shot,
-                             config.query, tasks, rng)
+                             operator, tasks, blocks)
 
     results = []
     for r in range(config.repeats):
         root = config.seed + r
-        ep_rng = stream_rng(root, "episodes")
-        val_rng = stream_rng(root, "val")
+        steps, val_rounds, test_round = _plan(config, graph, split,
+                                              operator, root)
+        val_rounds = iter(val_rounds)
 
         def objective_at(t):
-            episode = sample_episode(graph, split.train_classes, config.way,
-                                     config.shot, config.query, rng=ep_rng)
+            episode, blocks = steps[t]
             return episode_objective(dims, graph, operator, episode,
-                                     weight_decay=config.hp.weight_decay)
+                                     weight_decay=config.hp.weight_decay,
+                                     blocks=blocks)
 
         w, best_w, best_val, stop, trace, bundles = _train(
             optim.make_optimizer(config.optimizer, config.hp),
             mdl.init_params(dims, stream_rng(root, "init")).flatten(),
             config.episodes, objective_at,
-            lambda w: accuracy(w, split.val_classes, config.val_tasks,
-                               val_rng)[0],
+            lambda w: accuracy(w, *next(val_rounds))[0],
             config.val_interval, config.patience, f"repeat {r} episode ",
             config.collect_bundles)
-        test_mean, test_std = accuracy(best_w, split.novel_classes,
-                                       config.test_tasks,
-                                       stream_rng(root, "test"))
+        test_mean, test_std = accuracy(best_w, *test_round)
         results.append(RepeatResult(
             seed=root, stop_episode=stop, best_val_acc=best_val,
             test_acc_mean=test_mean, test_acc_std=test_std, trace=trace,
@@ -372,7 +424,8 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
     combined = np.concatenate([train_idx, val_idx, test_idx])
     if np.unique(combined).size != combined.size:
         raise FsncError("train/val/test masks overlap")
-    operator = _operator(graph, config.scheme)
+    operator = normalize(graph, config.scheme)
+    operator.propagate_input(graph.features)   # not inside the first step
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
                             config.layers)
     spec = mdl.loss_spec_from_labels(train_idx, graph.labels,

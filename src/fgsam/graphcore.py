@@ -1,4 +1,4 @@
-"""Graph container, propagation operators, CSBM synthesis, noise injection and file I/O."""
+"""Graph container, propagation operators, CSBM synthesis and file I/O."""
 
 import functools
 import json
@@ -139,9 +139,10 @@ class PropagationOperator:
     scheme: str
     matrix: sp.csr_matrix | None  # None for identity
     apply_count: int = 0          # message-passing applications (identity not counted)
-    # (x, A @ x) for the last network input seen by propagate_input
+    # A @ x for the last network input x seen by `propagate_input`:
+    # (x, full product or None, row-to-slot map, filled rows)
     _input_memo: tuple = field(default=None, init=False, repr=False,
-                              compare=False)
+                               compare=False)
     # A^T in CSR form, built on the first transpose product
     _transpose: sp.csr_matrix = field(default=None, init=False, repr=False,
                                       compare=False)
@@ -155,25 +156,56 @@ class PropagationOperator:
         (self if self._source is None else self._source).apply_count += 1
         return self.matrix @ x
 
-    def propagate_input(self, x: np.ndarray) -> np.ndarray:
-        """`apply(x)` for the network input, computed once per input array.
+    def propagate_input(self, x: np.ndarray, rows=None) -> np.ndarray:
+        """`apply(x)` for the network input, or its `rows`, each row
+        computed once per input array.
 
-        A one-slot memo keyed by the identity of `x`: A @ x does not depend
-        on the parameters, so the first layer of every forward over the same
-        features reuses one product. The memo holds `x` itself, so its
-        identity cannot be recycled, and relies on `x` not being mutated
-        (graph arrays are immutable after construction). The cached product
-        is read-only because every forward shares it.
+        A @ x does not depend on the parameters, so the first layer of
+        every forward over the same features reads one memo, keyed by the
+        identity of `x`. The memo holds `x` itself, so its identity cannot
+        be recycled, and relies on `x` not being mutated (graph arrays are
+        immutable after construction).
+
+        `rows=None` returns the full product, read-only because every
+        forward shares it. Given `rows` (any order, repeats allowed), the
+        rows come from the full product once it is filled; until then they
+        come from a compact buffer with an n-long row-to-slot map, and the
+        rows still missing are filled by one product over the CSR slice
+        A[missing]. The slice keeps each row's entries in A's order and all
+        n columns, so a filled row is the same bits as that row of the full
+        product, and no rows of `x` are gathered. The identity operator
+        returns `x` or `x[rows]`.
         """
         if self.scheme == "identity":
-            return x
+            return x if rows is None else x[rows]
         memo = self._input_memo
         if memo is None or memo[0] is not x:
-            out = self.apply(x)
-            out.flags.writeable = False
-            memo = (x, out)
-            self._input_memo = memo
-        return memo[1]
+            memo = (x, None, None, None)
+        _, full, slot, filled = memo
+        if rows is None:
+            if full is None:
+                full = self.apply(x)
+                full.flags.writeable = False
+                self._input_memo = (x, full, None, None)
+            return full
+        if full is not None:
+            return full[rows]
+        rows = np.asarray(rows)
+        if slot is None:
+            slot = np.full(x.shape[0], -1, dtype=np.int64)
+        missing = np.unique(rows[slot[rows] < 0])
+        if missing.size or filled is None:
+            start = 0 if filled is None else filled.shape[0]
+            slot[missing] = np.arange(start, start + missing.size)
+            indptr, pos = self._row_slice(missing)
+            a = self.matrix
+            block = sp.csr_matrix((a.data[pos], a.indices[pos], indptr),
+                                  shape=(missing.size, a.shape[1]))
+            new = PropagationOperator(self.scheme, block,
+                                      _source=self).apply(x)
+            filled = new if filled is None else np.concatenate([filled, new])
+            self._input_memo = (x, None, slot, filled)
+        return filled[slot[rows]]
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Multiply by the transpose (needed for reverse-mode gradients).
@@ -204,16 +236,21 @@ class PropagationOperator:
         rows = np.asarray(rows, dtype=np.int64)
         if self.scheme == "identity":
             return self, rows
-        a = self.matrix
-        starts = a.indptr[rows]
-        counts = a.indptr[rows + 1] - starts
+        indptr, pos = self._row_slice(rows)
+        cols, local = np.unique(self.matrix.indices[pos], return_inverse=True)
+        block = sp.csr_matrix((self.matrix.data[pos], local, indptr),
+                              shape=(rows.size, cols.size))
+        return PropagationOperator(self.scheme, block, _source=self), cols
+
+    def _row_slice(self, rows: np.ndarray):
+        """The CSR row pointers of A[rows] and the positions of its stored
+        entries in A's `data` and `indices`, each row's in A's order."""
+        starts = self.matrix.indptr[rows]
+        counts = self.matrix.indptr[rows + 1] - starts
         indptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         pos = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        cols, local = np.unique(a.indices[pos], return_inverse=True)
-        block = sp.csr_matrix((a.data[pos], local, indptr),
-                              shape=(rows.size, cols.size))
-        return PropagationOperator(self.scheme, block, _source=self), cols
+        return indptr, pos
 
     def row_nnz(self, rows: np.ndarray) -> int:
         """Stored entries of A[rows], read from the row pointers."""
@@ -367,49 +404,6 @@ def generate_csbm(params: CsbmParams) -> Graph:
         edges = np.column_stack([np.concatenate(us), np.concatenate(vs)])
     graph = build_graph(n, edges, features, labels)
     return with_num_classes(graph, K)
-
-
-def inject_feature_noise(graph: Graph, sigma: float, seed: int) -> Graph:
-    if sigma < 0:
-        raise GraphError("sigma must be non-negative")
-    if sigma == 0:
-        return graph
-    rng = np.random.default_rng(seed)
-    noisy = graph.features + sigma * rng.standard_normal(graph.features.shape)
-    return Graph(graph.n, noisy, graph.edges, graph.labels, graph.num_classes)
-
-
-def inject_edge_noise(graph: Graph, ratio: float, seed: int) -> Graph:
-    if ratio < 0:
-        raise GraphError("ratio must be non-negative")
-    target = int(ratio * graph.num_edges)
-    if target == 0:
-        return graph
-    max_edges = graph.n * (graph.n - 1) // 2
-    if graph.num_edges + target > max_edges:
-        raise GraphError("not enough non-edges to add")
-    rng = np.random.default_rng(seed)
-    existing = set(map(tuple, graph.edges))
-    new_edges = []
-    rejections = 0
-    while len(new_edges) < target:
-        u = int(rng.integers(graph.n))
-        v = int(rng.integers(graph.n))
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        if (u, v) in existing:
-            rejections += 1
-            if rejections >= 100 * target:
-                raise GraphError("edge noise rejection limit exceeded")
-            continue
-        rejections = 0
-        existing.add((u, v))
-        new_edges.append((u, v))
-    edges = np.vstack([graph.edges, np.array(new_edges, dtype=np.int64)])
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    return Graph(graph.n, graph.features, edges, graph.labels, graph.num_classes)
 
 
 _FLOAT_FMT = "%.17g"  # round-trips float64 exactly

@@ -125,8 +125,9 @@ def loss_spec_from_labels(indices, labels, num_classes, weight_decay=0.0) -> Los
 class Block(NamedTuple):
     """Layer l of a forward that produces only some rows: `rows` are the
     rows S_l it outputs (None: all n rows), and `op` propagates the rows
-    that layer l-1 output into them. Layer 0 reads rows S_0 of the cached
-    A.X instead, so its `op` is the graph's operator."""
+    that layer l-1 output into them. Layer 0 reads rows S_0 of A.X from
+    the operator's memo (`propagate_input`) instead, so its `op` is the
+    graph's operator."""
 
     rows: np.ndarray | None
     op: PropagationOperator
@@ -186,13 +187,8 @@ def forward_features(params: ModelParams, x: np.ndarray,
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         rows, op = blocks[l]
-        if l == 0:
-            # layer 0 propagates the fixed input: one product per operator
-            m = operator.propagate_input(h)
-            if rows is not None:
-                m = m[rows]
-        else:
-            m = op.apply(h)
+        # layer 0 reads the operator's memo of the fixed input's product
+        m = operator.propagate_input(h, rows) if l == 0 else op.apply(h)
         z = m @ w + b
         inputs.append(m)
         preacts.append(z)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -13,6 +14,7 @@ from fgsam.fsnc import (FsncError, NCConfig, ProtocolConfig, proto_episode,
 from fgsam.graphcore import (CsbmParams, PropagationOperator, generate_csbm,
                              normalize)
 from fgsam.seeding import stream_rng
+from proto_head_oracle import proto_head as oracle_head
 
 
 def small_graph(seed=0, K=8, npc=20, p=0.4, q=0.05, D=3.0):
@@ -124,6 +126,21 @@ class TestSampleEpisode:
             assert np.array_equal(ep.classes, chosen)
             assert np.array_equal(ep.support_idx, support)
             assert np.array_equal(ep.query_idx, qry)
+
+    def test_rows_and_labels_computed_once(self):
+        g = small_graph()
+        ep = sample_episode(g, np.arange(4), 2, 3, 2,
+                            rng=np.random.default_rng(0))
+        assert ep.rows is ep.rows and ep.query_labels is ep.query_labels
+        assert np.array_equal(ep.rows, np.concatenate([ep.support_idx,
+                                                       ep.query_idx]))
+        assert np.array_equal(ep.query_labels, [0, 0, 1, 1])
+        for array in (ep.rows, ep.query_labels):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # frozen, so the cached rows cannot go stale
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ep.query_idx = ep.support_idx
 
     def test_class_without_nodes(self):
         g = small_graph(K=4, npc=5)
@@ -262,8 +279,9 @@ class TestReceptiveField:
                             rng=np.random.default_rng(0))
         lonely = np.setdiff1d(np.flatnonzero(g.degrees() == 0), ep.rows)
         assert lonely.size
-        ep.query_idx = ep.query_idx.copy()
-        ep.query_idx[0] = lonely[0]    # an isolated node of any class
+        query_idx = ep.query_idx.copy()
+        query_idx[0] = lonely[0]       # an isolated node of any class
+        ep = dataclasses.replace(ep, query_idx=query_idx)
         op = normalize(g, scheme)
         dims = mdl.uniform_dims(g.d0, 5, 5, 3)
         blocks = mdl.receptive_field(op, ep.rows, 3)
@@ -349,6 +367,33 @@ class TestReceptiveField:
         assert got[:2] == (value, acc)
         assert got[2].tobytes() == want.tobytes()
 
+    def test_head_bit_identical_to_oracle(self):
+        rng = np.random.default_rng(12)
+        heads = 0
+        seen = set()
+        for i in range(240):
+            way = 2 if i % 3 == 0 else int(rng.integers(3, 7))
+            shot = 1 if i % 2 == 0 else int(rng.integers(2, 6))
+            query = int(rng.integers(1, 7))
+            ns, nq = way * shot, way * query
+            ep = fsnc.Episode(way, shot, query, np.arange(way),
+                              np.arange(ns), np.arange(ns, ns + nq))
+            scale = 10.0 ** rng.uniform(-2, 2)
+            emb = scale * rng.standard_normal((ns + nq,
+                                               int(rng.integers(1, 17))))
+            for grad in (True, False):
+                got, want = fsnc.proto_head(emb, ep, grad), oracle_head(
+                    emb, ep, grad)
+                assert got[:2] == want[:2]
+                if grad:
+                    assert got[2].tobytes() == want[2].tobytes()
+                else:
+                    assert got[2] is None and want[2] is None
+            heads += 1
+            seen.add((way == 2, shot == 1))
+        assert heads >= 200 and seen == {(True, True), (True, False),
+                                         (False, True), (False, False)}
+
     def test_head_reads_only_episode_rows(self):
         g = small_graph()
         ep = sample_episode(g, np.arange(4), 2, 3, 4,
@@ -421,17 +466,20 @@ class TestTrainProtocol:
             small_config(way=0)
 
     def test_run_leaves_no_dense_propagation_on_the_graph(self, monkeypatch):
-        # A.X belongs to the run's operator and is freed with it; the graph
-        # keeps only its sparse matrix, here smaller than the features
+        # the A.X rows a run fills belong to its operator's memo and are
+        # freed with it; the graph keeps only its sparse matrix, here
+        # smaller than the features
         g = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
                                      q=0.001, D=3.0, l=32, seed=1))
-        products = []
+        filled = []
         propagate = PropagationOperator.propagate_input
 
-        def spy(op, x):
-            out = propagate(op, x)
+        def spy(op, x, rows=None):
+            out = propagate(op, x, rows)
             if not op.is_identity:
-                products.append(weakref.ref(out))
+                _, full, slot, buffer = op._input_memo
+                assert full is None        # a sparse graph fills rows only
+                filled.extend([weakref.ref(slot), weakref.ref(buffer)])
             return out
 
         monkeypatch.setattr(PropagationOperator, "propagate_input", spy)
@@ -439,7 +487,7 @@ class TestTrainProtocol:
         train_protocol(small_config(repeats=1, episodes=4, val_interval=2),
                        g, split)
         gc.collect()
-        assert products and all(ref() is None for ref in products)
+        assert filled and all(ref() is None for ref in filled)
         fields = {"n", "features", "edges", "labels", "num_classes"}
         assert set(vars(g)) - fields == {"_matrices", "class_nodes"}
         assert list(g._matrices) == ["gcn-sym"]
@@ -448,6 +496,131 @@ class TestTrainProtocol:
             assert (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
                     < g.features.nbytes)
         assert all(pool.ndim == 1 for pool in g.class_nodes)
+
+
+class TestPlan:
+    """Each repeat of `train_protocol` draws its tasks, cuts their blocks
+    and fills the layer-0 rows they read before its first step."""
+
+    @staticmethod
+    def spy_steps(monkeypatch):
+        """A one-element list that holds True while an optimizer step
+        runs."""
+        in_step = [False]
+
+        def wrap(step):
+            def traced(self, obj, w):
+                in_step[0] = True
+                try:
+                    return step(self, obj, w)
+                finally:
+                    in_step[0] = False
+            return traced
+
+        for cls in (optim.AdamOptimizer, optim.SamOptimizer,
+                    optim.FgsamOptimizer, optim.FgsamPlusOptimizer):
+            monkeypatch.setattr(cls, "step", wrap(cls.step))
+        return in_step
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_sparse_run_fills_planned_rows_outside_steps(self, monkeypatch,
+                                                         name):
+        g = sparse_graph()
+        in_step = self.spy_steps(monkeypatch)
+        products, cuts, plans = [], [], []
+        apply, restrict, plan = (PropagationOperator.apply,
+                                 PropagationOperator.restrict, fsnc._plan)
+
+        def spy_apply(op, x):
+            if not op.is_identity:
+                products.append((op.matrix.shape[0], x is g.features,
+                                 in_step[0]))
+            return apply(op, x)
+
+        def spy_restrict(op, rows):
+            cuts.append((op.is_identity, in_step[0]))
+            return restrict(op, rows)
+
+        def spy_plan(config, graph, split, operator, root):
+            out = plan(config, graph, split, operator, root)
+            steps, val_rounds, test_round = out
+            read = [b[0].rows for _, b in steps + val_rounds + [test_round]]
+            _, full, slot, buffer = operator._input_memo
+            plans.append((np.concatenate(read), full, slot.copy(),
+                          buffer.shape))
+            return out
+
+        monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
+        monkeypatch.setattr(PropagationOperator, "restrict", spy_restrict)
+        monkeypatch.setattr(fsnc, "_plan", spy_plan)
+        split = split_classes(g.num_classes, (2, 2, 2), 0)
+        cfg = small_config(optimizer=name, repeats=2, episodes=6,
+                           val_interval=3, query=10)
+        train_protocol(cfg, g, split)
+        # no product over all n rows, A.X included
+        assert products and max(rows for rows, _, _ in products) < g.n
+        # A.X rows are filled by the plans only: the second repeat fills
+        # the rows the first left missing
+        fills = [p for p in products if p[1]]
+        assert len(fills) == 2 and not any(p[2] for p in fills)
+        # the plan cuts every block of the graph's operator, none is cut
+        # inside a step; the PeerMLP's identity blocks are the episode's
+        # rows, with nothing to cut
+        assert any(not identity for identity, _ in cuts)
+        assert not any(step for identity, step in cuts if not identity)
+        # each plan leaves exactly the rows read so far filled
+        read = np.zeros(0, dtype=np.int64)
+        for rows, full, slot, shape in plans:
+            read = np.union1d(read, rows)
+            assert full is None
+            assert np.array_equal(np.flatnonzero(slot >= 0), read)
+            assert shape == (read.size, g.d0)
+        assert read.size < g.n
+
+    def test_dense_graph_fills_the_full_product(self, monkeypatch):
+        # the benchmark's fsnc-small graph: every episode's receptive field
+        # is a large share of the graph, so the plan fills all of A.X
+        g = generate_csbm(CsbmParams(K=8, nodes_per_class=25, p=0.35,
+                                     q=0.05, D=3.0, l=8, seed=0))
+        in_step = self.spy_steps(monkeypatch)
+        fills = []
+        apply = PropagationOperator.apply
+
+        def spy_apply(op, x):
+            if x is g.features:
+                fills.append((op.matrix.shape[0], in_step[0]))
+            return apply(op, x)
+
+        monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        cfg = small_config(scheme="mean-neighbors", query=10, episodes=10,
+                           val_interval=5)
+        train_protocol(cfg, g, split)
+        assert fills == [(g.n, False)]
+
+    def test_tasks_are_the_streams_draws(self):
+        # drawn up front, the tasks are those drawn one by one as used
+        g = small_graph()
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        cfg = small_config(episodes=7, val_interval=3, val_tasks=4,
+                           test_tasks=5)
+        op = normalize(g, "gcn-sym")
+        steps, val_rounds, test_round = fsnc._plan(cfg, g, split, op, 11)
+        ep_rng, val_rng = stream_rng(11, "episodes"), stream_rng(11, "val")
+        test_rng = stream_rng(11, "test")
+        want = ([sample_episode(g, split.train_classes, 2, 3, 5, ep_rng)
+                 for _ in range(7)]
+                + [sample_episode(g, split.val_classes, 2, 3, 5, val_rng)
+                   for _ in range(2 * 4)]
+                + [sample_episode(g, split.novel_classes, 2, 3, 5, test_rng)
+                   for _ in range(5)])
+        assert [len(tasks) for tasks, _ in val_rounds] == [4, 4]
+        got = ([e for e, _ in steps] + [e for tasks, _ in val_rounds
+                                        for e in tasks] + test_round[0])
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert np.array_equal(mine.rows, theirs.rows)
+            assert np.array_equal(mine.classes, theirs.classes)
 
 
 class TestMetaTest:
@@ -459,12 +632,12 @@ class TestMetaTest:
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         before = op.apply_count
-        task_accuracy(params, g, op, np.arange(4), 2, 1, 1, 3,
-                      np.random.default_rng(0))
+        task_accuracy(params, g, op, fsnc.draw_tasks(
+            g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(0)))
         # one forward for all 3 tasks: A.X once, then A.H for layer 2
         assert op.apply_count == before + 2
-        task_accuracy(params, g, op, np.arange(4), 2, 1, 1, 3,
-                      np.random.default_rng(1))
+        task_accuracy(params, g, op, fsnc.draw_tasks(
+            g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(1)))
         # A.X is cached on the operator: a second round adds only A.H
         assert op.apply_count == before + 3
 
@@ -476,8 +649,8 @@ class TestMetaTest:
         rep = train_protocol(cfg, g, split)
         params = mdl.ModelParams.from_flat(
             rep.repeats[0].best_params, mdl.uniform_dims(g.d0, 8, 8, 2))
-        mean, std = task_accuracy(params, g, op, split.novel_classes,
-                                  2, 3, 5, 20, np.random.default_rng(0))
+        mean, std = task_accuracy(params, g, op, fsnc.draw_tasks(
+            g, split.novel_classes, 2, 3, 5, 20, np.random.default_rng(0)))
         assert mean >= 0.99
 
     def test_one_forward_matches_per_task_episodes(self):
@@ -489,14 +662,14 @@ class TestMetaTest:
         shared, per_task = np.random.default_rng(5), np.random.default_rng(5)
         accs = []
         for _ in range(8):
-            acc, _ = task_accuracy(params, g, op, classes, 2, 2, 3, 1,
-                                   shared)
+            acc, _ = task_accuracy(params, g, op, fsnc.draw_tasks(
+                g, classes, 2, 2, 3, 1, shared))
             ep = sample_episode(g, classes, 2, 2, 3, rng=per_task)
             accs.append(proto_episode(params, g, op, ep,
                                       compute_grad=False)[1])
             assert acc == accs[-1]
-        both = task_accuracy(params, g, op, classes, 2, 2, 3, 8,
-                             np.random.default_rng(5))
+        both = task_accuracy(params, g, op, fsnc.draw_tasks(
+            g, classes, 2, 2, 3, 8, np.random.default_rng(5)))
         assert both == (float(np.mean(accs)), float(np.std(accs)))
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
@@ -514,32 +687,39 @@ class TestMetaTest:
                                       compute_grad=False)[1])
             rows.append(ep.rows)
         union = np.unique(np.concatenate(rows))
-        assert mdl.blocks_for(op, union, 2) is not None
+        tasks = fsnc.draw_tasks(g, classes, 2, 3, 10, 6,
+                                np.random.default_rng(3))
+        assert np.array_equal(fsnc.task_rows(tasks), union)
+        blocks = mdl.blocks_for(op, union, 2)
+        assert blocks is not None
         before = op.apply_count
-        got = task_accuracy(params, g, op, classes, 2, 3, 10, 6,
-                            np.random.default_rng(3))
-        assert got == (float(np.mean(accs)), float(np.std(accs)))
+        want = (float(np.mean(accs)), float(np.std(accs)))
+        assert task_accuracy(params, g, op, tasks) == want
         assert op.apply_count == before + 1  # one sliced forward
+        # blocks handed over give the same round
+        assert task_accuracy(params, g, op, tasks, blocks) == want
 
     def test_reproducible(self):
         g = small_graph()
         op = normalize(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
-        a = task_accuracy(params, g, op, np.arange(4), 2, 2, 3, 10,
-                          np.random.default_rng(7))
-        b = task_accuracy(params, g, op, np.arange(4), 2, 2, 3, 10,
-                          np.random.default_rng(7))
+        a, b = (task_accuracy(params, g, op, fsnc.draw_tasks(
+            g, np.arange(4), 2, 2, 3, 10, np.random.default_rng(7)))
+            for _ in range(2))
         assert a == b
 
-    def test_way_exceeds_novel_classes(self):
+    def test_way_exceeds_novel_classes(self, monkeypatch):
+        # the test round is drawn with the rest of the plan, so a split
+        # that cannot give it fails before the first step
         g = small_graph()
-        op = normalize(g, "gcn-sym")
-        params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
-                                 np.random.default_rng(0))
-        with pytest.raises(FsncError):
-            task_accuracy(params, g, op, np.arange(2), 3, 1, 1, 2,
-                          np.random.default_rng(0))
+        split = split_classes(g.num_classes, (4, 3, 1), 0)
+        steps = []
+        monkeypatch.setattr(fsnc, "episode_objective",
+                            lambda *a, **k: steps.append(a))
+        with pytest.raises(FsncError, match="need 2 classes, only 1"):
+            train_protocol(small_config(way=2), g, split)
+        assert steps == []
 
 
 def nc_masks(g, seed=0):

@@ -7,9 +7,8 @@ import scipy.sparse as sp
 
 from fgsam import cli, graphcore
 from fgsam.graphcore import (CsbmParams, Graph, GraphError, build_graph,
-                             generate_csbm, inject_edge_noise,
-                             inject_feature_noise, load_graph, normalize,
-                             save_graph, simplex_means, with_num_classes)
+                             generate_csbm, load_graph, normalize, save_graph,
+                             simplex_means, with_num_classes)
 
 
 def random_graph(rng, n):
@@ -176,6 +175,48 @@ class TestOperators:
         assert op.apply_count == 2
         ident = normalize(g, "identity")
         assert ident.propagate_input(g.features) is g.features
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_input_rows_bit_identical_to_full_product(self, scheme):
+        rng = np.random.default_rng(9)
+        g = random_graph(rng, 80)
+        op = normalize(g, scheme)
+        x = g.features
+        indptr, indices = op.matrix.indptr, op.matrix.indices
+        descending = [np.all(np.diff(indices[a:b]) < 0) and b - a > 1
+                      for a, b in zip(indptr[:-1], indptr[1:])]
+        assert any(descending) == (scheme == "mean-neighbors")
+        want = op.matrix @ x
+
+        def same(rows):
+            return op.propagate_input(x, rows).tobytes() == want[rows].tobytes()
+
+        first = np.array([17, 3, 64, 3, 40, 17])      # unsorted, repeated
+        assert same(first)
+        assert op.apply_count == 1
+        _, full, slot, filled = op._input_memo
+        assert full is None and slot.shape == (g.n,)
+        assert filled.shape == (4, g.d0)
+        second = np.array([64, 5, 79, 0, 5])          # 2 filled, 3 missing
+        assert same(second)
+        assert op.apply_count == 2                    # one more fill
+        assert op._input_memo[3].shape == (7, g.d0)   # the buffer grew
+        both = np.concatenate([second, first])
+        assert same(both) and op.apply_count == 2     # nothing missing
+        # the full product, once filled, serves rows and drops the buffer
+        assert op.propagate_input(x).tobytes() == want.tobytes()
+        assert op.apply_count == 3 and op._input_memo[2:] == (None, None)
+        assert same(both) and same(np.arange(g.n)[::-1])
+        assert op.apply_count == 3
+        # another input array starts a memo of its own
+        copy = x.copy()
+        assert (op.propagate_input(copy, first).tobytes()
+                == want[first].tobytes())
+        assert op.apply_count == 4 and op._input_memo[0] is copy
+        ident = normalize(g, "identity")
+        assert ident.propagate_input(x) is x
+        assert np.array_equal(ident.propagate_input(x, first), x[first])
+        assert ident.apply_count == 0
 
     def test_unknown_scheme(self):
         g = build_graph(2, [(0, 1)], np.zeros((2, 1)), [0, 0])
@@ -492,57 +533,6 @@ def triangle_csbm(params):
         for b in range(a + 1, K):
             pairs.append(block_pairs(blocks[a], blocks[b], params.q, False))
     return features, row_unique_dedup(np.concatenate(pairs)), labels
-
-
-class TestNoise:
-    def setup_method(self):
-        self.g = generate_csbm(CsbmParams(K=2, nodes_per_class=50, p=0.3,
-                                          q=0.05, D=2.0, l=100, seed=0))
-
-    def test_feature_noise_zero_sigma(self):
-        out = inject_feature_noise(self.g, 0.0, 1)
-        assert np.array_equal(out.features, self.g.features)
-
-    def test_feature_noise_std(self):
-        out = inject_feature_noise(self.g, 1.0, 1)
-        added = out.features - self.g.features
-        assert 0.95 < added.std() < 1.05  # n*d0 = 10^4 samples
-        assert np.array_equal(out.edges, self.g.edges)
-        assert np.array_equal(out.labels, self.g.labels)
-
-    def test_feature_noise_determinism(self):
-        a = inject_feature_noise(self.g, 0.5, 2)
-        b = inject_feature_noise(self.g, 0.5, 2)
-        assert np.array_equal(a.features, b.features)
-
-    def test_feature_noise_negative_sigma(self):
-        with pytest.raises(GraphError):
-            inject_feature_noise(self.g, -0.1, 0)
-
-    def test_edge_noise_zero_ratio(self):
-        out = inject_edge_noise(self.g, 0.0, 1)
-        assert np.array_equal(out.edges, self.g.edges)
-
-    def test_edge_noise_counts(self):
-        out = inject_edge_noise(self.g, 0.5, 1)
-        assert out.num_edges == self.g.num_edges + self.g.num_edges // 2
-        assert np.unique(out.edges, axis=0).shape == out.edges.shape
-        assert np.all(out.edges[:, 0] < out.edges[:, 1])
-        # originals retained
-        old = set(map(tuple, self.g.edges))
-        new = set(map(tuple, out.edges))
-        assert old <= new
-
-    def test_edge_noise_capacity_error(self):
-        g = build_graph(3, [(0, 1), (0, 2), (1, 2)],
-                        np.zeros((3, 1)), [0, 0, 0])
-        with pytest.raises(GraphError):
-            inject_edge_noise(g, 1.0, 0)
-
-    def test_edge_noise_determinism(self):
-        a = inject_edge_noise(self.g, 0.3, 4)
-        b = inject_edge_noise(self.g, 0.3, 4)
-        assert np.array_equal(a.edges, b.edges)
 
 
 class TestIO:
