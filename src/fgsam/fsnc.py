@@ -4,6 +4,7 @@ meta-testing, and a standard node-classification trainer."""
 
 import csv
 import functools
+import itertools
 import json
 import os
 import time
@@ -163,35 +164,33 @@ def task_rows(episodes) -> np.ndarray:
 
 
 def task_accuracy(params: mdl.ModelParams, graph: Graph,
-                  operator: PropagationOperator, episodes, blocks=None):
+                  operator: PropagationOperator, episodes, blocks):
     """Mean and standard deviation of the accuracy over the `episodes` of
     an evaluation round. The weights are the same for every task, so one
     forward over the union of the tasks' rows serves them all. `blocks`
-    are the union's (`model.blocks_for`); when None they are cut here, and
-    a round on the full-graph path gets None again."""
-    union = task_rows(episodes)
-    if blocks is None:
-        blocks = mdl.blocks_for(operator, union, params.num_layers)
+    are `model.blocks_for` of that union (`task_rows`); None runs the
+    forward on all n rows."""
     emb = mdl.forward(params, graph, operator, blocks).logits
     accs = []
     for e in episodes:
-        local = e.rows if blocks is None else np.searchsorted(union, e.rows)
+        # the union's last-layer rows are sorted
+        local = (e.rows if blocks is None
+                 else np.searchsorted(blocks[-1].rows, e.rows))
         accs.append(proto_head(emb[local], e, compute_grad=False)[1])
     return float(np.mean(accs)), float(np.std(accs))
 
 
 def episode_objective(dims, graph: Graph, operator: PropagationOperator,
-                      episode: Episode, weight_decay: float = 0.0,
-                      blocks=None) -> optim.Objective:
+                      episode: Episode, weight_decay: float = 0.0, *,
+                      blocks) -> optim.Objective:
     """The episode's GNN / PeerMLP objective pair. `blocks` are the GNN
-    operator's blocks for the episode (`model.blocks_for`). Blocks not
-    given are cut on the operator's first gradient evaluation, and an
-    episode on the full-graph path gets None again; the later evaluations
-    of the same episode reuse them."""
-    cut = {} if blocks is None else {id(operator): blocks}
+    operator's `model.blocks_for` of `episode.rows`; None runs its forward
+    on all n rows. The PeerMLP's blocks are cut on its first gradient
+    evaluation and reused by the later ones."""
+    cut = {id(operator): blocks}
 
     def loss_grad(params, op):
-        if id(op) not in cut:
+        if id(op) not in cut:          # the PeerMLP's identity operator
             cut[id(op)] = mdl.blocks_for(op, episode.rows, params.num_layers)
         value, _, grad = proto_episode(params, graph, op, episode,
                                        weight_decay=weight_decay,
@@ -302,42 +301,43 @@ def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
 
 def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
           operator: PropagationOperator, root: int):
-    """A repeat's tasks, drawn up front, with their blocks, and the layer-0
-    rows they read filled before its first step.
+    """A repeat's tasks, drawn up front, and the layer-0 rows they read
+    filled before its first step.
 
     The episode of every step, every validation round and the test round
     are drawn from the repeat's `episodes`, `val` and `test` streams, which
-    gives the same draws as drawing each task when it is used. Each
-    episode and each round's row union gets its `blocks_for`. If any of
-    them takes the full-graph path, the whole A.X is filled; otherwise only
-    the union of their layer-0 rows is (rows an earlier repeat filled are
-    not filled again). Early stopping leaves a superset filled. Returns
-    (steps, validation rounds, test round): each step an (episode, blocks)
-    pair, each round a (tasks, blocks) pair."""
+    gives the same draws as drawing each task when it is used. If any
+    episode or round union takes the full-graph path (not
+    `model.worth_slicing`), the whole A.X is filled. Otherwise the layer-0
+    rows of the receptive field of all their rows are, which is the union
+    of each task's layer-0 rows (rows an earlier repeat filled are not
+    filled again). No blocks are kept: a task's are cut when it is used.
+    Early stopping leaves a superset filled. Returns (episodes, validation
+    rounds, test round), each round a list of episodes."""
     def draw(classes, tasks, rng):
         return draw_tasks(graph, classes, config.way, config.shot,
                           config.query, tasks, rng)
 
-    def cut(rows):
-        return mdl.blocks_for(operator, rows, config.layers)
-
-    steps = draw(split.train_classes, config.episodes,
-                 stream_rng(root, "episodes"))
+    episodes = draw(split.train_classes, config.episodes,
+                    stream_rng(root, "episodes"))
     val_rng = stream_rng(root, "val")
     rounds = [draw(split.val_classes, config.val_tasks, val_rng)
               for _ in range(config.episodes // config.val_interval)]
-    rounds.append(draw(split.novel_classes, config.test_tasks,
-                       stream_rng(root, "test")))
-    steps = [(e, cut(e.rows)) for e in steps]
-    rounds = [(tasks, cut(task_rows(tasks))) for tasks in rounds]
-    blocks = [b for _, b in steps + rounds]
-    if any(b is None for b in blocks):
-        operator.propagate_input(graph.features)
+    test_round = draw(split.novel_classes, config.test_tasks,
+                      stream_rng(root, "test"))
+    reads = itertools.chain(
+        (e.rows for e in episodes),
+        (task_rows(tasks) for tasks in rounds + [test_round]))
+    if all(mdl.worth_slicing(operator, rows, config.layers)
+           for rows in reads):
+        every = episodes + [e for tasks in rounds + [test_round]
+                            for e in tasks]
+        blocks = mdl.receptive_field(operator, task_rows(every),
+                                     config.layers)
+        operator.propagate_input(graph.features, blocks[0].rows)
     else:
-        operator.propagate_input(
-            graph.features, np.unique(np.concatenate([b[0].rows
-                                                      for b in blocks])))
-    return steps, rounds[:-1], rounds[-1]
+        operator.propagate_input(graph.features)
+    return episodes, rounds, test_round
 
 
 def train_protocol(config: ProtocolConfig, graph: Graph,
@@ -347,31 +347,33 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
                             config.layers)
 
-    def accuracy(w, tasks, blocks):
+    def accuracy(w, tasks):
+        blocks = mdl.blocks_for(operator, task_rows(tasks), config.layers)
         return task_accuracy(mdl.ModelParams.from_flat(w, dims), graph,
                              operator, tasks, blocks)
 
     results = []
     for r in range(config.repeats):
         root = config.seed + r
-        steps, val_rounds, test_round = _plan(config, graph, split,
-                                              operator, root)
+        episodes, val_rounds, test_round = _plan(config, graph, split,
+                                                 operator, root)
         val_rounds = iter(val_rounds)
 
         def objective_at(t):
-            episode, blocks = steps[t]
-            return episode_objective(dims, graph, operator, episode,
-                                     weight_decay=config.hp.weight_decay,
-                                     blocks=blocks)
+            episode = episodes[t]
+            return episode_objective(
+                dims, graph, operator, episode,
+                weight_decay=config.hp.weight_decay,
+                blocks=mdl.blocks_for(operator, episode.rows, config.layers))
 
         w, best_w, best_val, stop, trace, bundles = _train(
             optim.make_optimizer(config.optimizer, config.hp),
             mdl.init_params(dims, stream_rng(root, "init")).flatten(),
             config.episodes, objective_at,
-            lambda w: accuracy(w, *next(val_rounds))[0],
+            lambda w: accuracy(w, next(val_rounds))[0],
             config.val_interval, config.patience, f"repeat {r} episode ",
             config.collect_bundles)
-        test_mean, test_std = accuracy(best_w, *test_round)
+        test_mean, test_std = accuracy(best_w, test_round)
         results.append(RepeatResult(
             seed=root, stop_episode=stop, best_val_acc=best_val,
             test_acc_mean=test_mean, test_acc_std=test_std, trace=trace,

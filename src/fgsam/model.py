@@ -149,10 +149,9 @@ def receptive_field(operator: PropagationOperator, targets,
     return blocks
 
 
-def blocks_for(operator: PropagationOperator, targets,
-               layers: int) -> list[Block] | None:
-    """`receptive_field` when slicing shrinks the work, otherwise None (a
-    forward over all n rows).
+def worth_slicing(operator: PropagationOperator, targets,
+                  layers: int) -> bool:
+    """Whether a forward over `targets` runs on their receptive field.
 
     The rule is read from the row pointers in O(|targets|): slice while
     A[targets] holds fewer stored entries than A has rows. Above that, the
@@ -160,8 +159,15 @@ def blocks_for(operator: PropagationOperator, targets,
     more than the rows it saves. A one-layer forward only gathers rows of
     A.X and the PeerMLP reads only the target rows, so both always slice.
     """
-    if (layers > 1 and not operator.is_identity
-            and operator.row_nnz(targets) >= operator.matrix.shape[0]):
+    return (layers == 1 or operator.is_identity
+            or operator.row_nnz(targets) < operator.matrix.shape[0])
+
+
+def blocks_for(operator: PropagationOperator, targets,
+               layers: int) -> list[Block] | None:
+    """`receptive_field` when `worth_slicing`, otherwise None (a forward
+    over all n rows)."""
+    if not worth_slicing(operator, targets, layers):
         return None
     return receptive_field(operator, targets, layers)
 

@@ -318,7 +318,8 @@ class TestReceptiveField:
         mlp = mdl.blocks_for(ident, ep.rows, 2)
         assert all(np.array_equal(b.rows, ep.rows) for b in mlp)
         dims = mdl.uniform_dims(g.d0, 6, 6, 2)
-        obj = fsnc.episode_objective(dims, g, op, ep, weight_decay=0.01)
+        obj = fsnc.episode_objective(dims, g, op, ep, weight_decay=0.01,
+                                     blocks=mdl.blocks_for(op, ep.rows, 2))
         rng = np.random.default_rng(5)
         for _ in range(3):
             params = mdl.init_params(dims, rng)
@@ -333,18 +334,20 @@ class TestReceptiveField:
         op = normalize(g, "gcn-sym")
         ep = sample_episode(g, np.arange(6), 2, 3, 10,
                             rng=np.random.default_rng(6))
+        blocks = mdl.blocks_for(op, ep.rows, 2)
         calls = []
         real = mdl.blocks_for
         monkeypatch.setattr(mdl, "blocks_for",
                             lambda *a: calls.append(a[0]) or real(*a))
         dims = mdl.uniform_dims(g.d0, 4, 4, 2)
-        obj = fsnc.episode_objective(dims, g, op, ep)
+        obj = fsnc.episode_objective(dims, g, op, ep, blocks=blocks)
         assert calls == []               # cut inside the first evaluation
         w = mdl.init_params(dims, np.random.default_rng(0)).flatten()
         for _ in range(3):
             obj.gnn_grad(w)
             obj.mlp_grad(w)
-        assert len(calls) == 2 and calls[0] is op and calls[1].is_identity
+        # the GNN's blocks are the ones handed over; the PeerMLP's are cut
+        assert len(calls) == 1 and calls[0].is_identity
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_full_path_bit_identical_to_scatter_oracle(self, scheme):
@@ -466,41 +469,49 @@ class TestTrainProtocol:
             small_config(way=0)
 
     def test_run_leaves_no_dense_propagation_on_the_graph(self, monkeypatch):
-        # the A.X rows a run fills belong to its operator's memo and are
-        # freed with it; the graph keeps only its sparse matrix, here
-        # smaller than the features
-        g = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
-                                     q=0.001, D=3.0, l=32, seed=1))
-        filled = []
+        # the A.X a run fills belongs to its operator's memo and is freed
+        # with it: on a sparse graph only the rows it reads (row-to-slot map
+        # and row buffer), on a dense one the full product. The graph keeps
+        # only its sparse matrix, here smaller than the features
+        sparse = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
+                                          q=0.001, D=3.0, l=32, seed=1))
+        # the benchmark's fsnc-small graph with wider features
+        dense = generate_csbm(CsbmParams(K=8, nodes_per_class=25, p=0.35,
+                                         q=0.05, D=3.0, l=64, seed=0))
         propagate = PropagationOperator.propagate_input
+        for g, ratio in ((sparse, (2, 2, 2)), (dense, (4, 2, 2))):
+            filled = []
 
-        def spy(op, x, rows=None):
-            out = propagate(op, x, rows)
-            if not op.is_identity:
-                _, full, slot, buffer = op._input_memo
-                assert full is None        # a sparse graph fills rows only
-                filled.extend([weakref.ref(slot), weakref.ref(buffer)])
-            return out
+            def spy(op, x, rows=None):
+                out = propagate(op, x, rows)
+                if not op.is_identity:
+                    _, full, slot, buffer = op._input_memo
+                    # a sparse graph fills rows only, a dense one all of A.X
+                    assert (full is None) == (g is sparse)
+                    kept = (slot, buffer) if full is None else (full,)
+                    filled.extend(weakref.ref(a) for a in kept)
+                return out
 
-        monkeypatch.setattr(PropagationOperator, "propagate_input", spy)
-        split = split_classes(g.num_classes, (2, 2, 2), 0)
-        train_protocol(small_config(repeats=1, episodes=4, val_interval=2),
-                       g, split)
-        gc.collect()
-        assert filled and all(ref() is None for ref in filled)
-        fields = {"n", "features", "edges", "labels", "num_classes"}
-        assert set(vars(g)) - fields == {"_matrices", "class_nodes"}
-        assert list(g._matrices) == ["gcn-sym"]
-        for mat in g._matrices.values():
-            assert sp.isspmatrix_csr(mat)
-            assert (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-                    < g.features.nbytes)
-        assert all(pool.ndim == 1 for pool in g.class_nodes)
+            monkeypatch.setattr(PropagationOperator, "propagate_input", spy)
+            split = split_classes(g.num_classes, ratio, 0)
+            train_protocol(small_config(repeats=1, episodes=4,
+                                        val_interval=2), g, split)
+            gc.collect()
+            assert filled and all(ref() is None for ref in filled)
+            fields = {"n", "features", "edges", "labels", "num_classes"}
+            assert set(vars(g)) - fields == {"_matrices", "class_nodes"}
+            assert list(g._matrices) == ["gcn-sym"]
+            for mat in g._matrices.values():
+                assert sp.isspmatrix_csr(mat)
+                assert (mat.data.nbytes + mat.indices.nbytes
+                        + mat.indptr.nbytes < g.features.nbytes)
+            assert all(pool.ndim == 1 for pool in g.class_nodes)
 
 
 class TestPlan:
-    """Each repeat of `train_protocol` draws its tasks, cuts their blocks
-    and fills the layer-0 rows they read before its first step."""
+    """Each repeat of `train_protocol` draws its tasks and fills the
+    layer-0 rows they read before its first step; a task's blocks are cut
+    when it is used, outside the optimizer step."""
 
     @staticmethod
     def spy_steps(monkeypatch):
@@ -542,9 +553,14 @@ class TestPlan:
             return restrict(op, rows)
 
         def spy_plan(config, graph, split, operator, root):
+            before = len(cuts)
             out = plan(config, graph, split, operator, root)
-            steps, val_rounds, test_round = out
-            read = [b[0].rows for _, b in steps + val_rounds + [test_round]]
+            # one receptive-field walk over all the repeat's rows
+            assert len(cuts) - before == config.layers - 1
+            episodes, val_rounds, test_round = out
+            read = [mdl.blocks_for(operator, rows, config.layers)[0].rows
+                    for rows in [e.rows for e in episodes]
+                    + [fsnc.task_rows(t) for t in val_rounds + [test_round]]]
             _, full, slot, buffer = operator._input_memo
             plans.append((np.concatenate(read), full, slot.copy(),
                           buffer.shape))
@@ -563,9 +579,9 @@ class TestPlan:
         # the rows the first left missing
         fills = [p for p in products if p[1]]
         assert len(fills) == 2 and not any(p[2] for p in fills)
-        # the plan cuts every block of the graph's operator, none is cut
-        # inside a step; the PeerMLP's identity blocks are the episode's
-        # rows, with nothing to cut
+        # blocks of the graph's operator are cut by the plan and at each
+        # use, never inside a step; the PeerMLP's identity blocks are the
+        # episode's rows, with nothing to cut
         assert any(not identity for identity, _ in cuts)
         assert not any(step for identity, step in cuts if not identity)
         # each plan leaves exactly the rows read so far filled
@@ -605,7 +621,7 @@ class TestPlan:
         cfg = small_config(episodes=7, val_interval=3, val_tasks=4,
                            test_tasks=5)
         op = normalize(g, "gcn-sym")
-        steps, val_rounds, test_round = fsnc._plan(cfg, g, split, op, 11)
+        episodes, val_rounds, test_round = fsnc._plan(cfg, g, split, op, 11)
         ep_rng, val_rng = stream_rng(11, "episodes"), stream_rng(11, "val")
         test_rng = stream_rng(11, "test")
         want = ([sample_episode(g, split.train_classes, 2, 3, 5, ep_rng)
@@ -614,13 +630,20 @@ class TestPlan:
                    for _ in range(2 * 4)]
                 + [sample_episode(g, split.novel_classes, 2, 3, 5, test_rng)
                    for _ in range(5)])
-        assert [len(tasks) for tasks, _ in val_rounds] == [4, 4]
-        got = ([e for e, _ in steps] + [e for tasks, _ in val_rounds
-                                        for e in tasks] + test_round[0])
+        assert [len(tasks) for tasks in val_rounds] == [4, 4]
+        got = (episodes + [e for tasks in val_rounds for e in tasks]
+               + test_round)
         assert len(got) == len(want)
         for mine, theirs in zip(got, want):
             assert np.array_equal(mine.rows, theirs.rows)
             assert np.array_equal(mine.classes, theirs.classes)
+
+
+def round_accuracy(params, g, op, tasks):
+    """`task_accuracy` of a round with its union's blocks, cut as the
+    protocol cuts them."""
+    return task_accuracy(params, g, op, tasks, mdl.blocks_for(
+        op, fsnc.task_rows(tasks), params.num_layers))
 
 
 class TestMetaTest:
@@ -632,11 +655,11 @@ class TestMetaTest:
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         before = op.apply_count
-        task_accuracy(params, g, op, fsnc.draw_tasks(
+        round_accuracy(params, g, op, fsnc.draw_tasks(
             g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(0)))
         # one forward for all 3 tasks: A.X once, then A.H for layer 2
         assert op.apply_count == before + 2
-        task_accuracy(params, g, op, fsnc.draw_tasks(
+        round_accuracy(params, g, op, fsnc.draw_tasks(
             g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(1)))
         # A.X is cached on the operator: a second round adds only A.H
         assert op.apply_count == before + 3
@@ -649,7 +672,7 @@ class TestMetaTest:
         rep = train_protocol(cfg, g, split)
         params = mdl.ModelParams.from_flat(
             rep.repeats[0].best_params, mdl.uniform_dims(g.d0, 8, 8, 2))
-        mean, std = task_accuracy(params, g, op, fsnc.draw_tasks(
+        mean, std = round_accuracy(params, g, op, fsnc.draw_tasks(
             g, split.novel_classes, 2, 3, 5, 20, np.random.default_rng(0)))
         assert mean >= 0.99
 
@@ -662,13 +685,13 @@ class TestMetaTest:
         shared, per_task = np.random.default_rng(5), np.random.default_rng(5)
         accs = []
         for _ in range(8):
-            acc, _ = task_accuracy(params, g, op, fsnc.draw_tasks(
+            acc, _ = round_accuracy(params, g, op, fsnc.draw_tasks(
                 g, classes, 2, 2, 3, 1, shared))
             ep = sample_episode(g, classes, 2, 2, 3, rng=per_task)
             accs.append(proto_episode(params, g, op, ep,
                                       compute_grad=False)[1])
             assert acc == accs[-1]
-        both = task_accuracy(params, g, op, fsnc.draw_tasks(
+        both = round_accuracy(params, g, op, fsnc.draw_tasks(
             g, classes, 2, 2, 3, 8, np.random.default_rng(5)))
         assert both == (float(np.mean(accs)), float(np.std(accs)))
 
@@ -694,17 +717,15 @@ class TestMetaTest:
         assert blocks is not None
         before = op.apply_count
         want = (float(np.mean(accs)), float(np.std(accs)))
-        assert task_accuracy(params, g, op, tasks) == want
-        assert op.apply_count == before + 1  # one sliced forward
-        # blocks handed over give the same round
         assert task_accuracy(params, g, op, tasks, blocks) == want
+        assert op.apply_count == before + 1  # one sliced forward
 
     def test_reproducible(self):
         g = small_graph()
         op = normalize(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
-        a, b = (task_accuracy(params, g, op, fsnc.draw_tasks(
+        a, b = (round_accuracy(params, g, op, fsnc.draw_tasks(
             g, np.arange(4), 2, 2, 3, 10, np.random.default_rng(7)))
             for _ in range(2))
         assert a == b
