@@ -11,7 +11,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -24,19 +24,46 @@ from .model import ModelError
 from .optim import Hyperparams, OptimError
 from .seeding import stream_rng
 
-_SCHEMA = {
-    "run": {"seed", "out"},
-    "graph": {"path"},
-    "csbm": {"classes", "nodes_per_class", "p", "q", "dist", "dim"},
-    "protocol": {"way", "shot", "query", "episodes", "patience",
-                 "val_interval", "val_tasks", "test_tasks", "repeats",
-                 "layers", "hidden", "scheme", "optimizer", "split"},
-    "optim": {"lr", "rho", "lambda", "alpha", "k", "beta1", "beta2", "eps",
-              "weight_decay"},
-}
-
-_CFG_ALIASES = {"lambda": "lambda_topo", "classes": "csbm_classes",
-                "path": "graph", "split": "split_ratio"}
+# One row per setting, in config-echo order: INI section, INI key, the
+# name the setting has everywhere else (argparse destination, config
+# field) and its type. Adding a setting takes a row here plus its flag.
+_SETTINGS = (
+    ("run", "seed", "seed", int),
+    ("run", "out", "out", str),
+    ("graph", "path", "graph", str),
+    ("csbm", "classes", "csbm_classes", int),
+    ("csbm", "nodes_per_class", "nodes_per_class", int),
+    ("csbm", "p", "p", float),
+    ("csbm", "q", "q", float),
+    ("csbm", "dist", "dist", float),
+    ("csbm", "dim", "dim", int),
+    ("protocol", "way", "way", int),
+    ("protocol", "shot", "shot", int),
+    ("protocol", "query", "query", int),
+    ("protocol", "episodes", "episodes", int),
+    ("protocol", "patience", "patience", int),
+    ("protocol", "val_interval", "val_interval", int),
+    ("protocol", "val_tasks", "val_tasks", int),
+    ("protocol", "test_tasks", "test_tasks", int),
+    ("protocol", "repeats", "repeats", int),
+    ("protocol", "layers", "layers", int),
+    ("protocol", "hidden", "hidden", int),
+    ("protocol", "scheme", "scheme", str),
+    ("protocol", "optimizer", "optimizer", str),
+    ("protocol", "split", "split_ratio", str),
+    ("optim", "lr", "lr", float),
+    ("optim", "rho", "rho", float),
+    ("optim", "rhos", "rhos", str),
+    ("optim", "lambda", "lambda_topo", float),
+    ("optim", "alpha", "alpha", float),
+    ("optim", "k", "k", int),
+    ("optim", "beta1", "beta1", float),
+    ("optim", "beta2", "beta2", float),
+    ("optim", "eps", "eps", float),
+    ("optim", "weight_decay", "weight_decay", float),
+)
+_NAMES = {(section, key): name for section, key, name, _ in _SETTINGS}
+_TYPES = {name: cast for _, _, name, cast in _SETTINGS}
 
 
 class CliError(ValueError):
@@ -50,13 +77,13 @@ def _load_config(path: str) -> dict:
         if not parser.read(path):
             raise CliError(f"cannot read config {path}")
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if not any(row[0] == section for row in _SETTINGS):
                 raise CliError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in _SCHEMA[section]:
+                if (section, key) not in _NAMES:
                     raise CliError(
                         f"unknown key {key!r} in section [{section}]")
-                flat[_CFG_ALIASES.get(key, key)] = value
+                flat[_NAMES[section, key]] = value
     except configparser.Error as exc:
         one_line = " ".join(str(exc).split())  # its messages span lines
         raise CliError(f"config {path}: {one_line}") from None
@@ -71,57 +98,34 @@ def _cast(cast, text, what):
             f"{what}: {text!r} is not a valid {cast.__name__}") from None
 
 
-def _resolve(args, cfg, name, cast, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return _cast(cast, cfg[name], f"config value {name}")
-    return default
-
-
 def _settings(args):
+    """`get(name, default)`: the setting's flag if given, else its config
+    value cast to the setting's type, else `default`."""
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(name, cast, default):
-        return _resolve(args, cfg, name, cast, default)
+    def get(name, default=None):
+        value = getattr(args, name, None)
+        if value is not None:
+            return value
+        if name in cfg:
+            return _cast(_TYPES[name], cfg[name], f"config value {name}")
+        return default
 
     return get
 
 
+def _config(cls, get, **given):
+    """A `cls` whose fields with a settings row are read through `get`,
+    defaulting to the field's own default, and whose `given` fields are
+    passed as they are."""
+    return cls(**given, **{f.name: get(f.name, f.default) for f in fields(cls)
+                           if f.name in _TYPES and f.name not in given})
+
+
 def _build_hp(get) -> Hyperparams:
-    return Hyperparams(
-        lr=get("lr", float, 0.01),
-        rho=get("rho", float, 0.05),
-        lambda_topo=get("lambda_topo", float, 0.0),
-        alpha=get("alpha", float, 0.7),
-        k=get("k", int, 2),
-        beta1=get("beta1", float, 0.9),
-        beta2=get("beta2", float, 0.999),
-        eps=get("eps", float, 1e-8),
-        weight_decay=get("weight_decay", float, 0.0),
-    )
-
-
-def _build_protocol(get, optimizer=None, **overrides) -> fsnc.ProtocolConfig:
-    cfg = fsnc.ProtocolConfig(
-        way=get("way", int, 2),
-        shot=get("shot", int, 3),
-        query=get("query", int, 10),
-        repeats=get("repeats", int, 5),
-        episodes=get("episodes", int, 200),
-        patience=get("patience", int, 10),
-        val_interval=get("val_interval", int, 10),
-        val_tasks=get("val_tasks", int, 20),
-        test_tasks=get("test_tasks", int, 100),
-        layers=get("layers", int, 2),
-        hidden=get("hidden", int, 16),
-        scheme=get("scheme", str, "gcn-sym"),
-        optimizer=optimizer or get("optimizer", str, "adam"),
-        hp=_build_hp(get),
-        seed=get("seed", int, 0),
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    # FGSAM+ refreshes its GNN gradient every second step unless told
+    # otherwise; Hyperparams alone defaults to every step
+    return _config(Hyperparams, get, k=get("k", 2))
 
 
 def _echo_config(outdir: str, payload: dict) -> None:
@@ -131,20 +135,19 @@ def _echo_config(outdir: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _echo_ini(outdir: str, sections: dict) -> None:
-    """Write a config echo that can be fed back through --config."""
-    os.makedirs(outdir, exist_ok=True)
+def _echo_ini(outdir: str, config, **extra) -> None:
+    """Write a config echo that can be fed back through --config: every
+    setting that `config`, its `hp` or `extra` holds, in table order."""
+    values = {**vars(config), **vars(config.hp), **extra}
     parser = configparser.ConfigParser()
-    for section, values in sections.items():
-        parser[section] = {k: str(v) for k, v in values.items()}
+    for section, key, name, _ in _SETTINGS:
+        if name in values:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, str(values[name]))
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "config_echo.ini"), "w") as fh:
         parser.write(fh)
-
-
-def _optim_section(hp) -> dict:
-    return {"lr": hp.lr, "rho": hp.rho, "lambda": hp.lambda_topo,
-            "alpha": hp.alpha, "k": hp.k, "beta1": hp.beta1,
-            "beta2": hp.beta2, "eps": hp.eps, "weight_decay": hp.weight_decay}
 
 
 def _parse_split(text: str):
@@ -154,71 +157,64 @@ def _parse_split(text: str):
     return tuple(parts)
 
 
-def _load_graph_arg(get):
-    path = get("graph", str, None)
-    if path is None:
-        raise CliError("no graph directory given (--graph or [graph] path)")
-    return load_graph(path), path
-
-
 def _threads() -> int:
     return max(1, _cast(int, os.environ.get("FGSAM_THREADS", "1"),
                         "FGSAM_THREADS"))
 
 
 def _out(get) -> str:
-    out = get("out", str, None)
+    out = get("out")
     if out is None:
         raise CliError("--out required")
     return out
 
 
-def _episodic(args):
-    """The preamble of the episodic commands: settings, output directory,
-    graph, seed and class split, plus `echo(config)`, which writes the
-    re-runnable config echo of a protocol config."""
+def _input_hash(graph) -> str:
+    """The hash of everything a command reads of a graph."""
+    return analysis.content_hash(graph.features, graph.edges, graph.labels)
+
+
+def _graph_preamble(args):
+    """The preamble of the commands that read a graph: settings, output
+    directory, graph and the graph's path."""
     get = _settings(args)
     out = _out(get)
-    graph, graph_path = _load_graph_arg(get)
-    seed = get("seed", int, 0)
-    ratio = _parse_split(get("split_ratio", str,
-                             f"{graph.num_classes - 4}/2/2"))
-    split = fsnc.split_classes(graph.num_classes, ratio, seed)
+    path = get("graph")
+    if path is None:
+        raise CliError("no graph directory given (--graph or [graph] path)")
+    return get, out, load_graph(path), path
+
+
+def _episodic(args):
+    """The preamble of the episodic commands: `_graph_preamble`'s, the
+    protocol config and class split, plus `echo(config, **extra)`, which
+    writes the re-runnable config echo of a protocol config."""
+    get, out, graph, graph_path = _graph_preamble(args)
+    config = _config(fsnc.ProtocolConfig, get, hp=_build_hp(get))
+    ratio = _parse_split(get("split_ratio", f"{graph.num_classes - 4}/2/2"))
+    split = fsnc.split_classes(graph.num_classes, ratio, config.seed)
     # the graph's propagation matrix, built before any arm so that the
     # first arm's wall time does not carry it and threaded arms share it
-    normalize(graph, get("scheme", str, "gcn-sym"))
+    normalize(graph, config.scheme)
 
-    def echo(config):
-        _echo_ini(out, {
-            "run": {"seed": seed},
-            "graph": {"path": graph_path},
-            "protocol": {
-                "way": config.way, "shot": config.shot, "query": config.query,
-                "episodes": config.episodes, "patience": config.patience,
-                "val_interval": config.val_interval,
-                "val_tasks": config.val_tasks, "test_tasks": config.test_tasks,
-                "repeats": config.repeats, "layers": config.layers,
-                "hidden": config.hidden, "scheme": config.scheme,
-                "optimizer": config.optimizer,
-                "split": "/".join(str(r) for r in ratio),
-            },
-            "optim": _optim_section(config.hp),
-        })
+    def echo(config, **extra):
+        _echo_ini(out, config, graph=graph_path,
+                  split_ratio="/".join(str(r) for r in ratio), **extra)
 
-    return get, out, graph, seed, ratio, split, echo
+    return get, out, graph, config, ratio, split, echo
 
 
 def cmd_gen_csbm(args) -> int:
     get = _settings(args)
     out = _out(get)
     params = CsbmParams(
-        K=get("csbm_classes", int, 2),
-        nodes_per_class=get("nodes_per_class", int, 100),
-        p=get("p", float, 0.1),
-        q=get("q", float, 0.02),
-        D=get("dist", float, 2.0),
-        l=get("dim", int, 8),
-        seed=get("seed", int, 0),
+        K=get("csbm_classes", 2),
+        nodes_per_class=get("nodes_per_class", 100),
+        p=get("p", 0.1),
+        q=get("q", 0.02),
+        D=get("dist", 2.0),
+        l=get("dim", 8),
+        seed=get("seed", 0),
     )
     graph = generate_csbm(params)
     save_graph(graph, out)
@@ -228,6 +224,14 @@ def cmd_gen_csbm(args) -> int:
     return 0
 
 
+def _write_cost_report(path, rows, meta) -> None:
+    """One row per optimizer of `analysis.cost_report`, with its meta."""
+    header = ("optimizer", "gnn_evals", "mlp_evals", "wall_seconds",
+              "wall_ratio_vs_adam")
+    analysis.write_report_csv(
+        path, header, [tuple(r[key] for key in header) for r in rows], meta)
+
+
 def _run_fsnc_arm(config, graph, split, outdir):
     report = fsnc.train_protocol(config, graph, split)
     fsnc.write_train_report(report, outdir)
@@ -235,8 +239,7 @@ def _run_fsnc_arm(config, graph, split, outdir):
 
 
 def cmd_fsnc(args) -> int:
-    get, out, graph, seed, ratio, split, echo = _episodic(args)
-    config = _build_protocol(get)
+    get, out, graph, config, ratio, split, echo = _episodic(args)
     report = _run_fsnc_arm(config, graph, split, out)
     echo(config)
     print(f"fsnc [{config.optimizer}] test acc "
@@ -246,9 +249,9 @@ def cmd_fsnc(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    get, out, graph, seed, ratio, split, echo = _episodic(args)
+    get, out, graph, config, ratio, split, echo = _episodic(args)
     names = list(optim.OPTIMIZER_NAMES)
-    configs = {name: _build_protocol(get, optimizer=name) for name in names}
+    configs = {name: replace(config, optimizer=name) for name in names}
     # with one worker (the default) the arms run one after another
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
         runs = pool.map(lambda name: _run_fsnc_arm(
@@ -257,16 +260,10 @@ def cmd_compare(args) -> int:
     traces = {name: {"gnn_evals": rep.gnn_evals, "mlp_evals": rep.mlp_evals,
                      "wall_seconds": rep.wall_seconds}
               for name, rep in reports.items()}
-    rows = analysis.cost_report(traces)
-    analysis.write_report_csv(
-        os.path.join(out, "cost_report.csv"),
-        ("optimizer", "gnn_evals", "mlp_evals", "wall_seconds",
-         "wall_ratio_vs_adam"),
-        [(r["optimizer"], r["gnn_evals"], r["mlp_evals"], r["wall_seconds"],
-          r["wall_ratio_vs_adam"]) for r in rows],
-        {"command": "compare", "seed": seed, "split": ratio,
-         "input_hash": analysis.content_hash(graph.features, graph.edges,
-                                             graph.labels)})
+    _write_cost_report(os.path.join(out, "cost_report.csv"),
+                       analysis.cost_report(traces),
+                       {"command": "compare", "seed": config.seed,
+                        "split": ratio, "input_hash": _input_hash(graph)})
     echo(configs[names[0]])
     for name in names:
         rep = reports[name]
@@ -292,24 +289,12 @@ def make_nc_masks(graph, seed, train_frac=0.6, val_frac=0.2):
 
 
 def cmd_nc(args) -> int:
-    get = _settings(args)
-    out = _out(get)
-    graph, graph_path = _load_graph_arg(get)
-    steps = get("episodes", int, 200)
+    get, out, graph, graph_path = _graph_preamble(args)
+    steps = get("episodes", fsnc.NCConfig.steps)
     if steps < 1:
         # NCConfig would name its own field, `steps`
         raise CliError("episodes must be positive")
-    config = fsnc.NCConfig(
-        steps=steps,
-        patience=get("patience", int, 10),
-        val_interval=get("val_interval", int, 10),
-        layers=get("layers", int, 2),
-        hidden=get("hidden", int, 16),
-        scheme=get("scheme", str, "gcn-sym"),
-        optimizer=get("optimizer", str, "adam"),
-        hp=_build_hp(get),
-        seed=get("seed", int, 0),
-    )
+    config = _config(fsnc.NCConfig, get, steps=steps, hp=_build_hp(get))
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
     fsnc.write_nc_report(report, out)
@@ -318,32 +303,22 @@ def cmd_nc(args) -> int:
     mdl.save_checkpoint(os.path.join(out, "best.ckpt"),
                         mdl.ModelParams.from_flat(report.best_params, dims),
                         config.hidden)
-    _echo_ini(out, {
-        "run": {"seed": config.seed},
-        "graph": {"path": graph_path},
-        "protocol": {"episodes": config.steps, "patience": config.patience,
-                     "val_interval": config.val_interval,
-                     "layers": config.layers, "hidden": config.hidden,
-                     "scheme": config.scheme, "optimizer": config.optimizer},
-        "optim": _optim_section(config.hp),
-    })
+    _echo_ini(out, config, graph=graph_path, episodes=config.steps)
     print(f"nc [{config.optimizer}] test acc {report.test_acc:.4f} "
           f"(stopped at step {report.stop_step})")
     return 0
 
 
 def cmd_landscape(args) -> int:
-    get = _settings(args)
     if args.grid_points < 3 or args.grid_points % 2 == 0:
         # the grid is symmetric about the base point, so its count is odd
         raise CliError(f"--grid-points must be an odd number of at least "
                        f"3, got {args.grid_points}")
-    out = _out(get)
-    graph, _ = _load_graph_arg(get)
-    seed = get("seed", int, 0)
-    layers = get("layers", int, 2)
-    hidden = get("hidden", int, 16)
-    scheme = get("scheme", str, "gcn-sym")
+    get, out, graph, _ = _graph_preamble(args)
+    seed = get("seed", 0)
+    layers = get("layers", 2)
+    hidden = get("hidden", 16)
+    scheme = get("scheme", "gcn-sym")
     if args.checkpoint:
         params, hidden = mdl.load_checkpoint(args.checkpoint)
         if params.dims[-1] != graph.num_classes:
@@ -373,7 +348,7 @@ def cmd_landscape(args) -> int:
     analysis.write_report_csv(
         os.path.join(out, "landscape.csv"), header, rows,
         {"command": "landscape", "seed": seed, "base_loss": slc.base_loss,
-         "input_hash": analysis.content_hash(graph.features, graph.edges)})
+         "input_hash": _input_hash(graph)})
     _echo_config(out, {"command": "landscape", "seed": seed,
                        "grid_points": args.grid_points,
                        "grid_range": args.grid_range,
@@ -383,9 +358,9 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    get, out, graph, seed, ratio, split, echo = _episodic(args)
-    config = _build_protocol(get, optimizer="fgsam+", repeats=1,
-                             collect_bundles=True)
+    get, out, graph, config, ratio, split, echo = _episodic(args)
+    config = replace(config, optimizer="fgsam+", repeats=1,
+                     collect_bundles=True)
     report = fsnc.train_protocol(config, graph, split)
     drift = analysis.grad_drift(report.repeats[0].bundles)
     rows = []
@@ -401,8 +376,8 @@ def cmd_drift(args) -> int:
     os.makedirs(out, exist_ok=True)
     analysis.write_report_csv(
         os.path.join(out, "drift.csv"), tuple(header), rows,
-        {"command": "drift", "seed": seed,
-         "input_hash": analysis.content_hash(graph.features, graph.edges)})
+        {"command": "drift", "seed": config.seed,
+         "input_hash": _input_hash(graph)})
     echo(config)
     for name in analysis.DRIFT_NAMES:
         med = float(np.median(drift[name]["raw"]))
@@ -411,9 +386,9 @@ def cmd_drift(args) -> int:
 
 
 def cmd_rho_sweep(args) -> int:
-    get, out, graph, seed, ratio, split, echo = _episodic(args)
-    config = _build_protocol(get)
-    rhos = [_cast(float, r, "--rhos") for r in args.rhos.split(",")]
+    get, out, graph, config, ratio, split, echo = _episodic(args)
+    text = get("rhos", "0.01,0.05,0.1,0.5,1.0")
+    rhos = [_cast(float, r, "--rhos") for r in text.split(",")]
     curves = analysis.rho_sweep(config, rhos, graph, split)
     rows = [(config.optimizer, rho, step, loss)
             for rho, losses in sorted(curves.items())
@@ -422,9 +397,9 @@ def cmd_rho_sweep(args) -> int:
     analysis.write_report_csv(
         os.path.join(out, "rho_sweep.csv"),
         ("optimizer", "rho", "step", "loss"), rows,
-        {"command": "rho-sweep", "seed": seed,
-         "input_hash": analysis.content_hash(graph.features, graph.edges)})
-    echo(config)
+        {"command": "rho-sweep", "seed": config.seed,
+         "input_hash": _input_hash(graph)})
+    echo(config, rhos=text)
     print(f"rho sweep: {len(curves)} curves written")
     return 0
 
@@ -432,13 +407,13 @@ def cmd_rho_sweep(args) -> int:
 def cmd_verify_theorem(args) -> int:
     get = _settings(args)
     params = CsbmParams(
-        K=get("csbm_classes", int, 3),
+        K=get("csbm_classes", 3),
         nodes_per_class=1,
-        p=get("p", float, 0.6),
-        q=get("q", float, 0.1),
-        D=get("dist", float, 2.0),
-        l=get("dim", int, 4),
-        seed=get("seed", int, 0),
+        p=get("p", 0.6),
+        q=get("q", 0.1),
+        D=get("dist", 2.0),
+        l=get("dim", 4),
+        seed=get("seed", 0),
     )
     report = analysis.verify_theorem(params)
     print(f"max |w.b - w'.b'| = {report.max_offset_gap:.3e}")
@@ -451,7 +426,7 @@ def cmd_check_grads(args) -> int:
     if args.instances < 1:
         raise CliError(f"--instances must be positive, got {args.instances}")
     results = gradcheck.run_suite(instances=args.instances,
-                                  seed=get("seed", int, 0))
+                                  seed=get("seed", 0))
     worst = max(results, key=lambda r: r.rel_err)
     print(f"{len(results)} instances checked; "
           f"max relative error {worst.rel_err:.3e} ({worst.description})")
@@ -486,9 +461,9 @@ def run_bench(graph, steps, hp_base, seed=0):
 
 def cmd_bench(args) -> int:
     get = _settings(args)
-    out = get("out", str, None)
-    seed = get("seed", int, 0)
-    steps = get("episodes", int, 200)
+    out = get("out")
+    seed = get("seed", 0)
+    steps = get("episodes", 200)
     hp = _build_hp(get)
     graph = bench_instance(seed)
     deg = graph.degrees().mean()
@@ -502,13 +477,9 @@ def cmd_bench(args) -> int:
               f"ratio={r['wall_ratio_vs_adam']:.2f}")
     if out:
         os.makedirs(out, exist_ok=True)
-        analysis.write_report_csv(
-            os.path.join(out, "bench.csv"),
-            ("optimizer", "gnn_evals", "mlp_evals", "wall_seconds",
-             "wall_ratio_vs_adam"),
-            [(r["optimizer"], r["gnn_evals"], r["mlp_evals"],
-              r["wall_seconds"], r["wall_ratio_vs_adam"]) for r in rows],
-            {"command": "bench", "seed": seed, "steps": steps})
+        _write_cost_report(os.path.join(out, "bench.csv"), rows,
+                           {"command": "bench", "seed": seed,
+                            "steps": steps})
         _echo_config(out, {"command": "bench", "seed": seed, "steps": steps})
     return 0
 
@@ -608,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_graph(p)
     _add_training(p)
-    p.add_argument("--rhos", type=str, default="0.01,0.05,0.1,0.5,1.0")
+    p.add_argument("--rhos", type=str)
     p.set_defaults(func=cmd_rho_sweep)
 
     p = sub.add_parser("verify-theorem",

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -91,14 +93,23 @@ class TestFsnc:
         assert rep["config"]["optimizer"] == "fgsam+"
         assert os.path.exists(os.path.join(out, "config_echo.ini"))
 
-    def test_rerun_from_echo_identical(self, graph_dir, tmp_path):
+    @pytest.mark.parametrize("command, flags", [
+        ("fsnc", ["--optimizer", "sam", *FSNC_FLAGS]),
+        ("drift", ["--episodes", "12", "--k", "2", "--val-interval", "50",
+                   "--split", "4/2/2"]),
+        ("rho-sweep", ["--optimizer", "fgsam", "--episodes", "6",
+                       "--val-interval", "50", "--split", "4/2/2",
+                       "--rhos", "0.01,0.1"]),
+    ], ids=["fsnc", "drift", "rho-sweep"])
+    def test_rerun_from_echo_identical(self, graph_dir, tmp_path, command,
+                                       flags):
         out1 = str(tmp_path / "a")
         out2 = str(tmp_path / "b")
-        assert run_cli("fsnc", "--graph", graph_dir, "--out", out1,
-                       "--optimizer", "sam", *FSNC_FLAGS) == 0
+        assert run_cli(command, "--graph", graph_dir, "--out", out1,
+                       *flags) == 0
         echo = os.path.join(out1, "config_echo.ini")
-        assert run_cli("fsnc", "--config", echo, "--out", out2) == 0
-        assert report_payload(out1) == report_payload(out2)
+        assert run_cli(command, "--config", echo, "--out", out2) == 0
+        assert run_dir_payload(out1) == run_dir_payload(out2)
 
     def test_flags_override_config(self, graph_dir, tmp_path):
         out1 = str(tmp_path / "c")
@@ -227,6 +238,26 @@ class TestAnalysisCommands:
         assert rows[0] == ["alpha", "loss"]
         assert len(rows) == 12
 
+    def test_input_hash_covers_labels(self, graph_dir, tmp_path):
+        relabelled = str(tmp_path / "relabelled")
+        shutil.copytree(graph_dir, relabelled)
+        path = os.path.join(relabelled, "labels.csv")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        swap = {"0": "1", "1": "0"}  # classes 0 and 1 trade places
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines[:1] + [swap.get(line, line)
+                                            for line in lines[1:]]) + "\n")
+        hashes = []
+        for name, graph in (("a", graph_dir), ("b", graph_dir),
+                            ("c", relabelled)):
+            out = str(tmp_path / name)
+            assert run_cli("landscape", "--graph", graph, "--out", out,
+                           "--grid-points", "3") == 0
+            with open(os.path.join(out, "landscape.meta.json")) as fh:
+                hashes.append(json.load(fh)["input_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
+
     def test_drift(self, graph_dir, tmp_path):
         out = str(tmp_path / "drift")
         assert run_cli("drift", "--graph", graph_dir, "--out", out,
@@ -248,6 +279,53 @@ class TestAnalysisCommands:
     def test_check_grads(self, capsys):
         assert run_cli("check-grads", "--instances", "4") == 0
         assert "max relative error" in capsys.readouterr().out
+
+
+class TestSettingsTable:
+    def test_every_setting_read_has_a_row_typed_like_its_flag(
+            self, graph_dir, tmp_path, monkeypatch):
+        read = {}
+        settings = cli._settings
+
+        def recording(args):
+            get = settings(args)
+
+            def spy(name, default=None):
+                read.setdefault(args.command, set()).add(name)
+                return get(name, default)
+
+            return spy
+
+        monkeypatch.setattr(cli, "_settings", recording)
+        graph = ["--graph", graph_dir]
+        short = ["--episodes", "4", "--repeats", "1", "--val-tasks", "2",
+                 "--test-tasks", "2", "--split", "4/2/2"]
+        for argv in (
+                ["gen-csbm", "--nodes-per-class", "5"],
+                ["fsnc", *graph, *short],
+                ["compare", *graph, *short],
+                ["nc", *graph, "--episodes", "2"],
+                ["landscape", *graph, "--grid-points", "3"],
+                ["drift", *graph, *short, "--k", "2"],
+                ["rho-sweep", *graph, *short, "--rhos", "0.1",
+                 "--optimizer", "sam"],
+                ["verify-theorem"],
+                ["check-grads", "--instances", "1"],
+                ["bench", "--episodes", "1"]):
+            out = str(tmp_path / argv[0])
+            assert run_cli(*argv, "--out", out) == 0
+        subcommands = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)).choices
+        assert set(read) == set(subcommands)
+        for command, parser in subcommands.items():
+            flags = {action.dest: action for action in parser._actions}
+            for name in read[command]:
+                # without a row, an INI value could be neither set nor cast
+                assert name in cli._TYPES, (command, name)
+                if name in flags:
+                    assert (flags[name].type or str) is cli._TYPES[name], (
+                        command, name)
 
 
 class TestErrors:
