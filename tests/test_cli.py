@@ -71,6 +71,17 @@ def run_dir_payload(outdir):
     return payload
 
 
+def assert_rerun_from_echo_identical(graph_dir, tmp_path, command, flags):
+    """Run `command`, re-run it from its config_echo.ini alone, and require
+    the two run directories to match file for file."""
+    out1 = str(tmp_path / "a")
+    out2 = str(tmp_path / "b")
+    assert run_cli(command, "--graph", graph_dir, "--out", out1, *flags) == 0
+    echo = os.path.join(out1, "config_echo.ini")
+    assert run_cli(command, "--config", echo, "--out", out2) == 0
+    assert run_dir_payload(out1) == run_dir_payload(out2)
+
+
 class TestGenCsbm:
     def test_writes_graph_and_echo(self, graph_dir):
         for name in ("edges.csv", "features.csv", "labels.csv", "meta.json",
@@ -93,23 +104,21 @@ class TestFsnc:
         assert rep["config"]["optimizer"] == "fgsam+"
         assert os.path.exists(os.path.join(out, "config_echo.ini"))
 
+    def test_rerun_from_echo_identical(self, graph_dir, tmp_path):
+        assert_rerun_from_echo_identical(graph_dir, tmp_path, "fsnc",
+                                         ["--optimizer", "sam", *FSNC_FLAGS])
+
     @pytest.mark.parametrize("command, flags", [
-        ("fsnc", ["--optimizer", "sam", *FSNC_FLAGS]),
         ("drift", ["--episodes", "12", "--k", "2", "--val-interval", "50",
                    "--split", "4/2/2"]),
         ("rho-sweep", ["--optimizer", "fgsam", "--episodes", "6",
                        "--val-interval", "50", "--split", "4/2/2",
                        "--rhos", "0.01,0.1"]),
-    ], ids=["fsnc", "drift", "rho-sweep"])
-    def test_rerun_from_echo_identical(self, graph_dir, tmp_path, command,
-                                       flags):
-        out1 = str(tmp_path / "a")
-        out2 = str(tmp_path / "b")
-        assert run_cli(command, "--graph", graph_dir, "--out", out1,
-                       *flags) == 0
-        echo = os.path.join(out1, "config_echo.ini")
-        assert run_cli(command, "--config", echo, "--out", out2) == 0
-        assert run_dir_payload(out1) == run_dir_payload(out2)
+    ], ids=["drift", "rho-sweep"])
+    def test_rerun_from_echo_identical_other_commands(self, graph_dir,
+                                                      tmp_path, command,
+                                                      flags):
+        assert_rerun_from_echo_identical(graph_dir, tmp_path, command, flags)
 
     def test_flags_override_config(self, graph_dir, tmp_path):
         out1 = str(tmp_path / "c")
