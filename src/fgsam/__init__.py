@@ -47,7 +47,6 @@ from .analysis import (
     cost_report,
     grad_drift,
     landscape_slice,
-    mc_filtered_moments,
     rho_sweep,
     verify_theorem,
 )

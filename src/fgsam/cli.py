@@ -1,12 +1,12 @@
 """Command-line driver: graph generation, training, analysis, benchmarks.
 
 Configuration comes from an INI-style file of key=value lines under
-section headers; command-line flags override file values.
+section headers; command-line flags override file values. Each command
+takes the flags of exactly the settings it reads.
 """
 
 import argparse
 import configparser
-import json
 import os
 import sys
 import time
@@ -18,52 +18,68 @@ import numpy as np
 from . import analysis, fsnc, gradcheck
 from . import model as mdl
 from . import optim
-from .graphcore import (CsbmParams, GraphError, generate_csbm, load_graph,
-                        normalize, save_graph)
+from .graphcore import (SCHEMES, CsbmParams, GraphError, generate_csbm,
+                        load_graph, normalize, save_graph)
 from .model import ModelError
 from .optim import Hyperparams, OptimError
 from .seeding import stream_rng
 
 # One row per setting, in config-echo order: INI section, INI key, the
 # name the setting has everywhere else (argparse destination, config
-# field) and its type. Adding a setting takes a row here plus its flag.
+# field), its type and its flag (None: INI only). A command takes the flags
+# of exactly the settings it reads (`_COMMANDS`), so adding a setting is a
+# row here plus its name in the commands that read it.
 _SETTINGS = (
-    ("run", "seed", "seed", int),
-    ("run", "out", "out", str),
-    ("graph", "path", "graph", str),
-    ("csbm", "classes", "csbm_classes", int),
-    ("csbm", "nodes_per_class", "nodes_per_class", int),
-    ("csbm", "p", "p", float),
-    ("csbm", "q", "q", float),
-    ("csbm", "dist", "dist", float),
-    ("csbm", "dim", "dim", int),
-    ("protocol", "way", "way", int),
-    ("protocol", "shot", "shot", int),
-    ("protocol", "query", "query", int),
-    ("protocol", "episodes", "episodes", int),
-    ("protocol", "patience", "patience", int),
-    ("protocol", "val_interval", "val_interval", int),
-    ("protocol", "val_tasks", "val_tasks", int),
-    ("protocol", "test_tasks", "test_tasks", int),
-    ("protocol", "repeats", "repeats", int),
-    ("protocol", "layers", "layers", int),
-    ("protocol", "hidden", "hidden", int),
-    ("protocol", "scheme", "scheme", str),
-    ("protocol", "optimizer", "optimizer", str),
-    ("protocol", "split", "split_ratio", str),
-    ("optim", "lr", "lr", float),
-    ("optim", "rho", "rho", float),
-    ("optim", "rhos", "rhos", str),
-    ("optim", "lambda", "lambda_topo", float),
-    ("optim", "alpha", "alpha", float),
-    ("optim", "k", "k", int),
-    ("optim", "beta1", "beta1", float),
-    ("optim", "beta2", "beta2", float),
-    ("optim", "eps", "eps", float),
-    ("optim", "weight_decay", "weight_decay", float),
+    ("run", "seed", "seed", int, "--seed"),
+    ("run", "out", "out", str, "--out"),
+    ("graph", "path", "graph", str, "--graph"),
+    ("csbm", "classes", "csbm_classes", int, "--k"),
+    ("csbm", "nodes_per_class", "nodes_per_class", int, "--nodes-per-class"),
+    ("csbm", "p", "p", float, "--p"),
+    ("csbm", "q", "q", float, "--q"),
+    ("csbm", "dist", "dist", float, "--dist"),
+    ("csbm", "dim", "dim", int, "--dim"),
+    ("protocol", "way", "way", int, "--way"),
+    ("protocol", "shot", "shot", int, "--shot"),
+    ("protocol", "query", "query", int, "--query"),
+    ("protocol", "episodes", "episodes", int, "--episodes"),
+    ("protocol", "patience", "patience", int, "--patience"),
+    ("protocol", "val_interval", "val_interval", int, "--val-interval"),
+    ("protocol", "val_tasks", "val_tasks", int, "--val-tasks"),
+    ("protocol", "test_tasks", "test_tasks", int, "--test-tasks"),
+    ("protocol", "repeats", "repeats", int, "--repeats"),
+    ("protocol", "layers", "layers", int, "--layers"),
+    ("protocol", "hidden", "hidden", int, "--hidden"),
+    ("protocol", "scheme", "scheme", str, "--scheme"),
+    ("protocol", "optimizer", "optimizer", str, "--optimizer"),
+    ("protocol", "split", "split_ratio", str, "--split"),
+    ("optim", "lr", "lr", float, "--lr"),
+    ("optim", "rho", "rho", float, "--rho"),
+    ("optim", "rhos", "rhos", str, "--rhos"),
+    ("optim", "lambda", "lambda_topo", float, "--lambda"),
+    ("optim", "alpha", "alpha", float, "--alpha"),
+    ("optim", "k", "k", int, "--k"),
+    ("optim", "beta1", "beta1", float, None),
+    ("optim", "beta2", "beta2", float, None),
+    ("optim", "eps", "eps", float, None),
+    ("optim", "weight_decay", "weight_decay", float, "--weight-decay"),
+    ("landscape", "checkpoint", "checkpoint", str, "--checkpoint"),
+    ("landscape", "grid_points", "grid_points", int, "--grid-points"),
+    ("landscape", "grid_range", "grid_range", float, "--grid-range"),
+    ("landscape", "slice_dims", "slice_dims", int, "--slice-dims"),
+    ("gradcheck", "instances", "instances", int, "--instances"),
 )
-_NAMES = {(section, key): name for section, key, name, _ in _SETTINGS}
-_TYPES = {name: cast for _, _, name, cast in _SETTINGS}
+_NAMES = {(section, key): name for section, key, name, _, _ in _SETTINGS}
+_TYPES = {name: cast for _, _, name, cast, _ in _SETTINGS}
+# what a flag takes besides its type
+_FLAG_OPTIONS = {
+    "graph": {"help": "graph directory"},
+    "csbm_classes": {"help": "number of classes"},
+    "scheme": {"choices": SCHEMES},
+    "optimizer": {"choices": optim.OPTIMIZER_NAMES},
+    "split_ratio": {"help": "class split TRAIN/VAL/NOVEL"},
+    "slice_dims": {"choices": (1, 2)},
+}
 
 
 class CliError(ValueError):
@@ -101,7 +117,7 @@ def _cast(cast, text, what):
 def _settings(args):
     """`get(name, default)`: the setting's flag if given, else its config
     value cast to the setting's type, else `default`."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _load_config(args.config) if args.config else {}
 
     def get(name, default=None):
         value = getattr(args, name, None)
@@ -128,19 +144,15 @@ def _build_hp(get) -> Hyperparams:
     return _config(Hyperparams, get, k=get("k", 2))
 
 
-def _echo_config(outdir: str, payload: dict) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config_echo.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
-def _echo_ini(outdir: str, config, **extra) -> None:
+def _echo_ini(outdir: str, *configs, **extra) -> None:
     """Write a config echo that can be fed back through --config: every
-    setting that `config`, its `hp` or `extra` holds, in table order."""
-    values = {**vars(config), **vars(config.hp), **extra}
+    setting that the fields of `configs` or `extra` hold, in table order."""
+    values = {}
+    for config in configs:
+        values.update(vars(config))
+    values.update(extra)
     parser = configparser.ConfigParser()
-    for section, key, name, _ in _SETTINGS:
+    for section, key, name, _, _ in _SETTINGS:
         if name in values:
             if not parser.has_section(section):
                 parser.add_section(section)
@@ -185,20 +197,21 @@ def _graph_preamble(args):
     return get, out, load_graph(path), path
 
 
-def _episodic(args):
+def _episodic(args, **given):
     """The preamble of the episodic commands: `_graph_preamble`'s, the
-    protocol config and class split, plus `echo(config, **extra)`, which
-    writes the re-runnable config echo of a protocol config."""
+    protocol config with its `given` fields and the class split, plus
+    `echo(**extra)`, which writes the re-runnable config echo of that
+    config."""
     get, out, graph, graph_path = _graph_preamble(args)
-    config = _config(fsnc.ProtocolConfig, get, hp=_build_hp(get))
+    config = _config(fsnc.ProtocolConfig, get, hp=_build_hp(get), **given)
     ratio = _parse_split(get("split_ratio", f"{graph.num_classes - 4}/2/2"))
     split = fsnc.split_classes(graph.num_classes, ratio, config.seed)
     # the graph's propagation matrix, built before any arm so that the
     # first arm's wall time does not carry it and threaded arms share it
     normalize(graph, config.scheme)
 
-    def echo(config, **extra):
-        _echo_ini(out, config, graph=graph_path,
+    def echo(**extra):
+        _echo_ini(out, config, config.hp, graph=graph_path,
                   split_ratio="/".join(str(r) for r in ratio), **extra)
 
     return get, out, graph, config, ratio, split, echo
@@ -218,7 +231,9 @@ def cmd_gen_csbm(args) -> int:
     )
     graph = generate_csbm(params)
     save_graph(graph, out)
-    _echo_config(out, {"command": "gen-csbm", "params": vars(params)})
+    _echo_ini(out, seed=params.seed, csbm_classes=params.K,
+              nodes_per_class=params.nodes_per_class, p=params.p, q=params.q,
+              dist=params.D, dim=params.l)
     print(f"wrote CSBM graph: n={graph.n} edges={graph.num_edges} "
           f"classes={graph.num_classes} -> {out}")
     return 0
@@ -241,7 +256,7 @@ def _run_fsnc_arm(config, graph, split, outdir):
 def cmd_fsnc(args) -> int:
     get, out, graph, config, ratio, split, echo = _episodic(args)
     report = _run_fsnc_arm(config, graph, split, out)
-    echo(config)
+    echo()
     print(f"fsnc [{config.optimizer}] test acc "
           f"{report.test_acc_mean:.4f} +/- {report.test_acc_std:.4f} "
           f"(gnn evals {report.gnn_evals}, mlp evals {report.mlp_evals})")
@@ -249,8 +264,10 @@ def cmd_fsnc(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    get, out, graph, config, ratio, split, echo = _episodic(args)
-    names = list(optim.OPTIMIZER_NAMES)
+    names = optim.OPTIMIZER_NAMES
+    # every arm runs; the echo records the first
+    get, out, graph, config, ratio, split, echo = _episodic(
+        args, optimizer=names[0])
     configs = {name: replace(config, optimizer=name) for name in names}
     # with one worker (the default) the arms run one after another
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
@@ -264,7 +281,7 @@ def cmd_compare(args) -> int:
                        analysis.cost_report(traces),
                        {"command": "compare", "seed": config.seed,
                         "split": ratio, "input_hash": _input_hash(graph)})
-    echo(configs[names[0]])
+    echo()
     for name in names:
         rep = reports[name]
         print(f"{name:7s} test acc {rep.test_acc_mean:.4f} "
@@ -303,41 +320,50 @@ def cmd_nc(args) -> int:
     mdl.save_checkpoint(os.path.join(out, "best.ckpt"),
                         mdl.ModelParams.from_flat(report.best_params, dims),
                         config.hidden)
-    _echo_ini(out, config, graph=graph_path, episodes=config.steps)
+    _echo_ini(out, config, config.hp, graph=graph_path,
+              episodes=config.steps)
     print(f"nc [{config.optimizer}] test acc {report.test_acc:.4f} "
           f"(stopped at step {report.stop_step})")
     return 0
 
 
 def cmd_landscape(args) -> int:
-    if args.grid_points < 3 or args.grid_points % 2 == 0:
+    get, out, graph, graph_path = _graph_preamble(args)
+    points = get("grid_points", 41)
+    if points < 3 or points % 2 == 0:
         # the grid is symmetric about the base point, so its count is odd
         raise CliError(f"--grid-points must be an odd number of at least "
-                       f"3, got {args.grid_points}")
-    get, out, graph, _ = _graph_preamble(args)
+                       f"3, got {points}")
     seed = get("seed", 0)
-    layers = get("layers", 2)
-    hidden = get("hidden", 16)
     scheme = get("scheme", "gcn-sym")
-    if args.checkpoint:
-        params, hidden = mdl.load_checkpoint(args.checkpoint)
+    grid_range = get("grid_range", 1.0)
+    slice_dims = get("slice_dims", 1)
+    checkpoint = get("checkpoint")
+    if checkpoint:
+        if get("layers") is not None or get("hidden") is not None:
+            raise CliError("--layers and --hidden cannot be given with "
+                           "--checkpoint, which fixes both")
+        params, _ = mdl.load_checkpoint(checkpoint)
         if params.dims[-1] != graph.num_classes:
-            raise CliError(f"checkpoint {args.checkpoint} has output width "
+            raise CliError(f"checkpoint {checkpoint} has output width "
                            f"{params.dims[-1]}, the graph has "
                            f"{graph.num_classes} classes")
+        model = {"checkpoint": checkpoint}
     else:
-        dims = mdl.uniform_dims(graph.d0, hidden, graph.num_classes, layers)
+        model = {"layers": get("layers", 2), "hidden": get("hidden", 16)}
+        dims = mdl.uniform_dims(graph.d0, model["hidden"], graph.num_classes,
+                                model["layers"])
         params = mdl.init_params(dims, stream_rng(seed, "init"))
     operator = normalize(graph, scheme)
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                      graph.num_classes)
-    grid = np.linspace(-args.grid_range, args.grid_range, args.grid_points)
+    grid = np.linspace(-grid_range, grid_range, points)
     slc = analysis.landscape_slice(params, graph, operator, spec,
-                                   args.slice_dims, grid,
+                                   slice_dims, grid,
                                    seed=int(stream_rng(seed, "directions")
                                             .integers(2 ** 31)))
     os.makedirs(out, exist_ok=True)
-    if args.slice_dims == 1:
+    if slice_dims == 1:
         rows = [(float(a), float(l)) for a, l in zip(slc.alphas, slc.losses)]
         header = ("alpha", "loss")
     else:
@@ -349,18 +375,16 @@ def cmd_landscape(args) -> int:
         os.path.join(out, "landscape.csv"), header, rows,
         {"command": "landscape", "seed": seed, "base_loss": slc.base_loss,
          "input_hash": _input_hash(graph)})
-    _echo_config(out, {"command": "landscape", "seed": seed,
-                       "grid_points": args.grid_points,
-                       "grid_range": args.grid_range,
-                       "slice_dims": args.slice_dims})
+    _echo_ini(out, seed=seed, graph=graph_path, scheme=scheme,
+              grid_points=points, grid_range=grid_range,
+              slice_dims=slice_dims, **model)
     print(f"landscape slice written, base loss {slc.base_loss:.6f}")
     return 0
 
 
 def cmd_drift(args) -> int:
-    get, out, graph, config, ratio, split, echo = _episodic(args)
-    config = replace(config, optimizer="fgsam+", repeats=1,
-                     collect_bundles=True)
+    get, out, graph, config, ratio, split, echo = _episodic(
+        args, optimizer="fgsam+", repeats=1, collect_bundles=True)
     report = fsnc.train_protocol(config, graph, split)
     drift = analysis.grad_drift(report.repeats[0].bundles)
     rows = []
@@ -378,7 +402,7 @@ def cmd_drift(args) -> int:
         os.path.join(out, "drift.csv"), tuple(header), rows,
         {"command": "drift", "seed": config.seed,
          "input_hash": _input_hash(graph)})
-    echo(config)
+    echo()
     for name in analysis.DRIFT_NAMES:
         med = float(np.median(drift[name]["raw"]))
         print(f"median drift {name}: {med:.6g}")
@@ -399,7 +423,7 @@ def cmd_rho_sweep(args) -> int:
         ("optimizer", "rho", "step", "loss"), rows,
         {"command": "rho-sweep", "seed": config.seed,
          "input_hash": _input_hash(graph)})
-    echo(config, rhos=text)
+    echo(rhos=text)
     print(f"rho sweep: {len(curves)} curves written")
     return 0
 
@@ -423,10 +447,10 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_check_grads(args) -> int:
     get = _settings(args)
-    if args.instances < 1:
-        raise CliError(f"--instances must be positive, got {args.instances}")
-    results = gradcheck.run_suite(instances=args.instances,
-                                  seed=get("seed", 0))
+    instances = get("instances", 50)
+    if instances < 1:
+        raise CliError(f"--instances must be positive, got {instances}")
+    results = gradcheck.run_suite(instances=instances, seed=get("seed", 0))
     worst = max(results, key=lambda r: r.rel_err)
     print(f"{len(results)} instances checked; "
           f"max relative error {worst.rel_err:.3e} ({worst.description})")
@@ -480,53 +504,43 @@ def cmd_bench(args) -> int:
         _write_cost_report(os.path.join(out, "bench.csv"), rows,
                            {"command": "bench", "seed": seed,
                             "steps": steps})
-        _echo_config(out, {"command": "bench", "seed": seed, "steps": steps})
+        _echo_ini(out, hp, seed=seed, episodes=steps)
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", type=str)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
-
-
-def _add_graph(p):
-    p.add_argument("--graph", type=str, help="graph directory")
-
-
-def _add_training(p):
-    p.add_argument("--optimizer", choices=list(optim.OPTIMIZER_NAMES))
-    p.add_argument("--rho", type=float)
-    p.add_argument("--lambda", type=float, dest="lambda_topo")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--way", type=int)
-    p.add_argument("--shot", type=int)
-    p.add_argument("--query", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--val-interval", type=int)
-    p.add_argument("--val-tasks", type=int)
-    p.add_argument("--test-tasks", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--scheme", choices=["gcn-sym", "mean-neighbors",
-                                        "identity"])
-    p.add_argument("--split", type=str, dest="split_ratio",
-                   help="class split TRAIN/VAL/NOVEL")
-
-
-def _add_csbm(p):
-    p.add_argument("--k", type=int, dest="csbm_classes",
-                   help="number of classes")
-    p.add_argument("--nodes-per-class", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--dist", type=float)
-    p.add_argument("--dim", type=int)
+_HP = ("lr", "rho", "lambda_topo", "alpha", "k", "beta1", "beta2", "eps",
+       "weight_decay")
+_MODEL = ("layers", "hidden", "scheme")
+_CSBM = ("seed", "csbm_classes", "p", "q", "dist", "dim")
+_TRAIN = ("seed", "out", "graph", "episodes", "patience", "val_interval",
+          *_MODEL, *_HP)
+_EPISODIC = (*_TRAIN, "way", "shot", "query", "val_tasks", "test_tasks",
+             "split_ratio")
+# Each command: its function, its help line and the settings it reads,
+# whose flags are the flags it takes besides --config. `compare` runs
+# every optimizer and `drift` runs one repeat of fgsam+, so neither reads
+# the settings it fixes.
+_COMMANDS = {
+    "gen-csbm": (cmd_gen_csbm, "generate a synthetic CSBM graph",
+                 (*_CSBM, "out", "nodes_per_class")),
+    "fsnc": (cmd_fsnc, "episodic few-shot training + meta-test",
+             (*_EPISODIC, "repeats", "optimizer")),
+    "compare": (cmd_compare, "paired runs of all optimizers",
+                (*_EPISODIC, "repeats")),
+    "nc": (cmd_nc, "standard node classification", (*_TRAIN, "optimizer")),
+    "landscape": (cmd_landscape, "loss landscape slice",
+                  ("seed", "out", "graph", *_MODEL, "checkpoint",
+                   "grid_points", "grid_range", "slice_dims")),
+    "drift": (cmd_drift, "gradient drift across exact steps", _EPISODIC),
+    "rho-sweep": (cmd_rho_sweep, "training-loss curves over rho",
+                  (*_EPISODIC, "repeats", "optimizer", "rhos")),
+    "verify-theorem": (cmd_verify_theorem,
+                       "optimal-classifier equality check", _CSBM),
+    "check-grads": (cmd_check_grads, "finite-difference gradient suite",
+                    ("seed", "instances")),
+    "bench": (cmd_bench, "wall-time benchmark on an MP-dominated instance",
+              ("seed", "out", "episodes", *_HP)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,70 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sharpness-aware GNN optimizers with a PeerMLP fast "
                     "path: generation, training, analysis, benchmarking.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-csbm", help="generate a synthetic CSBM graph")
-    _add_common(p)
-    _add_csbm(p)
-    p.set_defaults(func=cmd_gen_csbm)
-
-    p = sub.add_parser("fsnc", help="episodic few-shot training + meta-test")
-    _add_common(p)
-    _add_graph(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_fsnc)
-
-    p = sub.add_parser("compare", help="paired runs of all optimizers")
-    _add_common(p)
-    _add_graph(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("nc", help="standard node classification")
-    _add_common(p)
-    _add_graph(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_nc)
-
-    p = sub.add_parser("landscape", help="loss landscape slice")
-    _add_common(p)
-    _add_graph(p)
-    _add_training(p)
-    p.add_argument("--checkpoint", type=str)
-    p.add_argument("--grid-points", type=int, default=41)
-    p.add_argument("--grid-range", type=float, default=1.0)
-    p.add_argument("--slice-dims", type=int, choices=[1, 2], default=1)
-    p.set_defaults(func=cmd_landscape)
-
-    p = sub.add_parser("drift", help="gradient drift across exact steps")
-    _add_common(p)
-    _add_graph(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_drift)
-
-    p = sub.add_parser("rho-sweep", help="training-loss curves over rho")
-    _add_common(p)
-    _add_graph(p)
-    _add_training(p)
-    p.add_argument("--rhos", type=str)
-    p.set_defaults(func=cmd_rho_sweep)
-
-    p = sub.add_parser("verify-theorem",
-                       help="optimal-classifier equality check")
-    _add_common(p)
-    _add_csbm(p)
-    p.set_defaults(func=cmd_verify_theorem)
-
-    p = sub.add_parser("check-grads", help="finite-difference gradient suite")
-    _add_common(p)
-    p.add_argument("--instances", type=int, default=50)
-    p.set_defaults(func=cmd_check_grads)
-
-    p = sub.add_parser("bench", help="wall-time benchmark on an MP-dominated "
-                                     "instance")
-    _add_common(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_bench)
-
+    for command, (func, help_line, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", type=str)
+        for _, _, name, cast, flag in _SETTINGS:
+            if flag and name in names:
+                p.add_argument(flag, dest=name, type=cast,
+                               **_FLAG_OPTIONS.get(name, {}))
+        p.set_defaults(func=func)
     return parser
 
 

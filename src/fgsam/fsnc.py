@@ -457,18 +457,27 @@ TRACE_COLUMNS = ("step", "loss", "grad_norm", "gv_norm", "gG_norm", "branch",
                  "gnn_evals_cum", "mlp_evals_cum", "wall_ms")
 
 
-def write_trace_csv(path: str, trace) -> None:
+def write_csv(path: str, header, rows) -> None:
+    """CSV with a one-line header; floats keep every digit (`.17g`)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            writer.writerow([_fmt(row[c]) for c in TRACE_COLUMNS])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in row])
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value
+def write_trace_csv(path: str, trace) -> None:
+    write_csv(path, TRACE_COLUMNS,
+              ([row[c] for c in TRACE_COLUMNS] for row in trace))
+
+
+def _write_report(outdir: str, payload: dict) -> str:
+    path = os.path.join(outdir, "report.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return path
 
 
 def write_train_report(report: TrainReport, outdir: str) -> str:
@@ -493,11 +502,7 @@ def write_train_report(report: TrainReport, outdir: str) -> str:
             "test_acc_std": rep.test_acc_std,
             "trace_path": os.path.basename(trace_path),
         })
-    path = os.path.join(outdir, "report.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+    return _write_report(outdir, payload)
 
 
 def write_nc_report(report: NCReport, outdir: str) -> str:
@@ -514,8 +519,4 @@ def write_nc_report(report: NCReport, outdir: str) -> str:
         "wall_seconds": report.wall_seconds,
         "trace_path": os.path.basename(trace_path),
     }
-    path = os.path.join(outdir, "report.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+    return _write_report(outdir, payload)

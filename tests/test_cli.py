@@ -3,6 +3,8 @@ import csv
 import glob
 import json
 import os
+import re
+import shlex
 import shutil
 
 import numpy as np
@@ -72,11 +74,13 @@ def run_dir_payload(outdir):
 
 
 def assert_rerun_from_echo_identical(graph_dir, tmp_path, command, flags):
-    """Run `command`, re-run it from its config_echo.ini alone, and require
-    the two run directories to match file for file."""
+    """Run `command` (on `graph_dir` unless it is None), re-run it from its
+    config_echo.ini alone, and require the two run directories to match
+    file for file."""
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
-    assert run_cli(command, "--graph", graph_dir, "--out", out1, *flags) == 0
+    graph = [] if graph_dir is None else ["--graph", graph_dir]
+    assert run_cli(command, *graph, "--out", out1, *flags) == 0
     echo = os.path.join(out1, "config_echo.ini")
     assert run_cli(command, "--config", echo, "--out", out2) == 0
     assert run_dir_payload(out1) == run_dir_payload(out2)
@@ -85,13 +89,37 @@ def assert_rerun_from_echo_identical(graph_dir, tmp_path, command, flags):
 class TestGenCsbm:
     def test_writes_graph_and_echo(self, graph_dir):
         for name in ("edges.csv", "features.csv", "labels.csv", "meta.json",
-                     "config_echo.json"):
+                     "config_echo.ini"):
             assert os.path.exists(os.path.join(graph_dir, name))
         meta = json.load(open(os.path.join(graph_dir, "meta.json")))
         assert meta["n"] == 200 and meta["num_classes"] == 8
 
     def test_missing_out_fails(self):
         assert run_cli("gen-csbm", "--k", "2") == 1
+
+
+def write_checkpoint(path, classes=8, hidden=16):
+    """A two-layer checkpoint for the 8-dimensional test graph."""
+    dims = mdl.uniform_dims(8, hidden, classes, 2)
+    mdl.save_checkpoint(path, mdl.init_params(dims, 0), hidden)
+    return path
+
+
+class TestEchoRerun:
+    @pytest.mark.parametrize("command, on_graph, flags", [
+        ("gen-csbm", False, ["--k", "3", "--nodes-per-class", "10",
+                             "--p", "0.4", "--dim", "5", "--seed", "4"]),
+        ("landscape", True, ["--grid-points", "5", "--slice-dims", "2",
+                             "--layers", "3", "--hidden", "4", "--seed", "1"]),
+        ("landscape", True, ["--grid-points", "5", "--checkpoint", None]),
+        ("bench", False, ["--episodes", "1", "--rho", "0.1"]),
+    ], ids=["gen-csbm", "landscape", "landscape-checkpoint", "bench"])
+    def test_rerun_from_echo_identical(self, graph_dir, tmp_path, command,
+                                       on_graph, flags):
+        ckpt = str(tmp_path / "model.ckpt")
+        flags = [write_checkpoint(ckpt) if f is None else f for f in flags]
+        assert_rerun_from_echo_identical(graph_dir if on_graph else None,
+                                         tmp_path, command, flags)
 
 
 class TestFsnc:
@@ -307,26 +335,31 @@ class TestSettingsTable:
 
         monkeypatch.setattr(cli, "_settings", recording)
         graph = ["--graph", graph_dir]
-        short = ["--episodes", "4", "--repeats", "1", "--val-tasks", "2",
-                 "--test-tasks", "2", "--split", "4/2/2"]
+        # drift runs one repeat, so it takes no --repeats
+        one = ["--episodes", "4", "--val-tasks", "2", "--test-tasks", "2",
+               "--split", "4/2/2"]
+        short = [*one, "--repeats", "1"]
         for argv in (
                 ["gen-csbm", "--nodes-per-class", "5"],
                 ["fsnc", *graph, *short],
                 ["compare", *graph, *short],
                 ["nc", *graph, "--episodes", "2"],
                 ["landscape", *graph, "--grid-points", "3"],
-                ["drift", *graph, *short, "--k", "2"],
+                ["drift", *graph, *one, "--k", "2"],
                 ["rho-sweep", *graph, *short, "--rhos", "0.1",
                  "--optimizer", "sam"],
                 ["verify-theorem"],
                 ["check-grads", "--instances", "1"],
                 ["bench", "--episodes", "1"]):
-            out = str(tmp_path / argv[0])
-            assert run_cli(*argv, "--out", out) == 0
+            # only the commands that write a directory take --out
+            writes = argv[0] not in ("verify-theorem", "check-grads")
+            out = ["--out", str(tmp_path / argv[0])] if writes else []
+            assert run_cli(*argv, *out) == 0
         subcommands = next(
             action for action in cli.build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)).choices
         assert set(read) == set(subcommands)
+        flag_of = {name: flag for _, _, name, _, flag in cli._SETTINGS}
         for command, parser in subcommands.items():
             flags = {action.dest: action for action in parser._actions}
             for name in read[command]:
@@ -335,6 +368,12 @@ class TestSettingsTable:
                 if name in flags:
                     assert (flags[name].type or str) is cli._TYPES[name], (
                         command, name)
+            # a command takes the flags of exactly the settings it reads
+            taken = {option for action in parser._actions
+                     for option in action.option_strings}
+            assert taken - {"-h", "--help"} == {"--config"} | {
+                flag_of[name] for name in read[command] if flag_of[name]}, (
+                command)
 
 
 class TestErrors:
@@ -342,6 +381,31 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("bogus")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["nc", "--way", "7"],
+        ["landscape", "--rho", "5"],
+        ["bench", "--way", "0"],
+        ["verify-theorem", "--nodes-per-class", "5"],
+        ["check-grads", "--out", "x"],
+    ], ids=["nc-way", "landscape-rho", "bench-way",
+            "verify-theorem-nodes-per-class", "check-grads-out"])
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--layers", "--hidden"])
+    def test_checkpoint_fixes_layers_and_hidden(self, graph_dir, tmp_path,
+                                                capsys, flag):
+        ckpt = write_checkpoint(str(tmp_path / "model.ckpt"))
+        assert run_cli("landscape", "--graph", graph_dir,
+                       "--out", str(tmp_path / "land"), "--checkpoint", ckpt,
+                       flag, "4") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --layers and --hidden cannot")
+        assert err.count("\n") == 1
 
     def test_unknown_config_key(self, graph_dir, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -430,9 +494,8 @@ class TestErrors:
     def test_checkpoint_width_must_match_classes(self, graph_dir, tmp_path,
                                                  capsys):
         def landscape(hidden, out):
-            ckpt = str(tmp_path / f"h{hidden}-c{out}.ckpt")
-            dims = mdl.uniform_dims(8, hidden, out, 2)
-            mdl.save_checkpoint(ckpt, mdl.init_params(dims, 0), hidden)
+            ckpt = write_checkpoint(str(tmp_path / f"h{hidden}-c{out}.ckpt"),
+                                    out, hidden)
             return run_cli("landscape", "--graph", graph_dir,
                            "--out", str(tmp_path / "land"),
                            "--grid-points", "3", "--checkpoint", ckpt)
@@ -443,3 +506,18 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "output width 16" in err and "8 classes" in err
         assert landscape(16, 8) == 0
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        # a flag that the docs name but the command rejects fails here
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")) as fh:
+            blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line, comments=True) for line in lines
+                    if line.strip().startswith("fgsam ")]
+        assert len(examples) >= 10
+        parser = cli.build_parser()
+        for argv in examples:
+            parser.parse_args(argv[1:])
