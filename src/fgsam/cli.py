@@ -86,7 +86,14 @@ class CliError(ValueError):
     pass
 
 
-def _load_config(path: str) -> dict:
+def _reads(args) -> tuple:
+    """The names of the settings that `args.command` reads."""
+    return _COMMANDS[args.command][2]
+
+
+def _load_config(path: str, command: str) -> dict:
+    """Setting name -> text of every key in the config file at `path`,
+    each of which `command` must read."""
     parser = configparser.ConfigParser()
     flat = {}
     try:
@@ -99,7 +106,11 @@ def _load_config(path: str) -> dict:
                 if (section, key) not in _NAMES:
                     raise CliError(
                         f"unknown key {key!r} in section [{section}]")
-                flat[_NAMES[section, key]] = value
+                name = _NAMES[section, key]
+                if name not in _COMMANDS[command][2]:
+                    raise CliError(f"config key {key!r} in section "
+                                   f"[{section}] is not read by {command}")
+                flat[name] = value
     except configparser.Error as exc:
         one_line = " ".join(str(exc).split())  # its messages span lines
         raise CliError(f"config {path}: {one_line}") from None
@@ -117,7 +128,7 @@ def _cast(cast, text, what):
 def _settings(args):
     """`get(name, default)`: the setting's flag if given, else its config
     value cast to the setting's type, else `default`."""
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config, args.command) if args.config else {}
 
     def get(name, default=None):
         value = getattr(args, name, None)
@@ -130,30 +141,31 @@ def _settings(args):
     return get
 
 
-def _config(cls, get, **given):
-    """A `cls` whose fields with a settings row are read through `get`,
-    defaulting to the field's own default, and whose `given` fields are
-    passed as they are."""
+def _config(cls, get, reads, **given):
+    """A `cls` whose fields that the command `reads` are read through
+    `get`, defaulting to the field's own default, whose `given` fields are
+    passed as they are and whose other fields keep their defaults."""
     return cls(**given, **{f.name: get(f.name, f.default) for f in fields(cls)
-                           if f.name in _TYPES and f.name not in given})
+                           if f.name in reads and f.name not in given})
 
 
-def _build_hp(get) -> Hyperparams:
+def _build_hp(get, reads) -> Hyperparams:
     # FGSAM+ refreshes its GNN gradient every second step unless told
     # otherwise; Hyperparams alone defaults to every step
-    return _config(Hyperparams, get, k=get("k", 2))
+    return _config(Hyperparams, get, reads, k=get("k", 2))
 
 
-def _echo_ini(outdir: str, *configs, **extra) -> None:
+def _echo_ini(outdir: str, reads, *configs, **extra) -> None:
     """Write a config echo that can be fed back through --config: every
-    setting that the fields of `configs` or `extra` hold, in table order."""
+    setting that the command `reads` and that the fields of `configs` or
+    `extra` hold, in table order."""
     values = {}
     for config in configs:
         values.update(vars(config))
     values.update(extra)
     parser = configparser.ConfigParser()
     for section, key, name, _, _ in _SETTINGS:
-        if name in values:
+        if name in values and name in reads:
             if not parser.has_section(section):
                 parser.add_section(section)
             parser.set(section, key, str(values[name]))
@@ -203,7 +215,9 @@ def _episodic(args, **given):
     `echo(**extra)`, which writes the re-runnable config echo of that
     config."""
     get, out, graph, graph_path = _graph_preamble(args)
-    config = _config(fsnc.ProtocolConfig, get, hp=_build_hp(get), **given)
+    reads = _reads(args)
+    config = _config(fsnc.ProtocolConfig, get, reads,
+                     hp=_build_hp(get, reads), **given)
     ratio = _parse_split(get("split_ratio", f"{graph.num_classes - 4}/2/2"))
     split = fsnc.split_classes(graph.num_classes, ratio, config.seed)
     # the graph's propagation matrix, built before any arm so that the
@@ -211,7 +225,7 @@ def _episodic(args, **given):
     normalize(graph, config.scheme)
 
     def echo(**extra):
-        _echo_ini(out, config, config.hp, graph=graph_path,
+        _echo_ini(out, reads, config, config.hp, graph=graph_path,
                   split_ratio="/".join(str(r) for r in ratio), **extra)
 
     return get, out, graph, config, ratio, split, echo
@@ -231,7 +245,7 @@ def cmd_gen_csbm(args) -> int:
     )
     graph = generate_csbm(params)
     save_graph(graph, out)
-    _echo_ini(out, seed=params.seed, csbm_classes=params.K,
+    _echo_ini(out, _reads(args), seed=params.seed, csbm_classes=params.K,
               nodes_per_class=params.nodes_per_class, p=params.p, q=params.q,
               dist=params.D, dim=params.l)
     print(f"wrote CSBM graph: n={graph.n} edges={graph.num_edges} "
@@ -311,7 +325,9 @@ def cmd_nc(args) -> int:
     if steps < 1:
         # NCConfig would name its own field, `steps`
         raise CliError("episodes must be positive")
-    config = _config(fsnc.NCConfig, get, steps=steps, hp=_build_hp(get))
+    reads = _reads(args)
+    config = _config(fsnc.NCConfig, get, reads, steps=steps,
+                     hp=_build_hp(get, reads))
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
     fsnc.write_nc_report(report, out)
@@ -320,7 +336,7 @@ def cmd_nc(args) -> int:
     mdl.save_checkpoint(os.path.join(out, "best.ckpt"),
                         mdl.ModelParams.from_flat(report.best_params, dims),
                         config.hidden)
-    _echo_ini(out, config, config.hp, graph=graph_path,
+    _echo_ini(out, reads, config, config.hp, graph=graph_path,
               episodes=config.steps)
     print(f"nc [{config.optimizer}] test acc {report.test_acc:.4f} "
           f"(stopped at step {report.stop_step})")
@@ -375,7 +391,7 @@ def cmd_landscape(args) -> int:
         os.path.join(out, "landscape.csv"), header, rows,
         {"command": "landscape", "seed": seed, "base_loss": slc.base_loss,
          "input_hash": _input_hash(graph)})
-    _echo_ini(out, seed=seed, graph=graph_path, scheme=scheme,
+    _echo_ini(out, _reads(args), seed=seed, graph=graph_path, scheme=scheme,
               grid_points=points, grid_range=grid_range,
               slice_dims=slice_dims, **model)
     print(f"landscape slice written, base loss {slc.base_loss:.6f}")
@@ -410,7 +426,8 @@ def cmd_drift(args) -> int:
 
 
 def cmd_rho_sweep(args) -> int:
-    get, out, graph, config, ratio, split, echo = _episodic(args)
+    # each curve runs one repeat at its own rho
+    get, out, graph, config, ratio, split, echo = _episodic(args, repeats=1)
     text = get("rhos", "0.01,0.05,0.1,0.5,1.0")
     rhos = [_cast(float, r, "--rhos") for r in text.split(",")]
     curves = analysis.rho_sweep(config, rhos, graph, split)
@@ -488,7 +505,8 @@ def cmd_bench(args) -> int:
     out = get("out")
     seed = get("seed", 0)
     steps = get("episodes", 200)
-    hp = _build_hp(get)
+    reads = _reads(args)
+    hp = _build_hp(get, reads)
     graph = bench_instance(seed)
     deg = graph.degrees().mean()
     print(f"bench graph: n={graph.n} edges={graph.num_edges} "
@@ -504,7 +522,7 @@ def cmd_bench(args) -> int:
         _write_cost_report(os.path.join(out, "bench.csv"), rows,
                            {"command": "bench", "seed": seed,
                             "steps": steps})
-        _echo_ini(out, hp, seed=seed, episodes=steps)
+        _echo_ini(out, reads, hp, seed=seed, episodes=steps)
     return 0
 
 
@@ -517,9 +535,11 @@ _TRAIN = ("seed", "out", "graph", "episodes", "patience", "val_interval",
 _EPISODIC = (*_TRAIN, "way", "shot", "query", "val_tasks", "test_tasks",
              "split_ratio")
 # Each command: its function, its help line and the settings it reads,
-# whose flags are the flags it takes besides --config. `compare` runs
-# every optimizer and `drift` runs one repeat of fgsam+, so neither reads
-# the settings it fixes.
+# whose flags are the flags it takes besides --config and whose keys are
+# the keys its config file may hold and its config echo records.
+# `compare` runs every optimizer, `drift` runs one repeat of fgsam+ and
+# `rho-sweep` one repeat per rho of `rhos`, so none of them reads the
+# settings it fixes.
 _COMMANDS = {
     "gen-csbm": (cmd_gen_csbm, "generate a synthetic CSBM graph",
                  (*_CSBM, "out", "nodes_per_class")),
@@ -533,7 +553,8 @@ _COMMANDS = {
                    "grid_points", "grid_range", "slice_dims")),
     "drift": (cmd_drift, "gradient drift across exact steps", _EPISODIC),
     "rho-sweep": (cmd_rho_sweep, "training-loss curves over rho",
-                  (*_EPISODIC, "repeats", "optimizer", "rhos")),
+                  (*(name for name in _EPISODIC if name != "rho"),
+                   "optimizer", "rhos")),
     "verify-theorem": (cmd_verify_theorem,
                        "optimal-classifier equality check", _CSBM),
     "check-grads": (cmd_check_grads, "finite-difference gradient suite",
@@ -550,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "path: generation, training, analysis, benchmarking.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_line, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+        # no abbreviations: `rho-sweep --rho` would otherwise set --rhos
+        p = sub.add_parser(command, help=help_line, allow_abbrev=False)
         p.add_argument("--config", type=str)
         for _, _, name, cast, flag in _SETTINGS:
             if flag and name in names:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fsnc
+from . import fsnc, optim
 from . import model as mdl
 from .graphcore import build_graph, normalize, with_num_classes
 
@@ -52,6 +52,7 @@ def random_instance(rng, max_nodes=10):
 class CheckResult:
     description: str
     rel_err: float
+    dims: tuple = ()
 
 
 def _jittered_params(dims, graph, operator, rng, margin=1e-4, tries=20):
@@ -79,7 +80,12 @@ def check_supervised(rng, scheme: str, layers: int) -> CheckResult:
     idx = rng.choice(graph.n, size=max(2, graph.n // 2), replace=False)
     spec = mdl.loss_spec_from_labels(np.sort(idx), graph.labels,
                                      graph.num_classes, weight_decay=wd)
-    grad = mdl.backward(params, graph, operator, spec)
+    # the analytic gradient comes from the trainers' objective, whose
+    # forwards run on the loss rows, a strict subset of the n rows; under
+    # the identity operator it is the PeerMLP's
+    obj = optim.model_objective(dims, graph, operator, spec)
+    grad_fn = obj.mlp_grad if operator.is_identity else obj.gnn_grad
+    _, grad = grad_fn(params.flatten())
 
     def f(w):
         p = mdl.ModelParams.from_flat(w, dims)
@@ -87,7 +93,7 @@ def check_supervised(rng, scheme: str, layers: int) -> CheckResult:
 
     fd = finite_difference(f, params.flatten())
     return CheckResult(f"supervised {scheme} L={layers}",
-                       relative_error(grad, fd))
+                       relative_error(grad, fd), tuple(dims))
 
 
 def check_episode(rng, scheme: str, layers: int) -> CheckResult:
@@ -116,7 +122,7 @@ def check_episode(rng, scheme: str, layers: int) -> CheckResult:
 
     fd = finite_difference(f, params.flatten())
     return CheckResult(f"episode {scheme} L={layers}",
-                       relative_error(grad, fd))
+                       relative_error(grad, fd), tuple(dims))
 
 
 def run_suite(instances: int = 50, seed: int = 0) -> list:

@@ -197,12 +197,7 @@ class PropagationOperator:
         if missing.size or filled is None:
             start = 0 if filled is None else filled.shape[0]
             slot[missing] = np.arange(start, start + missing.size)
-            indptr, pos = self._row_slice(missing)
-            a = self.matrix
-            block = sp.csr_matrix((a.data[pos], a.indices[pos], indptr),
-                                  shape=(missing.size, a.shape[1]))
-            new = PropagationOperator(self.scheme, block,
-                                      _source=self).apply(x)
+            new = self.row_block(missing).apply(x)
             filled = new if filled is None else np.concatenate([filled, new])
             self._input_memo = (x, None, slot, filled)
         return filled[slot[rows]]
@@ -222,6 +217,17 @@ class PropagationOperator:
             self._transpose = (self.matrix if symmetric
                                else self.matrix.T.tocsr())
         return self._transpose @ x
+
+    def row_block(self, rows: np.ndarray) -> "PropagationOperator":
+        """The operator of the CSR row slice A[rows], with all n columns,
+        whose products count on this operator. It keeps each row's entries
+        in A's order, so a row of `row_block(rows).apply(h)` is the same
+        row of `A @ h`, bit for bit, and `h` is read as it is."""
+        indptr, pos = self._row_slice(rows)
+        a = self.matrix
+        block = sp.csr_matrix((a.data[pos], a.indices[pos], indptr),
+                              shape=(len(rows), a.shape[1]))
+        return PropagationOperator(self.scheme, block, _source=self)
 
     def restrict(self, rows: np.ndarray):
         """The block of this operator that produces only `rows`.

@@ -85,9 +85,18 @@ def init_params(dims: list[int], seed) -> ModelParams:
 
 @dataclass
 class Activations:
-    inputs: list            # per layer: post-propagation input M^(l)
-    preacts: list           # per layer: Z^(l) = M W + b
-    logits: np.ndarray      # final layer output, n x C
+    inputs: list            # per layer: what W^(l) multiplies, A H or H
+    preacts: list           # per layer: Z^(l)
+    logits: np.ndarray      # final layer output, one row per output row
+
+
+def propagates_after(l: int, w: np.ndarray) -> bool:
+    """Whether layer l propagates after its transform, Z = A (H W) + b,
+    instead of Z = (A H) W + b: a layer above the first whose output is
+    narrower than its input, so that its SpMMs move d_out columns, not
+    d_in. Its `Activations.inputs` entry is then H, otherwise A H. Layer 0
+    always propagates first, to read the operator's memo of A X."""
+    return l > 0 and w.shape[1] < w.shape[0]
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -98,7 +107,10 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LossSpec:
-    indices: np.ndarray     # distinct node indices < n
+    """Cross-entropy on some rows of a forward's logits: `indices` are
+    those rows, which are node ids when the forward outputs all n rows."""
+
+    indices: np.ndarray     # distinct row indices
     targets: np.ndarray     # one-hot rows aligned with indices
     weight_decay: float = 0.0
 
@@ -172,6 +184,18 @@ def blocks_for(operator: PropagationOperator, targets,
     return receptive_field(operator, targets, layers)
 
 
+def top_blocks(operator: PropagationOperator, rows,
+               layers: int) -> list[Block]:
+    """The blocks of a forward whose last layer outputs only `rows`, in
+    their order, and whose lower layers output all n rows. The last layer
+    propagates through the row slice A[rows] (`row_block`), which keeps all
+    n columns, so the layer below is read as it is; a one-layer forward
+    reads those rows of the A.X memo."""
+    rows = np.asarray(rows, dtype=np.int64)
+    top = operator if layers == 1 else operator.row_block(rows)
+    return [Block(None, operator)] * (layers - 1) + [Block(rows, top)]
+
+
 def forward(params: ModelParams, graph: Graph,
             operator: PropagationOperator, blocks=None) -> Activations:
     return forward_features(params, graph.features, operator, blocks)
@@ -193,9 +217,13 @@ def forward_features(params: ModelParams, x: np.ndarray,
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         rows, op = blocks[l]
-        # layer 0 reads the operator's memo of the fixed input's product
-        m = operator.propagate_input(h, rows) if l == 0 else op.apply(h)
-        z = m @ w + b
+        if propagates_after(l, w):
+            m = h
+            z = op.apply(h @ w) + b
+        else:
+            # layer 0 reads the operator's memo of the fixed input's product
+            m = operator.propagate_input(h, rows) if l == 0 else op.apply(h)
+            z = m @ w + b
         inputs.append(m)
         preacts.append(z)
         h = z if l == last else np.maximum(z, 0.0)
@@ -225,12 +253,16 @@ def backward_from_output(params: ModelParams, operator: PropagationOperator,
     grads_b = [None] * params.num_layers
     dz = d_out
     for l in range(params.num_layers - 1, -1, -1):
-        m = activations.inputs[l]
-        grads_w[l] = m.T @ dz
+        w = params.weights[l]
+        op = operator if blocks is None else blocks[l].op
+        after = propagates_after(l, w)
+        # Z = A (H W) + b: one transpose product U = A^T dZ serves both
+        # dW = H^T U and dH = U W^T
+        u = op.apply_t(dz) if after else dz
+        grads_w[l] = activations.inputs[l].T @ u
         grads_b[l] = dz.sum(axis=0)
         if l > 0:
-            dm = dz @ params.weights[l].T
-            dh = (operator if blocks is None else blocks[l].op).apply_t(dm)
+            dh = u @ w.T if after else op.apply_t(dz @ w.T)
             dz = dh * (activations.preacts[l - 1] > 0)
     parts = []
     for gw, gb in zip(grads_w, grads_b):
@@ -246,12 +278,15 @@ def backward(params: ModelParams, graph: Graph, operator: PropagationOperator,
 
 
 def backward_from_acts(params: ModelParams, operator: PropagationOperator,
-                       acts: Activations, spec: LossSpec) -> np.ndarray:
+                       acts: Activations, spec: LossSpec,
+                       blocks=None) -> np.ndarray:
+    """The gradient of `loss`, whose spec indexes the rows of the logits;
+    `blocks` are those of the forward that made `acts`."""
     m = spec.indices.size
     d_out = np.zeros_like(acts.logits)
     probs = softmax_rows(acts.logits[spec.indices])
     d_out[spec.indices] = (probs - spec.targets) / m
-    grad = backward_from_output(params, operator, acts, d_out)
+    grad = backward_from_output(params, operator, acts, d_out, blocks)
     if spec.weight_decay:
         grad += 2.0 * spec.weight_decay * params.flatten()
     return grad

@@ -123,11 +123,30 @@ def peer_objective(dims, operator: PropagationOperator,
 
 def model_objective(dims, graph: Graph, operator: PropagationOperator,
                     spec: mdl.LossSpec) -> Objective:
-    """Supervised node-classification objective over the flat weight vector."""
+    """Supervised node-classification objective over the flat weight vector.
+
+    Each forward outputs only the rows its loss reads. For a spec over some
+    of the nodes, the GNN's last layer runs on the loss rows
+    (`model.top_blocks`, cut here once) and the PeerMLP on the loss rows'
+    features, gathered here once; their logits are the loss rows in the
+    spec's order. A spec over every node runs both on all n rows."""
+    rows = spec.indices
+    if rows.size == graph.n:
+        gnn = mlp = (graph.features, None, spec)
+    else:
+        # the loss rows' own positions among the logits
+        local = mdl.LossSpec(np.arange(rows.size), spec.targets,
+                             spec.weight_decay)
+        mlp = (graph.features[rows], None, local)
+        gnn = mlp if operator.is_identity else (
+            graph.features, mdl.top_blocks(operator, rows, len(dims) - 1),
+            local)
+
     def loss_grad(params, op):
-        acts = mdl.forward(params, graph, op)
-        return (mdl.loss(acts, spec, params),
-                mdl.backward_from_acts(params, op, acts, spec))
+        x, blocks, s = mlp if op.is_identity else gnn
+        acts = mdl.forward_features(params, x, op, blocks)
+        return (mdl.loss(acts, s, params),
+                mdl.backward_from_acts(params, op, acts, s, blocks))
 
     return peer_objective(dims, operator, loss_grad)
 
@@ -175,11 +194,23 @@ def adam_step(state: OptimizerState, grad: np.ndarray,
     hp = state.hp
     state.ensure_moments(params.size)
     state.t += 1
-    state.m = hp.beta1 * state.m + (1 - hp.beta1) * grad
-    state.v = hp.beta2 * state.v + (1 - hp.beta2) * grad * grad
-    m_hat = state.m / (1 - hp.beta1 ** state.t)
-    v_hat = state.v / (1 - hp.beta2 ** state.t)
-    return params - hp.lr * m_hat / (np.sqrt(v_hat) + hp.eps)
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g in place, then
+    # params - lr m_hat / (sqrt(v_hat) + eps), each operation in the order
+    # of these formulas, so the floats are theirs bit for bit
+    m, v = state.m, state.v
+    m *= hp.beta1
+    m += (1 - hp.beta1) * grad
+    g2 = (1 - hp.beta2) * grad
+    g2 *= grad
+    v *= hp.beta2
+    v += g2
+    step = m / (1 - hp.beta1 ** state.t)
+    v_hat = np.divide(v, 1 - hp.beta2 ** state.t, out=g2)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += hp.eps
+    step *= hp.lr
+    step /= v_hat
+    return np.subtract(params, step, out=step)
 
 
 class BaseOptimizer:

@@ -1,4 +1,5 @@
 import argparse
+import configparser
 import csv
 import glob
 import json
@@ -335,7 +336,7 @@ class TestSettingsTable:
 
         monkeypatch.setattr(cli, "_settings", recording)
         graph = ["--graph", graph_dir]
-        # drift runs one repeat, so it takes no --repeats
+        # drift and rho-sweep run one repeat, so they take no --repeats
         one = ["--episodes", "4", "--val-tasks", "2", "--test-tasks", "2",
                "--split", "4/2/2"]
         short = [*one, "--repeats", "1"]
@@ -346,7 +347,7 @@ class TestSettingsTable:
                 ["nc", *graph, "--episodes", "2"],
                 ["landscape", *graph, "--grid-points", "3"],
                 ["drift", *graph, *one, "--k", "2"],
-                ["rho-sweep", *graph, *short, "--rhos", "0.1",
+                ["rho-sweep", *graph, *one, "--rhos", "0.1",
                  "--optimizer", "sam"],
                 ["verify-theorem"],
                 ["check-grads", "--instances", "1"],
@@ -388,8 +389,11 @@ class TestErrors:
         ["bench", "--way", "0"],
         ["verify-theorem", "--nodes-per-class", "5"],
         ["check-grads", "--out", "x"],
+        ["rho-sweep", "--rho", "5"],
+        ["rho-sweep", "--repeats", "9"],
     ], ids=["nc-way", "landscape-rho", "bench-way",
-            "verify-theorem-nodes-per-class", "check-grads-out"])
+            "verify-theorem-nodes-per-class", "check-grads-out",
+            "rho-sweep-rho", "rho-sweep-repeats"])
     def test_flag_the_command_does_not_read_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
@@ -413,6 +417,38 @@ class TestErrors:
         assert run_cli("fsnc", "--graph", graph_dir,
                        "--out", str(tmp_path / "x"),
                        "--config", str(cfg)) == 1
+
+    def test_config_key_the_command_does_not_read(self, graph_dir, tmp_path,
+                                                  capsys):
+        cfg = tmp_path / "way.ini"
+        cfg.write_text("[protocol]\nway = 7\n")
+        assert run_cli("nc", "--graph", graph_dir, "--out",
+                       str(tmp_path / "x"), "--episodes", "3",
+                       "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'way' in section [protocol] is not read "
+            "by nc\n")
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("command, flags, unread", [
+        ("compare", FSNC_FLAGS, {"optimizer"}),
+        ("drift", ["--episodes", "4", "--k", "2", "--split", "4/2/2"],
+         {"optimizer", "repeats"}),
+        ("rho-sweep", ["--optimizer", "sam", "--episodes", "4",
+                       "--split", "4/2/2",
+                       "--rhos", "0.1"], {"rho", "repeats"}),
+    ], ids=["compare", "drift", "rho-sweep"])
+    def test_echo_records_only_the_settings_read(self, graph_dir, tmp_path,
+                                                 command, flags, unread):
+        out = str(tmp_path / command)
+        assert run_cli(command, "--graph", graph_dir, "--out", out,
+                       *flags) == 0
+        echo = configparser.ConfigParser()
+        echo.read(os.path.join(out, "config_echo.ini"))
+        keys = {cli._NAMES[section, key] for section in echo.sections()
+                for key in echo[section]}
+        assert keys and keys <= set(cli._COMMANDS[command][2])
+        assert not keys & unread
 
     def test_unknown_config_section(self, graph_dir, tmp_path):
         cfg = tmp_path / "bad2.ini"

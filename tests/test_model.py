@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fgsam.model as mdl
-from fgsam import gradcheck
+from fgsam import gradcheck, optim
 from fgsam.gradcheck import random_instance
 from fgsam.graphcore import PropagationOperator, normalize
 from peermlp_oracle import forward_mlp
@@ -201,6 +201,35 @@ class TestGradcheckSuite:
         results = gradcheck.run_suite(instances=12, seed=42)
         assert len(results) == 12
         assert max(r.rel_err for r in results) < 1e-4
+
+    def test_suite_checks_narrowing_layers_on_loss_rows(self, monkeypatch):
+        # the suite of `check-grads` and criterion 1; its supervised checks
+        # take their gradients from the trainers' objective on a strict
+        # subset of the rows
+        subsets = []
+        objective = optim.model_objective
+
+        def spy(dims, graph, operator, spec):
+            subsets.append(spec.indices.size < graph.n)
+            return objective(dims, graph, operator, spec)
+
+        monkeypatch.setattr(optim, "model_objective", spy)
+        results = gradcheck.run_suite(instances=50, seed=0)
+        supervised = [r for r in results
+                      if r.description.startswith("supervised")]
+        assert len(subsets) == len(supervised) > 0 and all(subsets)
+
+        def narrows(dims):
+            return any(l > 0 and d_out < d_in for l, (d_in, d_out)
+                       in enumerate(zip(dims[:-1], dims[1:])))
+
+        # gcn-sym's matrix is its own transpose, mean-neighbors' is not
+        for scheme in ("gcn-sym", "mean-neighbors"):
+            mine = [r for r in supervised if f" {scheme} " in r.description]
+            assert any(narrows(r.dims) for r in mine), scheme
+            assert any(len(r.dims) > 2 and not narrows(r.dims)
+                       for r in mine), scheme
+            assert max(r.rel_err for r in mine) < 1e-4
 
 
 class TestCheckpoint:

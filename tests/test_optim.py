@@ -198,6 +198,43 @@ class TestAdamStep:
             w = w_opt
 
 
+    def test_in_place_moments_keep_every_bit(self):
+        # the update before the moments were kept in place, as the oracle
+        def fresh_arrays(state, grad, params):
+            hp = state.hp
+            state.ensure_moments(params.size)
+            state.t += 1
+            state.m = hp.beta1 * state.m + (1 - hp.beta1) * grad
+            state.v = hp.beta2 * state.v + (1 - hp.beta2) * grad * grad
+            m_hat = state.m / (1 - hp.beta1 ** state.t)
+            v_hat = state.v / (1 - hp.beta2 ** state.t)
+            return params - hp.lr * m_hat / (np.sqrt(v_hat) + hp.eps)
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            hp = Hyperparams(lr=float(rng.uniform(1e-4, 0.5)),
+                             beta1=float(rng.uniform(0.0, 0.99)),
+                             beta2=float(rng.uniform(0.0, 0.9999)),
+                             eps=float(10.0 ** rng.uniform(-12, -2)))
+            got, want = OptimizerState(hp=hp), OptimizerState(hp=hp)
+            w_got = w_want = rng.standard_normal(int(rng.integers(1, 300)))
+            for t in range(12):
+                scale = 10.0 ** rng.uniform(-8, 4)
+                g = 0.0 * w_got if t % 5 == 2 else (
+                    scale * rng.standard_normal(w_got.size))
+                moments = (got.m, got.v)
+                w_in, w_before = w_got, w_got.copy()
+                w_got = adam_step(got, g, w_in)
+                w_want = fresh_arrays(want, g, w_want)
+                assert np.array_equal(w_got, w_want)
+                assert np.array_equal(got.m, want.m)
+                assert np.array_equal(got.v, want.v)
+                if t:       # the same arrays, updated in place
+                    assert got.m is moments[0] and got.v is moments[1]
+                # the weights passed in stay as they were
+                assert np.array_equal(w_in, w_before)
+
+
 class TestSamToyQuadratic:
     def test_hand_evaluation(self):
         # L(w) = w^2/2, w=2, rho=1: eps = 1, SAM grad = 3,
