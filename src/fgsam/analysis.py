@@ -62,6 +62,9 @@ def verify_theorem(params: CsbmParams) -> TheoremReport:
     """Build the optimal linear classifier for raw and for filtered
     features independently per class pair and report how far apart they
     are; the two are predicted to be identical."""
+    if params.K < 2:
+        raise AnalysisError(f"need at least 2 classes to compare, got "
+                            f"K={params.K}")
     if params.p == params.q:
         raise AnalysisError("degenerate p == q")
     if params.p + (params.K - 1) * params.q <= 0:

@@ -127,16 +127,20 @@ def _cast(cast, text, what):
 
 def _settings(args):
     """`get(name, default)`: the setting's flag if given, else its config
-    value cast to the setting's type, else `default`."""
+    value cast to the setting's type, else `default`. `args.settings`
+    records, by name, every value other than None that `get` returned; the
+    config echo and the tables' meta are written from it."""
     cfg = _load_config(args.config, args.command) if args.config else {}
+    args.settings = {}
 
     def get(name, default=None):
         value = getattr(args, name, None)
+        if value is None:
+            value = (_cast(_TYPES[name], cfg[name], f"config value {name}")
+                     if name in cfg else default)
         if value is not None:
-            return value
-        if name in cfg:
-            return _cast(_TYPES[name], cfg[name], f"config value {name}")
-        return default
+            args.settings[name] = value
+        return value
 
     return get
 
@@ -155,23 +159,31 @@ def _build_hp(get, reads) -> Hyperparams:
     return _config(Hyperparams, get, reads, k=get("k", 2))
 
 
-def _echo_ini(outdir: str, reads, *configs, **extra) -> None:
-    """Write a config echo that can be fed back through --config: every
-    setting that the command `reads` and that the fields of `configs` or
-    `extra` hold, in table order."""
-    values = {}
-    for config in configs:
-        values.update(vars(config))
-    values.update(extra)
+def _echo_ini(settings: dict) -> None:
+    """Write into the output directory a config echo that can be fed back
+    through --config: every setting the command read but `out`, in table
+    order."""
     parser = configparser.ConfigParser()
     for section, key, name, _, _ in _SETTINGS:
-        if name in values and name in reads:
+        if name in settings and name != "out":
+            value = settings[name]
+            if name == "split_ratio":
+                value = "/".join(str(r) for r in _parse_split(value))
             if not parser.has_section(section):
                 parser.add_section(section)
-            parser.set(section, key, str(values[name]))
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config_echo.ini"), "w") as fh:
+            parser.set(section, key, str(value))
+    with open(os.path.join(settings["out"], "config_echo.ini"), "w") as fh:
         parser.write(fh)
+
+
+def _write_table(args, name, header, rows, **meta) -> None:
+    """The table `name` in the output directory, with a meta record of the
+    command, its seed and `meta`."""
+    out = args.settings["out"]
+    os.makedirs(out, exist_ok=True)
+    analysis.write_report_csv(
+        os.path.join(out, name), header, rows,
+        {"command": args.command, "seed": args.settings["seed"], **meta})
 
 
 def _parse_split(text: str):
@@ -200,21 +212,28 @@ def _input_hash(graph) -> str:
 
 def _graph_preamble(args):
     """The preamble of the commands that read a graph: settings, output
-    directory, graph and the graph's path."""
+    directory and graph."""
     get = _settings(args)
     out = _out(get)
     path = get("graph")
     if path is None:
         raise CliError("no graph directory given (--graph or [graph] path)")
-    return get, out, load_graph(path), path
+    return get, out, load_graph(path)
+
+
+def _steps(get, default) -> int:
+    """The --episodes of the commands that take full-batch steps."""
+    steps = get("episodes", default)
+    if steps < 1:
+        # not `steps`, the name NCConfig and run_bench give it
+        raise CliError("episodes must be positive")
+    return steps
 
 
 def _episodic(args, **given):
     """The preamble of the episodic commands: `_graph_preamble`'s, the
-    protocol config with its `given` fields and the class split, plus
-    `echo(**extra)`, which writes the re-runnable config echo of that
-    config."""
-    get, out, graph, graph_path = _graph_preamble(args)
+    protocol config with its `given` fields and the class split."""
+    get, out, graph = _graph_preamble(args)
     reads = _reads(args)
     config = _config(fsnc.ProtocolConfig, get, reads,
                      hp=_build_hp(get, reads), **given)
@@ -223,12 +242,7 @@ def _episodic(args, **given):
     # the graph's propagation matrix, built before any arm so that the
     # first arm's wall time does not carry it and threaded arms share it
     normalize(graph, config.scheme)
-
-    def echo(**extra):
-        _echo_ini(out, reads, config, config.hp, graph=graph_path,
-                  split_ratio="/".join(str(r) for r in ratio), **extra)
-
-    return get, out, graph, config, ratio, split, echo
+    return get, out, graph, config, ratio, split
 
 
 def cmd_gen_csbm(args) -> int:
@@ -245,20 +259,17 @@ def cmd_gen_csbm(args) -> int:
     )
     graph = generate_csbm(params)
     save_graph(graph, out)
-    _echo_ini(out, _reads(args), seed=params.seed, csbm_classes=params.K,
-              nodes_per_class=params.nodes_per_class, p=params.p, q=params.q,
-              dist=params.D, dim=params.l)
     print(f"wrote CSBM graph: n={graph.n} edges={graph.num_edges} "
           f"classes={graph.num_classes} -> {out}")
     return 0
 
 
-def _write_cost_report(path, rows, meta) -> None:
+def _write_cost_report(args, name, rows, **meta) -> None:
     """One row per optimizer of `analysis.cost_report`, with its meta."""
     header = ("optimizer", "gnn_evals", "mlp_evals", "wall_seconds",
               "wall_ratio_vs_adam")
-    analysis.write_report_csv(
-        path, header, [tuple(r[key] for key in header) for r in rows], meta)
+    _write_table(args, name, header,
+                 [tuple(r[key] for key in header) for r in rows], **meta)
 
 
 def _run_fsnc_arm(config, graph, split, outdir):
@@ -268,9 +279,8 @@ def _run_fsnc_arm(config, graph, split, outdir):
 
 
 def cmd_fsnc(args) -> int:
-    get, out, graph, config, ratio, split, echo = _episodic(args)
+    get, out, graph, config, ratio, split = _episodic(args)
     report = _run_fsnc_arm(config, graph, split, out)
-    echo()
     print(f"fsnc [{config.optimizer}] test acc "
           f"{report.test_acc_mean:.4f} +/- {report.test_acc_std:.4f} "
           f"(gnn evals {report.gnn_evals}, mlp evals {report.mlp_evals})")
@@ -279,8 +289,8 @@ def cmd_fsnc(args) -> int:
 
 def cmd_compare(args) -> int:
     names = optim.OPTIMIZER_NAMES
-    # every arm runs; the echo records the first
-    get, out, graph, config, ratio, split, echo = _episodic(
+    # every arm runs, so the config's optimizer is a placeholder
+    get, out, graph, config, ratio, split = _episodic(
         args, optimizer=names[0])
     configs = {name: replace(config, optimizer=name) for name in names}
     # with one worker (the default) the arms run one after another
@@ -291,11 +301,8 @@ def cmd_compare(args) -> int:
     traces = {name: {"gnn_evals": rep.gnn_evals, "mlp_evals": rep.mlp_evals,
                      "wall_seconds": rep.wall_seconds}
               for name, rep in reports.items()}
-    _write_cost_report(os.path.join(out, "cost_report.csv"),
-                       analysis.cost_report(traces),
-                       {"command": "compare", "seed": config.seed,
-                        "split": ratio, "input_hash": _input_hash(graph)})
-    echo()
+    _write_cost_report(args, "cost_report.csv", analysis.cost_report(traces),
+                       split=ratio, input_hash=_input_hash(graph))
     for name in names:
         rep = reports[name]
         print(f"{name:7s} test acc {rep.test_acc_mean:.4f} "
@@ -320,13 +327,10 @@ def make_nc_masks(graph, seed, train_frac=0.6, val_frac=0.2):
 
 
 def cmd_nc(args) -> int:
-    get, out, graph, graph_path = _graph_preamble(args)
-    steps = get("episodes", fsnc.NCConfig.steps)
-    if steps < 1:
-        # NCConfig would name its own field, `steps`
-        raise CliError("episodes must be positive")
+    get, out, graph = _graph_preamble(args)
     reads = _reads(args)
-    config = _config(fsnc.NCConfig, get, reads, steps=steps,
+    config = _config(fsnc.NCConfig, get, reads,
+                     steps=_steps(get, fsnc.NCConfig.steps),
                      hp=_build_hp(get, reads))
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
@@ -336,23 +340,23 @@ def cmd_nc(args) -> int:
     mdl.save_checkpoint(os.path.join(out, "best.ckpt"),
                         mdl.ModelParams.from_flat(report.best_params, dims),
                         config.hidden)
-    _echo_ini(out, reads, config, config.hp, graph=graph_path,
-              episodes=config.steps)
     print(f"nc [{config.optimizer}] test acc {report.test_acc:.4f} "
           f"(stopped at step {report.stop_step})")
     return 0
 
 
 def cmd_landscape(args) -> int:
-    get, out, graph, graph_path = _graph_preamble(args)
+    get, out, graph = _graph_preamble(args)
     points = get("grid_points", 41)
     if points < 3 or points % 2 == 0:
         # the grid is symmetric about the base point, so its count is odd
         raise CliError(f"--grid-points must be an odd number of at least "
                        f"3, got {points}")
-    seed = get("seed", 0)
-    scheme = get("scheme", "gcn-sym")
     grid_range = get("grid_range", 1.0)
+    if not 0 < grid_range < np.inf:
+        raise CliError(f"--grid-range must be positive and finite, got "
+                       f"{grid_range}")
+    seed = get("seed", 0)
     slice_dims = get("slice_dims", 1)
     checkpoint = get("checkpoint")
     if checkpoint:
@@ -364,13 +368,11 @@ def cmd_landscape(args) -> int:
             raise CliError(f"checkpoint {checkpoint} has output width "
                            f"{params.dims[-1]}, the graph has "
                            f"{graph.num_classes} classes")
-        model = {"checkpoint": checkpoint}
     else:
-        model = {"layers": get("layers", 2), "hidden": get("hidden", 16)}
-        dims = mdl.uniform_dims(graph.d0, model["hidden"], graph.num_classes,
-                                model["layers"])
+        dims = mdl.uniform_dims(graph.d0, get("hidden", 16),
+                                graph.num_classes, get("layers", 2))
         params = mdl.init_params(dims, stream_rng(seed, "init"))
-    operator = normalize(graph, scheme)
+    operator = normalize(graph, get("scheme", "gcn-sym"))
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                      graph.num_classes)
     grid = np.linspace(-grid_range, grid_range, points)
@@ -378,7 +380,6 @@ def cmd_landscape(args) -> int:
                                    slice_dims, grid,
                                    seed=int(stream_rng(seed, "directions")
                                             .integers(2 ** 31)))
-    os.makedirs(out, exist_ok=True)
     if slice_dims == 1:
         rows = [(float(a), float(l)) for a, l in zip(slc.alphas, slc.losses)]
         header = ("alpha", "loss")
@@ -387,19 +388,14 @@ def cmd_landscape(args) -> int:
                 for i, a in enumerate(slc.alphas)
                 for j, b in enumerate(slc.betas)]
         header = ("alpha", "beta", "loss")
-    analysis.write_report_csv(
-        os.path.join(out, "landscape.csv"), header, rows,
-        {"command": "landscape", "seed": seed, "base_loss": slc.base_loss,
-         "input_hash": _input_hash(graph)})
-    _echo_ini(out, _reads(args), seed=seed, graph=graph_path, scheme=scheme,
-              grid_points=points, grid_range=grid_range,
-              slice_dims=slice_dims, **model)
+    _write_table(args, "landscape.csv", header, rows,
+                 base_loss=slc.base_loss, input_hash=_input_hash(graph))
     print(f"landscape slice written, base loss {slc.base_loss:.6f}")
     return 0
 
 
 def cmd_drift(args) -> int:
-    get, out, graph, config, ratio, split, echo = _episodic(
+    get, out, graph, config, ratio, split = _episodic(
         args, optimizer="fgsam+", repeats=1, collect_bundles=True)
     report = fsnc.train_protocol(config, graph, split)
     drift = analysis.grad_drift(report.repeats[0].bundles)
@@ -413,12 +409,8 @@ def cmd_drift(args) -> int:
     header = ["exact_step"]
     for name in analysis.DRIFT_NAMES:
         header.extend([f"{name}_drift", f"{name}_drift_rel"])
-    os.makedirs(out, exist_ok=True)
-    analysis.write_report_csv(
-        os.path.join(out, "drift.csv"), tuple(header), rows,
-        {"command": "drift", "seed": config.seed,
-         "input_hash": _input_hash(graph)})
-    echo()
+    _write_table(args, "drift.csv", tuple(header), rows,
+                 input_hash=_input_hash(graph))
     for name in analysis.DRIFT_NAMES:
         med = float(np.median(drift[name]["raw"]))
         print(f"median drift {name}: {med:.6g}")
@@ -427,20 +419,15 @@ def cmd_drift(args) -> int:
 
 def cmd_rho_sweep(args) -> int:
     # each curve runs one repeat at its own rho
-    get, out, graph, config, ratio, split, echo = _episodic(args, repeats=1)
+    get, out, graph, config, ratio, split = _episodic(args, repeats=1)
     text = get("rhos", "0.01,0.05,0.1,0.5,1.0")
     rhos = [_cast(float, r, "--rhos") for r in text.split(",")]
     curves = analysis.rho_sweep(config, rhos, graph, split)
     rows = [(config.optimizer, rho, step, loss)
             for rho, losses in sorted(curves.items())
             for step, loss in enumerate(losses)]
-    os.makedirs(out, exist_ok=True)
-    analysis.write_report_csv(
-        os.path.join(out, "rho_sweep.csv"),
-        ("optimizer", "rho", "step", "loss"), rows,
-        {"command": "rho-sweep", "seed": config.seed,
-         "input_hash": _input_hash(graph)})
-    echo(rhos=text)
+    _write_table(args, "rho_sweep.csv", ("optimizer", "rho", "step", "loss"),
+                 rows, input_hash=_input_hash(graph))
     print(f"rho sweep: {len(curves)} curves written")
     return 0
 
@@ -504,9 +491,8 @@ def cmd_bench(args) -> int:
     get = _settings(args)
     out = get("out")
     seed = get("seed", 0)
-    steps = get("episodes", 200)
-    reads = _reads(args)
-    hp = _build_hp(get, reads)
+    steps = _steps(get, 200)
+    hp = _build_hp(get, _reads(args))
     graph = bench_instance(seed)
     deg = graph.degrees().mean()
     print(f"bench graph: n={graph.n} edges={graph.num_edges} "
@@ -518,11 +504,7 @@ def cmd_bench(args) -> int:
               f"mlp={r['mlp_evals']:4d} wall={r['wall_seconds']:.2f}s "
               f"ratio={r['wall_ratio_vs_adam']:.2f}")
     if out:
-        os.makedirs(out, exist_ok=True)
-        _write_cost_report(os.path.join(out, "bench.csv"), rows,
-                           {"command": "bench", "seed": seed,
-                            "steps": steps})
-        _echo_ini(out, reads, hp, seed=seed, episodes=steps)
+        _write_cost_report(args, "bench.csv", rows, steps=steps)
     return 0
 
 
@@ -586,7 +568,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and args.settings.get("out"):
+            _echo_ini(args.settings)
+        return code
     except (CliError, GraphError, ModelError, OptimError, fsnc.FsncError,
             analysis.AnalysisError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -328,6 +328,11 @@ class CsbmParams:
     seed: int
 
     def __post_init__(self):
+        if self.K < 1:
+            raise GraphError(f"class count K must be positive, got {self.K}")
+        if self.nodes_per_class < 1:
+            raise GraphError(f"nodes_per_class must be positive, got "
+                             f"{self.nodes_per_class}")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
             raise GraphError("edge probabilities must lie in [0, 1]")
         if self.D <= 0:

@@ -143,7 +143,9 @@ class TestFsnc:
         ("rho-sweep", ["--optimizer", "fgsam", "--episodes", "6",
                        "--val-interval", "50", "--split", "4/2/2",
                        "--rhos", "0.01,0.1"]),
-    ], ids=["drift", "rho-sweep"])
+        ("compare", ["--episodes", "6", "--repeats", "1", "--val-interval",
+                     "50", "--test-tasks", "4", "--split", " 4/2/2"]),
+    ], ids=["drift", "rho-sweep", "compare"])
     def test_rerun_from_echo_identical_other_commands(self, graph_dir,
                                                       tmp_path, command,
                                                       flags):
@@ -430,25 +432,91 @@ class TestErrors:
             "by nc\n")
         assert not os.path.exists(tmp_path / "x")
 
-    @pytest.mark.parametrize("command, flags, unread", [
-        ("compare", FSNC_FLAGS, {"optimizer"}),
-        ("drift", ["--episodes", "4", "--k", "2", "--split", "4/2/2"],
+    @pytest.mark.parametrize("command, on_graph, flags, unread", [
+        ("gen-csbm", False, ["--k", "3", "--nodes-per-class", "4"], set()),
+        ("fsnc", True, ["--optimizer", "sam", "--episodes", "4",
+                        "--repeats", "1", "--split", " 4/2/2"], set()),
+        ("compare", True, FSNC_FLAGS, {"optimizer"}),
+        ("nc", True, ["--episodes", "2", "--layers", "3"], set()),
+        ("landscape", True, ["--grid-points", "3"], {"checkpoint"}),
+        ("landscape", True, ["--grid-points", "3", "--checkpoint", None],
+         {"layers", "hidden"}),
+        ("drift", True, ["--episodes", "4", "--k", "2", "--split", "4/2/2"],
          {"optimizer", "repeats"}),
-        ("rho-sweep", ["--optimizer", "sam", "--episodes", "4",
-                       "--split", "4/2/2",
-                       "--rhos", "0.1"], {"rho", "repeats"}),
-    ], ids=["compare", "drift", "rho-sweep"])
+        ("rho-sweep", True, ["--optimizer", "sam", "--episodes", "4",
+                             "--split", "4/2/2",
+                             "--rhos", "0.1"], {"rho", "repeats"}),
+        ("bench", False, ["--episodes", "1", "--alpha", "0.5"], set()),
+    ], ids=["gen-csbm", "fsnc", "compare", "nc", "landscape",
+            "landscape-checkpoint", "drift", "rho-sweep", "bench"])
     def test_echo_records_only_the_settings_read(self, graph_dir, tmp_path,
-                                                 command, flags, unread):
+                                                 monkeypatch, command,
+                                                 on_graph, flags, unread):
+        returned = {}
+        settings = cli._settings
+
+        def recording(args):
+            get = settings(args)
+
+            def spy(name, default=None):
+                value = get(name, default)
+                if value is not None:
+                    returned[name] = value
+                return value
+
+            return spy
+
+        monkeypatch.setattr(cli, "_settings", recording)
+        ckpt = str(tmp_path / "model.ckpt")
+        flags = [write_checkpoint(ckpt) if f is None else f for f in flags]
+        graph = ["--graph", graph_dir] if on_graph else []
         out = str(tmp_path / command)
-        assert run_cli(command, "--graph", graph_dir, "--out", out,
-                       *flags) == 0
+        assert run_cli(command, *graph, "--out", out, *flags) == 0
         echo = configparser.ConfigParser()
         echo.read(os.path.join(out, "config_echo.ini"))
-        keys = {cli._NAMES[section, key] for section in echo.sections()
-                for key in echo[section]}
-        assert keys and keys <= set(cli._COMMANDS[command][2])
-        assert not keys & unread
+        values = {cli._NAMES[section, key]: value
+                  for section in echo.sections()
+                  for key, value in echo[section].items()}
+        # every setting read, whether from a flag, the config or a default
+        assert set(values) == set(returned) - {"out"}
+        assert set(values) <= set(cli._COMMANDS[command][2])
+        assert not set(values) & unread
+        if "split_ratio" in values:
+            assert values.pop("split_ratio") == "4/2/2"
+        assert values == {name: str(returned[name]) for name in values}
+
+    @pytest.mark.parametrize("flags", [
+        ["--nodes-per-class", "-3"], ["--nodes-per-class", "0"], ["--k", "0"],
+    ], ids=["nodes-per-class-negative", "nodes-per-class-zero", "k-zero"])
+    def test_gen_csbm_needs_classes_and_nodes(self, tmp_path, capsys, flags):
+        out = tmp_path / "g"
+        assert run_cli("gen-csbm", "--out", str(out), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_verify_theorem_needs_two_classes(self, capsys):
+        assert run_cli("verify-theorem", "--k", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at least 2 classes")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid_range", ["0", "-1", "nan", "inf"])
+    def test_landscape_grid_range_positive_finite(self, graph_dir, tmp_path,
+                                                  capsys, grid_range):
+        out = tmp_path / "land"
+        assert run_cli("landscape", "--graph", graph_dir, "--out", str(out),
+                       "--grid-points", "3", "--grid-range", grid_range) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid-range") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bench_needs_episodes(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--episodes", "0", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: episodes must be positive\n"
+        assert captured.out == "" and not out.exists()
 
     def test_unknown_config_section(self, graph_dir, tmp_path):
         cfg = tmp_path / "bad2.ini"
