@@ -335,8 +335,10 @@ class CsbmParams:
                              f"{self.nodes_per_class}")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
             raise GraphError("edge probabilities must lie in [0, 1]")
-        if self.D <= 0:
-            raise GraphError("mean distance D must be positive")
+        # every comparison with nan is false, so nan fails this one too
+        if not 0 < self.D < np.inf:
+            raise GraphError(f"mean distance D must be positive and finite, "
+                             f"got {self.D}")
         if self.l < self.K:
             raise GraphError("feature dimension must be >= class count")
 
@@ -345,8 +347,8 @@ def simplex_means(K: int, D: float, l: int) -> np.ndarray:
     """K equidistant class means in R^l: scaled standard basis vectors."""
     if l < K:
         raise GraphError(f"need l >= K, got l={l}, K={K}")
-    if D <= 0:
-        raise GraphError("D must be positive")
+    if not 0 < D < np.inf:
+        raise GraphError(f"D must be positive and finite, got {D}")
     means = np.zeros((K, l))
     means[np.arange(K), np.arange(K)] = D / np.sqrt(2.0)
     return means

@@ -7,7 +7,7 @@ swapping the operator.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +100,9 @@ def propagates_after(l: int, w: np.ndarray) -> bool:
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of `z`. Nothing in the package calls it: it is
+    kept only as a target of the benchmark's tracer (`perfbench/tracing.py`);
+    the cross-entropy's softmax is computed inside `ce_head`."""
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -113,6 +116,8 @@ class LossSpec:
     indices: np.ndarray     # distinct row indices
     targets: np.ndarray     # one-hot rows aligned with indices
     weight_decay: float = 0.0
+    # the targets class-major (C x m, contiguous), as `ce_head` reads them
+    targets_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -125,6 +130,7 @@ class LossSpec:
             raise ModelError("targets must align with indices")
         if self.weight_decay < 0:
             raise ModelError("weight decay must be non-negative")
+        self.targets_t = np.ascontiguousarray(self.targets.T)
 
 
 def loss_spec_from_labels(indices, labels, num_classes, weight_decay=0.0) -> LossSpec:
@@ -230,16 +236,55 @@ def forward_features(params: ModelParams, x: np.ndarray,
     return Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])
 
 
+def ce_head(logits_t: np.ndarray, targets_t: np.ndarray,
+            compute_grad: bool = True):
+    """Mean softmax cross-entropy of the m columns of the class-major
+    (C x m, contiguous) logits against `targets_t` (C x m), and its gradient
+    w.r.t. the logits as a C-contiguous m x C array (None without
+    `compute_grad`). The max, the exponentials, their sums and the
+    log-sum-exp are computed once, each reducing over the class axis 0, and
+    the gradient (softmax - targets) / m reuses the exponentials in place.
+
+    Up to C = 7 classes the sums are bit for bit those of a reduction over
+    the classes of row-major (m x C) logits; from C = 8 numpy sums such rows
+    pairwise, and the two differ by about 1e-15 relative."""
+    m = logits_t.shape[1]
+    zmax = logits_t.max(axis=0)
+    e = logits_t - zmax
+    np.exp(e, out=e)
+    sums = e.sum(axis=0)
+    lse = np.log(sums)
+    lse += zmax
+    value = float(np.mean(lse - (logits_t * targets_t).sum(axis=0)))
+    if not compute_grad:
+        return value, None
+    e /= sums
+    e -= targets_t
+    e /= m
+    return value, np.ascontiguousarray(e.T)
+
+
+def ce_rows(logits: np.ndarray, rows, targets_t: np.ndarray,
+            compute_grad: bool = True):
+    """`ce_head` on `rows` of the row-major logits (None: all of them, in
+    their order), its gradient scattered back to one row per logits row."""
+    z = logits if rows is None else logits[rows]
+    value, d = ce_head(np.ascontiguousarray(z.T), targets_t, compute_grad)
+    if d is None or rows is None:
+        return value, d
+    d_out = np.zeros_like(logits)
+    d_out[rows] = d
+    return value, d_out
+
+
 def loss(activations: Activations, spec: LossSpec, params: ModelParams) -> float:
-    z = activations.logits[spec.indices]
-    # log-sum-exp stabilized cross-entropy
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax.ravel() + np.log(np.exp(z - zmax).sum(axis=1))
-    ce = np.mean(lse - np.sum(z * spec.targets, axis=1))
+    """`ce_head` on the spec's rows of the logits, plus weight decay."""
+    value, _ = ce_rows(activations.logits, spec.indices, spec.targets_t,
+                       compute_grad=False)
     if spec.weight_decay:
         flat = params.flatten()
-        ce += spec.weight_decay * float(flat @ flat)
-    return float(ce)
+        value += spec.weight_decay * float(flat @ flat)
+    return value
 
 
 def backward_from_output(params: ModelParams, operator: PropagationOperator,
@@ -273,6 +318,9 @@ def backward_from_output(params: ModelParams, operator: PropagationOperator,
 
 def backward(params: ModelParams, graph: Graph, operator: PropagationOperator,
              spec: LossSpec) -> np.ndarray:
+    """The gradient of `loss` from a forward over all n rows. Nothing in the
+    package calls it: it is kept only as a target of the benchmark's tracer
+    (`perfbench/tracing.py`)."""
     acts = forward(params, graph, operator)
     return backward_from_acts(params, operator, acts, spec)
 
@@ -282,10 +330,7 @@ def backward_from_acts(params: ModelParams, operator: PropagationOperator,
                        blocks=None) -> np.ndarray:
     """The gradient of `loss`, whose spec indexes the rows of the logits;
     `blocks` are those of the forward that made `acts`."""
-    m = spec.indices.size
-    d_out = np.zeros_like(acts.logits)
-    probs = softmax_rows(acts.logits[spec.indices])
-    d_out[spec.indices] = (probs - spec.targets) / m
+    _, d_out = ce_rows(acts.logits, spec.indices, spec.targets_t)
     grad = backward_from_output(params, operator, acts, d_out, blocks)
     if spec.weight_decay:
         grad += 2.0 * spec.weight_decay * params.flatten()

@@ -129,24 +129,31 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     of the nodes, the GNN's last layer runs on the loss rows
     (`model.top_blocks`, cut here once) and the PeerMLP on the loss rows'
     features, gathered here once; their logits are the loss rows in the
-    spec's order. A spec over every node runs both on all n rows."""
+    spec's order. A spec over every node runs both on all n rows. Each
+    gradient runs its forward, one `model.ce_head` on the loss rows and the
+    backward, and flattens the weights once for the weight decay."""
     rows = spec.indices
     if rows.size == graph.n:
-        gnn = mlp = (graph.features, None, spec)
+        # the logits are all n rows; gathered only if the spec reorders them
+        order = None if np.array_equal(rows, np.arange(graph.n)) else rows
+        gnn = mlp = (graph.features, None, order)
     else:
-        # the loss rows' own positions among the logits
-        local = mdl.LossSpec(np.arange(rows.size), spec.targets,
-                             spec.weight_decay)
-        mlp = (graph.features[rows], None, local)
+        mlp = (graph.features[rows], None, None)
         gnn = mlp if operator.is_identity else (
             graph.features, mdl.top_blocks(operator, rows, len(dims) - 1),
-            local)
+            None)
+    wd = spec.weight_decay
 
     def loss_grad(params, op):
-        x, blocks, s = mlp if op.is_identity else gnn
+        x, blocks, order = mlp if op.is_identity else gnn
         acts = mdl.forward_features(params, x, op, blocks)
-        return (mdl.loss(acts, s, params),
-                mdl.backward_from_acts(params, op, acts, s, blocks))
+        value, d_out = mdl.ce_rows(acts.logits, order, spec.targets_t)
+        grad = mdl.backward_from_output(params, op, acts, d_out, blocks)
+        if wd:
+            flat = params.flatten()
+            value += wd * float(flat @ flat)
+            grad += 2.0 * wd * flat
+        return value, grad
 
     return peer_objective(dims, operator, loss_grad)
 

@@ -5,7 +5,7 @@ bit for bit against it."""
 
 import numpy as np
 
-import fgsam.model as mdl
+from full_graph_oracle import softmax_rows
 
 
 def proto_head(emb: np.ndarray, episode, compute_grad: bool = True):
@@ -28,7 +28,7 @@ def proto_head(emb: np.ndarray, episode, compute_grad: bool = True):
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
     if not compute_grad:
         return value, acc, None
-    probs = mdl.softmax_rows(logits)
+    probs = softmax_rows(logits)
     dlogits = probs.copy()
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m

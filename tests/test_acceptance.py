@@ -16,6 +16,7 @@ from fgsam import analysis, cli, fsnc, gradcheck, optim
 from fgsam.graphcore import (CsbmParams, PropagationOperator, generate_csbm,
                              normalize)
 from fgsam.seeding import stream_rng
+from full_graph_oracle import softmax_rows
 from moments_oracle import mc_filtered_moments
 from peermlp_oracle import forward_mlp
 
@@ -110,7 +111,7 @@ def test_criterion_02_optimizer_identities(criterion):
 def _mlp_backward_dedicated(params, x, spec):
     """Straight-line PeerMLP backward, no propagation operator anywhere."""
     acts = forward_mlp(params, x)
-    probs = mdl.softmax_rows(acts.logits)
+    probs = softmax_rows(acts.logits)
     m = spec.indices.size
     dz = np.zeros_like(acts.logits)
     dz[spec.indices] = (probs[spec.indices] - spec.targets) / m

@@ -495,6 +495,20 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,dist", [
+        ("verify-theorem", "nan"), ("verify-theorem", "inf"),
+        ("gen-csbm", "nan"),
+    ], ids=["verify-theorem-nan", "verify-theorem-inf", "gen-csbm-nan"])
+    def test_csbm_distance_positive_finite(self, tmp_path, capsys, command,
+                                           dist):
+        out = tmp_path / "g"
+        argv = ["--out", str(out)] if command == "gen-csbm" else []
+        assert run_cli(command, "--dist", dist, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: mean distance D must be positive "
+                                f"and finite, got {dist}\n")
+        assert captured.out == "" and not out.exists()
+
     def test_verify_theorem_needs_two_classes(self, capsys):
         assert run_cli("verify-theorem", "--k", "1") == 1
         err = capsys.readouterr().err

@@ -384,6 +384,11 @@ class TestSimplexMeans:
         with pytest.raises(GraphError):
             simplex_means(3, 1.0, 2)
 
+    @pytest.mark.parametrize("D", [0.0, -1.0, np.nan, np.inf])
+    def test_distance_positive_finite(self, D):
+        with pytest.raises(GraphError, match="positive and finite"):
+            simplex_means(3, D, 3)
+
 
 class TestCsbm:
     def test_two_cliques(self):
@@ -494,6 +499,13 @@ class TestCsbm:
             CsbmParams(K=2, nodes_per_class=10, p=0.5, q=0.1, D=-1, l=2, seed=0)
         with pytest.raises(GraphError):
             CsbmParams(K=3, nodes_per_class=10, p=0.5, q=0.1, D=1, l=2, seed=0)
+
+    @pytest.mark.parametrize("D", [np.nan, np.inf])
+    def test_non_finite_distance(self, D):
+        # nan passes a `D <= 0` check: every comparison with it is false
+        with pytest.raises(GraphError, match="positive and finite"):
+            CsbmParams(K=2, nodes_per_class=10, p=0.5, q=0.1, D=D, l=2,
+                       seed=0)
 
 
 def triangle_csbm(params):

@@ -161,13 +161,15 @@ class TestBackward:
         rows = np.arange(0, graph.n, 2)
         spec = mdl.loss_spec_from_labels(rows, graph.labels,
                                          graph.num_classes)
-        seen, softmax_rows = [], mdl.softmax_rows
+        seen, ce_head = [], mdl.ce_head
 
-        def softmax_spy(z):
-            seen.append(z.shape[0])
-            return softmax_rows(z)
+        def head_spy(logits_t, targets_t, compute_grad=True):
+            seen.append(logits_t.shape[1])
+            return ce_head(logits_t, targets_t, compute_grad)
 
-        monkeypatch.setattr(mdl, "softmax_rows", softmax_spy)
+        # the head computes the softmax, on class-major logits: one column
+        # per loss row
+        monkeypatch.setattr(mdl, "ce_head", head_spy)
         acts = mdl.forward(params, graph, operator)
         mdl.backward_from_acts(params, operator, acts, spec)
         assert seen == [rows.size]
