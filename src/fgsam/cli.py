@@ -469,6 +469,7 @@ def bench_instance(seed=0):
 
 def run_bench(graph, steps, hp_base, seed=0):
     operator = normalize(graph, "gcn-sym")
+    operator.propagate_input(graph.features)   # not inside the first arm
     dims = mdl.uniform_dims(graph.d0, 16, graph.num_classes, 2)
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                      graph.num_classes)

@@ -4,7 +4,6 @@ meta-testing, and a standard node-classification trainer."""
 
 import csv
 import functools
-import itertools
 import json
 import os
 import time
@@ -43,8 +42,9 @@ def split_classes(num_classes: int, ratio, seed: int) -> ClassSplit:
 
 @dataclass(frozen=True)
 class Episode:
-    """One N-way K-shot task. Frozen, so that `query_labels` and `rows`,
-    computed on first use and read-only, stay those of its fields."""
+    """One N-way K-shot task, or a round of them (`draw_round`). Frozen, so
+    that `query_labels` and `rows`, computed on first use and read-only,
+    stay those of its fields."""
 
     way: int
     shot: int
@@ -61,7 +61,7 @@ class Episode:
     def rows(self) -> np.ndarray:
         """The episode's nodes, support then query: the rows its loss
         reads, in the order `proto_head` takes their embeddings."""
-        return _read_only(np.concatenate([self.support_idx, self.query_idx]))
+        return _read_only(np.hstack([self.support_idx, self.query_idx]))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -69,25 +69,35 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
-                   rng: np.random.Generator) -> Episode:
+def draw_round(graph: Graph, classes, way: int, shot: int, query: int,
+               tasks: int, rng: np.random.Generator) -> Episode:
+    """`tasks` tasks drawn one after another from `rng`, as one episode
+    whose arrays have a leading task axis (row t of `rows`: task t's)."""
     classes = np.asarray(classes)
     if classes.size < way:
         raise FsncError(f"need {way} classes, only {classes.size} available")
-    chosen = rng.choice(classes, size=way, replace=False)
     pools = graph.class_nodes
-    support, query_idx = [], []
-    for c in chosen:
-        pool = pools[c] if 0 <= c < len(pools) else pools[:0]
-        if len(pool) < shot + query:
-            raise FsncError(
-                f"class {c} has {len(pool)} nodes, needs {shot + query}")
-        picked = rng.choice(pool, size=shot + query, replace=False)
-        support.append(picked[:shot])
-        query_idx.append(picked[shot:])
+    chosen = np.empty((tasks, way), dtype=classes.dtype)
+    picked = np.empty((tasks, way, shot + query), dtype=np.int64)
+    for t in range(tasks):
+        chosen[t] = rng.choice(classes, size=way, replace=False)
+        for c, slot in zip(chosen[t], picked[t]):
+            pool = pools[c] if 0 <= c < len(pools) else pools[:0]
+            if len(pool) < shot + query:
+                raise FsncError(
+                    f"class {c} has {len(pool)} nodes, needs {shot + query}")
+            slot[:] = rng.choice(pool, size=shot + query, replace=False)
     return Episode(way=way, shot=shot, query_per_class=query, classes=chosen,
-                   support_idx=np.concatenate(support),
-                   query_idx=np.concatenate(query_idx))
+                   support_idx=picked[:, :, :shot].reshape(tasks, -1),
+                   query_idx=picked[:, :, shot:].reshape(tasks, -1))
+
+
+def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
+                   rng: np.random.Generator) -> Episode:
+    """One task: the one-task case of `draw_round`."""
+    task = draw_round(graph, classes, way, shot, query, 1, rng)
+    return Episode(way, shot, query, task.classes[0], task.support_idx[0],
+                   task.query_idx[0])
 
 
 def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
@@ -135,8 +145,8 @@ def proto_episode(params: mdl.ModelParams, graph: Graph,
     acts = mdl.forward(params, graph, operator, blocks)
     emb = acts.logits if blocks is not None else acts.logits[rows]
     value, acc, d_emb = proto_head(emb, episode, compute_grad)
-    flat = params.flatten()
     if weight_decay:
+        flat = params.flatten()
         value += weight_decay * float(flat @ flat)
     if not compute_grad:
         return value, acc, None
@@ -151,32 +161,24 @@ def proto_episode(params: mdl.ModelParams, graph: Graph,
     return value, acc, grad
 
 
-def draw_tasks(graph: Graph, classes, way: int, shot: int, query: int,
-               tasks: int, rng) -> list:
-    """`tasks` episodes drawn one after another from `rng`."""
-    return [sample_episode(graph, classes, way, shot, query, rng=rng)
-            for _ in range(tasks)]
-
-
-def task_rows(episodes) -> np.ndarray:
-    """The sorted union of the episodes' rows."""
-    return np.unique(np.concatenate([e.rows for e in episodes]))
-
-
 def task_accuracy(params: mdl.ModelParams, graph: Graph,
-                  operator: PropagationOperator, episodes, blocks):
-    """Mean and standard deviation of the accuracy over the `episodes` of
-    an evaluation round. The weights are the same for every task, so one
-    forward over the union of the tasks' rows serves them all. `blocks`
-    are `model.blocks_for` of that union (`task_rows`); None runs the
-    forward on all n rows."""
+                  operator: PropagationOperator, tasks: Episode, blocks):
+    """Mean and standard deviation of the accuracy over the tasks of an
+    evaluation round (`draw_round`). One forward over the union of the
+    tasks' rows serves them all, and one batched head makes `proto_head`'s
+    reductions, in its order, for every task. `blocks` are
+    `model.blocks_for` of that union; None runs the forward on all n rows."""
     emb = mdl.forward(params, graph, operator, blocks).logits
-    accs = []
-    for e in episodes:
-        # the union's last-layer rows are sorted
-        local = (e.rows if blocks is None
-                 else np.searchsorted(blocks[-1].rows, e.rows))
-        accs.append(proto_head(emb[local], e, compute_grad=False)[1])
+    rows = tasks.rows
+    if blocks is not None:     # the union's last-layer rows are sorted
+        rows = np.searchsorted(blocks[-1].rows, rows)
+    emb = emb[rows]
+    ns = tasks.way * tasks.shot
+    protos = emb[:, :ns].reshape(len(rows), tasks.way, tasks.shot,
+                                 -1).mean(axis=2)
+    diff = emb[:, ns:, None, :] - protos[:, None, :, :]
+    nearest = np.argmin((diff * diff).sum(axis=3), axis=2)
+    accs = np.mean(nearest == tasks.query_labels, axis=1)
     return float(np.mean(accs)), float(np.std(accs))
 
 
@@ -313,27 +315,22 @@ def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     of each task's layer-0 rows (rows an earlier repeat filled are not
     filled again). No blocks are kept: a task's are cut when it is used.
     Early stopping leaves a superset filled. Returns (episodes, validation
-    rounds, test round), each round a list of episodes."""
-    def draw(classes, tasks, rng):
-        return draw_tasks(graph, classes, config.way, config.shot,
-                          config.query, tasks, rng)
-
-    episodes = draw(split.train_classes, config.episodes,
-                    stream_rng(root, "episodes"))
-    val_rng = stream_rng(root, "val")
-    rounds = [draw(split.val_classes, config.val_tasks, val_rng)
+    rounds, test round), each round one `draw_round`."""
+    sizes = (config.way, config.shot, config.query)
+    ep_rng, val_rng = stream_rng(root, "episodes"), stream_rng(root, "val")
+    episodes = [sample_episode(graph, split.train_classes, *sizes, ep_rng)
+                for _ in range(config.episodes)]
+    rounds = [draw_round(graph, split.val_classes, *sizes, config.val_tasks,
+                         val_rng)
               for _ in range(config.episodes // config.val_interval)]
-    test_round = draw(split.novel_classes, config.test_tasks,
-                      stream_rng(root, "test"))
-    reads = itertools.chain(
-        (e.rows for e in episodes),
-        (task_rows(tasks) for tasks in rounds + [test_round]))
+    test_round = draw_round(graph, split.novel_classes, *sizes,
+                            config.test_tasks, stream_rng(root, "test"))
+    reads = [e.rows for e in episodes] + [
+        np.unique(r.rows) for r in rounds + [test_round]]
     if all(mdl.worth_slicing(operator, rows, config.layers)
            for rows in reads):
-        every = episodes + [e for tasks in rounds + [test_round]
-                            for e in tasks]
-        blocks = mdl.receptive_field(operator, task_rows(every),
-                                     config.layers)
+        union = np.unique(np.concatenate(reads))
+        blocks = mdl.receptive_field(operator, union, config.layers)
         operator.propagate_input(graph.features, blocks[0].rows)
     else:
         operator.propagate_input(graph.features)
@@ -348,7 +345,7 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
                             config.layers)
 
     def accuracy(w, tasks):
-        blocks = mdl.blocks_for(operator, task_rows(tasks), config.layers)
+        blocks = mdl.blocks_for(operator, np.unique(tasks.rows), config.layers)
         return task_accuracy(mdl.ModelParams.from_flat(w, dims), graph,
                              operator, tasks, blocks)
 

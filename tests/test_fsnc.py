@@ -11,10 +11,11 @@ from fgsam import fsnc, gradcheck, optim
 from fgsam.fsnc import (FsncError, NCConfig, ProtocolConfig, proto_episode,
                         sample_episode, split_classes, standard_nc_train,
                         task_accuracy, train_protocol)
-from fgsam.graphcore import (CsbmParams, PropagationOperator, generate_csbm,
-                             normalize)
+from fgsam.graphcore import (CsbmParams, PropagationOperator, build_graph,
+                             generate_csbm, normalize)
 from fgsam.seeding import stream_rng
 from proto_head_oracle import proto_head as oracle_head
+import round_oracle
 
 
 def small_graph(seed=0, K=8, npc=20, p=0.4, q=0.05, D=3.0):
@@ -178,6 +179,26 @@ class TestProtoEpisode:
                             rng=np.random.default_rng(0))
         _, acc, _ = proto_episode(params, g, ident, ep, compute_grad=False)
         assert acc == 1.0
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_flattens_only_for_weight_decay(self, monkeypatch, wd):
+        g = small_graph(npc=6, K=4)
+        op = normalize(g, "gcn-sym")
+        params = mdl.init_params(mdl.uniform_dims(g.d0, 3, 3, 2),
+                                 np.random.default_rng(1))
+        ep = sample_episode(g, np.arange(4), way=2, shot=2, query=2,
+                            rng=np.random.default_rng(5))
+        flatten, calls = mdl.ModelParams.flatten, []
+
+        def spy(self):
+            calls.append(self)
+            return flatten(self)
+
+        monkeypatch.setattr(mdl.ModelParams, "flatten", spy)
+        for compute_grad in (True, False):
+            proto_episode(params, g, op, ep, weight_decay=wd,
+                          compute_grad=compute_grad)
+        assert len(calls) == (2 if wd else 0)
 
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_finite_difference(self, wd):
@@ -560,7 +581,7 @@ class TestPlan:
             episodes, val_rounds, test_round = out
             read = [mdl.blocks_for(operator, rows, config.layers)[0].rows
                     for rows in [e.rows for e in episodes]
-                    + [fsnc.task_rows(t) for t in val_rounds + [test_round]]]
+                    + [np.unique(t.rows) for t in val_rounds + [test_round]]]
             _, full, slot, buffer = operator._input_memo
             plans.append((np.concatenate(read), full, slot.copy(),
                           buffer.shape))
@@ -624,26 +645,25 @@ class TestPlan:
         episodes, val_rounds, test_round = fsnc._plan(cfg, g, split, op, 11)
         ep_rng, val_rng = stream_rng(11, "episodes"), stream_rng(11, "val")
         test_rng = stream_rng(11, "test")
-        want = ([sample_episode(g, split.train_classes, 2, 3, 5, ep_rng)
-                 for _ in range(7)]
-                + [sample_episode(g, split.val_classes, 2, 3, 5, val_rng)
-                   for _ in range(2 * 4)]
-                + [sample_episode(g, split.novel_classes, 2, 3, 5, test_rng)
-                   for _ in range(5)])
-        assert [len(tasks) for tasks in val_rounds] == [4, 4]
-        got = (episodes + [e for tasks in val_rounds for e in tasks]
-               + test_round)
+        draw = round_oracle.draw_tasks
+        want = (draw(g, split.train_classes, 2, 3, 5, 7, ep_rng)
+                + draw(g, split.val_classes, 2, 3, 5, 2 * 4, val_rng)
+                + draw(g, split.novel_classes, 2, 3, 5, 5, test_rng))
+        assert [len(tasks.rows) for tasks in val_rounds] == [4, 4]
+        got = [(e.classes, e.rows) for e in episodes] + [
+            task for tasks in val_rounds + [test_round]
+            for task in zip(tasks.classes, tasks.rows)]
         assert len(got) == len(want)
-        for mine, theirs in zip(got, want):
-            assert np.array_equal(mine.rows, theirs.rows)
-            assert np.array_equal(mine.classes, theirs.classes)
+        for (classes, rows), theirs in zip(got, want):
+            assert np.array_equal(rows, theirs.rows)
+            assert np.array_equal(classes, theirs.classes)
 
 
 def round_accuracy(params, g, op, tasks):
     """`task_accuracy` of a round with its union's blocks, cut as the
     protocol cuts them."""
     return task_accuracy(params, g, op, tasks, mdl.blocks_for(
-        op, fsnc.task_rows(tasks), params.num_layers))
+        op, np.unique(tasks.rows), params.num_layers))
 
 
 class TestMetaTest:
@@ -655,11 +675,11 @@ class TestMetaTest:
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         before = op.apply_count
-        round_accuracy(params, g, op, fsnc.draw_tasks(
+        round_accuracy(params, g, op, fsnc.draw_round(
             g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(0)))
         # one forward for all 3 tasks: A.X once, then A.H for layer 2
         assert op.apply_count == before + 2
-        round_accuracy(params, g, op, fsnc.draw_tasks(
+        round_accuracy(params, g, op, fsnc.draw_round(
             g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(1)))
         # A.X is cached on the operator: a second round adds only A.H
         assert op.apply_count == before + 3
@@ -672,7 +692,7 @@ class TestMetaTest:
         rep = train_protocol(cfg, g, split)
         params = mdl.ModelParams.from_flat(
             rep.repeats[0].best_params, mdl.uniform_dims(g.d0, 8, 8, 2))
-        mean, std = round_accuracy(params, g, op, fsnc.draw_tasks(
+        mean, std = round_accuracy(params, g, op, fsnc.draw_round(
             g, split.novel_classes, 2, 3, 5, 20, np.random.default_rng(0)))
         assert mean >= 0.99
 
@@ -685,13 +705,13 @@ class TestMetaTest:
         shared, per_task = np.random.default_rng(5), np.random.default_rng(5)
         accs = []
         for _ in range(8):
-            acc, _ = round_accuracy(params, g, op, fsnc.draw_tasks(
+            acc, _ = round_accuracy(params, g, op, fsnc.draw_round(
                 g, classes, 2, 2, 3, 1, shared))
             ep = sample_episode(g, classes, 2, 2, 3, rng=per_task)
             accs.append(proto_episode(params, g, op, ep,
                                       compute_grad=False)[1])
             assert acc == accs[-1]
-        both = round_accuracy(params, g, op, fsnc.draw_tasks(
+        both = round_accuracy(params, g, op, fsnc.draw_round(
             g, classes, 2, 2, 3, 8, np.random.default_rng(5)))
         assert both == (float(np.mean(accs)), float(np.std(accs)))
 
@@ -710,9 +730,9 @@ class TestMetaTest:
                                       compute_grad=False)[1])
             rows.append(ep.rows)
         union = np.unique(np.concatenate(rows))
-        tasks = fsnc.draw_tasks(g, classes, 2, 3, 10, 6,
+        tasks = fsnc.draw_round(g, classes, 2, 3, 10, 6,
                                 np.random.default_rng(3))
-        assert np.array_equal(fsnc.task_rows(tasks), union)
+        assert np.array_equal(np.unique(tasks.rows), union)
         blocks = mdl.blocks_for(op, union, 2)
         assert blocks is not None
         before = op.apply_count
@@ -725,7 +745,7 @@ class TestMetaTest:
         op = normalize(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
-        a, b = (round_accuracy(params, g, op, fsnc.draw_tasks(
+        a, b = (round_accuracy(params, g, op, fsnc.draw_round(
             g, np.arange(4), 2, 2, 3, 10, np.random.default_rng(7)))
             for _ in range(2))
         assert a == b
@@ -741,6 +761,195 @@ class TestMetaTest:
         with pytest.raises(FsncError, match="need 2 classes, only 1"):
             train_protocol(small_config(way=2), g, split)
         assert steps == []
+
+
+def uneven_graph():
+    """Classes 0-3 of 10 nodes each and class 4 of 3 nodes."""
+    labels = np.repeat(np.arange(5), [10, 10, 10, 10, 3])
+    features = np.random.default_rng(0).standard_normal((labels.size, 2))
+    return build_graph(labels.size, [], features, labels)
+
+
+class TestDrawRound:
+    """`draw_round` against tasks drawn one at a time: the draws of the
+    per-task sampler (`round_oracle`) and of `sample_episode`."""
+
+    @pytest.mark.parametrize("way,shot,query,tasks", [
+        (2, 1, 1, 1), (2, 3, 5, 7), (3, 1, 4, 20), (4, 2, 2, 3)])
+    def test_same_draws_and_stream(self, way, shot, query, tasks):
+        g = small_graph()
+        classes = np.arange(1, 8)
+        mine, oracle, single = (np.random.default_rng(21) for _ in range(3))
+        got = fsnc.draw_round(g, classes, way, shot, query, tasks, mine)
+        assert got.rows.shape == (tasks, way * (shot + query))
+        assert got.classes.shape == (tasks, way)
+        want = round_oracle.draw_tasks(g, classes, way, shot, query, tasks,
+                                       oracle)
+        singles = [sample_episode(g, classes, way, shot, query, single)
+                   for _ in range(tasks)]
+        for t in range(tasks):
+            for ep in (want[t], singles[t]):
+                assert np.array_equal(got.classes[t], ep.classes)
+                assert np.array_equal(got.support_idx[t], ep.support_idx)
+                assert np.array_equal(got.query_idx[t], ep.query_idx)
+                assert np.array_equal(got.rows[t], ep.rows)
+        assert np.array_equal(g.labels[got.query_idx],
+                              got.classes[:, got.query_labels])
+        # the streams stand at the same state: the next draws are equal
+        assert (mine.bit_generator.state == oracle.bit_generator.state
+                == single.bit_generator.state)
+        nxt = [fsnc.draw_round(g, classes, way, shot, query, 3, rng).rows
+               for rng in (mine, oracle, single)]
+        assert np.array_equal(nxt[0], nxt[1])
+        assert np.array_equal(nxt[0], nxt[2])
+
+    @pytest.mark.parametrize("classes,way,message", [
+        (np.arange(2), 3, "need 3 classes, only 2 available"),
+        (np.arange(5), 2, "class 4 has 3 nodes, needs 4"),
+        (np.array([0, 1, 2, 9]), 2, "class 9 has 0 nodes, needs 4")],
+        ids=["few-classes", "small-class", "empty-class"])
+    def test_same_one_line_errors(self, classes, way, message):
+        g = uneven_graph()
+        errors = []
+        for draw in (
+                lambda rng: fsnc.draw_round(g, classes, way, 1, 3, 30, rng),
+                lambda rng: [sample_episode(g, classes, way, 1, 3, rng)
+                             for _ in range(30)],
+                lambda rng: round_oracle.draw_tasks(g, classes, way, 1, 3,
+                                                    30, rng)):
+            with pytest.raises(FsncError) as info:
+                draw(np.random.default_rng(2))
+            errors.append(str(info.value))
+        assert errors == [message] * 3
+        if classes.size >= way:
+            # the failing class is first drawn after whole tasks: mid-round
+            rng, drawn = np.random.default_rng(2), 0
+            with pytest.raises(FsncError):
+                while True:
+                    round_oracle.sample_episode(g, classes, way, 1, 3, rng)
+                    drawn += 1
+            assert drawn > 0
+
+
+class TestBatchedHead:
+    """`task_accuracy`'s one batched head against one `proto_head` call per
+    task (`round_oracle.task_accuracy`), as a (mean, std) pair."""
+
+    @pytest.mark.parametrize("tasks", [1, 9])
+    @pytest.mark.parametrize("way,shot", [(2, 1), (2, 3), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
+    def test_bit_identical_to_per_task_heads(self, sliced, scheme, way, shot,
+                                             tasks):
+        g = sparse_graph() if sliced else small_graph()
+        op = normalize(g, scheme)
+        params = mdl.init_params(mdl.uniform_dims(g.d0, 6, 6, 2),
+                                 np.random.default_rng(way + shot + tasks))
+        stds = []
+        sizes = (way, shot, 4, tasks)
+        for seed in range(3):
+            drawn = fsnc.draw_round(g, np.arange(6), *sizes,
+                                    np.random.default_rng(seed))
+            episodes = round_oracle.draw_tasks(g, np.arange(6), *sizes,
+                                               np.random.default_rng(seed))
+            blocks = (mdl.blocks_for(op, np.unique(drawn.rows), 2)
+                      if sliced else None)
+            assert (blocks is not None) == sliced
+            got = task_accuracy(params, g, op, drawn, blocks)
+            assert got == round_oracle.task_accuracy(params, g, op, episodes,
+                                                     blocks)
+            stds.append(got[1])
+        assert (max(stds) > 0) == (tasks > 1)
+
+    @pytest.mark.parametrize("way,shot", [(2, 1), (3, 3)])
+    def test_ties_go_to_the_first_class(self, monkeypatch, way, shot):
+        g = small_graph()
+        op = normalize(g, "gcn-sym")
+        params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
+                                 np.random.default_rng(0))
+        tasks = fsnc.draw_round(g, np.arange(8), way, shot, 3, 12,
+                                np.random.default_rng(1))
+        episodes = round_oracle.draw_tasks(g, np.arange(8), way, shot, 3, 12,
+                                           np.random.default_rng(1))
+        # embeddings on the corners of a square: many queries are as near
+        # to two prototypes, and all-zero ones are as near to every one
+        corners = np.random.default_rng(2).integers(0, 2, (g.n, 2)) * 1.0
+        for emb in (corners, np.zeros((g.n, 2))):
+            monkeypatch.setattr(mdl, "forward",
+                                lambda *args: mdl.Activations([], [], emb))
+            got = task_accuracy(params, g, op, tasks, None)
+            assert got == round_oracle.task_accuracy(params, g, op, episodes,
+                                                     None)
+        ties = 0
+        for e in episodes:
+            zs = corners[e.support_idx].reshape(way, shot, 2).mean(axis=1)
+            d2 = ((corners[e.query_idx][:, None] - zs) ** 2).sum(axis=2)
+            ties += int(np.sum((d2 == d2.min(axis=1)[:, None]).sum(1) > 1))
+        assert ties > 0
+        # every query of the last embedding ties: each goes to class 0
+        assert got[0] == pytest.approx(1 / way) and got[1] < 1e-15
+
+
+class TestWorkLedger:
+    """The work of evaluation and of a repeat's plan, pinned as counts."""
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
+    def test_round_is_one_forward_and_no_proto_head(self, monkeypatch,
+                                                    sliced):
+        g = sparse_graph() if sliced else small_graph()
+        split = split_classes(g.num_classes, (2, 2, 2) if sliced
+                              else (4, 2, 2), 0)
+        calls = {"forward": 0, "proto_head": 0}
+        rounds = []
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        def spy_accuracy(params, graph, operator, tasks, blocks):
+            before = dict(calls)
+            out = accuracy(params, graph, operator, tasks, blocks)
+            rounds.append((calls["forward"] - before["forward"],
+                           calls["proto_head"] - before["proto_head"],
+                           blocks is not None, len(tasks.rows)))
+            return out
+
+        accuracy = fsnc.task_accuracy
+        monkeypatch.setattr(mdl, "forward", counted("forward", mdl.forward))
+        monkeypatch.setattr(fsnc, "proto_head",
+                            counted("proto_head", fsnc.proto_head))
+        monkeypatch.setattr(fsnc, "task_accuracy", spy_accuracy)
+        cfg = small_config(repeats=1, episodes=12, val_interval=3,
+                           patience=10, query=10, val_tasks=4, test_tasks=7)
+        report = train_protocol(cfg, g, split)
+        assert rounds == [(1, 0, sliced, 4)] * 4 + [(1, 0, sliced, 7)]
+        # every head call is a gradient evaluation's
+        assert calls["proto_head"] == report.gnn_evals + report.mlp_evals
+
+    @pytest.mark.parametrize("sparse,scheme,fills", [
+        (True, "gcn-sym", [(1, 1110, 672573), (2, 1183, 710908)]),
+        (True, "mean-neighbors", [(1, 1060, 644120), (2, 1165, 701566)]),
+        (False, "gcn-sym", [(1, 160, 12720)] * 2),
+        (False, "mean-neighbors", [(1, 160, 12720)] * 2)])
+    def test_plan_fills_pinned_rows(self, sparse, scheme, fills):
+        # two repeats' plans on one operator: products made so far, and
+        # the count and sum of the A.X rows filled so far
+        g = sparse_graph() if sparse else small_graph()
+        split = split_classes(g.num_classes, (2, 2, 2) if sparse
+                              else (4, 2, 2), 0)
+        cfg = small_config(episodes=6, val_interval=3, query=10)
+        op = normalize(g, scheme)
+        got = []
+        for root in (0, 1):
+            fsnc._plan(cfg, g, split, op, root)
+            _, full, slot, _ = op._input_memo
+            rows = (np.arange(g.n) if full is not None
+                    else np.flatnonzero(slot >= 0))
+            assert (full is None) == sparse
+            got.append((op.apply_count, rows.size, int(rows.sum())))
+        assert got == fills
 
 
 def nc_masks(g, seed=0):
