@@ -3,7 +3,6 @@ CSBM, loss-landscape slicer, gradient-drift tracker, rho sweep, and cost
 accounting."""
 
 import hashlib
-import json
 import warnings
 from dataclasses import dataclass, replace
 
@@ -206,10 +205,3 @@ def content_hash(*arrays) -> str:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
-
-def write_report_csv(path: str, header, rows, meta: dict) -> None:
-    """CSV with a one-line header plus a sibling JSON metadata record."""
-    fsnc.write_csv(path, header, rows)
-    with open(path.rsplit(".", 1)[0] + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, default=str)
-        fh.write("\n")

@@ -7,6 +7,8 @@ takes the flags of exactly the settings it reads.
 
 import argparse
 import configparser
+import csv
+import json
 import os
 import sys
 import time
@@ -176,14 +178,54 @@ def _echo_ini(settings: dict) -> None:
         parser.write(fh)
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """CSV with a one-line header; floats keep every digit (`.17g`)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in row])
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_table(args, name, header, rows, **meta) -> None:
-    """The table `name` in the output directory, with a meta record of the
-    command, its seed and `meta`."""
+    """The table `name` in the output directory, with a sibling
+    `.meta.json` of the command, its seed and `meta`."""
     out = args.settings["out"]
     os.makedirs(out, exist_ok=True)
-    analysis.write_report_csv(
-        os.path.join(out, name), header, rows,
-        {"command": args.command, "seed": args.settings["seed"], **meta})
+    _write_csv(os.path.join(out, name), header, rows)
+    _write_json(os.path.join(out, name.rsplit(".", 1)[0] + ".meta.json"),
+                {"command": args.command, "seed": args.settings["seed"],
+                 **meta})
+
+
+def _write_report(report, outdir: str) -> None:
+    """`report.json` of a `fsnc.TrainReport` or `fsnc.NCReport`: each
+    record's config and scalar fields in declaration order, then its
+    repeats or the name of the CSV its trace is written to (`trace_path`)."""
+    os.makedirs(outdir, exist_ok=True)
+
+    def payload(record, trace_name):
+        entry = {name: value for name, value in vars(record).items()
+                 if isinstance(value, (dict, float, int, str))}
+        if isinstance(record, fsnc.TrainReport):
+            entry["repeats"] = [payload(rep, f"trace_r{i}.csv")
+                                for i, rep in enumerate(record.repeats)]
+        else:
+            _write_csv(os.path.join(outdir, trace_name), fsnc.TRACE_COLUMNS,
+                       ([row[c] for c in fsnc.TRACE_COLUMNS]
+                        for row in record.trace))
+            entry["trace_path"] = trace_name
+        return entry
+
+    _write_json(os.path.join(outdir, "report.json"),
+                payload(report, "trace.csv"))
 
 
 def _parse_split(text: str):
@@ -198,10 +240,17 @@ def _threads() -> int:
                         "FGSAM_THREADS"))
 
 
-def _out(get) -> str:
+def _out(get, required=True) -> str:
+    """The output directory, checked before any work and not created: it,
+    or its nearest existing ancestor, must be a directory."""
     out = get("out")
-    if out is None:
+    if out is None and required:
         raise CliError("--out required")
+    ancestor = out
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise CliError(f"--out {out}: {ancestor} is not a directory")
     return out
 
 
@@ -265,16 +314,14 @@ def cmd_gen_csbm(args) -> int:
 
 
 def _write_cost_report(args, name, rows, **meta) -> None:
-    """One row per optimizer of `analysis.cost_report`, with its meta."""
-    header = ("optimizer", "gnn_evals", "mlp_evals", "wall_seconds",
-              "wall_ratio_vs_adam")
-    _write_table(args, name, header,
-                 [tuple(r[key] for key in header) for r in rows], **meta)
+    """The rows of `analysis.cost_report`, columns in its key order."""
+    _write_table(args, name, tuple(rows[0]),
+                 [tuple(r.values()) for r in rows], **meta)
 
 
 def _run_fsnc_arm(config, graph, split, outdir):
     report = fsnc.train_protocol(config, graph, split)
-    fsnc.write_train_report(report, outdir)
+    _write_report(report, outdir)
     return report
 
 
@@ -334,7 +381,7 @@ def cmd_nc(args) -> int:
                      hp=_build_hp(get, reads))
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
-    fsnc.write_nc_report(report, out)
+    _write_report(report, out)
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
                             config.layers)
     mdl.save_checkpoint(os.path.join(out, "best.ckpt"),
@@ -399,19 +446,16 @@ def cmd_drift(args) -> int:
         args, optimizer="fgsam+", repeats=1, collect_bundles=True)
     report = fsnc.train_protocol(config, graph, split)
     drift = analysis.grad_drift(report.repeats[0].bundles)
-    rows = []
-    for i in range(len(drift["g_s"]["raw"])):
-        row = [i]
-        for name in analysis.DRIFT_NAMES:
-            row.extend([float(drift[name]["raw"][i]),
-                        float(drift[name]["relative"][i])])
-        rows.append(tuple(row))
-    header = ["exact_step"]
-    for name in analysis.DRIFT_NAMES:
-        header.extend([f"{name}_drift", f"{name}_drift_rel"])
-    _write_table(args, "drift.csv", tuple(header), rows,
+    names = analysis.DRIFT_NAMES
+    # per exact step, each gradient's raw drift, then its relative drift
+    rows = [(i, *(float(drift[name][kind][i]) for name in names
+                  for kind in ("raw", "relative")))
+            for i in range(len(drift[names[0]]["raw"]))]
+    header = ("exact_step", *(f"{name}_drift{suffix}" for name in names
+                              for suffix in ("", "_rel")))
+    _write_table(args, "drift.csv", header, rows,
                  input_hash=_input_hash(graph))
-    for name in analysis.DRIFT_NAMES:
+    for name in names:
         med = float(np.median(drift[name]["raw"]))
         print(f"median drift {name}: {med:.6g}")
     return 0
@@ -490,7 +534,7 @@ def run_bench(graph, steps, hp_base, seed=0):
 
 def cmd_bench(args) -> int:
     get = _settings(args)
-    out = get("out")
+    out = _out(get, required=False)
     seed = get("seed", 0)
     steps = _steps(get, 200)
     hp = _build_hp(get, _reads(args))
@@ -574,7 +618,7 @@ def run(argv=None) -> int:
             _echo_ini(args.settings)
         return code
     except (CliError, GraphError, ModelError, OptimError, fsnc.FsncError,
-            analysis.AnalysisError, FileNotFoundError) as exc:
+            analysis.AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,10 +2,7 @@
 prototypical episode head, the training protocol with validation/patience,
 meta-testing, and a standard node-classification trainer."""
 
-import csv
 import functools
-import json
-import os
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -242,19 +239,23 @@ class RepeatResult:
     test_acc_std: float
     trace: list = field(default_factory=list)
     bundles: list = field(default_factory=list)
-    final_params: np.ndarray = None
     best_params: np.ndarray = None
 
 
 @dataclass
 class TrainReport:
     config: dict
-    repeats: list
     test_acc_mean: float
     test_acc_std: float
     gnn_evals: int
     mlp_evals: int
     wall_seconds: float
+    repeats: list
+
+
+# the keys of a trace row, in the order a trace CSV writes them
+TRACE_COLUMNS = ("step", "loss", "grad_norm", "gv_norm", "gG_norm", "branch",
+                 "gnn_evals_cum", "mlp_evals_cum", "wall_ms")
 
 
 def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
@@ -265,7 +266,7 @@ def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
     `val_acc(w)` scores a validation round and `where` prefixes the step
     index in the non-finite-loss error. The evaluation counts are per-step
     deltas, so an objective may serve one step or the whole run. Returns
-    (w, best_w, best_val, stop, trace, bundles); without a validation round
+    (best_w, best_val, stop, trace, bundles); without a validation round
     best_w is the final w and best_val is NaN."""
     best_val, best_w, bad_vals = -1.0, None, 0
     gnn_cum = mlp_cum = 0
@@ -297,8 +298,8 @@ def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
                 stop = t + 1
                 break
     if best_w is None:
-        return w, w, float("nan"), stop, trace, bundles
-    return w, best_w, best_val, stop, trace, bundles
+        return w, float("nan"), stop, trace, bundles
+    return best_w, best_val, stop, trace, bundles
 
 
 def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
@@ -363,7 +364,7 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
                 weight_decay=config.hp.weight_decay,
                 blocks=mdl.blocks_for(operator, episode.rows, config.layers))
 
-        w, best_w, best_val, stop, trace, bundles = _train(
+        best_w, best_val, stop, trace, bundles = _train(
             optim.make_optimizer(config.optimizer, config.hp),
             mdl.init_params(dims, stream_rng(root, "init")).flatten(),
             config.episodes, objective_at,
@@ -374,7 +375,7 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
         results.append(RepeatResult(
             seed=root, stop_episode=stop, best_val_acc=best_val,
             test_acc_mean=test_mean, test_acc_std=test_std, trace=trace,
-            bundles=bundles, final_params=w, best_params=best_w))
+            bundles=bundles, best_params=best_w))
     repeat_means = [r.test_acc_mean for r in results]
     return TrainReport(
         config=asdict(config), repeats=results,
@@ -437,7 +438,7 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
         pred = np.argmax(acts.logits[idx], axis=1)
         return float(np.mean(pred == graph.labels[idx]))
 
-    _, best_w, best_val, stop, trace, _ = _train(
+    best_w, best_val, stop, trace, _ = _train(
         optim.make_optimizer(config.optimizer, config.hp),
         mdl.init_params(dims, stream_rng(config.seed, "init")).flatten(),
         config.steps, lambda t: obj, lambda w: accuracy(w, val_idx),
@@ -448,72 +449,3 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
                     mlp_evals=obj.mlp_evals,
                     wall_seconds=time.perf_counter() - t0,
                     best_params=best_w)
-
-
-TRACE_COLUMNS = ("step", "loss", "grad_norm", "gv_norm", "gG_norm", "branch",
-                 "gnn_evals_cum", "mlp_evals_cum", "wall_ms")
-
-
-def write_csv(path: str, header, rows) -> None:
-    """CSV with a one-line header; floats keep every digit (`.17g`)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                             for v in row])
-
-
-def write_trace_csv(path: str, trace) -> None:
-    write_csv(path, TRACE_COLUMNS,
-              ([row[c] for c in TRACE_COLUMNS] for row in trace))
-
-
-def _write_report(outdir: str, payload: dict) -> str:
-    path = os.path.join(outdir, "report.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
-
-
-def write_train_report(report: TrainReport, outdir: str) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    payload = {
-        "config": report.config,
-        "test_acc_mean": report.test_acc_mean,
-        "test_acc_std": report.test_acc_std,
-        "gnn_evals": report.gnn_evals,
-        "mlp_evals": report.mlp_evals,
-        "wall_seconds": report.wall_seconds,
-        "repeats": [],
-    }
-    for i, rep in enumerate(report.repeats):
-        trace_path = os.path.join(outdir, f"trace_r{i}.csv")
-        write_trace_csv(trace_path, rep.trace)
-        payload["repeats"].append({
-            "seed": rep.seed,
-            "stop_episode": rep.stop_episode,
-            "best_val_acc": rep.best_val_acc,
-            "test_acc_mean": rep.test_acc_mean,
-            "test_acc_std": rep.test_acc_std,
-            "trace_path": os.path.basename(trace_path),
-        })
-    return _write_report(outdir, payload)
-
-
-def write_nc_report(report: NCReport, outdir: str) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    trace_path = os.path.join(outdir, "trace.csv")
-    write_trace_csv(trace_path, report.trace)
-    payload = {
-        "config": report.config,
-        "stop_step": report.stop_step,
-        "best_val_acc": report.best_val_acc,
-        "test_acc": report.test_acc,
-        "gnn_evals": report.gnn_evals,
-        "mlp_evals": report.mlp_evals,
-        "wall_seconds": report.wall_seconds,
-        "trace_path": os.path.basename(trace_path),
-    }
-    return _write_report(outdir, payload)

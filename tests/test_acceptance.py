@@ -2,9 +2,6 @@
 line. Tolerances are pinned here and intentionally not shared with the
 implementation."""
 
-import csv
-import glob
-import json
 import os
 import time
 
@@ -19,6 +16,7 @@ from fgsam.seeding import stream_rng
 from full_graph_oracle import softmax_rows
 from moments_oracle import mc_filtered_moments
 from peermlp_oracle import forward_mlp
+from run_dir_reader import read_run_dir
 
 
 def tiny_objective(seed=0, scheme="gcn-sym"):
@@ -338,33 +336,6 @@ def test_criterion_09_paired_generalization(criterion):
         f"{min(sep_accs.values()):.3f} >= 0.99, {elapsed:.0f}s")
 
 
-def _payload(outdir):
-    files = {}
-    for path in sorted(glob.glob(os.path.join(outdir, "**", "*"),
-                                 recursive=True)):
-        if os.path.isdir(path):
-            continue
-        rel = os.path.relpath(path, outdir)
-        if path.endswith(".json"):
-            blob = json.load(open(path))
-            if isinstance(blob, dict):
-                blob.pop("wall_seconds", None)
-                for rep in blob.get("repeats", []) or []:
-                    if isinstance(rep, dict):
-                        rep.pop("wall_seconds", None)
-            files[rel] = json.dumps(blob, sort_keys=True)
-        elif path.endswith(".csv"):
-            rows = list(csv.DictReader(open(path)))
-            for row in rows:
-                row.pop("wall_ms", None)
-                row.pop("wall_seconds", None)
-                row.pop("wall_ratio_vs_adam", None)
-            files[rel] = json.dumps(rows)
-        else:
-            files[rel] = open(path, "rb").read()
-    return files
-
-
 def test_criterion_10_protocol_determinism(criterion, tmp_path):
     start = time.perf_counter()
     graph_dir = str(tmp_path / "graph")
@@ -387,7 +358,7 @@ def test_criterion_10_protocol_determinism(criterion, tmp_path):
                        + extra) == 0
         echo = os.path.join(out1, "config_echo.ini")
         assert cli.run([sub, "--config", echo, "--out", out2]) == 0
-        same = _payload(out1) == _payload(out2)
+        same = read_run_dir(out1) == read_run_dir(out2)
         checked.append(f"{sub}:{'ok' if same else 'MISMATCH'}")
         ok = ok and same
     elapsed = time.perf_counter() - start

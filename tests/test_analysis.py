@@ -1,13 +1,14 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import fgsam.model as mdl
-from fgsam import analysis, fsnc, optim
+from fgsam import analysis, cli, fsnc, optim
 from fgsam.analysis import (AnalysisError, cost_report, filtered_means,
                             grad_drift, landscape_slice, rho_sweep,
-                            verify_theorem, write_report_csv)
+                            verify_theorem)
 from fgsam.graphcore import CsbmParams, generate_csbm, normalize
 from fgsam.optim import GradientBundle
 from moments_oracle import mc_filtered_moments
@@ -228,8 +229,9 @@ class TestCostReport:
 class TestReportCsv:
     def test_writes_csv_and_meta(self, tmp_path):
         path = str(tmp_path / "out.csv")
-        write_report_csv(path, ("a", "b"), [(1, 0.5), (2, 0.25)],
-                         {"seed": 0})
+        args = argparse.Namespace(command="bench",
+                                  settings={"out": str(tmp_path), "seed": 0})
+        cli._write_table(args, "out.csv", ("a", "b"), [(1, 0.5), (2, 0.25)])
         lines = open(path).read().splitlines()
         assert lines[0] == "a,b"
         assert len(lines) == 3

@@ -1,8 +1,8 @@
 import argparse
 import configparser
 import csv
-import glob
 import json
+import math
 import os
 import re
 import shlex
@@ -14,6 +14,7 @@ import pytest
 from fgsam import cli, fsnc, graphcore, optim
 from fgsam import model as mdl
 from fgsam.graphcore import load_graph, normalize
+from run_dir_reader import read_run_dir
 
 
 def run_cli(*argv):
@@ -36,44 +37,6 @@ FSNC_FLAGS = ["--episodes", "15", "--repeats", "1", "--val-interval", "5",
               "--rho", "0.05", "--lambda", "0.5", "--seed", "0"]
 
 
-def report_payload(outdir):
-    rep = json.load(open(os.path.join(outdir, "report.json")))
-    rep.pop("wall_seconds", None)
-    traces = []
-    pattern = os.path.join(outdir, "trace*.csv")
-    for path in sorted(glob.glob(pattern)):
-        rows = list(csv.DictReader(open(path)))
-        for row in rows:
-            row.pop("wall_ms", None)
-        traces.append(rows)
-    return rep, traces
-
-
-WALL_FIELDS = ("wall_ms", "wall_seconds", "wall_ratio_vs_adam")
-
-
-def run_dir_payload(outdir):
-    """Every file a run wrote, keyed by its path under `outdir`, with the
-    wall-time fields dropped."""
-    payload = {}
-    for root, _, files in os.walk(outdir):
-        for name in files:
-            path = os.path.join(root, name)
-            with open(path) as fh:
-                if name.endswith(".json"):
-                    content = json.load(fh)
-                    for key in WALL_FIELDS:
-                        content.pop(key, None)
-                elif name.endswith(".csv"):
-                    content = [{k: v for k, v in row.items()
-                                if k not in WALL_FIELDS}
-                               for row in csv.DictReader(fh)]
-                else:
-                    content = fh.read()
-            payload[os.path.relpath(path, outdir)] = content
-    return payload
-
-
 def assert_rerun_from_echo_identical(graph_dir, tmp_path, command, flags):
     """Run `command` (on `graph_dir` unless it is None), re-run it from its
     config_echo.ini alone, and require the two run directories to match
@@ -84,7 +47,7 @@ def assert_rerun_from_echo_identical(graph_dir, tmp_path, command, flags):
     assert run_cli(command, *graph, "--out", out1, *flags) == 0
     echo = os.path.join(out1, "config_echo.ini")
     assert run_cli(command, "--config", echo, "--out", out2) == 0
-    assert run_dir_payload(out1) == run_dir_payload(out2)
+    assert read_run_dir(out1) == read_run_dir(out2)
 
 
 class TestGenCsbm:
@@ -189,14 +152,14 @@ class TestCompare:
         serial = str(tmp_path / "serial")
         assert run_cli("compare", "--graph", graph_dir, "--out", serial,
                        *FSNC_FLAGS) == 0
-        want = run_dir_payload(serial)
+        want = read_run_dir(serial)
         assert len(want) == 11  # 4 x (report, trace), cost report + meta, echo
         for threads in ("2", "4"):
             out = str(tmp_path / f"threads{threads}")
             monkeypatch.setenv("FGSAM_THREADS", threads)
             assert run_cli("compare", "--graph", graph_dir, "--out", out,
                            *FSNC_FLAGS) == 0
-            assert run_dir_payload(out) == want
+            assert read_run_dir(out) == want
 
     def test_matrix_built_once_before_the_arms(self, graph_dir, tmp_path,
                                                monkeypatch):
@@ -219,8 +182,9 @@ class TestCompare:
                        *FSNC_FLAGS) == 0
         assert run_cli("fsnc", "--graph", graph_dir, "--out", out_solo,
                        "--optimizer", "adam", *FSNC_FLAGS) == 0
-        assert (report_payload(os.path.join(out_cmp, "adam")) ==
-                report_payload(out_solo))
+        solo = read_run_dir(out_solo)
+        del solo["config_echo.ini"]    # compare writes one for all arms
+        assert read_run_dir(os.path.join(out_cmp, "adam")) == solo
 
 
 class TestNc:
@@ -234,7 +198,7 @@ class TestNc:
         assert 0.0 <= rep["test_acc"] <= 1.0
         echo = os.path.join(out1, "config_echo.ini")
         assert run_cli("nc", "--config", echo, "--out", out2) == 0
-        assert report_payload(out1) == report_payload(out2)
+        assert read_run_dir(out1) == read_run_dir(out2)
 
 
 class TestNcCheckpoint:
@@ -261,6 +225,96 @@ class TestNcCheckpoint:
                                          graph.num_classes)
         acts = mdl.forward(params, graph, normalize(graph, "gcn-sym"))
         assert meta["base_loss"] == mdl.loss(acts, spec, params)
+
+
+def assert_json_bytes(path):
+    """The file is `json.dump(..., indent=2)` of its content plus a final
+    newline, and is returned parsed."""
+    with open(path) as fh:
+        text = fh.read()
+    content = json.loads(text)
+    assert text.splitlines()[1].startswith('  "')
+    assert text.endswith("}\n")
+    assert text == json.dumps(content, indent=2) + "\n"
+    return content
+
+
+def assert_csv_bytes(path):
+    """CRLF rows whose finite float cells keep every digit (`.17g`);
+    returns the header."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if math.isfinite(value):
+                assert format(value, ".17g") == cell, (path, cell)
+    return tuple(rows[0])
+
+
+class TestRunDirBytes:
+    """The bytes of the run directories: the echo re-run tests and
+    criterion 10 compare parsed files, so a moved key, a changed float
+    format or a lost final newline shows only here."""
+
+    TRAIN_KEYS = ["config", "test_acc_mean", "test_acc_std", "gnn_evals",
+                  "mlp_evals", "wall_seconds", "repeats"]
+    REPEAT_KEYS = ["seed", "stop_episode", "best_val_acc", "test_acc_mean",
+                   "test_acc_std", "trace_path"]
+    NC_KEYS = ["config", "stop_step", "best_val_acc", "test_acc",
+               "gnn_evals", "mlp_evals", "wall_seconds", "trace_path"]
+
+    def test_report_trace_and_table_bytes(self, graph_dir, tmp_path):
+        runs = {
+            "fsnc": ("fsnc", FSNC_FLAGS),
+            # 5 episodes, validation every 10: no round, NaN best_val_acc
+            "fsnc-no-val": ("fsnc", ["--episodes", "5", "--val-interval",
+                                     "10", "--repeats", "1", "--test-tasks",
+                                     "5", "--split", "4/2/2"]),
+            "nc": ("nc", ["--optimizer", "fgsam", "--episodes", "20"]),
+            "landscape": ("landscape", ["--grid-points", "3",
+                                        "--slice-dims", "2"]),
+        }
+        for name, (command, flags) in runs.items():
+            assert run_cli(command, "--graph", graph_dir, "--out",
+                           str(tmp_path / name), *flags) == 0
+        written = {name: sorted(read_run_dir(str(tmp_path / name)))
+                   for name in runs}
+        assert written == {
+            "fsnc": ["config_echo.ini", "report.json", "trace_r0.csv"],
+            "fsnc-no-val": ["config_echo.ini", "report.json", "trace_r0.csv"],
+            "nc": ["best.ckpt", "config_echo.ini", "report.json",
+                   "trace.csv"],
+            "landscape": ["config_echo.ini", "landscape.csv",
+                          "landscape.meta.json"],
+        }
+        val_accs = {}
+        for name in ("fsnc", "fsnc-no-val"):
+            report = assert_json_bytes(tmp_path / name / "report.json")
+            assert list(report) == self.TRAIN_KEYS
+            assert [list(rep) for rep in report["repeats"]] == [
+                self.REPEAT_KEYS]
+            val_accs[name] = report["repeats"][0]["best_val_acc"]
+            assert (assert_csv_bytes(tmp_path / name / "trace_r0.csv")
+                    == fsnc.TRACE_COLUMNS)
+        assert 0.0 <= val_accs["fsnc"] <= 1.0
+        assert math.isnan(val_accs["fsnc-no-val"])
+        report = assert_json_bytes(tmp_path / "nc" / "report.json")
+        assert list(report) == self.NC_KEYS
+        assert (assert_csv_bytes(tmp_path / "nc" / "trace.csv")
+                == fsnc.TRACE_COLUMNS)
+        meta = assert_json_bytes(tmp_path / "landscape" /
+                                 "landscape.meta.json")
+        assert list(meta)[:2] == ["command", "seed"]
+        assert meta["command"] == "landscape"
+        assert (assert_csv_bytes(tmp_path / "landscape" / "landscape.csv")
+                == ("alpha", "beta", "loss"))
 
 
 class TestAnalysisCommands:
@@ -416,6 +470,46 @@ class TestSettingsTable:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command, on_graph, flags", [
+        ("gen-csbm", False, []),
+        ("fsnc", True, FSNC_FLAGS),
+        ("landscape", True, ["--grid-points", "3"]),
+        ("bench", False, ["--episodes", "1"]),
+    ], ids=["gen-csbm", "fsnc", "landscape", "bench"])
+    def test_out_that_is_a_file(self, graph_dir, tmp_path, capsys, command,
+                                on_graph, flags):
+        out = tmp_path / "F"
+        out.write_text("kept\n")
+        graph = ["--graph", graph_dir] if on_graph else []
+        assert run_cli(command, *graph, "--out", str(out), *flags) == 1
+        captured = capsys.readouterr()
+        # refused before any work: nothing printed, the file untouched
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out}: {out} is not a "
+                                f"directory\n")
+        assert out.read_text() == "kept\n"
+
+    def test_out_under_a_file(self, graph_dir, tmp_path, capsys):
+        parent = tmp_path / "F"
+        parent.write_text("")
+        out = parent / "sub"
+        assert run_cli("nc", "--graph", graph_dir, "--out", str(out),
+                       "--episodes", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out}: {parent} is not a "
+                                f"directory\n")
+
+    def test_checkpoint_that_is_a_directory(self, graph_dir, tmp_path,
+                                            capsys):
+        out = tmp_path / "land"
+        assert run_cli("landscape", "--graph", graph_dir, "--out", str(out),
+                       "--checkpoint", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+        assert not out.exists()
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("bogus")

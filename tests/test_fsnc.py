@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import fgsam.model as mdl
-from fgsam import fsnc, gradcheck, optim
+from fgsam import cli, fsnc, gradcheck, optim
 from fgsam.fsnc import (FsncError, NCConfig, ProtocolConfig, proto_episode,
                         sample_episode, split_classes, standard_nc_train,
                         task_accuracy, train_protocol)
@@ -456,7 +457,7 @@ class TestTrainProtocol:
         assert a.test_acc_mean == b.test_acc_mean
         assert a.test_acc_std == b.test_acc_std
         for ra, rb in zip(a.repeats, b.repeats):
-            assert np.array_equal(ra.final_params, rb.final_params)
+            assert np.array_equal(ra.best_params, rb.best_params)
             for ta, tb in zip(ra.trace, rb.trace):
                 assert ta["loss"] == tb["loss"]
                 assert ta["grad_norm"] == tb["grad_norm"]
@@ -1071,12 +1072,11 @@ class TestLedger:
 
 class TestReports:
     def test_train_report_round_trip(self, tmp_path):
-        import json
         g = small_graph()
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         rep = train_protocol(small_config(episodes=6, repeats=1), g, split)
-        path = fsnc.write_train_report(rep, str(tmp_path))
-        payload = json.loads(open(path).read())
+        cli._write_report(rep, str(tmp_path))
+        payload = json.loads(open(tmp_path / "report.json").read())
         assert payload["test_acc_mean"] == rep.test_acc_mean
         assert (tmp_path / "trace_r0.csv").exists()
         header = open(tmp_path / "trace_r0.csv").readline().strip()
