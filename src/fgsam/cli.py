@@ -10,6 +10,7 @@ import configparser
 import csv
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -205,11 +206,18 @@ def _write_table(args, name, header, rows, **meta) -> None:
                  **meta})
 
 
+# the trace CSVs a report names: `trace.csv`, or `trace_r<i>.csv` per repeat
+_TRACE_NAME = re.compile(r"trace(_r(0|[1-9][0-9]*))?\.csv")
+
+
 def _write_report(report, outdir: str) -> None:
     """`report.json` of a `fsnc.TrainReport` or `fsnc.NCReport`: each
     record's config and scalar fields in declaration order, then its
-    repeats or the name of the CSV its trace is written to (`trace_path`)."""
+    repeats or the name of the CSV its trace is written to (`trace_path`).
+    A trace CSV an earlier run left in `outdir` that this report does not
+    name is deleted, so that every trace in the directory is this run's."""
     os.makedirs(outdir, exist_ok=True)
+    written = set()
 
     def payload(record, trace_name):
         entry = {name: value for name, value in vars(record).items()
@@ -221,11 +229,15 @@ def _write_report(report, outdir: str) -> None:
             _write_csv(os.path.join(outdir, trace_name), fsnc.TRACE_COLUMNS,
                        ([row[c] for c in fsnc.TRACE_COLUMNS]
                         for row in record.trace))
+            written.add(trace_name)
             entry["trace_path"] = trace_name
         return entry
 
     _write_json(os.path.join(outdir, "report.json"),
                 payload(report, "trace.csv"))
+    for name in os.listdir(outdir):
+        if _TRACE_NAME.fullmatch(name) and name not in written:
+            os.remove(os.path.join(outdir, name))
 
 
 def _parse_split(text: str):

@@ -40,8 +40,8 @@ def split_classes(num_classes: int, ratio, seed: int) -> ClassSplit:
 @dataclass(frozen=True)
 class Episode:
     """One N-way K-shot task, or a round of them (`draw_round`). Frozen, so
-    that `query_labels` and `rows`, computed on first use and read-only,
-    stay those of its fields."""
+    that `query_labels`, `label_index` and `rows`, computed on first use
+    and read-only, stay those of its fields."""
 
     way: int
     shot: int
@@ -53,6 +53,13 @@ class Episode:
     @functools.cached_property
     def query_labels(self) -> np.ndarray:
         return _read_only(np.repeat(np.arange(self.way), self.query_per_class))
+
+    @functools.cached_property
+    def label_index(self) -> np.ndarray:
+        """The flat index of each query's true-class logit in a C-ordered
+        (query, way) logit array: `arange(m) * way + query_labels`."""
+        labels = self.query_labels
+        return _read_only(np.arange(labels.size) * self.way + labels)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
@@ -102,32 +109,45 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     (`episode.rows`: support then query): class prototypes are mean support
     embeddings, query logits are negative squared distances. Returns
     (cross-entropy, accuracy, gradient of the cross-entropy w.r.t. `emb` or
-    None)."""
+    None).
+
+    Per-call overhead dominates at episode sizes, so each step is one ufunc
+    call where numpy's wrappers would make several, with the same floats:
+    a mean is its sum divided by the count, `x / -m` is `-(x / m)`, and the
+    accuracy's count is exact. `tests/proto_head_oracle.py` is the plain
+    head this one matches bit for bit."""
     way, shot = episode.way, episode.shot
     ns = way * shot
     zs, zq = emb[:ns], emb[ns:]
-    protos = zs.reshape(way, shot, -1).mean(axis=1)
-    diff = zq[:, None, :] - protos[None, :, :]
-    logits = -(diff * diff).sum(axis=2)
-    labels = episode.query_labels
-    m = labels.size
-    zmax = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - zmax)
-    sums = e.sum(axis=1, keepdims=True)
-    lse = zmax.ravel() + np.log(sums.ravel())
-    value = float(np.mean(lse - logits[np.arange(m), labels]))
-    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
+    protos = np.add.reduce(zs.reshape(way, shot, -1), axis=1)
+    protos /= shot
+    diff = zq[:, None, :] - protos
+    logits = np.add.reduce(diff * diff, axis=2)
+    np.negative(logits, out=logits)
+    m = logits.shape[0]
+    picked = logits.ravel()[episode.label_index]
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = logits - zmax
+    np.exp(e, out=e)
+    sums = np.add.reduce(e, axis=1, keepdims=True)
+    lse = np.log(sums.ravel())
+    lse += zmax.ravel()
+    lse -= picked
+    value = float(np.add.reduce(lse) / m)
+    acc = np.count_nonzero(logits.argmax(axis=1) == episode.query_labels) / m
     if not compute_grad:
         return value, acc, None
-    dlogits = e / sums                             # the softmax of the logits
-    dlogits[np.arange(m), labels] -= 1.0
-    dlogits /= m
-    dd2 = -dlogits                                 # logits = -d^2
-    grad_diff = dd2[:, :, None] * diff
-    dzq = 2.0 * grad_diff.sum(axis=1)
-    dprot = -2.0 * grad_diff.sum(axis=0)
-    dzs = np.repeat(dprot / shot, shot, axis=0)
-    return value, acc, np.concatenate([dzs, dzq])
+    e /= sums                      # the softmax of the logits
+    e.ravel()[episode.label_index] -= 1.0
+    e /= -m                        # d(loss)/d(d^2), as logits = -d^2
+    diff *= e[:, :, None]
+    grad = np.empty(emb.shape)
+    np.multiply(np.add.reduce(diff, axis=1), 2.0, out=grad[ns:])
+    dprot = np.add.reduce(diff, axis=0)
+    dprot *= -2.0
+    dprot /= shot
+    grad[:ns].reshape(way, shot, -1)[:] = dprot[:, None, :]
+    return value, acc, grad
 
 
 def proto_episode(params: mdl.ModelParams, graph: Graph,
@@ -424,6 +444,11 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
     combined = np.concatenate([train_idx, val_idx, test_idx])
     if np.unique(combined).size != combined.size:
         raise FsncError("train/val/test masks overlap")
+    for name, idx in (("train", train_idx), ("val", val_idx),
+                      ("test", test_idx)):
+        if idx.size == 0:
+            # its accuracy or loss would be a NaN mean of no nodes
+            raise FsncError(f"the {name} mask is empty")
     operator = normalize(graph, config.scheme)
     operator.propagate_input(graph.features)   # not inside the first step
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,

@@ -71,6 +71,8 @@ class OptimizerState:
     v: np.ndarray = None
     cached_g_v: np.ndarray = None
     cached_g_G: np.ndarray = None
+    cached_gv_norm: float = None    # ||cached_g_v||, set with it
+    cached_gG_norm: float = None    # ||cached_g_G||, set with it
 
     def ensure_moments(self, size: int):
         if self.m is None:
@@ -298,14 +300,14 @@ class FgsamPlusOptimizer(BaseOptimizer):
         value, g_s = objective.mlp_grad(w + eps)
         g_h, g_v = decompose(g_s, g_mlp)
         g = hp.lambda_topo * g_gnn + g_s
-        st.cached_g_v = g_v
-        st.cached_g_G = g_G
+        st.cached_g_v, st.cached_g_G = g_v, g_G
+        st.cached_gv_norm = float(np.linalg.norm(g_v))
+        st.cached_gG_norm = float(np.linalg.norm(g_G))
         w_new = adam_step(st, g, w)
         bundle = GradientBundle(g_mlp=g_mlp, g_s=g_s, g_h=g_h, g_v=g_v,
                                 g_G=g_G)
         rec = StepRecord(st.t, value, float(np.linalg.norm(g_s)),
-                         gv_norm=float(np.linalg.norm(g_v)),
-                         gG_norm=float(np.linalg.norm(g_G)),
+                         gv_norm=st.cached_gv_norm, gG_norm=st.cached_gG_norm,
                          branch="exact", flags=flags, bundle=bundle)
         return w_new, rec
 
@@ -313,8 +315,7 @@ class FgsamPlusOptimizer(BaseOptimizer):
         hp, st = self.state.hp, self.state
         value, g_mlp = objective.mlp_grad(w)
         mlp_norm = float(np.linalg.norm(g_mlp))
-        gv_norm = float(np.linalg.norm(st.cached_g_v))
-        gG_norm = float(np.linalg.norm(st.cached_g_G))
+        gv_norm, gG_norm = st.cached_gv_norm, st.cached_gG_norm
         flags = []
         if gG_norm > 0.0:
             g_gnn_hat = g_mlp + (mlp_norm / gG_norm) * st.cached_g_G

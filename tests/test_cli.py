@@ -7,6 +7,7 @@ import os
 import re
 import shlex
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,34 @@ class TestFsnc:
 
     def test_missing_graph(self, tmp_path):
         assert run_cli("fsnc", "--out", str(tmp_path / "x")) == 1
+
+
+    def test_rerun_with_fewer_repeats_deletes_stale_traces(self, graph_dir,
+                                                           tmp_path):
+        out = tmp_path / "fsnc"
+        out.mkdir()
+        kept = ["notes.csv", "trace_r01.csv", "trace_x.csv", "trace.csv.bak"]
+        for name in kept:
+            (out / name).write_text("kept\n")
+        flags = ["--graph", graph_dir, "--out", str(out), "--episodes", "5",
+                 "--val-interval", "5", "--val-tasks", "2", "--test-tasks",
+                 "2", "--split", "4/2/2"]
+        assert run_cli("fsnc", *flags, "--repeats", "2") == 0
+        assert (out / "trace_r1.csv").exists()
+        assert run_cli("fsnc", *flags, "--repeats", "1") == 0
+        report = json.loads((out / "report.json").read_text())
+        named = [rep["trace_path"] for rep in report["repeats"]]
+        assert named == ["trace_r0.csv"]
+        assert sorted(os.listdir(out)) == sorted(
+            kept + named + ["config_echo.ini", "report.json"])
+        # an nc run in the same directory names trace.csv only
+        assert run_cli("nc", "--graph", graph_dir, "--out", str(out),
+                       "--episodes", "2") == 0
+        assert sorted(os.listdir(out)) == sorted(
+            kept + ["best.ckpt", "config_echo.ini", "report.json",
+                    "trace.csv"])
+        for name in kept:
+            assert (out / name).read_text() == "kept\n"
 
 
 class TestCompare:
@@ -499,6 +528,21 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == (f"error: --out {out}: {parent} is not a "
                                 f"directory\n")
+
+    def test_nc_with_an_empty_test_mask(self, tmp_path, capsys):
+        # 2 nodes per class: one train and one validation node each
+        graph = str(tmp_path / "tiny")
+        assert run_cli("gen-csbm", "--k", "3", "--nodes-per-class", "2",
+                       "--out", graph) == 0
+        capsys.readouterr()
+        out = tmp_path / "nc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("nc", "--graph", graph, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the test mask is empty\n"
+        assert not out.exists()
 
     def test_checkpoint_that_is_a_directory(self, graph_dir, tmp_path,
                                             capsys):

@@ -144,6 +144,21 @@ class TestSampleEpisode:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ep.query_idx = ep.support_idx
 
+    @pytest.mark.parametrize("way, query", [(2, 2), (3, 1), (5, 4)])
+    def test_label_index_read_only_flat_true_class_index(self, way, query):
+        ep = sample_episode(small_graph(), np.arange(8), way, 1, query,
+                            rng=np.random.default_rng(way))
+        m = way * query
+        assert ep.label_index is ep.label_index
+        assert np.array_equal(ep.label_index,
+                              np.arange(m) * way + ep.query_labels)
+        # the true-class logit of each query in a C-ordered (m, way) array
+        logits = np.arange(m * way).reshape(m, way)
+        assert np.array_equal(logits.ravel()[ep.label_index],
+                              logits[np.arange(m), ep.query_labels])
+        with pytest.raises(ValueError):
+            ep.label_index[0] = 1
+
     def test_class_without_nodes(self):
         g = small_graph(K=4, npc=5)
         with pytest.raises(FsncError, match="class 9 has 0 nodes"):
@@ -395,17 +410,19 @@ class TestReceptiveField:
     def test_head_bit_identical_to_oracle(self):
         rng = np.random.default_rng(12)
         heads = 0
-        seen = set()
-        for i in range(240):
-            way = 2 if i % 3 == 0 else int(rng.integers(3, 7))
+        seen, wide = set(), set()
+        # ways up to 10 and widths up to 40: past 8 terms numpy sums
+        # pairwise, in blocks, so the order of every reduction shows
+        for i in range(320):
+            way = 2 if i % 3 == 0 else int(rng.integers(3, 11))
             shot = 1 if i % 2 == 0 else int(rng.integers(2, 6))
             query = int(rng.integers(1, 7))
             ns, nq = way * shot, way * query
             ep = fsnc.Episode(way, shot, query, np.arange(way),
                               np.arange(ns), np.arange(ns, ns + nq))
             scale = 10.0 ** rng.uniform(-2, 2)
-            emb = scale * rng.standard_normal((ns + nq,
-                                               int(rng.integers(1, 17))))
+            width = int(rng.integers(1, 41))
+            emb = scale * rng.standard_normal((ns + nq, width))
             for grad in (True, False):
                 got, want = fsnc.proto_head(emb, ep, grad), oracle_head(
                     emb, ep, grad)
@@ -416,8 +433,10 @@ class TestReceptiveField:
                     assert got[2] is None and want[2] is None
             heads += 1
             seen.add((way == 2, shot == 1))
-        assert heads >= 200 and seen == {(True, True), (True, False),
+            wide.add((way >= 7, width > 16))
+        assert heads >= 300 and seen == {(True, True), (True, False),
                                          (False, True), (False, False)}
+        assert (True, True) in wide
 
     def test_head_reads_only_episode_rows(self):
         g = small_graph()
@@ -980,6 +999,19 @@ class TestStandardNC:
         cfg = NCConfig(seed=0)
         with pytest.raises(FsncError):
             standard_nc_train(cfg, g, bad)
+
+    @pytest.mark.parametrize("empty", ["train", "val", "test"])
+    def test_empty_mask_rejected_before_first_step(self, monkeypatch, empty):
+        g = small_graph(K=2, npc=10)
+        masks = dict(zip(("train", "val", "test"), nc_masks(g)))
+        masks[empty] = masks[empty][:0]
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(fsnc, "_train", no_step)
+        with pytest.raises(FsncError, match=f"^the {empty} mask is empty$"):
+            standard_nc_train(NCConfig(seed=0), g, tuple(masks.values()))
 
     def test_collapse_fgsam_equals_adam_on_mlp(self):
         # rho=0, lambda=0: FGSAM on the GNN matches Adam on the PeerMLP
