@@ -533,11 +533,10 @@ def run_bench(graph, steps, hp_base, seed=0):
     traces = {}
     for name in optim.OPTIMIZER_NAMES:
         obj = optim.model_objective(dims, graph, operator, spec)
-        opt = optim.make_optimizer(name, hp_base)
-        w = w0.copy()
         start = time.perf_counter()
-        for _ in range(steps):
-            w, _ = opt.step(obj, w)
+        # the trainers' loop with no validation round: `steps` steps
+        fsnc.train_steps(optim.make_optimizer(name, hp_base), w0, steps,
+                         lambda t: obj, None, steps + 1, 1, "step ")
         traces[name] = {"gnn_evals": obj.gnn_evals,
                         "mlp_evals": obj.mlp_evals,
                         "wall_seconds": time.perf_counter() - start}

@@ -108,14 +108,15 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     """Prototypical head on the embeddings `emb` of the episode's rows
     (`episode.rows`: support then query): class prototypes are mean support
     embeddings, query logits are negative squared distances. Returns
-    (cross-entropy, accuracy, gradient of the cross-entropy w.r.t. `emb` or
-    None).
+    (cross-entropy, gradient of the cross-entropy w.r.t. `emb` or None):
+    the head contract of `model.head_loss`, with the episode as target.
+    `task_accuracy` scores episodes.
 
     Per-call overhead dominates at episode sizes, so each step is one ufunc
     call where numpy's wrappers would make several, with the same floats:
-    a mean is its sum divided by the count, `x / -m` is `-(x / m)`, and the
-    accuracy's count is exact. `tests/proto_head_oracle.py` is the plain
-    head this one matches bit for bit."""
+    a mean is its sum divided by the count, and `x / -m` is `-(x / m)`.
+    `tests/proto_head_oracle.py` is the plain head this one matches bit for
+    bit."""
     way, shot = episode.way, episode.shot
     ns = way * shot
     zs, zq = emb[:ns], emb[ns:]
@@ -134,9 +135,8 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     lse += zmax.ravel()
     lse -= picked
     value = float(np.add.reduce(lse) / m)
-    acc = np.count_nonzero(logits.argmax(axis=1) == episode.query_labels) / m
     if not compute_grad:
-        return value, acc, None
+        return value, None
     e /= sums                      # the softmax of the logits
     e.ravel()[episode.label_index] -= 1.0
     e /= -m                        # d(loss)/d(d^2), as logits = -d^2
@@ -147,35 +147,23 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     dprot *= -2.0
     dprot /= shot
     grad[:ns].reshape(way, shot, -1)[:] = dprot[:, None, :]
-    return value, acc, grad
+    return value, grad
 
 
 def proto_episode(params: mdl.ModelParams, graph: Graph,
                   operator: PropagationOperator, episode: Episode,
                   weight_decay: float = 0.0, compute_grad: bool = True,
                   blocks=None):
-    """Forward pass plus the prototypical head, with weight decay. Returns
-    (loss, accuracy, flat gradient or None). `blocks` restrict the forward
-    to the episode's receptive field (`model.receptive_field` of
-    `episode.rows`); None runs it on all n rows."""
-    rows = episode.rows
+    """(loss, flat gradient or None) of the prototypical head on the
+    episode's rows, with weight decay: a forward plus one
+    `model.head_loss` with `proto_head`. `blocks` restrict the forward to
+    the episode's receptive field (`model.receptive_field` of
+    `episode.rows`), whose logits are those rows; None runs it on all n
+    rows."""
     acts = mdl.forward(params, graph, operator, blocks)
-    emb = acts.logits if blocks is not None else acts.logits[rows]
-    value, acc, d_emb = proto_head(emb, episode, compute_grad)
-    if weight_decay:
-        flat = params.flatten()
-        value += weight_decay * float(flat @ flat)
-    if not compute_grad:
-        return value, acc, None
-    if blocks is None:
-        # the rows are distinct, so each gets 0.0 + its gradient
-        d_out = np.zeros_like(acts.logits)
-        d_out[rows] += d_emb
-        d_emb = d_out
-    grad = mdl.backward_from_output(params, operator, acts, d_emb, blocks)
-    if weight_decay:
-        grad += 2.0 * weight_decay * flat
-    return value, acc, grad
+    return mdl.head_loss(params, operator, acts, proto_head, episode,
+                         episode.rows if blocks is None else None,
+                         weight_decay, blocks, compute_grad)
 
 
 def task_accuracy(params: mdl.ModelParams, graph: Graph,
@@ -202,19 +190,18 @@ def task_accuracy(params: mdl.ModelParams, graph: Graph,
 def episode_objective(dims, graph: Graph, operator: PropagationOperator,
                       episode: Episode, weight_decay: float = 0.0, *,
                       blocks) -> optim.Objective:
-    """The episode's GNN / PeerMLP objective pair. `blocks` are the GNN
-    operator's `model.blocks_for` of `episode.rows`; None runs its forward
-    on all n rows. The PeerMLP's blocks are cut on its first gradient
-    evaluation and reused by the later ones."""
+    """The episode's GNN / PeerMLP objective pair: each gradient is one
+    `proto_episode`. `blocks` are the GNN operator's `model.blocks_for` of
+    `episode.rows`; None runs its forward on all n rows. The PeerMLP's
+    blocks are cut on its first gradient evaluation and reused by the later
+    ones."""
     cut = {id(operator): blocks}
 
     def loss_grad(params, op):
         if id(op) not in cut:          # the PeerMLP's identity operator
             cut[id(op)] = mdl.blocks_for(op, episode.rows, params.num_layers)
-        value, _, grad = proto_episode(params, graph, op, episode,
-                                       weight_decay=weight_decay,
-                                       blocks=cut[id(op)])
-        return value, grad
+        return proto_episode(params, graph, op, episode,
+                             weight_decay=weight_decay, blocks=cut[id(op)])
 
     return optim.peer_objective(dims, operator, loss_grad)
 
@@ -278,16 +265,17 @@ TRACE_COLUMNS = ("step", "loss", "grad_norm", "gv_norm", "gG_norm", "branch",
                  "gnn_evals_cum", "mlp_evals_cum", "wall_ms")
 
 
-def _train(opt, w, steps, objective_at, val_acc, val_interval, patience,
-           where, collect_bundles=False):
-    """The step / trace / early-stopping loop of both trainers.
+def train_steps(opt, w, steps, objective_at, val_acc, val_interval,
+                patience, where, collect_bundles=False):
+    """The step / trace / early-stopping loop of every trainer.
 
     `objective_at(t)` builds step t's objective before the timed region,
     `val_acc(w)` scores a validation round and `where` prefixes the step
     index in the non-finite-loss error. The evaluation counts are per-step
     deltas, so an objective may serve one step or the whole run. Returns
     (best_w, best_val, stop, trace, bundles); without a validation round
-    best_w is the final w and best_val is NaN."""
+    best_w is the final w and best_val is NaN: a `val_interval` past
+    `steps` runs the steps alone, and `val_acc` is never called."""
     best_val, best_w, bad_vals = -1.0, None, 0
     gnn_cum = mlp_cum = 0
     trace, bundles = [], []
@@ -384,7 +372,7 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
                 weight_decay=config.hp.weight_decay,
                 blocks=mdl.blocks_for(operator, episode.rows, config.layers))
 
-        best_w, best_val, stop, trace, bundles = _train(
+        best_w, best_val, stop, trace, bundles = train_steps(
             optim.make_optimizer(config.optimizer, config.hp),
             mdl.init_params(dims, stream_rng(root, "init")).flatten(),
             config.episodes, objective_at,
@@ -463,7 +451,7 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
         pred = np.argmax(acts.logits[idx], axis=1)
         return float(np.mean(pred == graph.labels[idx]))
 
-    best_w, best_val, stop, trace, _ = _train(
+    best_w, best_val, stop, trace, _ = train_steps(
         optim.make_optimizer(config.optimizer, config.hp),
         mdl.init_params(dims, stream_rng(config.seed, "init")).flatten(),
         config.steps, lambda t: obj, lambda w: accuracy(w, val_idx),

@@ -111,14 +111,13 @@ def check_episode(rng, scheme: str, layers: int) -> CheckResult:
     # the analytic gradient runs on the episode's receptive field, the
     # finite differences on all n rows
     blocks = mdl.receptive_field(operator, episode.rows, layers)
-    _, _, grad = fsnc.proto_episode(params, graph, operator, episode,
-                                    weight_decay=wd, blocks=blocks)
+    _, grad = fsnc.proto_episode(params, graph, operator, episode,
+                                 weight_decay=wd, blocks=blocks)
 
     def f(w):
         p = mdl.ModelParams.from_flat(w, dims)
-        value, _, _ = fsnc.proto_episode(p, graph, operator, episode,
-                                         weight_decay=wd, compute_grad=False)
-        return value
+        return fsnc.proto_episode(p, graph, operator, episode,
+                                  weight_decay=wd, compute_grad=False)[0]
 
     fd = finite_difference(f, params.flatten())
     return CheckResult(f"episode {scheme} L={layers}",

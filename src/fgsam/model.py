@@ -236,18 +236,20 @@ def forward_features(params: ModelParams, x: np.ndarray,
     return Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])
 
 
-def ce_head(logits_t: np.ndarray, targets_t: np.ndarray,
+def ce_head(logits: np.ndarray, targets_t: np.ndarray,
             compute_grad: bool = True):
-    """Mean softmax cross-entropy of the m columns of the class-major
-    (C x m, contiguous) logits against `targets_t` (C x m), and its gradient
-    w.r.t. the logits as a C-contiguous m x C array (None without
-    `compute_grad`). The max, the exponentials, their sums and the
-    log-sum-exp are computed once, each reducing over the class axis 0, and
-    the gradient (softmax - targets) / m reuses the exponentials in place.
+    """Mean softmax cross-entropy of the m rows of `logits` (m x C) against
+    the class-major targets `targets_t` (C x m), and its gradient w.r.t. the
+    logits as a C-contiguous m x C array (None without `compute_grad`).
+    The head reads the logits class-major: the max, the exponentials, their
+    sums and the log-sum-exp are computed once, each reducing over the
+    class axis, and the gradient (softmax - targets) / m reuses the
+    exponentials in place.
 
     Up to C = 7 classes the sums are bit for bit those of a reduction over
-    the classes of row-major (m x C) logits; from C = 8 numpy sums such rows
+    the classes of the row-major logits; from C = 8 numpy sums such rows
     pairwise, and the two differ by about 1e-15 relative."""
+    logits_t = np.ascontiguousarray(logits.T)
     m = logits_t.shape[1]
     zmax = logits_t.max(axis=0)
     e = logits_t - zmax
@@ -264,27 +266,41 @@ def ce_head(logits_t: np.ndarray, targets_t: np.ndarray,
     return value, np.ascontiguousarray(e.T)
 
 
-def ce_rows(logits: np.ndarray, rows, targets_t: np.ndarray,
-            compute_grad: bool = True):
-    """`ce_head` on `rows` of the row-major logits (None: all of them, in
-    their order), its gradient scattered back to one row per logits row."""
-    z = logits if rows is None else logits[rows]
-    value, d = ce_head(np.ascontiguousarray(z.T), targets_t, compute_grad)
-    if d is None or rows is None:
-        return value, d
-    d_out = np.zeros_like(logits)
-    d_out[rows] = d
-    return value, d_out
+def head_loss(params: ModelParams, operator: PropagationOperator,
+              activations: Activations, head, target, rows=None,
+              weight_decay: float = 0.0, blocks=None,
+              compute_grad: bool = True):
+    """(loss, flat gradient or None) of a head on `rows` of a forward's
+    logits (None: all of them, in their order), plus weight decay.
+
+    A head is `head(logits, target, compute_grad) -> (value, d_logits)`,
+    with `d_logits` None without `compute_grad`: `ce_head` with class-major
+    targets, or `fsnc.proto_head` with an episode. The head's gradient is
+    scattered back to one row per logits row (the rows are distinct, so
+    each gets 0.0 + its gradient) and backpropagated through the blocks of
+    the forward that made `activations`."""
+    logits = activations.logits
+    value, d = head(logits if rows is None else logits[rows], target,
+                    compute_grad)
+    if weight_decay:
+        flat = params.flatten()
+        value += weight_decay * float(flat @ flat)
+    if not compute_grad:
+        return value, None
+    if rows is not None:
+        d_out = np.zeros_like(logits)
+        d_out[rows] += d
+        d = d_out
+    grad = backward_from_output(params, operator, activations, d, blocks)
+    if weight_decay:
+        grad += 2.0 * weight_decay * flat
+    return value, grad
 
 
 def loss(activations: Activations, spec: LossSpec, params: ModelParams) -> float:
     """`ce_head` on the spec's rows of the logits, plus weight decay."""
-    value, _ = ce_rows(activations.logits, spec.indices, spec.targets_t,
-                       compute_grad=False)
-    if spec.weight_decay:
-        flat = params.flatten()
-        value += spec.weight_decay * float(flat @ flat)
-    return value
+    return head_loss(params, None, activations, ce_head, spec.targets_t,
+                     spec.indices, spec.weight_decay, compute_grad=False)[0]
 
 
 def backward_from_output(params: ModelParams, operator: PropagationOperator,
@@ -330,11 +346,8 @@ def backward_from_acts(params: ModelParams, operator: PropagationOperator,
                        blocks=None) -> np.ndarray:
     """The gradient of `loss`, whose spec indexes the rows of the logits;
     `blocks` are those of the forward that made `acts`."""
-    _, d_out = ce_rows(acts.logits, spec.indices, spec.targets_t)
-    grad = backward_from_output(params, operator, acts, d_out, blocks)
-    if spec.weight_decay:
-        grad += 2.0 * spec.weight_decay * params.flatten()
-    return grad
+    return head_loss(params, operator, acts, ce_head, spec.targets_t,
+                     spec.indices, spec.weight_decay, blocks)[1]
 
 
 _HEADER = struct.Struct("<4i")  # L, d0, h, C

@@ -132,8 +132,8 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     (`model.top_blocks`, cut here once) and the PeerMLP on the loss rows'
     features, gathered here once; their logits are the loss rows in the
     spec's order. A spec over every node runs both on all n rows. Each
-    gradient runs its forward, one `model.ce_head` on the loss rows and the
-    backward, and flattens the weights once for the weight decay."""
+    gradient is its forward plus one `model.head_loss` with `model.ce_head`
+    on the loss rows."""
     rows = spec.indices
     if rows.size == graph.n:
         # the logits are all n rows; gathered only if the spec reorders them
@@ -144,18 +144,12 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
         gnn = mlp if operator.is_identity else (
             graph.features, mdl.top_blocks(operator, rows, len(dims) - 1),
             None)
-    wd = spec.weight_decay
 
     def loss_grad(params, op):
         x, blocks, order = mlp if op.is_identity else gnn
         acts = mdl.forward_features(params, x, op, blocks)
-        value, d_out = mdl.ce_rows(acts.logits, order, spec.targets_t)
-        grad = mdl.backward_from_output(params, op, acts, d_out, blocks)
-        if wd:
-            flat = params.flatten()
-            value += wd * float(flat @ flat)
-            grad += 2.0 * wd * flat
-        return value, grad
+        return mdl.head_loss(params, op, acts, mdl.ce_head, spec.targets_t,
+                             order, spec.weight_decay, blocks)
 
     return peer_objective(dims, operator, loss_grad)
 

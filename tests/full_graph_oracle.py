@@ -89,10 +89,10 @@ def loss_grad(params: mdl.ModelParams, x: np.ndarray, operator,
 
 def proto_episode(params: mdl.ModelParams, graph, operator, episode,
                   weight_decay: float = 0.0):
-    """(loss, accuracy, flat gradient) of the prototypical head on the
-    episode's rows of a forward over all n rows."""
+    """(loss, flat gradient) of the prototypical head on the episode's rows
+    of a forward over all n rows."""
     acts = forward(params, graph.features, operator)
-    value, acc, d_emb = fsnc.proto_head(acts.logits[episode.rows], episode)
+    value, d_emb = fsnc.proto_head(acts.logits[episode.rows], episode)
     d_out = np.zeros_like(acts.logits)
     d_out[episode.rows] += d_emb
     grad = backward(params, operator, acts, d_out)
@@ -100,4 +100,4 @@ def proto_episode(params: mdl.ModelParams, graph, operator, episode,
     if weight_decay:
         value += weight_decay * float(flat @ flat)
         grad += 2.0 * weight_decay * flat
-    return value, acc, grad
+    return value, grad

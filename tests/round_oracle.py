@@ -1,13 +1,14 @@
 """Test-side oracle of evaluation rounds: tasks drawn one `Episode` at a
 time, as the sampler did before rounds were drawn into one array, and
-each task scored by its own `proto_head` call, as evaluation did before
-the batched head, so that `fsnc.draw_round` and `fsnc.task_accuracy` can
+each task scored by the accuracy of its own `proto_head_oracle.proto_head`
+call, as evaluation did before the batched head, so that `fsnc.draw_round` and `fsnc.task_accuracy` can
 be compared bit for bit against them."""
 
 import numpy as np
 
 import fgsam.model as mdl
 from fgsam import fsnc
+from proto_head_oracle import proto_head
 
 
 def sample_episode(graph, classes, way, shot, query, rng) -> fsnc.Episode:
@@ -52,5 +53,5 @@ def task_accuracy(params, graph, operator, episodes, blocks):
         # the union's last-layer rows are sorted
         local = (e.rows if blocks is None
                  else np.searchsorted(blocks[-1].rows, e.rows))
-        accs.append(fsnc.proto_head(emb[local], e, compute_grad=False)[1])
+        accs.append(proto_head(emb[local], e, compute_grad=False)[1])
     return float(np.mean(accs)), float(np.std(accs))

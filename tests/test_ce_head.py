@@ -1,5 +1,5 @@
-"""`model.ce_head`, the class-major cross-entropy head of the supervised
-objective, against the row-major head it replaced
+"""`model.ce_head`, the cross-entropy head of the supervised objective,
+which reads the logits class-major, against the row-major head it replaced
 (`full_graph_oracle.ce_head`): bit for bit up to 7 classes and within 1e-12
 relative from 8, alone, behind `model.loss` / `backward_from_acts` and
 inside `optim.model_objective`, whose work and traces it must not change."""
@@ -50,15 +50,14 @@ def test_head_matches_row_major_oracle(c, soft, scale):
         z = scale * rng.standard_normal((m, c))
         targets = make_targets(rng, m, c, soft)
         logits_t, targets_t = np.ascontiguousarray(z.T), targets.T.copy()
-        value, grad = mdl.ce_head(logits_t, targets_t)
+        value, grad = mdl.ce_head(z, targets_t)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
         assert grad.shape == (m, c) and grad.flags.c_contiguous
         assert_matches(c, (value, grad), oracle.ce_head(logits_t, targets_t))
         # the value alone is the same value
-        assert mdl.ce_head(logits_t, targets_t, compute_grad=False) == (
-            value, None)
+        assert mdl.ce_head(z, targets_t, compute_grad=False) == (value, None)
         # the head leaves its inputs as they were
-        assert np.array_equal(logits_t, z.T)
+        assert np.array_equal(z, logits_t.T)
         assert np.array_equal(targets_t, targets.T)
 
 
@@ -140,9 +139,9 @@ def test_each_gradient_runs_the_head_once_on_the_loss_rows(kind,
     heads, softmaxes = [], []
     ce_head, softmax_rows = mdl.ce_head, mdl.softmax_rows
 
-    def head_spy(logits_t, targets_t, compute_grad=True):
-        heads.append(logits_t.shape)
-        return ce_head(logits_t, targets_t, compute_grad)
+    def head_spy(logits, targets_t, compute_grad=True):
+        heads.append(logits.shape)
+        return ce_head(logits, targets_t, compute_grad)
 
     def softmax_spy(z):
         softmaxes.append(z.shape)
@@ -155,7 +154,7 @@ def test_each_gradient_runs_the_head_once_on_the_loss_rows(kind,
     for grad_fn in (obj.gnn_grad, obj.mlp_grad):
         heads.clear()
         grad_fn(w)
-        assert heads == [(4, rows.size)]
+        assert heads == [(rows.size, 4)]
     assert softmaxes == []
 
 
@@ -177,7 +176,8 @@ def test_bench_training_trace_is_the_oracle_heads(bench_graph, arm,
                                                   monkeypatch):
     # five classes: the class-major head is the row-major one bit for bit
     got = nc_run(bench_graph, arm)
-    monkeypatch.setattr(mdl, "ce_head", oracle.ce_head)
+    monkeypatch.setattr(mdl, "ce_head", lambda logits, targets_t, grad=True:
+                        oracle.ce_head(logits.T, targets_t, grad))
     want = nc_run(bench_graph, arm)
     assert len(got.trace) == 20
     columns = [c for c in fsnc.TRACE_COLUMNS if c != "wall_ms"]

@@ -544,6 +544,17 @@ class TestErrors:
         assert captured.err == "error: the test mask is empty\n"
         assert not out.exists()
 
+    # the step at lr 1e200 overflows the next forward, whose loss is NaN
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bench_stops_on_a_non_finite_loss(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--episodes", "5", "--lr", "1e200",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite loss nan at step 1\n"
+        assert "ratio" not in captured.out
+        assert not (out / "bench.csv").exists()
+
     def test_checkpoint_that_is_a_directory(self, graph_dir, tmp_path,
                                             capsys):
         out = tmp_path / "land"

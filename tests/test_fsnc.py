@@ -32,6 +32,13 @@ def small_config(**overrides):
     return ProtocolConfig(**base)
 
 
+def one_task_round(ep):
+    """The episode as a one-task round, in `draw_round`'s layout."""
+    return fsnc.Episode(ep.way, ep.shot, ep.query_per_class,
+                        ep.classes[None], ep.support_idx[None],
+                        ep.query_idx[None])
+
+
 class TestSplitClasses:
     def test_sizes_and_disjoint(self):
         s = split_classes(20, (12, 4, 4), 0)
@@ -179,7 +186,7 @@ class TestProtoEpisode:
         diff = emb[ep.query_idx][:, None, :] - protos[None, :, :]
         logits = -(diff * diff).sum(axis=2)
         pred = logits.argmax(axis=1)
-        _, acc, _ = proto_episode(params, g, op, ep, compute_grad=False)
+        acc, _ = task_accuracy(params, g, op, one_task_round(ep), None)
         assert acc == np.mean(pred == ep.query_labels)
 
     def test_identical_features_classified(self):
@@ -193,7 +200,7 @@ class TestProtoEpisode:
         params = mdl.ModelParams([np.eye(2)], [np.zeros(2)])
         ep = sample_episode(g, np.arange(2), way=2, shot=2, query=2,
                             rng=np.random.default_rng(0))
-        _, acc, _ = proto_episode(params, g, ident, ep, compute_grad=False)
+        acc, _ = task_accuracy(params, g, ident, one_task_round(ep), None)
         assert acc == 1.0
 
     @pytest.mark.parametrize("wd", [0.0, 0.01])
@@ -224,12 +231,12 @@ class TestProtoEpisode:
         params = mdl.init_params(dims, np.random.default_rng(1))
         ep = sample_episode(g, np.arange(4), way=2, shot=2, query=2,
                             rng=np.random.default_rng(5))
-        _, _, grad = proto_episode(params, g, op, ep, weight_decay=wd)
+        _, grad = proto_episode(params, g, op, ep, weight_decay=wd)
 
         def f(w):
             p = mdl.ModelParams.from_flat(w, dims)
-            value, _, _ = proto_episode(p, g, op, ep, weight_decay=wd,
-                                        compute_grad=False)
+            value, _ = proto_episode(p, g, op, ep, weight_decay=wd,
+                                     compute_grad=False)
             return value
 
         fd = gradcheck.finite_difference(f, params.flatten())
@@ -255,8 +262,8 @@ class TestProtoEpisode:
             got = proto_episode(params, g, warm, ep, weight_decay=0.01)
             want = proto_episode(params, g, normalize(g, scheme), ep,
                                  weight_decay=0.01)
-            assert got[:2] == want[:2]
-            assert np.array_equal(got[2], want[2])
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
             w = mdl.init_params(nc_dims, rng).flatten()
             value, grad = warm_obj.gnn_grad(w)
             fresh = optim.model_objective(nc_dims, g, normalize(g, scheme),
@@ -290,8 +297,12 @@ class TestReceptiveField:
         got = proto_episode(params, g, op, ep, weight_decay=0.01,
                             blocks=blocks)
         assert abs(got[0] - want[0]) <= REL_TOL * abs(want[0])
-        assert got[1] == want[1]
-        assert relative(got[2], want[2]) <= REL_TOL
+        assert relative(got[1], want[1]) <= REL_TOL
+        # the episode as a one-task round, scored on its receptive field
+        tasks = one_task_round(ep)
+        union = mdl.receptive_field(op, np.unique(ep.rows), len(blocks))
+        assert (task_accuracy(params, g, op, tasks, union)
+                == task_accuracy(params, g, op, tasks, None))
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("scheme",
@@ -364,7 +375,7 @@ class TestReceptiveField:
             for got, o in ((obj.gnn_grad(w), op), (obj.mlp_grad(w), ident)):
                 want = proto_episode(params, g, o, ep, weight_decay=0.01)
                 assert abs(got[0] - want[0]) <= REL_TOL * abs(want[0])
-                assert relative(got[1], want[2]) <= REL_TOL
+                assert relative(got[1], want[1]) <= REL_TOL
 
     def test_blocks_cut_once_per_operator(self, monkeypatch):
         g = sparse_graph()
@@ -397,15 +408,15 @@ class TestReceptiveField:
         ep = sample_episode(g, np.arange(4), 2, 3, 4,
                             rng=np.random.default_rng(8))
         acts = mdl.forward(params, g, op)
-        value, acc, d = fsnc.proto_head(acts.logits[ep.rows], ep)
+        value, d = fsnc.proto_head(acts.logits[ep.rows], ep)
         d_emb = np.zeros_like(acts.logits)
         ns = ep.support_idx.size
         np.add.at(d_emb, ep.query_idx, d[ns:])
         np.add.at(d_emb, ep.support_idx, d[:ns])
         want = mdl.backward_from_output(params, op, acts, d_emb)
         got = proto_episode(params, g, op, ep)
-        assert got[:2] == (value, acc)
-        assert got[2].tobytes() == want.tobytes()
+        assert got[0] == value
+        assert got[1].tobytes() == want.tobytes()
 
     def test_head_bit_identical_to_oracle(self):
         rng = np.random.default_rng(12)
@@ -426,11 +437,11 @@ class TestReceptiveField:
             for grad in (True, False):
                 got, want = fsnc.proto_head(emb, ep, grad), oracle_head(
                     emb, ep, grad)
-                assert got[:2] == want[:2]
+                assert got[0] == want[0]
                 if grad:
-                    assert got[2].tobytes() == want[2].tobytes()
+                    assert got[1].tobytes() == want[2].tobytes()
                 else:
-                    assert got[2] is None and want[2] is None
+                    assert got[1] is None and want[2] is None
             heads += 1
             seen.add((way == 2, shot == 1))
             wide.add((way >= 7, width > 16))
@@ -443,7 +454,7 @@ class TestReceptiveField:
         ep = sample_episode(g, np.arange(4), 2, 3, 4,
                             rng=np.random.default_rng(9))
         emb = np.random.default_rng(0).standard_normal((ep.rows.size, 5))
-        _, _, d = fsnc.proto_head(emb, ep)
+        _, d = fsnc.proto_head(emb, ep)
         assert d.shape == emb.shape
 
 
@@ -679,6 +690,13 @@ class TestPlan:
             assert np.array_equal(classes, theirs.classes)
 
 
+def oracle_accuracy(params, g, op, ep):
+    """The oracle head's accuracy on the episode's rows of a forward over
+    all n rows."""
+    emb = mdl.forward(params, g, op).logits[ep.rows]
+    return oracle_head(emb, ep, compute_grad=False)[1]
+
+
 def round_accuracy(params, g, op, tasks):
     """`task_accuracy` of a round with its union's blocks, cut as the
     protocol cuts them."""
@@ -728,8 +746,7 @@ class TestMetaTest:
             acc, _ = round_accuracy(params, g, op, fsnc.draw_round(
                 g, classes, 2, 2, 3, 1, shared))
             ep = sample_episode(g, classes, 2, 2, 3, rng=per_task)
-            accs.append(proto_episode(params, g, op, ep,
-                                      compute_grad=False)[1])
+            accs.append(oracle_accuracy(params, g, op, ep))
             assert acc == accs[-1]
         both = round_accuracy(params, g, op, fsnc.draw_round(
             g, classes, 2, 2, 3, 8, np.random.default_rng(5)))
@@ -746,8 +763,7 @@ class TestMetaTest:
         per_task = np.random.default_rng(3)
         for _ in range(6):
             ep = sample_episode(g, classes, 2, 3, 10, rng=per_task)
-            accs.append(proto_episode(params, g, op, ep,
-                                      compute_grad=False)[1])
+            accs.append(oracle_accuracy(params, g, op, ep))
             rows.append(ep.rows)
         union = np.unique(np.concatenate(rows))
         tasks = fsnc.draw_round(g, classes, 2, 3, 10, 6,
@@ -1009,7 +1025,7 @@ class TestStandardNC:
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(fsnc, "_train", no_step)
+        monkeypatch.setattr(fsnc, "train_steps", no_step)
         with pytest.raises(FsncError, match=f"^the {empty} mask is empty$"):
             standard_nc_train(NCConfig(seed=0), g, tuple(masks.values()))
 

@@ -163,12 +163,11 @@ class TestBackward:
                                          graph.num_classes)
         seen, ce_head = [], mdl.ce_head
 
-        def head_spy(logits_t, targets_t, compute_grad=True):
-            seen.append(logits_t.shape[1])
-            return ce_head(logits_t, targets_t, compute_grad)
+        def head_spy(logits, targets_t, compute_grad=True):
+            seen.append(logits.shape[0])
+            return ce_head(logits, targets_t, compute_grad)
 
-        # the head computes the softmax, on class-major logits: one column
-        # per loss row
+        # the head computes the softmax, on the loss rows of the logits
         monkeypatch.setattr(mdl, "ce_head", head_spy)
         acts = mdl.forward(params, graph, operator)
         mdl.backward_from_acts(params, operator, acts, spec)

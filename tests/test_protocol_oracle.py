@@ -37,6 +37,12 @@ def approx_step_oracle(self, objective, w):
     return w_new, rec
 
 
+def oracle_pair(emb, episode, compute_grad=True):
+    """The oracle head in `model.head_loss`'s head contract."""
+    value, _, grad = oracle_head(emb, episode, compute_grad)
+    return value, grad
+
+
 def outcome(graph, split, arm, seed):
     """Everything of one arm's run but its wall times."""
     # the benchmark's fsnc-small protocol
@@ -71,7 +77,7 @@ def test_protocol_bit_identical_under_oracles(monkeypatch, seed):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fsnc, "proto_head", counted("head", oracle_head))
+    monkeypatch.setattr(fsnc, "proto_head", counted("head", oracle_pair))
     monkeypatch.setattr(optim.FgsamPlusOptimizer, "_approx_step",
                         counted("approx", approx_step_oracle))
     slow = {arm: outcome(graph, split, arm, seed) for arm in arms}

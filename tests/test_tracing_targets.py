@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from fgsam import fsnc, optim
+from fgsam import cli, fsnc, optim
 from fgsam.graphcore import CsbmParams, generate_csbm, normalize
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -56,8 +56,33 @@ def test_traced_fsnc_round_gives_finite_layer_metrics(tracing):
     # block products are traced with the block's own stored entries
     full_nnz = normalize(graph, "gcn-sym").matrix.nnz
     assert min(s.attrs[0] for s in spmm) < full_nnz
+    # the training forwards and backwards run under the traced names that
+    # the per-layer figures read
+    names = {s.name for s in tracer.spans}
+    assert {"fsnc.proto_episode.train", tracing.FORWARD,
+            tracing.FORWARD_FEATURES, "model.backward_from_output"} <= names
     metrics = tracing.layer_metrics(tracer.spans, arms, 2)
     assert metrics["graphcore.spmm.calls"] > 0
     assert metrics["model.forward.calls"] > 0
     bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
     assert bad == {}
+
+
+def test_traced_nc_gradient_runs_forward_and_backward_spans(tracing):
+    graph = generate_csbm(CsbmParams(K=3, nodes_per_class=20, p=0.2, q=0.02,
+                                     D=3.0, l=8, seed=0))
+    config = fsnc.NCConfig(steps=2, hidden=4)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        fsnc.standard_nc_train(config, graph, cli.make_nc_masks(graph, 0))
+    by_id = {s.sid: s for s in tracer.spans}
+
+    def under_gnn_grad(span):
+        while span.parent in by_id:
+            span = by_id[span.parent]
+            if span.name == tracing.GNN_GRAD:
+                return True
+        return False
+
+    names = {s.name for s in tracer.spans if under_gnn_grad(s)}
+    assert {tracing.FORWARD_FEATURES, "model.backward_from_output"} <= names
