@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -156,12 +155,6 @@ def _config(cls, get, reads, **given):
                            if f.name in reads and f.name not in given})
 
 
-def _build_hp(get, reads) -> Hyperparams:
-    # FGSAM+ refreshes its GNN gradient every second step unless told
-    # otherwise; Hyperparams alone defaults to every step
-    return _config(Hyperparams, get, reads, k=get("k", 2))
-
-
 def _echo_ini(settings: dict) -> None:
     """Write into the output directory a config echo that can be fed back
     through --config: every setting the command read but `out`, in table
@@ -247,11 +240,6 @@ def _parse_split(text: str):
     return tuple(parts)
 
 
-def _threads() -> int:
-    return max(1, _cast(int, os.environ.get("FGSAM_THREADS", "1"),
-                        "FGSAM_THREADS"))
-
-
 def _out(get, required=True) -> str:
     """The output directory, checked before any work and not created: it,
     or its nearest existing ancestor, must be a directory."""
@@ -297,11 +285,11 @@ def _episodic(args, **given):
     get, out, graph = _graph_preamble(args)
     reads = _reads(args)
     config = _config(fsnc.ProtocolConfig, get, reads,
-                     hp=_build_hp(get, reads), **given)
+                     hp=_config(Hyperparams, get, reads), **given)
     ratio = _parse_split(get("split_ratio", f"{graph.num_classes - 4}/2/2"))
     split = fsnc.split_classes(graph.num_classes, ratio, config.seed)
     # the graph's propagation matrix, built before any arm so that the
-    # first arm's wall time does not carry it and threaded arms share it
+    # first arm's wall time does not carry it
     normalize(graph, config.scheme)
     return get, out, graph, config, ratio, split
 
@@ -351,33 +339,32 @@ def cmd_compare(args) -> int:
     # every arm runs, so the config's optimizer is a placeholder
     get, out, graph, config, ratio, split = _episodic(
         args, optimizer=names[0])
-    configs = {name: replace(config, optimizer=name) for name in names}
-    # with one worker (the default) the arms run one after another
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        runs = pool.map(lambda name: _run_fsnc_arm(
-            configs[name], graph, split, os.path.join(out, name)), names)
-        reports = dict(zip(names, runs))
+    reports = {name: _run_fsnc_arm(replace(config, optimizer=name), graph,
+                                   split, os.path.join(out, name))
+               for name in names}
     traces = {name: {"gnn_evals": rep.gnn_evals, "mlp_evals": rep.mlp_evals,
                      "wall_seconds": rep.wall_seconds}
               for name, rep in reports.items()}
     _write_cost_report(args, "cost_report.csv", analysis.cost_report(traces),
                        split=ratio, input_hash=_input_hash(graph))
-    for name in names:
-        rep = reports[name]
+    for name, rep in reports.items():
         print(f"{name:7s} test acc {rep.test_acc_mean:.4f} "
               f"gnn={rep.gnn_evals} mlp={rep.mlp_evals} "
               f"wall={rep.wall_seconds:.2f}s")
     return 0
 
 
-def make_nc_masks(graph, seed, train_frac=0.6, val_frac=0.2):
+NC_TRAIN_FRAC, NC_VAL_FRAC = 0.6, 0.2   # a class's shares of nc masks
+
+
+def make_nc_masks(graph, seed):
     """Deterministic stratified train/val/test node masks."""
     rng = stream_rng(seed, "episodes")
     train, val, test = [], [], []
     for c in range(graph.num_classes):
         members = rng.permutation(np.flatnonzero(graph.labels == c))
-        n_tr = max(1, int(train_frac * members.size))
-        n_val = max(1, int(val_frac * members.size))
+        n_tr = max(1, int(NC_TRAIN_FRAC * members.size))
+        n_val = max(1, int(NC_VAL_FRAC * members.size))
         train.append(members[:n_tr])
         val.append(members[n_tr:n_tr + n_val])
         test.append(members[n_tr + n_val:])
@@ -390,7 +377,7 @@ def cmd_nc(args) -> int:
     reads = _reads(args)
     config = _config(fsnc.NCConfig, get, reads,
                      steps=_steps(get, fsnc.NCConfig.steps),
-                     hp=_build_hp(get, reads))
+                     hp=_config(Hyperparams, get, reads))
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
     _write_report(report, out)
@@ -525,7 +512,6 @@ def bench_instance(seed=0):
 
 def run_bench(graph, steps, hp_base, seed=0):
     operator = normalize(graph, "gcn-sym")
-    operator.propagate_input(graph.features)   # not inside the first arm
     dims = mdl.uniform_dims(graph.d0, 16, graph.num_classes, 2)
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                      graph.num_classes)
@@ -548,7 +534,7 @@ def cmd_bench(args) -> int:
     out = _out(get, required=False)
     seed = get("seed", 0)
     steps = _steps(get, 200)
-    hp = _build_hp(get, _reads(args))
+    hp = _config(Hyperparams, get, _reads(args))
     graph = bench_instance(seed)
     deg = graph.degrees().mean()
     print(f"bench graph: n={graph.n} edges={graph.num_edges} "

@@ -3,6 +3,7 @@ prototypical episode head, the training protocol with validation/patience,
 meta-testing, and a standard node-classification trainer."""
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -271,8 +272,9 @@ def train_steps(opt, w, steps, objective_at, val_acc, val_interval,
 
     `objective_at(t)` builds step t's objective before the timed region,
     `val_acc(w)` scores a validation round and `where` prefixes the step
-    index in the non-finite-loss error. The evaluation counts are per-step
-    deltas, so an objective may serve one step or the whole run. Returns
+    index in the error that ends a run at a step whose loss or gradient
+    norm is not finite. The evaluation counts are per-step deltas, so an
+    objective may serve one step or the whole run. Returns
     (best_w, best_val, stop, trace, bundles); without a validation round
     best_w is the final w and best_val is NaN: a `val_interval` past
     `steps` runs the steps alone, and `val_acc` is never called."""
@@ -283,11 +285,15 @@ def train_steps(opt, w, steps, objective_at, val_acc, val_interval,
     for t in range(steps):
         obj = objective_at(t)
         gnn_before, mlp_before = obj.gnn_evals, obj.mlp_evals
-        step_start = time.perf_counter()
-        w, rec = opt.step(obj, w)
-        wall_ms = (time.perf_counter() - step_start) * 1e3
-        if not np.isfinite(rec.loss):
-            raise FsncError(f"non-finite loss {rec.loss} at {where}{t}")
+        # a step that overflows is reported by the check below, alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_start = time.perf_counter()
+            w, rec = opt.step(obj, w)
+            wall_ms = (time.perf_counter() - step_start) * 1e3
+        for what, value in (("loss", rec.loss),
+                            ("gradient norm", rec.grad_norm)):
+            if not math.isfinite(value):
+                raise FsncError(f"non-finite {what} {value} at {where}{t}")
         gnn_cum += obj.gnn_evals - gnn_before
         mlp_cum += obj.mlp_evals - mlp_before
         trace.append({"step": t, "loss": rec.loss, "grad_norm": rec.grad_norm,
@@ -438,7 +444,6 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
             # its accuracy or loss would be a NaN mean of no nodes
             raise FsncError(f"the {name} mask is empty")
     operator = normalize(graph, config.scheme)
-    operator.propagate_input(graph.features)   # not inside the first step
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
                             config.layers)
     spec = mdl.loss_spec_from_labels(train_idx, graph.labels,

@@ -14,6 +14,8 @@ from . import model as mdl
 from .graphcore import build_graph, normalize, with_num_classes
 
 FD_STEP = 1e-5
+MAX_NODES = 10                          # nodes of a random instance, at most
+KINK_MARGIN, KINK_TRIES = 1e-4, 20      # see `_jittered_params`
 
 
 def finite_difference(f, w: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -34,8 +36,8 @@ def relative_error(grad: np.ndarray, grad_fd: np.ndarray) -> float:
     return float(np.max(np.abs(grad - grad_fd))) / scale
 
 
-def random_instance(rng, max_nodes=10):
-    n = int(rng.integers(5, max_nodes + 1))
+def random_instance(rng):
+    n = int(rng.integers(5, MAX_NODES + 1))
     d0 = int(rng.integers(2, 5))
     num_classes = int(rng.integers(2, 4))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -43,9 +45,8 @@ def random_instance(rng, max_nodes=10):
     features = rng.standard_normal((n, d0))
     labels = rng.integers(0, num_classes, size=n)
     labels[:num_classes] = np.arange(num_classes)  # every class present
-    graph = with_num_classes(build_graph(n, edges, features, labels),
-                             num_classes)
-    return graph
+    return with_num_classes(build_graph(n, edges, features, labels),
+                            num_classes)
 
 
 @dataclass
@@ -55,18 +56,19 @@ class CheckResult:
     dims: tuple = ()
 
 
-def _jittered_params(dims, graph, operator, rng, margin=1e-4, tries=20):
-    """Random parameters whose hidden preactivations stay clear of the
-    ReLU kink, where central differences and the subgradient disagree."""
+def _jittered_params(dims, graph, operator, rng):
+    """Random parameters whose hidden preactivations stay KINK_MARGIN clear
+    of the ReLU kink, where central differences and the subgradient
+    disagree, drawn up to KINK_TRIES times."""
     params = None
-    for _ in range(tries):
+    for _ in range(KINK_TRIES):
         params = mdl.init_params(dims, rng)
         flat = params.flatten() + 0.05 * rng.standard_normal(
             mdl.num_params(dims))
         params = mdl.ModelParams.from_flat(flat, dims)
         hidden = mdl.forward(params, graph, operator).preacts[:-1]
         if not hidden or min(float(np.min(np.abs(z)))
-                             for z in hidden) > margin:
+                             for z in hidden) > KINK_MARGIN:
             break
     return params
 
@@ -97,7 +99,7 @@ def check_supervised(rng, scheme: str, layers: int) -> CheckResult:
 
 
 def check_episode(rng, scheme: str, layers: int) -> CheckResult:
-    graph = random_instance(rng, max_nodes=10)
+    graph = random_instance(rng)
     operator = normalize(graph, scheme)
     dims = mdl.uniform_dims(graph.d0, 3, 3, layers)
     params = _jittered_params(dims, graph, operator, rng)

@@ -111,33 +111,38 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 @dataclass
 class LossSpec:
     """Cross-entropy on some rows of a forward's logits: `indices` are
-    those rows, which are node ids when the forward outputs all n rows."""
+    those rows, which are node ids when the forward outputs all n rows, and
+    `labels` their classes."""
 
     indices: np.ndarray     # distinct row indices
-    targets: np.ndarray     # one-hot rows aligned with indices
+    labels: np.ndarray      # class of each row, aligned with indices
     weight_decay: float = 0.0
-    # the targets class-major (C x m, contiguous), as `ce_head` reads them
-    targets_t: np.ndarray = field(init=False, repr=False, compare=False)
+    # read-only `labels * m + arange(m)`, for `ce_head`'s C x m logits
+    label_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.indices.size == 0:
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        m = self.indices.size
+        if m == 0:
             raise ModelError("empty index subset")
-        if np.unique(self.indices).size != self.indices.size:
+        if np.unique(self.indices).size != m:
             raise ModelError("duplicate indices in loss spec")
-        if self.targets.shape[0] != self.indices.size:
-            raise ModelError("targets must align with indices")
+        if self.labels.shape != self.indices.shape or self.labels.min() < 0:
+            raise ModelError("labels must be classes aligned with indices")
         if self.weight_decay < 0:
             raise ModelError("weight decay must be non-negative")
-        self.targets_t = np.ascontiguousarray(self.targets.T)
+        self.label_index = self.labels * m + np.arange(m)
+        self.label_index.flags.writeable = False
 
 
 def loss_spec_from_labels(indices, labels, num_classes, weight_decay=0.0) -> LossSpec:
+    """The spec of the nodes `indices`, of classes `labels[indices]`."""
     indices = np.asarray(indices, dtype=np.int64)
-    onehot = np.zeros((indices.size, num_classes))
-    onehot[np.arange(indices.size), labels[indices]] = 1.0
-    return LossSpec(indices, onehot, weight_decay)
+    spec = LossSpec(indices, np.asarray(labels)[indices], weight_decay)
+    if spec.labels.max() >= num_classes:
+        raise ModelError(f"labels must be below num_classes {num_classes}")
+    return spec
 
 
 class Block(NamedTuple):
@@ -236,14 +241,14 @@ def forward_features(params: ModelParams, x: np.ndarray,
     return Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])
 
 
-def ce_head(logits: np.ndarray, targets_t: np.ndarray,
+def ce_head(logits: np.ndarray, label_index: np.ndarray,
             compute_grad: bool = True):
     """Mean softmax cross-entropy of the m rows of `logits` (m x C) against
-    the class-major targets `targets_t` (C x m), and its gradient w.r.t. the
-    logits as a C-contiguous m x C array (None without `compute_grad`).
+    their classes, given as a spec's `label_index`, and its gradient w.r.t.
+    the logits as a C-contiguous m x C array (None without `compute_grad`).
     The head reads the logits class-major: the max, the exponentials, their
     sums and the log-sum-exp are computed once, each reducing over the
-    class axis, and the gradient (softmax - targets) / m reuses the
+    class axis, and the gradient (softmax - one-hot) / m reuses the
     exponentials in place.
 
     Up to C = 7 classes the sums are bit for bit those of a reduction over
@@ -257,11 +262,11 @@ def ce_head(logits: np.ndarray, targets_t: np.ndarray,
     sums = e.sum(axis=0)
     lse = np.log(sums)
     lse += zmax
-    value = float(np.mean(lse - (logits_t * targets_t).sum(axis=0)))
+    value = float(np.mean(lse - logits_t.ravel()[label_index]))
     if not compute_grad:
         return value, None
     e /= sums
-    e -= targets_t
+    e.ravel()[label_index] -= 1.0
     e /= m
     return value, np.ascontiguousarray(e.T)
 
@@ -274,11 +279,11 @@ def head_loss(params: ModelParams, operator: PropagationOperator,
     logits (None: all of them, in their order), plus weight decay.
 
     A head is `head(logits, target, compute_grad) -> (value, d_logits)`,
-    with `d_logits` None without `compute_grad`: `ce_head` with class-major
-    targets, or `fsnc.proto_head` with an episode. The head's gradient is
-    scattered back to one row per logits row (the rows are distinct, so
-    each gets 0.0 + its gradient) and backpropagated through the blocks of
-    the forward that made `activations`."""
+    with `d_logits` None without `compute_grad`: `ce_head` with a spec's
+    `label_index`, or `fsnc.proto_head` with an episode. The head's
+    gradient is scattered back to one row per logits row (the rows are
+    distinct, so each gets 0.0 + its gradient) and backpropagated through
+    the blocks of the forward that made `activations`."""
     logits = activations.logits
     value, d = head(logits if rows is None else logits[rows], target,
                     compute_grad)
@@ -299,7 +304,7 @@ def head_loss(params: ModelParams, operator: PropagationOperator,
 
 def loss(activations: Activations, spec: LossSpec, params: ModelParams) -> float:
     """`ce_head` on the spec's rows of the logits, plus weight decay."""
-    return head_loss(params, None, activations, ce_head, spec.targets_t,
+    return head_loss(params, None, activations, ce_head, spec.label_index,
                      spec.indices, spec.weight_decay, compute_grad=False)[0]
 
 
@@ -346,7 +351,7 @@ def backward_from_acts(params: ModelParams, operator: PropagationOperator,
                        blocks=None) -> np.ndarray:
     """The gradient of `loss`, whose spec indexes the rows of the logits;
     `blocks` are those of the forward that made `acts`."""
-    return head_loss(params, operator, acts, ce_head, spec.targets_t,
+    return head_loss(params, operator, acts, ce_head, spec.label_index,
                      spec.indices, spec.weight_decay, blocks)[1]
 
 

@@ -24,7 +24,7 @@ class Hyperparams:
     rho: float = 0.05          # perturbation radius (0 disables perturbation)
     lambda_topo: float = 0.0   # weight of the reused GNN gradient
     alpha: float = 0.7         # adaptive ratio for approximate steps
-    k: int = 1                 # exact-update interval
+    k: int = 2                 # exact-update interval
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -82,7 +82,6 @@ class OptimizerState:
 
 @dataclass
 class StepRecord:
-    step: int
     loss: float
     grad_norm: float
     gv_norm: float = float("nan")
@@ -133,7 +132,9 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     features, gathered here once; their logits are the loss rows in the
     spec's order. A spec over every node runs both on all n rows. Each
     gradient is its forward plus one `model.head_loss` with `model.ce_head`
-    on the loss rows."""
+    on the loss rows. The GNN's first layer reads all n rows of A.X, which
+    are filled here, so that no gradient evaluation makes that product."""
+    operator.propagate_input(graph.features)
     rows = spec.indices
     if rows.size == graph.n:
         # the logits are all n rows; gathered only if the spec reorders them
@@ -148,7 +149,7 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     def loss_grad(params, op):
         x, blocks, order = mlp if op.is_identity else gnn
         acts = mdl.forward_features(params, x, op, blocks)
-        return mdl.head_loss(params, op, acts, mdl.ce_head, spec.targets_t,
+        return mdl.head_loss(params, op, acts, mdl.ce_head, spec.label_index,
                              order, spec.weight_decay, blocks)
 
     return peer_objective(dims, operator, loss_grad)
@@ -232,7 +233,7 @@ class AdamOptimizer(BaseOptimizer):
     def step(self, objective, w):
         value, g = objective.gnn_grad(w)
         w_new = adam_step(self.state, g, w)
-        rec = StepRecord(self.state.t, value, float(np.linalg.norm(g)))
+        rec = StepRecord(value, float(np.linalg.norm(g)))
         return w_new, rec
 
 
@@ -246,7 +247,7 @@ class SamOptimizer(BaseOptimizer):
         eps, degenerate = sam_epsilon(g, self.state.hp.rho)
         _, g_s = objective.gnn_grad(w + eps)
         w_new = adam_step(self.state, g_s, w)
-        rec = StepRecord(self.state.t, value, float(np.linalg.norm(g_s)),
+        rec = StepRecord(value, float(np.linalg.norm(g_s)),
                          flags=["zero-grad"] if degenerate else [])
         return w_new, rec
 
@@ -265,7 +266,7 @@ class FgsamOptimizer(BaseOptimizer):
         value, g_s = objective.mlp_grad(w + eps)
         g = hp.lambda_topo * g_gnn + g_s
         w_new = adam_step(self.state, g, w)
-        rec = StepRecord(self.state.t, value, float(np.linalg.norm(g_s)),
+        rec = StepRecord(value, float(np.linalg.norm(g_s)),
                          flags=["zero-grad"] if degenerate else [])
         return w_new, rec
 
@@ -300,7 +301,7 @@ class FgsamPlusOptimizer(BaseOptimizer):
         w_new = adam_step(st, g, w)
         bundle = GradientBundle(g_mlp=g_mlp, g_s=g_s, g_h=g_h, g_v=g_v,
                                 g_G=g_G)
-        rec = StepRecord(st.t, value, float(np.linalg.norm(g_s)),
+        rec = StepRecord(value, float(np.linalg.norm(g_s)),
                          gv_norm=st.cached_gv_norm, gG_norm=st.cached_gG_norm,
                          branch="exact", flags=flags, bundle=bundle)
         return w_new, rec
@@ -323,7 +324,7 @@ class FgsamPlusOptimizer(BaseOptimizer):
             flags.append("zero-gv")
         g = g + hp.lambda_topo * g_gnn_hat
         w_new = adam_step(st, g, w)
-        rec = StepRecord(st.t, value, mlp_norm, gv_norm=gv_norm,
+        rec = StepRecord(value, mlp_norm, gv_norm=gv_norm,
                          gG_norm=gG_norm, branch="approx", flags=flags)
         return w_new, rec
 

@@ -71,12 +71,18 @@ def ce_head(logits_t: np.ndarray, targets_t: np.ndarray,
     return value, (softmax_rows(z) - targets) / z.shape[0]
 
 
+def one_hot_t(labels, num_classes: int) -> np.ndarray:
+    """The class-major (C x m) one-hot targets of the classes `labels`."""
+    return np.eye(num_classes)[labels].T
+
+
 def loss_grad(params: mdl.ModelParams, x: np.ndarray, operator,
               spec: mdl.LossSpec):
     """(softmax cross-entropy on the spec's rows plus weight decay, flat
     gradient), from a forward over all n rows."""
     acts = forward(params, x, operator)
-    value, d = ce_head(acts.logits[spec.indices].T, spec.targets.T)
+    logits = acts.logits[spec.indices]
+    value, d = ce_head(logits.T, one_hot_t(spec.labels, logits.shape[1]))
     d_out = np.zeros_like(acts.logits)
     d_out[spec.indices] = d
     grad = backward(params, operator, acts, d_out)

@@ -112,7 +112,8 @@ def _mlp_backward_dedicated(params, x, spec):
     probs = softmax_rows(acts.logits)
     m = spec.indices.size
     dz = np.zeros_like(acts.logits)
-    dz[spec.indices] = (probs[spec.indices] - spec.targets) / m
+    onehot = np.eye(probs.shape[1])[spec.labels]
+    dz[spec.indices] = (probs[spec.indices] - onehot) / m
     grads_w = [None] * params.num_layers
     grads_b = [None] * params.num_layers
     for l in range(params.num_layers - 1, -1, -1):

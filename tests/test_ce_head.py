@@ -33,32 +33,26 @@ def assert_matches(c, got, want):
         assert rel_err(grad, want_grad) <= TOL
 
 
-def make_targets(rng, m, c, soft):
-    if soft:
-        return rng.dirichlet(np.ones(c), size=m)
-    targets = np.zeros((m, c))
-    targets[np.arange(m), rng.integers(0, c, m)] = 1.0
-    return targets
-
-
 @pytest.mark.parametrize("scale", [3.0, 1e4], ids=["moderate", "1e4"])
-@pytest.mark.parametrize("soft", [False, True], ids=["one-hot", "soft"])
+# one-hot: random classes; argmin: each row's class is its smallest logit
+@pytest.mark.parametrize("argmin", [False, True], ids=["one-hot", "argmin"])
 @pytest.mark.parametrize("c", BIT_EXACT + TOLERANT)
-def test_head_matches_row_major_oracle(c, soft, scale):
+def test_head_matches_row_major_oracle(c, argmin, scale):
     rng = np.random.default_rng(c)
     for m in (1, 57):
         z = scale * rng.standard_normal((m, c))
-        targets = make_targets(rng, m, c, soft)
-        logits_t, targets_t = np.ascontiguousarray(z.T), targets.T.copy()
-        value, grad = mdl.ce_head(z, targets_t)
+        labels = z.argmin(axis=1) if argmin else rng.integers(0, c, m)
+        index = mdl.LossSpec(np.arange(m), labels).label_index
+        logits_t = np.ascontiguousarray(z.T)
+        value, grad = mdl.ce_head(z, index)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
         assert grad.shape == (m, c) and grad.flags.c_contiguous
-        assert_matches(c, (value, grad), oracle.ce_head(logits_t, targets_t))
+        assert_matches(c, (value, grad),
+                       oracle.ce_head(logits_t, oracle.one_hot_t(labels, c)))
         # the value alone is the same value
-        assert mdl.ce_head(z, targets_t, compute_grad=False) == (value, None)
-        # the head leaves its inputs as they were
+        assert mdl.ce_head(z, index, compute_grad=False) == (value, None)
+        # the head leaves its logits as they were
         assert np.array_equal(z, logits_t.T)
-        assert np.array_equal(targets_t, targets.T)
 
 
 def class_graph(c):
@@ -83,15 +77,15 @@ def test_loss_and_backward_from_acts_use_the_head(c, kind, weight_decay):
     operator = normalize(graph, "gcn-sym")
     rng = np.random.default_rng(c)
     rows = spec_rows(graph.n, kind, rng)
-    targets = make_targets(rng, rows.size, c, soft=kind == "subset")
-    spec = mdl.LossSpec(rows, targets, weight_decay)
+    spec = mdl.LossSpec(rows, rng.integers(0, c, rows.size), weight_decay)
     dims = mdl.uniform_dims(graph.d0, 6, c, 2)
     params = mdl.init_params(dims, 0)
     acts = mdl.forward(params, graph, operator)
     got = (mdl.loss(acts, spec, params),
            mdl.backward_from_acts(params, operator, acts, spec))
     # the old head on the spec's rows, its gradient scattered by hand
-    value, d = oracle.ce_head(acts.logits[rows].T, spec.targets.T)
+    value, d = oracle.ce_head(acts.logits[rows].T,
+                              oracle.one_hot_t(spec.labels, c))
     d_out = np.zeros_like(acts.logits)
     d_out[rows] = d
     grad = mdl.backward_from_output(params, operator, acts, d_out)
@@ -109,7 +103,7 @@ def test_model_objective_matches_the_oracle(c, kind):
     operator = normalize(graph, "gcn-sym")
     rng = np.random.default_rng(c)
     rows = spec_rows(graph.n, kind, rng)
-    spec = mdl.LossSpec(rows, make_targets(rng, rows.size, c, True), 0.01)
+    spec = mdl.LossSpec(rows, rng.integers(0, c, rows.size), 0.01)
     dims = mdl.uniform_dims(graph.d0, 6, c, 2)
     obj = optim.model_objective(dims, graph, operator, spec)
     w = mdl.init_params(dims, 1).flatten()
@@ -123,7 +117,7 @@ def test_model_objective_matches_the_oracle(c, kind):
     # the PeerMLP's is the oracle's on the rows it reads
     x = graph.features if kind != "subset" else graph.features[rows]
     local = spec if kind != "subset" else mdl.LossSpec(
-        np.arange(rows.size), spec.targets, spec.weight_decay)
+        np.arange(rows.size), spec.labels, spec.weight_decay)
     assert_matches(c, obj.mlp_grad(w),
                    oracle.loss_grad(params, x, IDENTITY, local))
 
@@ -139,9 +133,9 @@ def test_each_gradient_runs_the_head_once_on_the_loss_rows(kind,
     heads, softmaxes = [], []
     ce_head, softmax_rows = mdl.ce_head, mdl.softmax_rows
 
-    def head_spy(logits, targets_t, compute_grad=True):
+    def head_spy(logits, label_index, compute_grad=True):
         heads.append(logits.shape)
-        return ce_head(logits, targets_t, compute_grad)
+        return ce_head(logits, label_index, compute_grad)
 
     def softmax_spy(z):
         softmaxes.append(z.shape)
@@ -176,8 +170,12 @@ def test_bench_training_trace_is_the_oracle_heads(bench_graph, arm,
                                                   monkeypatch):
     # five classes: the class-major head is the row-major one bit for bit
     got = nc_run(bench_graph, arm)
-    monkeypatch.setattr(mdl, "ce_head", lambda logits, targets_t, grad=True:
-                        oracle.ce_head(logits.T, targets_t, grad))
+    def oracle_head(logits, label_index, compute_grad=True):
+        m, c = logits.shape
+        return oracle.ce_head(logits.T, oracle.one_hot_t(label_index // m, c),
+                              compute_grad)
+
+    monkeypatch.setattr(mdl, "ce_head", oracle_head)
     want = nc_run(bench_graph, arm)
     assert len(got.trace) == 20
     columns = [c for c in fsnc.TRACE_COLUMNS if c != "wall_ms"]

@@ -176,19 +176,8 @@ class TestCompare:
         assert int(byname["sam"]["gnn_evals"]) == 2 * T
         assert int(byname["fgsam"]["mlp_evals"]) == T
         assert os.path.exists(os.path.join(out, "cost_report.meta.json"))
-
-    def test_threaded_matches_serial(self, graph_dir, tmp_path, monkeypatch):
-        serial = str(tmp_path / "serial")
-        assert run_cli("compare", "--graph", graph_dir, "--out", serial,
-                       *FSNC_FLAGS) == 0
-        want = read_run_dir(serial)
-        assert len(want) == 11  # 4 x (report, trace), cost report + meta, echo
-        for threads in ("2", "4"):
-            out = str(tmp_path / f"threads{threads}")
-            monkeypatch.setenv("FGSAM_THREADS", threads)
-            assert run_cli("compare", "--graph", graph_dir, "--out", out,
-                           *FSNC_FLAGS) == 0
-            assert read_run_dir(out) == want
+        # 4 x (report, trace), cost report + meta, echo
+        assert len(read_run_dir(out)) == 11
 
     def test_matrix_built_once_before_the_arms(self, graph_dir, tmp_path,
                                                monkeypatch):
@@ -544,16 +533,35 @@ class TestErrors:
         assert captured.err == "error: the test mask is empty\n"
         assert not out.exists()
 
-    # the step at lr 1e200 overflows the next forward, whose loss is NaN
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the step at lr 1e200 overflows the next forward, whose loss is NaN;
+    # the error is the one report of it, with no numpy warning before it
     def test_bench_stops_on_a_non_finite_loss(self, tmp_path, capsys):
         out = tmp_path / "bench"
-        assert run_cli("bench", "--episodes", "5", "--lr", "1e200",
-                       "--out", str(out)) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("bench", "--episodes", "5", "--lr", "1e200",
+                           "--out", str(out)) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: non-finite loss nan at step 1\n"
         assert "ratio" not in captured.out
         assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("command, flags, where", [
+        ("nc", [], "step 1"),
+        ("fsnc", ["--repeats", "1"], "repeat 0 episode 1"),
+    ], ids=["nc", "fsnc"])
+    def test_training_stops_on_a_non_finite_loss(self, graph_dir, tmp_path,
+                                                 capsys, command, flags,
+                                                 where):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--graph", graph_dir, "--out", str(out),
+                           "--lr", "1e200", "--episodes", "5", *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: non-finite loss nan at {where}\n"
+        assert not out.exists()
 
     def test_checkpoint_that_is_a_directory(self, graph_dir, tmp_path,
                                             capsys):
@@ -738,33 +746,29 @@ class TestErrors:
                        "--out", str(tmp_path / "z"),
                        "--split", "4/4") == 1
 
-    @pytest.mark.parametrize("command, flags, config, threads", [
-        ("fsnc", ["--split", "4/x/2"], None, None),
-        ("rho-sweep", ["--rhos", "0.1,abc"], None, None),
-        ("fsnc", [], "[protocol]\nway = two\n", None),
-        ("fsnc", [], "way = 2\n", None),
-        ("compare", [], None, "two"),
-        ("nc", ["--episodes", "0"], None, None),
-        ("nc", ["--patience", "0"], None, None),
-        ("nc", ["--val-interval", "0"], None, None),
-        ("nc", ["--layers", "0"], None, None),
-        ("nc", ["--hidden", "0"], None, None),
-        ("landscape", ["--grid-points", "-5"], None, None),
-        ("landscape", ["--grid-points", "4"], None, None),
-    ], ids=["split", "rhos", "config-value", "config-no-section", "threads",
+    @pytest.mark.parametrize("command, flags, config", [
+        ("fsnc", ["--split", "4/x/2"], None),
+        ("rho-sweep", ["--rhos", "0.1,abc"], None),
+        ("fsnc", [], "[protocol]\nway = two\n"),
+        ("fsnc", [], "way = 2\n"),
+        ("nc", ["--episodes", "0"], None),
+        ("nc", ["--patience", "0"], None),
+        ("nc", ["--val-interval", "0"], None),
+        ("nc", ["--layers", "0"], None),
+        ("nc", ["--hidden", "0"], None),
+        ("landscape", ["--grid-points", "-5"], None),
+        ("landscape", ["--grid-points", "4"], None),
+    ], ids=["split", "rhos", "config-value", "config-no-section",
             "nc-episodes", "nc-patience", "nc-val-interval", "nc-layers",
             "nc-hidden", "grid-points", "grid-points-even"])
     def test_malformed_input_one_line_error(self, graph_dir, tmp_path, capsys,
-                                            monkeypatch, command, flags,
-                                            config, threads):
+                                            command, flags, config):
         argv = [command, "--graph", graph_dir, "--out", str(tmp_path / "o"),
                 *flags]
         if config is not None:
             cfg = tmp_path / "bad.ini"
             cfg.write_text(config)
             argv += ["--config", str(cfg)]
-        if threads is not None:
-            monkeypatch.setenv("FGSAM_THREADS", threads)
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

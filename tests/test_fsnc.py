@@ -1000,6 +1000,20 @@ def nc_masks(g, seed=0):
     return (np.concatenate(train), np.concatenate(val), np.concatenate(test))
 
 
+class TestTrainSteps:
+    def test_a_non_finite_gradient_norm_ends_the_run(self):
+        # a finite loss does not let a step whose gradient overflowed pass
+        class Overflowing:
+            def step(self, objective, w):
+                return w, optim.StepRecord(0.5, float("inf"))
+
+        obj = optim.Objective(None, None)
+        with pytest.raises(FsncError,
+                           match="^non-finite gradient norm inf at step 0$"):
+            fsnc.train_steps(Overflowing(), np.zeros(2), 3, lambda t: obj,
+                             None, 4, 1, "step ")
+
+
 class TestStandardNC:
     def test_two_clique_perfect_accuracy(self):
         g = small_graph(K=2, npc=40, p=1.0, q=0.0, D=10.0)

@@ -87,7 +87,7 @@ def test_identity_operator_is_the_oracle_bit_for_bit(graph):
         params = mdl.init_params(dims, layers)
         value, grad = obj.gnn_grad(params.flatten())
         x = graph.features[spec.indices]
-        local = mdl.LossSpec(np.arange(spec.indices.size), spec.targets)
+        local = mdl.LossSpec(np.arange(spec.indices.size), spec.labels)
         want_value, want_grad = oracle.loss_grad(params, x, IDENTITY, local)
         assert value == want_value and np.array_equal(grad, want_grad)
 

@@ -146,13 +146,32 @@ class TestLoss:
 
     def test_spec_validation(self):
         with pytest.raises(mdl.ModelError):
-            mdl.LossSpec(np.array([], dtype=np.int64), np.zeros((0, 2)))
+            mdl.LossSpec(np.array([], dtype=np.int64), np.zeros(0, int))
         with pytest.raises(mdl.ModelError):
-            mdl.LossSpec(np.array([1, 1]), np.zeros((2, 2)))
+            mdl.LossSpec(np.array([1, 1]), np.zeros(2, int))
         with pytest.raises(mdl.ModelError):
-            mdl.LossSpec(np.array([0, 1]), np.zeros((3, 2)))
+            mdl.LossSpec(np.array([0, 1]), np.zeros(3, int))
         with pytest.raises(mdl.ModelError):
-            mdl.LossSpec(np.array([0]), np.zeros((1, 2)), weight_decay=-1.0)
+            mdl.LossSpec(np.array([0]), np.zeros(1, int), weight_decay=-1.0)
+
+    @pytest.mark.parametrize("labels", [
+        np.eye(2, dtype=int), np.array([0]), np.array([0, -1])],
+        ids=["one-hot-rows", "too-few", "negative"])
+    def test_labels_must_be_classes_aligned_with_indices(self, labels):
+        with pytest.raises(mdl.ModelError, match="aligned with indices"):
+            mdl.LossSpec(np.array([3, 5]), labels)
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]], ids=["2", "-1"])
+    def test_from_labels_bounds_the_classes(self, labels):
+        with pytest.raises(mdl.ModelError):
+            mdl.loss_spec_from_labels(np.arange(2), np.array(labels), 2)
+
+    def test_label_index_is_read_only(self):
+        spec = mdl.LossSpec(np.array([4, 2, 7]), np.array([1, 0, 2]))
+        # labels * m + arange(m): row i's logit in the class-major (C x m)
+        assert spec.label_index.tolist() == [3, 1, 8]
+        with pytest.raises(ValueError):
+            spec.label_index[0] = 0
 
 
 class TestBackward:
@@ -163,9 +182,9 @@ class TestBackward:
                                          graph.num_classes)
         seen, ce_head = [], mdl.ce_head
 
-        def head_spy(logits, targets_t, compute_grad=True):
+        def head_spy(logits, label_index, compute_grad=True):
             seen.append(logits.shape[0])
-            return ce_head(logits, targets_t, compute_grad)
+            return ce_head(logits, label_index, compute_grad)
 
         # the head computes the softmax, on the loss rows of the logits
         monkeypatch.setattr(mdl, "ce_head", head_spy)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fgsam.model as mdl
-from fgsam import optim
+from fgsam import fsnc, optim
 from fgsam.graphcore import CsbmParams, generate_csbm, normalize
 from fgsam.optim import (GradientBundle, Hyperparams, OptimError,
                          OptimizerState, adam_step, decompose, make_optimizer,
@@ -38,6 +40,18 @@ def run_steps(name, hp, steps, seed=0, scheme="gcn-sym"):
 class TestHyperparams:
     def test_defaults_valid(self):
         Hyperparams()
+
+    def test_one_k_default(self):
+        # FGSAM+ runs an exact step every second step unless told otherwise,
+        # whichever way its hyperparameters are built
+        assert Hyperparams().k == fsnc.ProtocolConfig().hp.k == 2
+        assert fsnc.NCConfig().hp.k == 2
+
+    def test_field_names_and_order(self):
+        # the benchmark's reference spec stores `asdict` of its Hyperparams
+        assert [f.name for f in dataclasses.fields(Hyperparams)] == [
+            "lr", "rho", "lambda_topo", "alpha", "k", "beta1", "beta2",
+            "eps", "weight_decay"]
 
     @pytest.mark.parametrize("kwargs", [
         {"lr": 0.0}, {"rho": -0.1}, {"lambda_topo": -1.0}, {"alpha": 0.0},

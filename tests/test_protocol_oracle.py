@@ -32,7 +32,7 @@ def approx_step_oracle(self, objective, w):
         flags.append("zero-gv")
     g = g + hp.lambda_topo * g_gnn_hat
     w_new = optim.adam_step(st, g, w)
-    rec = optim.StepRecord(st.t, value, mlp_norm, gv_norm=gv_norm,
+    rec = optim.StepRecord(value, mlp_norm, gv_norm=gv_norm,
                            gG_norm=gG_norm, branch="approx", flags=flags)
     return w_new, rec
 
