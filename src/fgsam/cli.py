@@ -288,9 +288,11 @@ def _episodic(args, **given):
                      hp=_config(Hyperparams, get, reads), **given)
     ratio = _parse_split(get("split_ratio", f"{graph.num_classes - 4}/2/2"))
     split = fsnc.split_classes(graph.num_classes, ratio, config.seed)
-    # the graph's propagation matrix, built before any arm so that the
-    # first arm's wall time does not carry it
+    # the graph's propagation matrix and every repeat's tasks, built before
+    # any arm so that the first arm's wall time does not carry them
     normalize(graph, config.scheme)
+    for r in range(config.repeats):
+        fsnc.repeat_tasks(config, graph, split, config.seed + r)
     return get, out, graph, config, ratio, split
 
 

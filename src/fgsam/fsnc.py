@@ -2,7 +2,6 @@
 prototypical episode head, the training protocol with validation/patience,
 meta-testing, and a standard node-classification trainer."""
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -40,9 +39,10 @@ def split_classes(num_classes: int, ratio, seed: int) -> ClassSplit:
 
 @dataclass(frozen=True)
 class Episode:
-    """One N-way K-shot task, or a round of them (`draw_round`). Frozen, so
-    that `query_labels`, `label_index` and `rows`, computed on first use
-    and read-only, stay those of its fields."""
+    """One N-way K-shot task, or a round of them (`draw_round`), with the
+    index arrays its loss and its evaluation read, built when it is made.
+    Every array of a drawn episode is read-only and the episode is frozen:
+    a graph's drawn tasks are shared by every run on it (`Graph.tasks`)."""
 
     way: int
     shot: int
@@ -50,23 +50,28 @@ class Episode:
     classes: np.ndarray        # global class id per local label
     support_idx: np.ndarray    # class-major, way*shot entries
     query_idx: np.ndarray      # class-major, way*query entries
+    # the local label of each query
+    query_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    # the flat index of each query's true-class logit in a C-ordered
+    # (query, way) logit array: `arange(m) * way + query_labels`
+    label_index: np.ndarray = field(init=False, repr=False, compare=False)
+    # the episode's nodes, support then query: the rows its loss reads, in
+    # the order `proto_head` takes their embeddings
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    # a round's sorted distinct rows, which its one forward outputs; None
+    # for one task
+    union: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def query_labels(self) -> np.ndarray:
-        return _read_only(np.repeat(np.arange(self.way), self.query_per_class))
-
-    @functools.cached_property
-    def label_index(self) -> np.ndarray:
-        """The flat index of each query's true-class logit in a C-ordered
-        (query, way) logit array: `arange(m) * way + query_labels`."""
-        labels = self.query_labels
-        return _read_only(np.arange(labels.size) * self.way + labels)
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """The episode's nodes, support then query: the rows its loss
-        reads, in the order `proto_head` takes their embeddings."""
-        return _read_only(np.hstack([self.support_idx, self.query_idx]))
+    def __post_init__(self):
+        labels = _read_only(np.repeat(np.arange(self.way),
+                                      self.query_per_class))
+        index = _read_only(np.arange(labels.size) * self.way + labels)
+        rows = _read_only(np.concatenate([self.support_idx, self.query_idx],
+                                         axis=-1))
+        union = _read_only(np.unique(rows)) if rows.ndim == 2 else None
+        for name, value in (("query_labels", labels), ("label_index", index),
+                            ("rows", rows), ("union", union)):
+            object.__setattr__(self, name, value)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -74,10 +79,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def draw_round(graph: Graph, classes, way: int, shot: int, query: int,
-               tasks: int, rng: np.random.Generator) -> Episode:
-    """`tasks` tasks drawn one after another from `rng`, as one episode
-    whose arrays have a leading task axis (row t of `rows`: task t's)."""
+def _draw(graph: Graph, classes, way: int, shot: int, query: int,
+          tasks: int, rng: np.random.Generator):
+    """(classes, support, query) of `tasks` tasks drawn one after another
+    from `rng`: `draw_round`'s arrays, read-only."""
     classes = np.asarray(classes)
     if classes.size < way:
         raise FsncError(f"need {way} classes, only {classes.size} available")
@@ -92,17 +97,24 @@ def draw_round(graph: Graph, classes, way: int, shot: int, query: int,
                 raise FsncError(
                     f"class {c} has {len(pool)} nodes, needs {shot + query}")
             slot[:] = rng.choice(pool, size=shot + query, replace=False)
-    return Episode(way=way, shot=shot, query_per_class=query, classes=chosen,
-                   support_idx=picked[:, :, :shot].reshape(tasks, -1),
-                   query_idx=picked[:, :, shot:].reshape(tasks, -1))
+    return (_read_only(chosen),
+            _read_only(picked[:, :, :shot].reshape(tasks, -1)),
+            _read_only(picked[:, :, shot:].reshape(tasks, -1)))
+
+
+def draw_round(graph: Graph, classes, way: int, shot: int, query: int,
+               tasks: int, rng: np.random.Generator) -> Episode:
+    """`tasks` tasks drawn one after another from `rng`, as one episode
+    whose arrays have a leading task axis (row t of `rows`: task t's)."""
+    return Episode(way, shot, query,
+                   *_draw(graph, classes, way, shot, query, tasks, rng))
 
 
 def sample_episode(graph: Graph, classes, way: int, shot: int, query: int,
                    rng: np.random.Generator) -> Episode:
-    """One task: the one-task case of `draw_round`."""
-    task = draw_round(graph, classes, way, shot, query, 1, rng)
-    return Episode(way, shot, query, task.classes[0], task.support_idx[0],
-                   task.query_idx[0])
+    """One task: the one-task case of `draw_round`, without its round."""
+    return Episode(way, shot, query, *(
+        a[0] for a in _draw(graph, classes, way, shot, query, 1, rng)))
 
 
 def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
@@ -316,32 +328,55 @@ def train_steps(opt, w, steps, objective_at, val_acc, val_interval,
     return best_w, best_val, stop, trace, bundles
 
 
+def repeat_tasks(config: ProtocolConfig, graph: Graph, split: ClassSplit,
+                 root: int) -> tuple:
+    """The tasks of the repeat whose root seed is `root`, as (episodes,
+    validation rounds, test round) with one episode per step, drawn on the
+    first request and shared by every later one on the graph: every arm,
+    optimizer and rho runs the same tasks, bit for bit.
+
+    The draws are a function of the graph and of the key alone: the
+    split's class arrays, by value, the protocol sizes and counts and
+    `root`. The episode of every step, every validation round and the test
+    round are drawn from the repeat's `episodes`, `val` and `test` streams,
+    which gives the same draws as drawing each task when it is used."""
+    key = (tuple((c.dtype.str, c.tobytes()) for c in map(np.asarray, (
+        split.train_classes, split.val_classes, split.novel_classes))),
+        config.way, config.shot, config.query, config.episodes,
+        config.val_interval, config.val_tasks, config.test_tasks, root)
+    return graph.tasks(key, lambda: _draw_repeat(config, graph, split, root))
+
+
+def _draw_repeat(config: ProtocolConfig, graph: Graph, split: ClassSplit,
+                 root: int) -> tuple:
+    sizes = (config.way, config.shot, config.query)
+    ep_rng, val_rng = stream_rng(root, "episodes"), stream_rng(root, "val")
+    episodes = tuple(sample_episode(graph, split.train_classes, *sizes,
+                                    ep_rng) for _ in range(config.episodes))
+    rounds = tuple(draw_round(graph, split.val_classes, *sizes,
+                              config.val_tasks, val_rng)
+                   for _ in range(config.episodes // config.val_interval))
+    return episodes, rounds, draw_round(graph, split.novel_classes, *sizes,
+                                        config.test_tasks,
+                                        stream_rng(root, "test"))
+
+
 def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
           operator: PropagationOperator, root: int):
-    """A repeat's tasks, drawn up front, and the layer-0 rows they read
-    filled before its first step.
+    """A repeat's tasks (`repeat_tasks`) and, before its first step, the
+    layer-0 rows they read filled on `operator`.
 
-    The episode of every step, every validation round and the test round
-    are drawn from the repeat's `episodes`, `val` and `test` streams, which
-    gives the same draws as drawing each task when it is used. If any
-    episode or round union takes the full-graph path (not
+    If any episode or round union takes the full-graph path (not
     `model.worth_slicing`), the whole A.X is filled. Otherwise the layer-0
     rows of the receptive field of all their rows are, which is the union
     of each task's layer-0 rows (rows an earlier repeat filled are not
-    filled again). No blocks are kept: a task's are cut when it is used.
-    Early stopping leaves a superset filled. Returns (episodes, validation
-    rounds, test round), each round one `draw_round`."""
-    sizes = (config.way, config.shot, config.query)
-    ep_rng, val_rng = stream_rng(root, "episodes"), stream_rng(root, "val")
-    episodes = [sample_episode(graph, split.train_classes, *sizes, ep_rng)
-                for _ in range(config.episodes)]
-    rounds = [draw_round(graph, split.val_classes, *sizes, config.val_tasks,
-                         val_rng)
-              for _ in range(config.episodes // config.val_interval)]
-    test_round = draw_round(graph, split.novel_classes, *sizes,
-                            config.test_tasks, stream_rng(root, "test"))
+    filled again). The fill and the blocks belong to the operator: no
+    blocks are kept, a task's are cut when it is used. Early stopping
+    leaves a superset filled. Returns (episodes, validation rounds, test
+    round), each round one `draw_round`."""
+    episodes, rounds, test_round = repeat_tasks(config, graph, split, root)
     reads = [e.rows for e in episodes] + [
-        np.unique(r.rows) for r in rounds + [test_round]]
+        r.union for r in rounds + (test_round,)]
     if all(mdl.worth_slicing(operator, rows, config.layers)
            for rows in reads):
         union = np.unique(np.concatenate(reads))
@@ -349,18 +384,23 @@ def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
         operator.propagate_input(graph.features, blocks[0].rows)
     else:
         operator.propagate_input(graph.features)
-    return episodes, rounds, test_round
+    return list(episodes), list(rounds), test_round
 
 
 def train_protocol(config: ProtocolConfig, graph: Graph,
                    split: ClassSplit) -> TrainReport:
+    """`config.repeats` repeats of episodic training with validation and
+    early stopping, each scored on its test round. Repeat r runs the tasks
+    of root seed `config.seed + r` (`repeat_tasks`), which the first run on
+    the graph draws and every later one reuses; the operator, its A.X fill,
+    the blocks and the evaluation counters are this run's own."""
     t0 = time.perf_counter()
     operator = normalize(graph, config.scheme)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
                             config.layers)
 
     def accuracy(w, tasks):
-        blocks = mdl.blocks_for(operator, np.unique(tasks.rows), config.layers)
+        blocks = mdl.blocks_for(operator, tasks.union, config.layers)
         return task_accuracy(mdl.ModelParams.from_flat(w, dims), graph,
                              operator, tasks, blocks)
 

@@ -29,6 +29,9 @@ class Graph:
     # scheme -> normalized matrix, filled by `propagation_matrix`
     _matrices: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # key -> drawn tasks, filled by `tasks`
+    _tasks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -58,6 +61,16 @@ class Graph:
                 array.flags.writeable = False
             self._matrices[scheme] = mat
         return mat
+
+    def tasks(self, key, draw):
+        """`draw()`, called on the first request for `key` and shared by
+        every later one on this graph. The caller's `key` must hold every
+        input that decides the draws, and the drawn arrays must be
+        read-only, as every holder of the key reads the same ones."""
+        drawn = self._tasks.get(key)
+        if drawn is None:
+            drawn = self._tasks[key] = draw()
+        return drawn
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)

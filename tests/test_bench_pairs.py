@@ -81,3 +81,17 @@ def test_metrics_missing_from_a_run_are_left_out():
 def test_unequal_pair_counts_rejected():
     with pytest.raises(ValueError):
         bench_pairs.summarize([{"m": 1.0}], [], {}, {})
+
+
+def test_round_wall_is_the_median_round_and_gets_a_row():
+    # the parts of a result.json that the round row reads
+    result = {"correct": True, "metrics": {"protocol_s": {"value": 0.1}},
+              "round_walls_s": [0.31, 0.18, 0.25, 0.2]}
+    assert bench_pairs.round_wall(result) == pytest.approx(0.225)
+    assert bench_pairs.round_wall({"round_walls_s": [0.4]}) == 0.4
+    parent = [{"protocol_s": 0.2, "round_s": 0.3}] * 3
+    change = [{"protocol_s": 0.2, "round_s": 0.2}] * 3
+    rows = bench_pairs.summarize(parent, change, {"protocol_s": "lower"},
+                                 {"protocol_s": 0.25})
+    assert [row["metric"] for row in rows] == ["protocol_s", "round_s"]
+    assert (rows[1]["wins"], rows[1]["verdict"]) == (3, "gain")

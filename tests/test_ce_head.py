@@ -20,7 +20,11 @@ IDENTITY = PropagationOperator("identity", None)
 
 
 def rel_err(a, b) -> float:
-    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+    """The largest error relative to the largest entry of `b`; the absolute
+    error when `b` is all zero."""
+    err = float(np.max(np.abs(np.asarray(a) - b)))
+    scale = float(np.max(np.abs(b)))
+    return err / scale if scale else err
 
 
 def assert_matches(c, got, want):
@@ -34,14 +38,17 @@ def assert_matches(c, got, want):
 
 
 @pytest.mark.parametrize("scale", [3.0, 1e4], ids=["moderate", "1e4"])
-# one-hot: random classes; argmin: each row's class is its smallest logit
-@pytest.mark.parametrize("argmin", [False, True], ids=["one-hot", "argmin"])
+# one-hot: random classes; argmin / argmax: each row's class is its
+# smallest / largest logit (at scale 1e4 the loss and gradient are 0)
+@pytest.mark.parametrize("kind", ["one-hot", "argmin", "argmax"])
 @pytest.mark.parametrize("c", BIT_EXACT + TOLERANT)
-def test_head_matches_row_major_oracle(c, argmin, scale):
+def test_head_matches_row_major_oracle(c, kind, scale):
     rng = np.random.default_rng(c)
     for m in (1, 57):
         z = scale * rng.standard_normal((m, c))
-        labels = z.argmin(axis=1) if argmin else rng.integers(0, c, m)
+        labels = {"one-hot": lambda: rng.integers(0, c, m),
+                  "argmin": lambda: z.argmin(axis=1),
+                  "argmax": lambda: z.argmax(axis=1)}[kind]()
         index = mdl.LossSpec(np.arange(m), labels).label_index
         logits_t = np.ascontiguousarray(z.T)
         value, grad = mdl.ce_head(z, index)

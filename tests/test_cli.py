@@ -193,6 +193,22 @@ class TestCompare:
                        str(tmp_path / "cmp"), *FSNC_FLAGS) == 0
         assert events == ["build"] + ["arm"] * 4
 
+    def test_tasks_drawn_once_before_the_arms(self, graph_dir, tmp_path,
+                                              monkeypatch):
+        # every repeat's tasks are drawn before adam, the first arm, runs,
+        # so no arm's wall time carries them
+        events = []
+        draw, train = fsnc._draw_repeat, fsnc.train_protocol
+        monkeypatch.setattr(fsnc, "_draw_repeat", lambda *args: (
+            events.append(("draw", args[-1])), draw(*args))[1])
+        monkeypatch.setattr(fsnc, "train_protocol", lambda *args: (
+            events.append(("arm", args[0].optimizer)), train(*args))[1])
+        assert run_cli("compare", "--graph", graph_dir, "--out",
+                       str(tmp_path / "cmp"), *FSNC_FLAGS, "--repeats",
+                       "3") == 0
+        assert events == ([("draw", root) for root in range(3)]
+                          + [("arm", name) for name in optim.OPTIMIZER_NAMES])
+
     def test_adam_arm_matches_standalone_fsnc(self, graph_dir, tmp_path):
         out_cmp = str(tmp_path / "cmp2")
         out_solo = str(tmp_path / "solo")

@@ -458,6 +458,25 @@ class TestReceptiveField:
         assert d.shape == emb.shape
 
 
+def held_arrays(obj, seen=None):
+    """Every array reachable from `obj` through containers and object
+    attributes."""
+    seen = {} if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen[id(obj)] = obj      # held, so that its id is not reused
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for item in obj.items():
+            yield from held_arrays(item, seen)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from held_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from held_arrays(vars(obj), seen)
+
+
 class TestTrainProtocol:
     def test_no_validation_when_interval_exceeds_horizon(self):
         g = small_graph()
@@ -551,7 +570,18 @@ class TestTrainProtocol:
             gc.collect()
             assert filled and all(ref() is None for ref in filled)
             fields = {"n", "features", "edges", "labels", "num_classes"}
-            assert set(vars(g)) - fields == {"_matrices", "class_nodes"}
+            assert set(vars(g)) - fields == {"_matrices", "_tasks",
+                                             "class_nodes"}
+            # the tasks memo holds read-only integer arrays only, and
+            # nothing besides the matrix holds a float array of n rows
+            memo = list(held_arrays(g._tasks))
+            assert memo and all(a.dtype.kind == "i" and not a.flags.writeable
+                                for a in memo)
+            rest = [a for name, value in vars(g).items()
+                    if name not in fields | {"_matrices"}
+                    for a in held_arrays(value)]
+            assert not [a.shape for a in rest
+                        if a.dtype.kind == "f" and a.ndim and a.shape[0] >= g.n]
             assert list(g._matrices) == ["gcn-sym"]
             for mat in g._matrices.values():
                 assert sp.isspmatrix_csr(mat)
@@ -688,6 +718,133 @@ class TestPlan:
         for (classes, rows), theirs in zip(got, want):
             assert np.array_equal(rows, theirs.rows)
             assert np.array_equal(classes, theirs.classes)
+
+
+def assert_same_tasks(got, want):
+    """Two `fsnc.repeat_tasks` triples hold the same tasks."""
+    (episodes, rounds, test), (want_episodes, want_rounds, want_test) = (
+        got, want)
+    assert len(episodes) == len(want_episodes)
+    assert len(rounds) == len(want_rounds)
+    for a, b in zip(episodes + rounds + (test,),
+                    want_episodes + want_rounds + (want_test,)):
+        for name in ("classes", "support_idx", "query_idx", "rows"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.union is None) == (b.union is None)
+        assert a.union is None or np.array_equal(a.union, b.union)
+
+
+def without_walls(report):
+    """A `TrainReport` as a dict, without its wall times."""
+    out = dataclasses.asdict(report)
+    del out["wall_seconds"]
+    for rep in out["repeats"]:
+        for row in rep["trace"]:
+            del row["wall_ms"]
+    return out
+
+
+class TestSharedTasks:
+    """A repeat's tasks are drawn once per graph and key (`repeat_tasks`)
+    and shared by every arm that runs on the graph."""
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        roots = []
+        draw = fsnc._draw_repeat
+
+        def spy(config, graph, split, root):
+            roots.append(root)
+            return draw(config, graph, split, root)
+
+        monkeypatch.setattr(fsnc, "_draw_repeat", spy)
+        return roots
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_four_arms_draw_each_repeat_once(self, monkeypatch, repeats):
+        roots = self.count_draws(monkeypatch)
+        g = small_graph()
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        for name in optim.OPTIMIZER_NAMES:
+            train_protocol(small_config(optimizer=name, repeats=repeats,
+                                        episodes=6, val_interval=3, seed=4),
+                           g, split)
+        assert roots == [4 + r for r in range(repeats)]
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_shared_tasks_give_the_fresh_graphs_report(self, name, sparse):
+        make = sparse_graph if sparse else small_graph
+        g = make()
+        split = split_classes(g.num_classes, (2, 2, 2) if sparse
+                              else (4, 2, 2), 0)
+        cfg = small_config(optimizer=name, episodes=6, val_interval=3,
+                           query=10)
+        # another arm, with another scheme, draws the tasks on `g` first
+        train_protocol(dataclasses.replace(cfg, optimizer="sam",
+                                           scheme="mean-neighbors"), g, split)
+        shared = train_protocol(cfg, g, split)
+        fresh = train_protocol(cfg, make(), split)
+        np.testing.assert_equal(without_walls(shared), without_walls(fresh))
+
+    @pytest.mark.parametrize("change", [
+        {"root": 1}, {"val_tasks": 3}, {"test_tasks": 4}, {"episodes": 9},
+        {"val_interval": 2}, {"split": 1}, {"flip": "train_classes"},
+        {"flip": "val_classes"}, {"flip": "novel_classes"}, {"way": 3},
+        {"shot": 2}, {"query": 4}])
+    def test_every_key_field_draws_anew(self, monkeypatch, change):
+        roots = self.count_draws(monkeypatch)
+        g = small_graph(K=9)
+        # "flip" reverses one class array of the split, which changes the
+        # classes that the same stream draws from it
+        base = dict(root=0, split=0, flip=None)
+        fields = dict(way=2, shot=3, query=5, episodes=6, val_interval=3,
+                      val_tasks=2, test_tasks=3)
+
+        def tasks(graph, changed):
+            given = {**base, **fields, **changed}
+            split = split_classes(9, (3, 3, 3), given.pop("split"))
+            flip = given.pop("flip")
+            if flip is not None:
+                split = dataclasses.replace(
+                    split, **{flip: getattr(split, flip)[::-1].copy()})
+            root = given.pop("root")
+            return fsnc.repeat_tasks(small_config(**given), graph, split,
+                                     root)
+
+        first = tasks(g, {})
+        # a hit returns the same tasks; other settings are not in the key
+        assert tasks(g, {}) is first
+        assert fsnc.repeat_tasks(
+            small_config(**fields, optimizer="sam", layers=3, hidden=5,
+                         scheme="mean-neighbors", patience=1, repeats=7,
+                         seed=9, hp=optim.Hyperparams(rho=0.5)),
+            g, split_classes(9, (3, 3, 3), 0), 0) is first
+        assert len(roots) == 1
+        got = tasks(g, change)
+        assert len(roots) == 2
+        assert_same_tasks(got, tasks(small_graph(K=9), change))
+
+    def test_drawn_arrays_are_read_only(self):
+        g = small_graph()
+        rng = np.random.default_rng(0)
+        for ep in (fsnc.draw_round(g, np.arange(4), 2, 3, 2, 5, rng),
+                   sample_episode(g, np.arange(4), 2, 3, 2, rng)):
+            for name in ("classes", "support_idx", "query_idx", "rows",
+                         "query_labels", "label_index"):
+                array = getattr(ep, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        split = split_classes(8, (4, 2, 2), 0)
+        tasks = fsnc.repeat_tasks(small_config(episodes=6, val_interval=3),
+                                  g, split, 0)
+        assert_same_tasks(tasks, fsnc.repeat_tasks(
+            small_config(episodes=6, val_interval=3), small_graph(), split,
+            0))
+        _, rounds, test_round = tasks
+        for ep in rounds + (test_round,):
+            with pytest.raises(ValueError, match="read-only"):
+                ep.union[0] = 1
 
 
 def oracle_accuracy(params, g, op, ep):

@@ -6,9 +6,12 @@
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, one after
 the other; even pairs run PARENT first and odd pairs CHANGE first, so that a
 slow spell on the shared host falls on both sides alike. Every run's result
-line goes to standard error as it arrives. The summary gives, for every
-metric, each side's median and quartiles, the change's relative move, how
-many pairs the change won (ties count for neither side) and a verdict:
+line goes to standard error as it arrives. Besides the run's metrics, each
+run gives `round_s`, the median wall of its protocol rounds (`round_wall`),
+which counts the work that `protocol_s`'s best-of rule drops. The summary
+gives, for every metric, each side's median and quartiles, the change's
+relative move, how many pairs the change won (ties count for neither side)
+and a verdict:
 
 - `gain`: the change won at least 9 of every 10 pairs and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -89,6 +92,14 @@ def format_rows(rows) -> str:
     return "\n".join(lines)
 
 
+def round_wall(result) -> float:
+    """The median of a run's round walls (`round_walls_s` of its
+    `result.json`, unscaled). A round runs the four arms one after another,
+    so its wall includes the work of its first arm that the others reuse,
+    which `protocol_s`, a sum of each arm's fastest round, leaves out."""
+    return statistics.median(result["round_walls_s"])
+
+
 def run_once(checkout, workload, seed, seconds):
     """One untraced benchmark run in `checkout`: (metrics, ok)."""
     proc = subprocess.run(
@@ -105,6 +116,9 @@ def run_once(checkout, workload, seed, seconds):
     print(json.dumps({"checkout": checkout, **result}), file=sys.stderr)
     metrics = {name: entry["value"]
                for name, entry in result["metrics"].items()}
+    with open(os.path.join(checkout, ".bench_out", workload, "trace0",
+                           "result.json")) as fh:
+        metrics["round_s"] = round_wall(json.load(fh))
     return metrics, proc.returncode == 0 and result["correct"]
 
 
