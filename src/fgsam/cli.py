@@ -279,20 +279,25 @@ def _steps(get, default) -> int:
     return steps
 
 
-def _episodic(args, **given):
+def _episodic(args, share_slices=False, **given):
     """The preamble of the episodic commands: `_graph_preamble`'s, the
-    protocol config with its `given` fields and the class split."""
+    protocol config with its `given` fields and the class split. Commands
+    whose runs share the graph pass `share_slices` (`fsnc.train_protocol`)."""
     get, out, graph = _graph_preamble(args)
     reads = _reads(args)
     config = _config(fsnc.ProtocolConfig, get, reads,
                      hp=_config(Hyperparams, get, reads), **given)
     ratio = _parse_split(get("split_ratio", f"{graph.num_classes - 4}/2/2"))
     split = fsnc.split_classes(graph.num_classes, ratio, config.seed)
-    # the graph's propagation matrix and every repeat's tasks, built before
-    # any arm so that the first arm's wall time does not carry them
-    normalize(graph, config.scheme)
+    # the graph's propagation matrix and every repeat's tasks, and where
+    # runs share them its training episodes' last-layer slices, built
+    # before any run so that the first run's wall time does not carry them
+    operator = normalize(graph, config.scheme)
     for r in range(config.repeats):
-        fsnc.repeat_tasks(config, graph, split, config.seed + r)
+        if share_slices:
+            fsnc.top_slices(config, graph, split, operator, config.seed + r)
+        else:
+            fsnc.repeat_tasks(config, graph, split, config.seed + r)
     return get, out, graph, config, ratio, split
 
 
@@ -321,15 +326,15 @@ def _write_cost_report(args, name, rows, **meta) -> None:
                  [tuple(r.values()) for r in rows], **meta)
 
 
-def _run_fsnc_arm(config, graph, split, outdir):
-    report = fsnc.train_protocol(config, graph, split)
+def _run_fsnc_arm(config, graph, split, outdir, share_slices):
+    report = fsnc.train_protocol(config, graph, split, share_slices)
     _write_report(report, outdir)
     return report
 
 
 def cmd_fsnc(args) -> int:
     get, out, graph, config, ratio, split = _episodic(args)
-    report = _run_fsnc_arm(config, graph, split, out)
+    report = _run_fsnc_arm(config, graph, split, out, share_slices=False)
     print(f"fsnc [{config.optimizer}] test acc "
           f"{report.test_acc_mean:.4f} +/- {report.test_acc_std:.4f} "
           f"(gnn evals {report.gnn_evals}, mlp evals {report.mlp_evals})")
@@ -340,9 +345,10 @@ def cmd_compare(args) -> int:
     names = optim.OPTIMIZER_NAMES
     # every arm runs, so the config's optimizer is a placeholder
     get, out, graph, config, ratio, split = _episodic(
-        args, optimizer=names[0])
+        args, share_slices=True, optimizer=names[0])
     reports = {name: _run_fsnc_arm(replace(config, optimizer=name), graph,
-                                   split, os.path.join(out, name))
+                                   split, os.path.join(out, name),
+                                   share_slices=True)
                for name in names}
     traces = {name: {"gnn_evals": rep.gnn_evals, "mlp_evals": rep.mlp_evals,
                      "wall_seconds": rep.wall_seconds}
@@ -445,7 +451,7 @@ def cmd_landscape(args) -> int:
 def cmd_drift(args) -> int:
     get, out, graph, config, ratio, split = _episodic(
         args, optimizer="fgsam+", repeats=1, collect_bundles=True)
-    report = fsnc.train_protocol(config, graph, split)
+    report = fsnc.train_protocol(config, graph, split, share_slices=False)
     drift = analysis.grad_drift(report.repeats[0].bundles)
     names = analysis.DRIFT_NAMES
     # per exact step, each gradient's raw drift, then its relative drift
@@ -464,7 +470,8 @@ def cmd_drift(args) -> int:
 
 def cmd_rho_sweep(args) -> int:
     # each curve runs one repeat at its own rho
-    get, out, graph, config, ratio, split = _episodic(args, repeats=1)
+    get, out, graph, config, ratio, split = _episodic(
+        args, share_slices=True, repeats=1)
     text = get("rhos", "0.01,0.05,0.1,0.5,1.0")
     rhos = [_cast(float, r, "--rhos") for r in text.split(",")]
     curves = analysis.rho_sweep(config, rhos, graph, split)

@@ -2,6 +2,7 @@
 prototypical episode head, the training protocol with validation/patience,
 meta-testing, and a standard node-classification trainer."""
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -40,9 +41,10 @@ def split_classes(num_classes: int, ratio, seed: int) -> ClassSplit:
 @dataclass(frozen=True)
 class Episode:
     """One N-way K-shot task, or a round of them (`draw_round`), with the
-    index arrays its loss and its evaluation read, built when it is made.
-    Every array of a drawn episode is read-only and the episode is frozen:
-    a graph's drawn tasks are shared by every run on it (`Graph.tasks`)."""
+    index arrays its loss and its evaluation read, built when it is made
+    (`union` and `positions` when first read). Every array of a drawn
+    episode is read-only and the episode is frozen: a graph's drawn tasks
+    are shared by every run on it (`Graph.tasks`)."""
 
     way: int
     shot: int
@@ -58,9 +60,6 @@ class Episode:
     # the episode's nodes, support then query: the rows its loss reads, in
     # the order `proto_head` takes their embeddings
     rows: np.ndarray = field(init=False, repr=False, compare=False)
-    # a round's sorted distinct rows, which its one forward outputs; None
-    # for one task
-    union: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = _read_only(np.repeat(np.arange(self.way),
@@ -68,10 +67,23 @@ class Episode:
         index = _read_only(np.arange(labels.size) * self.way + labels)
         rows = _read_only(np.concatenate([self.support_idx, self.query_idx],
                                          axis=-1))
-        union = _read_only(np.unique(rows)) if rows.ndim == 2 else None
         for name, value in (("query_labels", labels), ("label_index", index),
-                            ("rows", rows), ("union", union)):
+                            ("rows", rows)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def union(self) -> np.ndarray:
+        """The sorted distinct rows of the task or of all of a round's
+        tasks, which a forward on their last-layer block outputs. Built on
+        first read, as a run that shares no slices (`train_protocol`) reads
+        no training episode's."""
+        return _read_only(np.unique(self.rows))
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """Where each entry of `rows` is in `union`:
+        `union[positions] == rows`. Built on first read."""
+        return _read_only(np.searchsorted(self.union, self.rows))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -169,13 +181,17 @@ def proto_episode(params: mdl.ModelParams, graph: Graph,
                   blocks=None):
     """(loss, flat gradient or None) of the prototypical head on the
     episode's rows, with weight decay: a forward plus one
-    `model.head_loss` with `proto_head`. `blocks` restrict the forward to
-    the episode's receptive field (`model.receptive_field` of
-    `episode.rows`), whose logits are those rows; None runs it on all n
-    rows."""
+    `model.head_loss` with `proto_head`. `blocks` are `model.blocks_for`
+    of `episode.rows`: the episode's receptive field, whose logits are
+    those rows, or `model.top_blocks` of `episode.union` (lower layers on
+    all n rows), whose logits the head reads at `episode.positions`; None
+    runs the forward on all n rows."""
     acts = mdl.forward(params, graph, operator, blocks)
-    return mdl.head_loss(params, operator, acts, proto_head, episode,
-                         episode.rows if blocks is None else None,
+    if blocks is None:
+        rows = episode.rows
+    else:
+        rows = episode.positions if blocks[0].rows is None else None
+    return mdl.head_loss(params, operator, acts, proto_head, episode, rows,
                          weight_decay, blocks, compute_grad)
 
 
@@ -185,14 +201,12 @@ def task_accuracy(params: mdl.ModelParams, graph: Graph,
     evaluation round (`draw_round`). One forward over the union of the
     tasks' rows serves them all, and one batched head makes `proto_head`'s
     reductions, in its order, for every task. `blocks` are
-    `model.blocks_for` of that union; None runs the forward on all n rows."""
+    `model.blocks_for` of that union (`tasks.union`), whose logits are read
+    at `tasks.positions`; None runs the forward on all n rows."""
     emb = mdl.forward(params, graph, operator, blocks).logits
-    rows = tasks.rows
-    if blocks is not None:     # the union's last-layer rows are sorted
-        rows = np.searchsorted(blocks[-1].rows, rows)
-    emb = emb[rows]
+    emb = emb[tasks.rows if blocks is None else tasks.positions]
     ns = tasks.way * tasks.shot
-    protos = emb[:, :ns].reshape(len(rows), tasks.way, tasks.shot,
+    protos = emb[:, :ns].reshape(len(emb), tasks.way, tasks.shot,
                                  -1).mean(axis=2)
     diff = emb[:, ns:, None, :] - protos[:, None, :, :]
     nearest = np.argmin((diff * diff).sum(axis=3), axis=2)
@@ -205,9 +219,9 @@ def episode_objective(dims, graph: Graph, operator: PropagationOperator,
                       blocks) -> optim.Objective:
     """The episode's GNN / PeerMLP objective pair: each gradient is one
     `proto_episode`. `blocks` are the GNN operator's `model.blocks_for` of
-    `episode.rows`; None runs its forward on all n rows. The PeerMLP's
-    blocks are cut on its first gradient evaluation and reused by the later
-    ones."""
+    `episode.rows` (see `proto_episode`); None runs its forward on all n
+    rows. The PeerMLP's blocks are cut on its first gradient evaluation and
+    reused by the later ones."""
     cut = {id(operator): blocks}
 
     def loss_grad(params, op):
@@ -340,11 +354,49 @@ def repeat_tasks(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     `root`. The episode of every step, every validation round and the test
     round are drawn from the repeat's `episodes`, `val` and `test` streams,
     which gives the same draws as drawing each task when it is used."""
-    key = (tuple((c.dtype.str, c.tobytes()) for c in map(np.asarray, (
+    return graph.tasks(_task_key(config, split, root),
+                       lambda: _draw_repeat(config, graph, split, root))
+
+
+def _task_key(config: ProtocolConfig, split: ClassSplit, root: int) -> tuple:
+    """Every input that decides a repeat's draws (`repeat_tasks`)."""
+    return (tuple((c.dtype.str, c.tobytes()) for c in map(np.asarray, (
         split.train_classes, split.val_classes, split.novel_classes))),
         config.way, config.shot, config.query, config.episodes,
         config.val_interval, config.val_tasks, config.test_tasks, root)
-    return graph.tasks(key, lambda: _draw_repeat(config, graph, split, root))
+
+
+def top_slices(config: ProtocolConfig, graph: Graph, split: ClassSplit,
+               operator: PropagationOperator, root: int) -> tuple:
+    """The last-layer slice of each training episode of the repeat whose
+    root seed is `root` (`repeat_tasks`), cut from `operator`'s matrix on
+    the first request and shared by every later one on the graph with the
+    same scheme: every arm, optimizer and rho reads the same read-only
+    arrays, and wraps them in operators of its own.
+
+    An episode whose rows are `worth_slicing` gets `restrict(rows)`, the
+    head of its receptive field; any other gets `row_block(union)`, the
+    last of `model.top_blocks` of its sorted distinct rows. Neither depends
+    on the layer count above one. With one layer, or the identity operator,
+    a forward cuts nothing, and each entry is None."""
+    episodes = repeat_tasks(config, graph, split, root)[0]
+    if config.layers == 1 or operator.is_identity:
+        return (None,) * len(episodes)
+
+    def cut():
+        slices = []
+        for e in episodes:
+            if mdl.worth_slicing(operator, e.rows, config.layers):
+                slices.append(operator.cut_slice(e.rows, True))
+            else:
+                # the head reads the slice's rows at `positions`: built
+                # here, with the slice, so that no timed step builds them
+                e.positions
+                slices.append(operator.cut_slice(e.union, False))
+        return tuple(slices)
+
+    return graph.tasks(("top", operator.scheme,
+                        _task_key(config, split, root)), cut)
 
 
 def _draw_repeat(config: ProtocolConfig, graph: Graph, split: ClassSplit,
@@ -370,10 +422,12 @@ def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     `model.worth_slicing`), the whole A.X is filled. Otherwise the layer-0
     rows of the receptive field of all their rows are, which is the union
     of each task's layer-0 rows (rows an earlier repeat filled are not
-    filled again). The fill and the blocks belong to the operator: no
-    blocks are kept, a task's are cut when it is used. Early stopping
-    leaves a superset filled. Returns (episodes, validation rounds, test
-    round), each round one `draw_round`."""
+    filled again). The fill belongs to the operator, and so do the blocks
+    cut when they are used: an evaluation round's, and a training
+    episode's, except the last-layer slice that a run sharing slices reads
+    from the graph (`top_slices`) and wraps in operators of its own. Early
+    stopping leaves a superset filled. Returns (episodes, validation
+    rounds, test round), each round one `draw_round`."""
     episodes, rounds, test_round = repeat_tasks(config, graph, split, root)
     reads = [e.rows for e in episodes] + [
         r.union for r in rounds + (test_round,)]
@@ -387,13 +441,20 @@ def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     return list(episodes), list(rounds), test_round
 
 
-def train_protocol(config: ProtocolConfig, graph: Graph,
-                   split: ClassSplit) -> TrainReport:
+def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
+                   share_slices: bool = True) -> TrainReport:
     """`config.repeats` repeats of episodic training with validation and
     early stopping, each scored on its test round. Repeat r runs the tasks
     of root seed `config.seed + r` (`repeat_tasks`), which the first run on
     the graph draws and every later one reuses; the operator, its A.X fill,
-    the blocks and the evaluation counters are this run's own."""
+    the blocks and the evaluation counters are this run's own.
+
+    With `share_slices`, each training episode runs its last layer on its
+    slice from the graph (`top_slices`), which the first run cuts and every
+    later one reuses. A run that is the graph's only one passes False, so
+    that the graph keeps no slices: each episode then cuts its receptive
+    field when it is used, or runs its forward on all n rows. Both give the
+    same bits."""
     t0 = time.perf_counter()
     operator = normalize(graph, config.scheme)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
@@ -409,6 +470,8 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
         root = config.seed + r
         episodes, val_rounds, test_round = _plan(config, graph, split,
                                                  operator, root)
+        tops = (top_slices(config, graph, split, operator, root)
+                if share_slices else (None,) * len(episodes))
         val_rounds = iter(val_rounds)
 
         def objective_at(t):
@@ -416,7 +479,8 @@ def train_protocol(config: ProtocolConfig, graph: Graph,
             return episode_objective(
                 dims, graph, operator, episode,
                 weight_decay=config.hp.weight_decay,
-                blocks=mdl.blocks_for(operator, episode.rows, config.layers))
+                blocks=mdl.blocks_for(operator, episode.rows, config.layers,
+                                      tops[t]))
 
         best_w, best_val, stop, trace, bundles = train_steps(
             optim.make_optimizer(config.optimizer, config.hp),

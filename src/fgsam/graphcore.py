@@ -4,6 +4,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +30,7 @@ class Graph:
     # scheme -> normalized matrix, filled by `propagation_matrix`
     _matrices: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # key -> drawn tasks, filled by `tasks`
+    # key -> drawn tasks or their last-layer slices, filled by `tasks`
     _tasks: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -56,17 +57,16 @@ class Graph:
         products of every later run on the graph."""
         mat = self._matrices.get(scheme)
         if mat is None:
-            mat = _BUILDERS[scheme](self)
-            for array in (mat.data, mat.indices, mat.indptr):
-                array.flags.writeable = False
-            self._matrices[scheme] = mat
+            mat = self._matrices[scheme] = _read_only(_BUILDERS[scheme](self))
         return mat
 
     def tasks(self, key, draw):
         """`draw()`, called on the first request for `key` and shared by
-        every later one on this graph. The caller's `key` must hold every
-        input that decides the draws, and the drawn arrays must be
-        read-only, as every holder of the key reads the same ones."""
+        every later one on this graph: a repeat's tasks
+        (`fsnc.repeat_tasks`) and its training episodes' last-layer slices
+        (`fsnc.top_slices`), which live as long as the graph. The caller's
+        `key` must hold every input that decides the result, and its arrays
+        must be read-only, as every holder of the key reads the same ones."""
         drawn = self._tasks.get(key)
         if drawn is None:
             drawn = self._tasks[key] = draw()
@@ -83,6 +83,12 @@ class Graph:
         col = np.concatenate([v, u])
         data = np.ones(row.shape[0])
         return sp.csr_matrix((data, (row, col)), shape=(self.n, self.n))
+
+
+def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
+    for array in (mat.data, mat.indices, mat.indptr):
+        array.flags.writeable = False
+    return mat
 
 
 def build_graph(n, edges, features, labels) -> Graph:
@@ -137,6 +143,19 @@ def with_num_classes(graph: Graph, num_classes: int) -> Graph:
 
 
 SCHEMES = ("gcn-sym", "mean-neighbors", "identity")
+
+
+class Slice(NamedTuple):
+    """A CSR row slice of a graph's matrix and its transpose, cut once by
+    `PropagationOperator.cut_slice` and shared by every run on the graph:
+    `matrix` is A[rows] with all n columns (`cols` None, `row_block`'s) or
+    A[rows][:, cols] (`restrict`'s). Its arrays are read-only; each run
+    wraps it in an operator of its own (`PropagationOperator.wrap`)."""
+
+    rows: np.ndarray
+    matrix: sp.csr_matrix
+    transpose: sp.csr_matrix
+    cols: np.ndarray | None
 
 
 @dataclass
@@ -260,6 +279,26 @@ class PropagationOperator:
         block = sp.csr_matrix((self.matrix.data[pos], local, indptr),
                               shape=(rows.size, cols.size))
         return PropagationOperator(self.scheme, block, _source=self), cols
+
+    def cut_slice(self, rows: np.ndarray, narrow: bool) -> Slice:
+        """The `Slice` of `rows`, to share across runs: `restrict(rows)`'s
+        block where `narrow`, else `row_block(rows)`'s, with the transpose
+        `apply_t` would build, every array read-only."""
+        if narrow:
+            block, cols = self.restrict(rows)
+            cols.flags.writeable = False
+        else:
+            block, cols = self.row_block(rows), None
+        return Slice(rows, _read_only(block.matrix),
+                     _read_only(block.matrix.T.tocsr()), cols)
+
+    def wrap(self, piece: Slice) -> "PropagationOperator":
+        """The operator of a shared slice (`cut_slice`): its products
+        count on this operator, and its transpose products read the
+        slice's transpose."""
+        block = PropagationOperator(self.scheme, piece.matrix, _source=self)
+        block._transpose = piece.transpose
+        return block
 
     def _row_slice(self, rows: np.ndarray):
         """The CSR row pointers of A[rows] and the positions of its stored

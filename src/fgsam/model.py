@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphcore import Graph, PropagationOperator
+from .graphcore import Graph, PropagationOperator, Slice
 
 
 class ModelError(ValueError):
@@ -156,16 +156,21 @@ class Block(NamedTuple):
     op: PropagationOperator
 
 
-def receptive_field(operator: PropagationOperator, targets,
-                    layers: int) -> list[Block]:
+def receptive_field(operator: PropagationOperator, targets, layers: int,
+                    top: Slice = None) -> list[Block]:
     """The exact per-layer blocks of a forward whose last layer outputs only
     `targets`, in their order: S_{L-1} = targets and S_{l-1} = the columns
     of A[S_l]. The PeerMLP (identity operator) reads `targets` at every
-    layer."""
+    layer. `top` is the last layer's slice `restrict(targets)`, if it was
+    cut beforehand (`PropagationOperator.cut_slice`); the layers below are
+    cut here."""
     rows = np.asarray(targets, dtype=np.int64)
     blocks = [None] * layers
     for l in range(layers - 1, 0, -1):
-        op, below = operator.restrict(rows)
+        if l == layers - 1 and top is not None:
+            op, below = operator.wrap(top), top.cols
+        else:
+            op, below = operator.restrict(rows)
         blocks[l] = Block(rows, op)
         rows = below
     blocks[0] = Block(rows, operator)
@@ -186,25 +191,40 @@ def worth_slicing(operator: PropagationOperator, targets,
             or operator.row_nnz(targets) < operator.matrix.shape[0])
 
 
-def blocks_for(operator: PropagationOperator, targets,
-               layers: int) -> list[Block] | None:
-    """`receptive_field` when `worth_slicing`, otherwise None (a forward
-    over all n rows)."""
-    if not worth_slicing(operator, targets, layers):
+def blocks_for(operator: PropagationOperator, targets, layers: int,
+               top: Slice = None) -> list[Block] | None:
+    """The blocks of a forward whose loss reads `targets`: their
+    `receptive_field` when `worth_slicing`, otherwise None, a forward over
+    all n rows. Given the last layer's slice, cut beforehand by
+    `PropagationOperator.cut_slice` as a training episode's is, the forward
+    runs its last layer on it: a narrow slice is `restrict(targets)` and
+    heads the receptive field, a wide one is `row_block` of the targets'
+    sorted distinct rows and gives `top_blocks` of them."""
+    if top is not None and top.cols is None:
+        return top_blocks(operator, top.rows, layers, top)
+    if top is None and not worth_slicing(operator, targets, layers):
         return None
-    return receptive_field(operator, targets, layers)
+    return receptive_field(operator, targets, layers, top)
 
 
-def top_blocks(operator: PropagationOperator, rows,
-               layers: int) -> list[Block]:
+def top_blocks(operator: PropagationOperator, rows, layers: int,
+               top: Slice = None) -> list[Block]:
     """The blocks of a forward whose last layer outputs only `rows`, in
     their order, and whose lower layers output all n rows. The last layer
-    propagates through the row slice A[rows] (`row_block`), which keeps all
-    n columns, so the layer below is read as it is; a one-layer forward
-    reads those rows of the A.X memo."""
+    propagates through the row slice A[rows] (`row_block`, or `top` if it
+    was cut beforehand), which keeps all n columns, so the layer below is
+    read as it is; a one-layer forward reads those rows of the A.X memo.
+
+    With ascending `rows`, each transpose product sums every row in the
+    order of the full product plus exact zeros, so the gradient of a loss
+    on these rows is the full-graph path's, bit for bit; other orders move
+    it by about 1e-15."""
     rows = np.asarray(rows, dtype=np.int64)
-    top = operator if layers == 1 else operator.row_block(rows)
-    return [Block(None, operator)] * (layers - 1) + [Block(rows, top)]
+    if layers == 1:
+        last = operator
+    else:
+        last = operator.row_block(rows) if top is None else operator.wrap(top)
+    return [Block(None, operator)] * (layers - 1) + [Block(rows, last)]
 
 
 def forward(params: ModelParams, graph: Graph,

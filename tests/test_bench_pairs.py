@@ -1,15 +1,16 @@
-"""The pair runner's summary (`tools/bench_pairs.py`) on fixed numbers."""
+"""The pair runner's summary (`tools/bench_pairs.py`) and the benchmark
+record's entries (`tools/bench_record.py`) on fixed numbers."""
 
-import importlib.util
+import json
 import os
+import sys
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                     "bench_pairs.py")
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
+                                "tools"))
+import bench_pairs  # noqa: E402
+import bench_record  # noqa: E402
 
 PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
 
@@ -83,15 +84,100 @@ def test_unequal_pair_counts_rejected():
         bench_pairs.summarize([{"m": 1.0}], [], {}, {})
 
 
+def calibrated(walls, inside=0.0):
+    """The parts of an untraced result.json that the round row reads: 7
+    host-speed samples per round, the last 4 of which, `inside` s each,
+    fall inside the round's wall."""
+    samples = [0.5, 0.5, 0.5] + [inside] * 4
+    return {"correct": True, "metrics": {"protocol_s": {"value": 0.1}},
+            "round_walls_s": walls,
+            "calibration": {"samples_s": samples * len(walls)}}
+
+
 def test_round_wall_is_the_median_round_and_gets_a_row():
-    # the parts of a result.json that the round row reads
-    result = {"correct": True, "metrics": {"protocol_s": {"value": 0.1}},
-              "round_walls_s": [0.31, 0.18, 0.25, 0.2]}
+    result = calibrated([0.31, 0.18, 0.25, 0.2])
     assert bench_pairs.round_wall(result) == pytest.approx(0.225)
-    assert bench_pairs.round_wall({"round_walls_s": [0.4]}) == 0.4
+    assert bench_pairs.round_wall(calibrated([0.4])) == 0.4
     parent = [{"protocol_s": 0.2, "round_s": 0.3}] * 3
     change = [{"protocol_s": 0.2, "round_s": 0.2}] * 3
     rows = bench_pairs.summarize(parent, change, {"protocol_s": "lower"},
                                  {"protocol_s": 0.25})
     assert [row["metric"] for row in rows] == ["protocol_s", "round_s"]
     assert (rows[1]["wins"], rows[1]["verdict"]) == (3, "gain")
+
+
+def test_round_walls_lose_the_samples_taken_inside_them():
+    # round i's samples are 7i..7i+6; 7i+3..7i+6 fall inside its wall
+    result = {"round_walls_s": [0.20, 0.30],
+              "calibration": {"samples_s": [9.0, 9.0, 9.0, 0.01, 0.02, 0.01,
+                                            0.02, 9.0, 9.0, 9.0, 0.03, 0.03,
+                                            0.03, 0.03]}}
+    assert bench_pairs.round_walls(result) == pytest.approx([0.14, 0.18])
+    assert bench_pairs.round_wall(result) == pytest.approx(0.16)
+    assert bench_pairs.round_walls(calibrated([0.3], 0.01)) == pytest.approx(
+        [0.26])
+
+
+@pytest.mark.parametrize("samples", [None, [], [0.01] * 13, [0.01] * 15])
+def test_round_walls_need_seven_samples_per_round(samples):
+    result = {"round_walls_s": [0.2, 0.3], "calibration": None
+              if samples is None else {"samples_s": samples}}
+    with pytest.raises(ValueError, match="expected 7 per round"):
+        bench_pairs.round_walls(result)
+
+
+def step_metrics(scale):
+    """A run's step p50s and protocol_s, times `scale`."""
+    base = {"step_ms_p50.adam": 0.2, "step_ms_p50.fgsam_plus.exact": 0.3,
+            "step_ms_p50.fgsam_plus.approx": 0.1, "protocol_s": 0.12}
+    return {name: value * scale for name, value in base.items()}
+
+
+def test_record_entry_on_fixed_numbers():
+    runs = [step_metrics(s) for s in (1.0, 1.5, 0.5, 2.0)]
+    runs[0]["round_s"] = 0.3     # in one run only: left out
+    manifest = {"git_commit": "abc123", "workload": "fsnc-small"}
+    entry = bench_record.entry(runs, manifest, 17, "f" * 64)
+    assert list(entry) == ["revision", "source", "seed", "runs", "metrics",
+                           "fgsam_plus_over_adam", "manifest"]
+    assert (entry["revision"], entry["source"], entry["seed"],
+            entry["runs"]) == ("abc123", "f" * 64, 17, 4)
+    assert entry["manifest"] is manifest
+    assert list(entry["metrics"]) == list(step_metrics(1.0))
+    # scales 0.5, 1, 1.5, 2: quartiles at 0.875, 1.25 and 1.625
+    adam = entry["metrics"]["step_ms_p50.adam"]
+    assert adam == pytest.approx({"median": 0.25, "q1": 0.175, "q3": 0.325})
+    # (0.3 + (k - 1) 0.1) / k / 0.2, scale-free
+    ratios = entry["fgsam_plus_over_adam"]
+    assert list(ratios) == ["2", "3", "4"]
+    assert [ratios[k] for k in ratios] == pytest.approx([1.0, 5 / 6, 0.75])
+
+
+def test_record_appends_and_keeps_earlier_entries(tmp_path):
+    path = str(tmp_path / "BENCH_fsnc-small.json")
+    first = bench_record.entry([step_metrics(1.0)], {"git_commit": None}, 0,
+                               "a" * 64)
+    bench_record.append(path, [first])
+    with open(path) as fh:
+        text = fh.read()
+    assert text.endswith("]\n") and json.loads(text) == [first]
+    later = [bench_record.entry([step_metrics(2.0)], {}, s, "b" * 64)
+             for s in (0, 17)]
+    bench_record.append(path, later)
+    with open(path) as fh:
+        record = json.load(fh)
+    assert record == [first] + later
+    assert record[0]["revision"] is None
+    assert sorted(os.listdir(tmp_path)) == ["BENCH_fsnc-small.json"]
+
+
+def test_source_hash_names_the_sources(tmp_path):
+    src = tmp_path / "src" / "fgsam"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\n")
+    first = bench_record.source_hash(str(tmp_path))
+    assert len(first) == 64
+    (src / "notes.txt").write_text("not a source")
+    assert bench_record.source_hash(str(tmp_path)) == first
+    (src / "a.py").write_text("x = 2\n")
+    assert bench_record.source_hash(str(tmp_path)) != first

@@ -458,6 +458,103 @@ class TestReceptiveField:
         assert d.shape == emb.shape
 
 
+def fsnc_small_graph(seed):
+    """The benchmark's fsnc-small graph: 8 classes of 25 nodes."""
+    return generate_csbm(CsbmParams(K=8, nodes_per_class=25, p=0.35,
+                                    q=0.05, D=3.0, l=8, seed=seed))
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestTopSlices:
+    """Each training episode's last layer on its slice from the graph's
+    memo (`fsnc.top_slices`), against the paths that cut nothing ahead."""
+
+    @pytest.mark.parametrize("layers", [2, 3])
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_sorted_top_blocks_bit_identical_to_full_graph(self, scheme,
+                                                           layers):
+        # every training episode of the fsnc-small protocol at seeds 0-4
+        # runs its last layer on its sorted distinct rows; the full-graph
+        # path runs every layer on all n rows
+        checked = 0
+        for seed in range(5):
+            g = fsnc_small_graph(seed)
+            split = split_classes(g.num_classes, (4, 2, 2), seed)
+            cfg = ProtocolConfig(episodes=100, val_interval=10, val_tasks=20,
+                                 test_tasks=100, layers=layers, hidden=16,
+                                 scheme=scheme, seed=seed)
+            op = normalize(g, scheme)
+            episodes = fsnc.repeat_tasks(cfg, g, split, seed)[0]
+            tops = fsnc.top_slices(cfg, g, split, op, seed)
+            dims = mdl.uniform_dims(g.d0, 16, 16, layers)
+            rng = np.random.default_rng(seed)
+            for ep, top in zip(episodes, tops):
+                assert top.cols is None and top.rows is ep.union
+                blocks = mdl.blocks_for(op, ep.rows, layers, top)
+                assert blocks[0].rows is None and blocks[-1].rows is ep.union
+                params = mdl.init_params(dims, rng)
+                assert_same_bits(
+                    proto_episode(params, g, op, ep, weight_decay=0.01,
+                                  blocks=blocks),
+                    proto_episode(params, g, op, ep, weight_decay=0.01))
+                checked += 1
+        assert checked == 500
+
+    @pytest.mark.parametrize("layers", [2, 3])
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_narrow_slices_bit_identical_to_cuts_at_use(self, scheme,
+                                                        layers):
+        # on a sparse graph the memo holds each episode's `restrict(rows)`
+        # and its transpose, which a run would otherwise cut at use
+        g = sparse_graph()
+        split = split_classes(g.num_classes, (2, 2, 2), 0)
+        cfg = small_config(episodes=20, layers=layers, scheme=scheme,
+                           query=10)
+        op = normalize(g, scheme)
+        episodes = fsnc.repeat_tasks(cfg, g, split, 0)[0]
+        dims = mdl.uniform_dims(g.d0, 6, 6, layers)
+        rng = np.random.default_rng(layers)
+        for ep, top in zip(episodes, fsnc.top_slices(cfg, g, split, op, 0)):
+            assert top.rows is ep.rows and top.cols is not None
+            params = mdl.init_params(dims, rng)
+            assert_same_bits(
+                proto_episode(params, g, op, ep, weight_decay=0.01,
+                              blocks=mdl.blocks_for(op, ep.rows, layers, top)),
+                proto_episode(params, g, op, ep, weight_decay=0.01,
+                              blocks=mdl.blocks_for(op, ep.rows, layers)))
+
+    def test_memo_shared_per_scheme_and_read_only(self):
+        g = small_graph()
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        cfg = small_config(episodes=6, val_interval=3)
+        op = normalize(g, "gcn-sym")
+        tops = fsnc.top_slices(cfg, g, split, op, 0)
+        assert len(tops) == 6
+        # another run's operator, layer count or optimizer: the same slices
+        assert fsnc.top_slices(
+            dataclasses.replace(cfg, layers=3, optimizer="sam"), g, split,
+            normalize(g, "gcn-sym"), 0) is tops
+        # another scheme's matrix: other slices of the same rows
+        other = fsnc.top_slices(cfg, g, split,
+                                normalize(g, "mean-neighbors"), 0)
+        assert [t.rows for t in other] == [t.rows for t in tops]
+        assert not np.array_equal(other[0].matrix.data, tops[0].matrix.data)
+        # a forward that cuts nothing gets no slice
+        for config, operator in ((dataclasses.replace(cfg, layers=1), op),
+                                 (cfg, normalize(g, "identity"))):
+            assert fsnc.top_slices(config, g, split, operator,
+                                   0) == (None,) * 6
+        for piece in tops:
+            for mat in (piece.matrix, piece.transpose):
+                for array in (mat.data, mat.indices, mat.indptr):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1
+
+
 def held_arrays(obj, seen=None):
     """Every array reachable from `obj` through containers and object
     attributes."""
@@ -543,7 +640,8 @@ class TestTrainProtocol:
         # the A.X a run fills belongs to its operator's memo and is freed
         # with it: on a sparse graph only the rows it reads (row-to-slot map
         # and row buffer), on a dense one the full product. The graph keeps
-        # only its sparse matrix, here smaller than the features
+        # its sparse matrix, here smaller than the features, and the
+        # training episodes' last-layer slices (`fsnc.top_slices`)
         sparse = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
                                           q=0.001, D=3.0, l=32, seed=1))
         # the benchmark's fsnc-small graph with wider features
@@ -565,23 +663,29 @@ class TestTrainProtocol:
 
             monkeypatch.setattr(PropagationOperator, "propagate_input", spy)
             split = split_classes(g.num_classes, ratio, 0)
-            train_protocol(small_config(repeats=1, episodes=4,
-                                        val_interval=2), g, split)
+            config = small_config(repeats=1, episodes=4, val_interval=2)
+            train_protocol(config, g, split)
             gc.collect()
             assert filled and all(ref() is None for ref in filled)
             fields = {"n", "features", "edges", "labels", "num_classes"}
             assert set(vars(g)) - fields == {"_matrices", "_tasks",
                                              "class_nodes"}
-            # the tasks memo holds read-only integer arrays only, and
-            # nothing besides the matrix holds a float array of n rows
+            # the memo holds read-only arrays only: the tasks' integer
+            # arrays, and the slices' CSR arrays, each slice and its
+            # transpose, whose stored entries are the only floats besides
+            # the matrix: 1-D, 2 nnz(A[T]) of them over the episodes' rows
             memo = list(held_arrays(g._tasks))
-            assert memo and all(a.dtype.kind == "i" and not a.flags.writeable
-                                for a in memo)
+            assert memo and not any(a.flags.writeable for a in memo)
+            assert all(a.dtype.kind in "if" for a in memo)
             rest = [a for name, value in vars(g).items()
                     if name not in fields | {"_matrices"}
                     for a in held_arrays(value)]
-            assert not [a.shape for a in rest
-                        if a.dtype.kind == "f" and a.ndim and a.shape[0] >= g.n]
+            floats = [a for a in rest if a.dtype.kind == "f"]
+            assert floats and all(a.ndim == 1 for a in floats)
+            episodes = fsnc.repeat_tasks(config, g, split, 0)[0]
+            op = normalize(g, config.scheme)
+            assert sum(a.size for a in floats) == sum(
+                2 * op.row_nnz(e.rows) for e in episodes)
             assert list(g._matrices) == ["gcn-sym"]
             for mat in g._matrices.values():
                 assert sp.isspmatrix_csr(mat)
@@ -1120,6 +1224,56 @@ class TestWorkLedger:
         assert rounds == [(1, 0, sliced, 4)] * 4 + [(1, 0, sliced, 7)]
         # every head call is a gradient evaluation's
         assert calls["proto_head"] == report.gnn_evals + report.mlp_evals
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_four_arms_cut_each_slice_once(self, monkeypatch, sparse,
+                                           repeats):
+        make = sparse_graph if sparse else small_graph
+        g = make()
+        split = split_classes(g.num_classes, (2, 2, 2) if sparse
+                              else (4, 2, 2), 0)
+        cfg = small_config(repeats=repeats, episodes=6, val_interval=3,
+                           query=10)
+        cuts, operators = [], []
+        cut, fresh_operator = PropagationOperator.cut_slice, fsnc.normalize
+
+        def spy_cut(op, rows, narrow):
+            cuts.append(rows)
+            return cut(op, rows, narrow)
+
+        def spy_normalize(graph, scheme):
+            operators.append(fresh_operator(graph, scheme))
+            return operators[-1]
+
+        monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
+        monkeypatch.setattr(fsnc, "normalize", spy_normalize)
+
+        def arm(name, graph, share_slices=True):
+            report = train_protocol(dataclasses.replace(cfg, optimizer=name),
+                                    graph, split, share_slices)
+            return without_walls(report), operators[-1].apply_count
+
+        names = optim.OPTIMIZER_NAMES
+        shared = [arm(name, g) for name in names]
+        # every training episode's rows cut once, in the order drawn
+        want = [e.rows if sparse else e.union for root in range(repeats)
+                for e in fsnc.repeat_tasks(cfg, g, split, root)[0]]
+        assert len(cuts) == len(want) == repeats * cfg.episodes
+        assert all(got is rows for got, rows in zip(cuts, want))
+        # each arm's report, evaluation counts and products are the ones
+        # it gives on a fresh graph, where it cuts the slices itself, and
+        # on one where it cuts none ahead
+        for name, (report, applied) in zip(names, shared):
+            fresh, fresh_applied = arm(name, make())
+            np.testing.assert_equal(report, fresh)
+            assert applied == fresh_applied > 0
+            alone = make()
+            unshared, unshared_applied = arm(name, alone, share_slices=False)
+            np.testing.assert_equal(report, unshared)
+            assert applied == unshared_applied
+            assert not [key for key in alone._tasks if key[0] == "top"]
+        assert len(cuts) == len(want) * (1 + len(names))
 
     @pytest.mark.parametrize("sparse,scheme,fills", [
         (True, "gcn-sym", [(1, 1110, 672573), (2, 1183, 710908)]),

@@ -268,6 +268,73 @@ class TestOperators:
         assert np.array_equal(ident.restrict(rows)[1], rows)
 
 
+class TestCutSlice:
+    """`cut_slice` against the `restrict` or `row_block` it shares, with
+    the transpose `apply_t` would build."""
+
+    @staticmethod
+    def cut(scheme, sets=20, seed=6):
+        rng = np.random.default_rng(seed)
+        full = random_graph(rng, 90)
+        # node 89 loses its edges
+        g = build_graph(90, full.edges[full.edges[:, 1] != 89],
+                        full.features, full.labels)
+        op = normalize(g, scheme)
+        # narrow and wide mixed, rows in any order; the last set holds the
+        # isolated node
+        narrow = [bool(s % 3) for s in range(sets)]
+        row_sets = [rng.choice(g.n - 1, int(rng.integers(1, 30)),
+                               replace=False) for _ in range(sets)]
+        row_sets[-1] = np.append(row_sets[-1][:3], 89)
+        return op, [(rows, slim, op.cut_slice(rows, slim))
+                    for rows, slim in zip(row_sets, narrow)]
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_same_arrays_as_restrict_or_row_block(self, scheme):
+        op, pieces = self.cut(scheme)
+        for rows, slim, piece in pieces:
+            assert piece.rows is rows
+            if slim:
+                block, cols = op.restrict(rows)
+                assert np.array_equal(piece.cols, cols)
+            else:
+                block = op.row_block(rows)
+                assert piece.cols is None
+            want = block.matrix
+            for got, mat in ((piece.matrix, want),
+                             (piece.transpose, want.T.tocsr())):
+                assert sp.isspmatrix_csr(got) and got.shape == mat.shape
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(mat, name)), name
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_wrapped_products_bit_identical_and_counted(self, scheme):
+        op, pieces = self.cut(scheme)
+        rng = np.random.default_rng(7)
+        for rows, slim, piece in pieces:
+            block = op.restrict(rows)[0] if slim else op.row_block(rows)
+            wrapped = op.wrap(piece)
+            x = rng.standard_normal((piece.matrix.shape[1], 5))
+            dz = rng.standard_normal((rows.size, 5))
+            before = op.apply_count
+            assert wrapped.apply(x).tobytes() == block.apply(x).tobytes()
+            assert wrapped.apply_t(dz).tobytes() == block.apply_t(dz).tobytes()
+            assert wrapped._transpose is piece.transpose
+            assert (op.apply_count - before, wrapped.apply_count) == (2, 0)
+
+    def test_arrays_read_only(self):
+        _, pieces = self.cut("mean-neighbors")
+        for _, _, piece in pieces:
+            arrays = [getattr(mat, name) for mat in (piece.matrix,
+                                                     piece.transpose)
+                      for name in ("data", "indices", "indptr")]
+            for array in arrays + ([] if piece.cols is None
+                                   else [piece.cols]):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+
+
 def gcn_sym_by_products(graph):
     """The gcn-sym oracle: D~^{-1/2} (A + I) D~^{-1/2} as sparse products
     over the adjacency matrix."""
