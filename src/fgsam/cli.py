@@ -131,7 +131,8 @@ def _settings(args):
     """`get(name, default)`: the setting's flag if given, else its config
     value cast to the setting's type, else `default`. `args.settings`
     records, by name, every value other than None that `get` returned; the
-    config echo and the tables' meta are written from it."""
+    config echo and the tables' meta are written from it. Every command
+    reads `seed`, which is checked here, before any work."""
     cfg = _load_config(args.config, args.command) if args.config else {}
     args.settings = {}
 
@@ -144,6 +145,9 @@ def _settings(args):
             args.settings[name] = value
         return value
 
+    seed = get("seed")
+    if seed is not None and seed < 0:
+        raise CliError(f"seed must be non-negative, got {seed}")
     return get
 
 

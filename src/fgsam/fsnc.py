@@ -2,7 +2,6 @@
 prototypical episode head, the training protocol with validation/patience,
 meta-testing, and a standard node-classification trainer."""
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -41,10 +40,9 @@ def split_classes(num_classes: int, ratio, seed: int) -> ClassSplit:
 @dataclass(frozen=True)
 class Episode:
     """One N-way K-shot task, or a round of them (`draw_round`), with the
-    index arrays its loss and its evaluation read, built when it is made
-    (`union` and `positions` when first read). Every array of a drawn
-    episode is read-only and the episode is frozen: a graph's drawn tasks
-    are shared by every run on it (`Graph.tasks`)."""
+    index arrays its loss and its evaluation read, built when it is made.
+    Every array of a drawn episode is read-only and the episode is frozen:
+    a graph's drawn tasks are shared by every run on it (`Graph.tasks`)."""
 
     way: int
     shot: int
@@ -60,6 +58,11 @@ class Episode:
     # the episode's nodes, support then query: the rows its loss reads, in
     # the order `proto_head` takes their embeddings
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    # the sorted distinct rows of the task or of all of a round's tasks,
+    # which a forward on their last-layer block outputs
+    union: np.ndarray = field(init=False, repr=False, compare=False)
+    # where each entry of `rows` is in `union`: `union[positions] == rows`
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = _read_only(np.repeat(np.arange(self.way),
@@ -67,23 +70,12 @@ class Episode:
         index = _read_only(np.arange(labels.size) * self.way + labels)
         rows = _read_only(np.concatenate([self.support_idx, self.query_idx],
                                          axis=-1))
+        union = _read_only(np.unique(rows))
+        positions = _read_only(np.searchsorted(union, rows))
         for name, value in (("query_labels", labels), ("label_index", index),
-                            ("rows", rows)):
+                            ("rows", rows), ("union", union),
+                            ("positions", positions)):
             object.__setattr__(self, name, value)
-
-    @functools.cached_property
-    def union(self) -> np.ndarray:
-        """The sorted distinct rows of the task or of all of a round's
-        tasks, which a forward on their last-layer block outputs. Built on
-        first read, as a run that shares no slices (`train_protocol`) reads
-        no training episode's."""
-        return _read_only(np.unique(self.rows))
-
-    @functools.cached_property
-    def positions(self) -> np.ndarray:
-        """Where each entry of `rows` is in `union`:
-        `union[positions] == rows`. Built on first read."""
-        return _read_only(np.searchsorted(self.union, self.rows))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -220,15 +212,15 @@ def episode_objective(dims, graph: Graph, operator: PropagationOperator,
     """The episode's GNN / PeerMLP objective pair: each gradient is one
     `proto_episode`. `blocks` are the GNN operator's `model.blocks_for` of
     `episode.rows` (see `proto_episode`); None runs its forward on all n
-    rows. The PeerMLP's blocks are cut on its first gradient evaluation and
-    reused by the later ones."""
-    cut = {id(operator): blocks}
+    rows. The PeerMLP's blocks, the episode's rows at every layer, are cut
+    here, so that no gradient evaluation cuts a block."""
+    peer = mdl.receptive_field(PropagationOperator("identity", None),
+                               episode.rows, len(dims) - 1)
 
     def loss_grad(params, op):
-        if id(op) not in cut:          # the PeerMLP's identity operator
-            cut[id(op)] = mdl.blocks_for(op, episode.rows, params.num_layers)
         return proto_episode(params, graph, op, episode,
-                             weight_decay=weight_decay, blocks=cut[id(op)])
+                             weight_decay=weight_decay,
+                             blocks=blocks if op is operator else peer)
 
     return optim.peer_objective(dims, operator, loss_grad)
 
@@ -389,9 +381,6 @@ def top_slices(config: ProtocolConfig, graph: Graph, split: ClassSplit,
             if mdl.worth_slicing(operator, e.rows, config.layers):
                 slices.append(operator.cut_slice(e.rows, True))
             else:
-                # the head reads the slice's rows at `positions`: built
-                # here, with the slice, so that no timed step builds them
-                e.positions
                 slices.append(operator.cut_slice(e.union, False))
         return tuple(slices)
 
@@ -423,11 +412,12 @@ def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     rows of the receptive field of all their rows are, which is the union
     of each task's layer-0 rows (rows an earlier repeat filled are not
     filled again). The fill belongs to the operator, and so do the blocks
-    cut when they are used: an evaluation round's, and a training
-    episode's, except the last-layer slice that a run sharing slices reads
-    from the graph (`top_slices`) and wraps in operators of its own. Early
-    stopping leaves a superset filled. Returns (episodes, validation
-    rounds, test round), each round one `draw_round`."""
+    cut from it: an evaluation round's when it is scored, and a training
+    episode's with its objective, but for the last-layer slice that a run
+    sharing slices reads from the graph (`top_slices`) and wraps in
+    operators of its own. Early stopping leaves a superset filled. Returns
+    (episodes, validation rounds, test round), each round one
+    `draw_round`."""
     episodes, rounds, test_round = repeat_tasks(config, graph, split, root)
     reads = [e.rows for e in episodes] + [
         r.union for r in rounds + (test_round,)]
@@ -453,8 +443,8 @@ def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     slice from the graph (`top_slices`), which the first run cuts and every
     later one reuses. A run that is the graph's only one passes False, so
     that the graph keeps no slices: each episode then cuts its receptive
-    field when it is used, or runs its forward on all n rows. Both give the
-    same bits."""
+    field with its objective, or runs its forward on all n rows. Both give
+    the same bits."""
     t0 = time.perf_counter()
     operator = normalize(graph, config.scheme)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,

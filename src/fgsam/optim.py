@@ -126,31 +126,28 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
                     spec: mdl.LossSpec) -> Objective:
     """Supervised node-classification objective over the flat weight vector.
 
-    Each forward outputs only the rows its loss reads. For a spec over some
-    of the nodes, the GNN's last layer runs on the loss rows
-    (`model.top_blocks`, cut here once) and the PeerMLP on the loss rows'
-    features, gathered here once; their logits are the loss rows in the
-    spec's order. A spec over every node runs both on all n rows. Each
-    gradient is its forward plus one `model.head_loss` with `model.ce_head`
-    on the loss rows. The GNN's first layer reads all n rows of A.X, which
-    are filled here, so that no gradient evaluation makes that product."""
+    Each forward outputs only the loss rows' sorted union: the GNN runs its
+    lower layers on all n rows and its last layer on `model.top_blocks` of
+    the union, the PeerMLP on the union's features, each cut or gathered
+    here once. Each gradient is its forward plus one `model.head_loss` with
+    `model.ce_head` at each loss row's position in the union (None, no
+    gather, when the spec's rows are sorted), which is the gradient of a
+    forward over all n rows, bit for bit. The GNN's first layer reads all n
+    rows of A.X, which are filled here, so that no gradient evaluation
+    makes that product."""
     operator.propagate_input(graph.features)
-    rows = spec.indices
-    if rows.size == graph.n:
-        # the logits are all n rows; gathered only if the spec reorders them
-        order = None if np.array_equal(rows, np.arange(graph.n)) else rows
-        gnn = mlp = (graph.features, None, order)
-    else:
-        mlp = (graph.features[rows], None, None)
-        gnn = mlp if operator.is_identity else (
-            graph.features, mdl.top_blocks(operator, rows, len(dims) - 1),
-            None)
+    union = np.sort(spec.indices)
+    positions = (None if np.array_equal(union, spec.indices)
+                 else np.searchsorted(union, spec.indices))
+    mlp = (graph.features[union], None)
+    gnn = mlp if operator.is_identity else (
+        graph.features, mdl.top_blocks(operator, union, len(dims) - 1))
 
     def loss_grad(params, op):
-        x, blocks, order = mlp if op.is_identity else gnn
+        x, blocks = mlp if op.is_identity else gnn
         acts = mdl.forward_features(params, x, op, blocks)
         return mdl.head_loss(params, op, acts, mdl.ce_head, spec.label_index,
-                             order, spec.weight_decay, blocks)
+                             positions, spec.weight_decay, blocks)
 
     return peer_objective(dims, operator, loss_grad)
 

@@ -741,6 +741,31 @@ class TestErrors:
         assert captured.err == "error: episodes must be positive\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command", [
+        name for name, (_, _, reads) in cli._COMMANDS.items()
+        if "seed" in reads])
+    def test_negative_seed(self, graph_dir, tmp_path, capsys, command, given):
+        reads = cli._COMMANDS[command][2]
+        out = tmp_path / "run"
+        argv = [command]
+        if "graph" in reads:
+            argv += ["--graph", graph_dir]
+        if "out" in reads:
+            argv += ["--out", str(out)]
+        if given == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "seed.ini"
+            cfg.write_text("[run]\nseed = -1\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        # refused before any work: nothing printed and nothing written
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_unknown_config_section(self, graph_dir, tmp_path):
         cfg = tmp_path / "bad2.ini"
         cfg.write_text("[mystery]\nx = 1\n")

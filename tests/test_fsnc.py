@@ -384,18 +384,21 @@ class TestReceptiveField:
                             rng=np.random.default_rng(6))
         blocks = mdl.blocks_for(op, ep.rows, 2)
         calls = []
-        real = mdl.blocks_for
-        monkeypatch.setattr(mdl, "blocks_for",
-                            lambda *a: calls.append(a[0]) or real(*a))
+        for name in ("receptive_field", "blocks_for", "top_blocks"):
+            real = getattr(mdl, name)
+            monkeypatch.setattr(mdl, name, lambda *a, real=real, name=name:
+                                calls.append((name, a[0])) or real(*a))
         dims = mdl.uniform_dims(g.d0, 4, 4, 2)
         obj = fsnc.episode_objective(dims, g, op, ep, blocks=blocks)
-        assert calls == []               # cut inside the first evaluation
+        # the GNN's blocks are the ones handed over; the PeerMLP's are cut
+        # with the objective, once
+        (name, cut_on), = calls
+        assert name == "receptive_field" and cut_on.is_identity
         w = mdl.init_params(dims, np.random.default_rng(0)).flatten()
         for _ in range(3):
             obj.gnn_grad(w)
             obj.mlp_grad(w)
-        # the GNN's blocks are the ones handed over; the PeerMLP's are cut
-        assert len(calls) == 1 and calls[0].is_identity
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_full_path_bit_identical_to_scatter_oracle(self, scheme):
@@ -467,6 +470,55 @@ def fsnc_small_graph(seed):
 def assert_same_bits(got, want):
     assert got[0] == want[0]
     assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestNoCutInSteps:
+    """Every block a training step reads is cut before the step's timed
+    region: with its objective, or in the graph's memo."""
+
+    @pytest.mark.parametrize("shared", [True, False],
+                             ids=["shared", "unshared"])
+    @pytest.mark.parametrize("layers", [2, 3])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_no_optimizer_step_cuts_a_block(self, monkeypatch, dense, layers,
+                                            shared):
+        g = small_graph() if dense else sparse_graph()
+        split = split_classes(g.num_classes,
+                              (4, 2, 2) if dense else (2, 2, 2), 0)
+        stepping, cuts, steps = [False], [], []
+
+        def spy_on(owner, name):
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                if stepping[0]:
+                    cuts.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        for name in ("receptive_field", "blocks_for", "top_blocks"):
+            spy_on(mdl, name)
+        for name in ("restrict", "row_block", "cut_slice"):
+            spy_on(PropagationOperator, name)
+        for cls in optim._OPTIMIZERS.values():
+            def step(self, objective, w, real=cls.step):
+                stepping[0] = True
+                steps.append(self.name)
+                try:
+                    return real(self, objective, w)
+                finally:
+                    stepping[0] = False
+
+            monkeypatch.setattr(cls, "step", step)
+        for name in optim.OPTIMIZER_NAMES:
+            config = small_config(
+                episodes=8, val_interval=4, layers=layers, query=10,
+                optimizer=name, hp=optim.Hyperparams(rho=0.05,
+                                                     lambda_topo=0.5, k=2))
+            fsnc.train_protocol(config, g, split, shared)
+        assert set(steps) == {"adam", "sam", "fgsam", "fgsam+"}
+        assert cuts == []
 
 
 class TestTopSlices:
@@ -935,20 +987,29 @@ class TestSharedTasks:
         for ep in (fsnc.draw_round(g, np.arange(4), 2, 3, 2, 5, rng),
                    sample_episode(g, np.arange(4), 2, 3, 2, rng)):
             for name in ("classes", "support_idx", "query_idx", "rows",
-                         "query_labels", "label_index"):
+                         "query_labels", "label_index", "union", "positions"):
                 array = getattr(ep, name)
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
         split = split_classes(8, (4, 2, 2), 0)
         tasks = fsnc.repeat_tasks(small_config(episodes=6, val_interval=3),
                                   g, split, 0)
+        # built at draw time: instance fields before anything reads them
+        episodes, rounds, test_round = tasks
+        for ep in episodes + rounds + (test_round,):
+            assert {"union", "positions"} <= vars(ep).keys()
+            assert {"union", "positions"} <= {
+                f.name for f in dataclasses.fields(ep)}
+            for name in ("union", "positions"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(ep, name, None)
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(ep, name)[0] = 1
+            assert np.all(np.diff(ep.union) > 0)
+            assert np.array_equal(ep.union[ep.positions], ep.rows)
         assert_same_tasks(tasks, fsnc.repeat_tasks(
             small_config(episodes=6, val_interval=3), small_graph(), split,
             0))
-        _, rounds, test_round = tasks
-        for ep in rounds + (test_round,):
-            with pytest.raises(ValueError, match="read-only"):
-                ep.union[0] = 1
 
 
 def oracle_accuracy(params, g, op, ep):

@@ -58,6 +58,52 @@ def test_model_objective_matches_full_graph_oracle(graph, layers, scheme,
                 assert rel_err(grad, want_grad) <= 1e-12
 
 
+SPEC_ROWS = ("sorted-subset", "unsorted-subset", "all-rows",
+             "all-permuted")
+
+
+def rows_of(graph, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(1)
+    if kind.startswith("all"):
+        rows = np.arange(graph.n)
+        return rng.permutation(rows) if kind == "all-permuted" else rows
+    rows = rng.choice(graph.n, 70, replace=False)
+    return np.sort(rows) if kind == "sorted-subset" else rows
+
+
+def n_row_engine(params, graph, op, spec):
+    """(loss, gradient) of a forward over all n rows and the head on the
+    spec's rows of its logits."""
+    acts = mdl.forward_features(params, graph.features, op)
+    return mdl.head_loss(params, op, acts, mdl.ce_head, spec.label_index,
+                         spec.indices, spec.weight_decay)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("kind", SPEC_ROWS)
+@pytest.mark.parametrize("scheme", (*SCHEMES, "identity"))
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_model_objective_is_the_n_row_engine_bit_for_bit(
+        graph, layers, scheme, kind, weight_decay):
+    # one plan for every spec: the last layer on the sorted loss rows
+    operator = normalize(graph, scheme)
+    spec = mdl.loss_spec_from_labels(rows_of(graph, kind), graph.labels,
+                                     graph.num_classes, weight_decay)
+    # hidden 6 narrows to the 4 classes on top, hidden 3 widens to them
+    for hidden in (6, 3):
+        dims = mdl.uniform_dims(graph.d0, hidden, graph.num_classes, layers)
+        obj = optim.model_objective(dims, graph, operator, spec)
+        for seed in range(2):
+            w = mdl.init_params(dims, seed).flatten()
+            params = mdl.ModelParams.from_flat(w, dims)
+            for grad_fn, op in ((obj.gnn_grad, operator),
+                                (obj.mlp_grad, IDENTITY)):
+                value, grad = grad_fn(w)
+                want_value, want_grad = n_row_engine(params, graph, op, spec)
+                assert value == want_value
+                assert grad.tobytes() == want_grad.tobytes()
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_proto_episode_on_fsnc_dims_is_the_oracle_bit_for_bit(graph, layers,
@@ -154,7 +200,14 @@ def test_all_row_spec_runs_on_all_rows(graph, monkeypatch):
     obj = optim.model_objective(dims, graph, operator, spec)
     w = mdl.init_params(dims, 0).flatten()
     obj.gnn_grad(w)
-    obj.mlp_grad(w)
-    assert forwards == [(graph.n, None)] * 2
+    # the top block is A's rows cut once: it outputs all n rows in order
+    (x_rows, blocks), = forwards
+    assert x_rows == graph.n and blocks[0].rows is None
+    assert np.array_equal(blocks[1].rows, np.arange(graph.n))
     shape, nnz, c = operator.matrix.shape, operator.matrix.nnz, dims[-1]
     assert products == [("A", shape, nnz, c), ("A^T", shape, nnz, c)]
+    # the PeerMLP runs on the n gathered rows, and no SpMM
+    forwards.clear()
+    products.clear()
+    obj.mlp_grad(w)
+    assert forwards == [(graph.n, None)] and products == []

@@ -35,13 +35,7 @@ import statistics
 import subprocess
 import sys
 
-
-def quartiles(values):
-    """(first quartile, median, third quartile), linearly interpolated."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+import bench_record
 
 
 def summarize(parent_runs, change_runs, better, bounds):
@@ -61,8 +55,8 @@ def summarize(parent_runs, change_runs, better, bounds):
         old = [run[name] for run in parent_runs]
         new = [run[name] for run in change_runs]
         wins = sum(sign * b < sign * a for a, b in zip(old, new))
-        p_q1, p_med, p_q3 = quartiles(old)
-        c_q1, c_med, c_q3 = quartiles(new)
+        p_q1, p_med, p_q3 = bench_record.quartiles(old)
+        c_q1, c_med, c_q3 = bench_record.quartiles(new)
         gain = sign * (p_med - c_med)          # > 0: the change is better
         claim = 10 * wins >= 9 * len(old) and gain > p_q3 - p_q1
         bound = bounds.get(name)
@@ -186,7 +180,6 @@ def main(argv=None) -> int:
         print(format_rows(summarize(runs[args.parent], runs[args.change],
                                     better, bounds)))
         if args.record:
-            import bench_record   # not at the top: it imports this module
             path = os.path.join(args.change, f"BENCH_{args.workload}.json")
             bench_record.append(path, [
                 bench_record.entry(runs[side], manifests[side], args.seed,

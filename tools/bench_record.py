@@ -21,10 +21,17 @@ import glob
 import hashlib
 import json
 import os
-
-from bench_pairs import quartiles
+import statistics
 
 K_VALUES = (2, 3, 4)
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), linearly interpolated."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
 
 
 def fgsam_plus_over_adam(p50: dict, k: int) -> float:
