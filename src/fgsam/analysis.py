@@ -103,7 +103,7 @@ def _filter_normalized_direction(params: mdl.ModelParams,
         if dnorm > 0:
             d *= np.linalg.norm(w) / dnorm
         parts.append(d.ravel())
-        parts.append(rng.standard_normal(b.shape))
+        parts.append(rng.standard_normal(b.size))
     return np.concatenate(parts)
 
 

@@ -2,6 +2,7 @@
 prototypical episode head, the training protocol with validation/patience,
 meta-testing, and a standard node-classification trainer."""
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict
@@ -83,6 +84,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@functools.lru_cache(maxsize=None)
+def _one_hot(way: int, query: int) -> np.ndarray:
+    """The read-only (way * query, way) one-hot of every episode's
+    `query_labels`, which depend on its sizes alone."""
+    return _read_only(np.repeat(np.eye(way), query, axis=0))
+
+
 def _draw(graph: Graph, classes, way: int, shot: int, query: int,
           tasks: int, rng: np.random.Generator):
     """(classes, support, query) of `tasks` tasks drawn one after another
@@ -127,43 +135,49 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     embeddings, query logits are negative squared distances. Returns
     (cross-entropy, gradient of the cross-entropy w.r.t. `emb` or None):
     the head contract of `model.head_loss`, with the episode as target.
-    `task_accuracy` scores episodes.
+    `task_accuracy` scores episodes. Embeddings with a leading weight axis
+    give one value per weight and a gradient with that axis, each weight's
+    the same bits as alone.
 
     Per-call overhead dominates at episode sizes, so each step is one ufunc
     call where numpy's wrappers would make several, with the same floats:
-    a mean is its sum divided by the count, and `x / -m` is `-(x / m)`.
+    a mean is its sum divided by the count, `x / -m` is `-(x / m)`, the
+    logits -d^2 are never negated, as each step that reads them negates
+    exactly (max(-d^2) = -min(d^2), and `x + -y` is `x - y`), and the
+    one-hot is subtracted whole, as `x - 0.0` is `x`.
     `tests/proto_head_oracle.py` is the plain head this one matches bit for
     bit."""
     way, shot = episode.way, episode.shot
     ns = way * shot
-    zs, zq = emb[:ns], emb[ns:]
-    protos = np.add.reduce(zs.reshape(way, shot, -1), axis=1)
+    lead = emb.shape[:-2]
+    zs, zq = emb[..., :ns, :], emb[..., ns:, :]
+    # (..., 1, way, d): every query's row of prototypes
+    protos = np.add.reduce(zs.reshape(lead + (1, way, shot, -1)), axis=-2)
     protos /= shot
-    diff = zq[:, None, :] - protos
-    logits = np.add.reduce(diff * diff, axis=2)
-    np.negative(logits, out=logits)
-    m = logits.shape[0]
-    picked = logits.ravel()[episode.label_index]
-    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = logits - zmax
+    diff = zq[..., None, :] - protos
+    d2 = np.add.reduce(diff * diff, axis=-1)     # the logits are -d2
+    m = d2.shape[-2]
+    dmin = np.minimum.reduce(d2, axis=-1, keepdims=True)
+    e = dmin - d2                  # logits - max(logits)
     np.exp(e, out=e)
-    sums = np.add.reduce(e, axis=1, keepdims=True)
-    lse = np.log(sums.ravel())
-    lse += zmax.ravel()
-    lse -= picked
-    value = float(np.add.reduce(lse) / m)
+    sums = np.add.reduce(e, axis=-1, keepdims=True)
+    lse = np.log(sums[..., 0])
+    lse -= dmin[..., 0]
+    lse += mdl.pick(d2, episode.label_index)
+    value = np.add.reduce(lse, axis=-1) / m
     if not compute_grad:
         return value, None
     e /= sums                      # the softmax of the logits
-    e.ravel()[episode.label_index] -= 1.0
+    e -= _one_hot(way, episode.query_per_class)
     e /= -m                        # d(loss)/d(d^2), as logits = -d^2
-    diff *= e[:, :, None]
+    diff *= e[..., None]
     grad = np.empty(emb.shape)
-    np.multiply(np.add.reduce(diff, axis=1), 2.0, out=grad[ns:])
-    dprot = np.add.reduce(diff, axis=0)
+    np.multiply(np.add.reduce(diff, axis=-2), 2.0, out=grad[..., ns:, :])
+    dprot = np.add.reduce(diff, axis=-3)
     dprot *= -2.0
     dprot /= shot
-    grad[:ns].reshape(way, shot, -1)[:] = dprot[:, None, :]
+    # a view: the support rows split into (way, shot) without a copy
+    grad[..., :ns, :].reshape(lead + (way, shot, -1))[:] = dprot[..., None, :]
     return value, grad
 
 
@@ -209,18 +223,22 @@ def task_accuracy(params: mdl.ModelParams, graph: Graph,
 def episode_objective(dims, graph: Graph, operator: PropagationOperator,
                       episode: Episode, weight_decay: float = 0.0, *,
                       blocks) -> optim.Objective:
-    """The episode's GNN / PeerMLP objective pair: each gradient is one
-    `proto_episode`. `blocks` are the GNN operator's `model.blocks_for` of
+    """The episode's GNN / PeerMLP objective pair. A GNN gradient is one
+    `proto_episode`: `blocks` are the GNN operator's `model.blocks_for` of
     `episode.rows` (see `proto_episode`); None runs its forward on all n
-    rows. The PeerMLP's blocks, the episode's rows at every layer, are cut
-    here, so that no gradient evaluation cuts a block."""
-    peer = mdl.receptive_field(PropagationOperator("identity", None),
-                               episode.rows, len(dims) - 1)
+    rows. The PeerMLP reads only the episode's rows of the features,
+    gathered here once, so that no gradient evaluation gathers them; its
+    gradient is a forward on them plus one `model.head_loss`, the
+    `proto_episode` of its receptive field bit for bit."""
+    peer_x = graph.features[episode.rows]
 
     def loss_grad(params, op):
-        return proto_episode(params, graph, op, episode,
-                             weight_decay=weight_decay,
-                             blocks=blocks if op is operator else peer)
+        if op is operator:
+            return proto_episode(params, graph, op, episode,
+                                 weight_decay=weight_decay, blocks=blocks)
+        acts = mdl.forward_features(params, peer_x, op)
+        return mdl.head_loss(params, op, acts, proto_head, episode, None,
+                             weight_decay)
 
     return optim.peer_objective(dims, operator, loss_grad)
 
@@ -279,9 +297,11 @@ class TrainReport:
     repeats: list
 
 
-# the keys of a trace row, in the order a trace CSV writes them
+# the keys of a trace row, in the order a trace CSV writes them; `flags`
+# are the step's degenerate cases (`optim.StepRecord.flags`: zero-grad,
+# zero-gv, zero-gG), joined by ";", empty when there are none
 TRACE_COLUMNS = ("step", "loss", "grad_norm", "gv_norm", "gG_norm", "branch",
-                 "gnn_evals_cum", "mlp_evals_cum", "wall_ms")
+                 "flags", "gnn_evals_cum", "mlp_evals_cum", "wall_ms")
 
 
 def train_steps(opt, w, steps, objective_at, val_acc, val_interval,
@@ -316,7 +336,8 @@ def train_steps(opt, w, steps, objective_at, val_acc, val_interval,
         mlp_cum += obj.mlp_evals - mlp_before
         trace.append({"step": t, "loss": rec.loss, "grad_norm": rec.grad_norm,
                       "gv_norm": rec.gv_norm, "gG_norm": rec.gG_norm,
-                      "branch": rec.branch, "gnn_evals_cum": gnn_cum,
+                      "branch": rec.branch, "flags": ";".join(rec.flags),
+                      "gnn_evals_cum": gnn_cum,
                       "mlp_evals_cum": mlp_cum, "wall_ms": wall_ms})
         if collect_bundles and rec.bundle is not None:
             bundles.append(rec.bundle)

@@ -30,7 +30,10 @@ def uniform_dims(d0: int, hidden: int, out: int, layers: int) -> list[int]:
 class ModelParams:
     """Per-layer weight matrices and bias vectors with a canonical flat view.
 
-    Flat order: W1 (row-major), b1, W2, b2, ...
+    Flat order: W1 (row-major), b1, W2, b2, ... A stack of K weight vectors,
+    a (K, P) flat array, gives a leading K axis to every matrix and bias,
+    and every forward, head and backward below runs each weight of the
+    stack as it runs one alone: the 1-D case is the stack without its axis.
     """
 
     weights: list
@@ -38,34 +41,47 @@ class ModelParams:
 
     @property
     def dims(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self.weights[0].shape[-2]] + [w.shape[-1] for w in self.weights]
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        shape = self.weights[0].shape[:-2] + (-1,)
+        return _concat(self.weights, [b.reshape(shape) for b in self.biases])
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: list[int]) -> "ModelParams":
-        """Weights and biases as views of `flat`, which callers do not
-        mutate while the returned params are in use."""
+        """Weights and biases as views of `flat`, one vector or a (K, P)
+        stack, which callers do not mutate while the returned params are in
+        use. Each bias is a 1 x d row (K x 1 x d for a stack), which adds to
+        every row of its layer's output."""
         flat = np.asarray(flat, dtype=np.float64)
-        expected = num_params(dims)
-        if flat.shape != (expected,):
-            raise ModelError(f"flat vector must have length {expected}")
+        if flat.ndim not in (1, 2):
+            raise ModelError("flat parameters must be a vector or a stack")
+        lead = flat.shape[:-1]
         weights, biases, off = [], [], 0
         for din, dout in zip(dims[:-1], dims[1:]):
-            weights.append(flat[off:off + din * dout].reshape(din, dout))
+            weights.append(flat[..., off:off + din * dout].reshape(
+                lead + (din, dout)))
             off += din * dout
-            biases.append(flat[off:off + dout])
+            biases.append(flat[..., None, off:off + dout])
             off += dout
+        if flat.shape[-1] != off:
+            raise ModelError(f"flat vector must have length {off}")
         return cls(weights, biases)
+
+
+def _concat(weights, biases) -> np.ndarray:
+    """The flat order of per-layer matrices and bias vectors, on the last
+    axis."""
+    shape = weights[0].shape[:-2] + (-1,)
+    parts = []
+    for w, b in zip(weights, biases):
+        parts.append(w.reshape(shape))
+        parts.append(b)
+    return np.concatenate(parts, axis=-1)
 
 
 def num_params(dims: list[int]) -> int:
@@ -96,7 +112,7 @@ def propagates_after(l: int, w: np.ndarray) -> bool:
     narrower than its input, so that its SpMMs move d_out columns, not
     d_in. Its `Activations.inputs` entry is then H, otherwise A H. Layer 0
     always propagates first, to read the operator's memo of A X."""
-    return l > 0 and w.shape[1] < w.shape[0]
+    return l > 0 and w.shape[-1] < w.shape[-2]
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -211,19 +227,24 @@ def top_blocks(operator: PropagationOperator, rows, layers: int,
                top: Slice = None) -> list[Block]:
     """The blocks of a forward whose last layer outputs only `rows`, in
     their order, and whose lower layers output all n rows. The last layer
-    propagates through the row slice A[rows] (`row_block`, or `top` if it
-    was cut beforehand), which keeps all n columns, so the layer below is
-    read as it is; a one-layer forward reads those rows of the A.X memo.
+    propagates through the row slice A[rows], which keeps all n columns,
+    so the layer below is read as it is: `top` if it was cut beforehand,
+    else one cut here with its transpose (`cut_slice`), so that no product
+    builds it; all n rows in order propagate through the operator itself,
+    whose matrix that slice would copy. A one-layer forward reads those
+    rows of the A.X memo.
 
     With ascending `rows`, each transpose product sums every row in the
     order of the full product plus exact zeros, so the gradient of a loss
     on these rows is the full-graph path's, bit for bit; other orders move
     it by about 1e-15."""
     rows = np.asarray(rows, dtype=np.int64)
-    if layers == 1:
+    n = operator.matrix.shape[0]
+    if layers == 1 or (rows.size == n and np.array_equal(rows, np.arange(n))):
         last = operator
     else:
-        last = operator.row_block(rows) if top is None else operator.wrap(top)
+        last = operator.wrap(operator.cut_slice(rows, False) if top is None
+                             else top)
     return [Block(None, operator)] * (layers - 1) + [Block(rows, last)]
 
 
@@ -237,10 +258,12 @@ def forward_features(params: ModelParams, x: np.ndarray,
                      blocks=None) -> Activations:
     """Forward pass over all n rows, or over the rows of `blocks` (see
     `receptive_field`), in which case row i of every output is row
-    `blocks[l].rows[i]` of the full forward."""
-    if x.shape[1] != params.dims[0]:
+    `blocks[l].rows[i]` of the full forward. Stacked params (a leading K
+    axis) give every output that axis; their layers above the first run
+    only under the identity operator, the PeerMLP's."""
+    if x.shape[-1] != params.weights[0].shape[-2]:
         raise ModelError(
-            f"feature dim {x.shape[1]} != model input dim {params.dims[0]}")
+            f"feature dim {x.shape[-1]} != model input dim {params.dims[0]}")
     if blocks is None:
         blocks = [Block(None, operator)] * params.num_layers
     h = x
@@ -248,13 +271,15 @@ def forward_features(params: ModelParams, x: np.ndarray,
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         rows, op = blocks[l]
+        # `@` of a stack runs one GEMM per weight, each the 1-D case's
         if propagates_after(l, w):
             m = h
-            z = op.apply(h @ w) + b
+            z = op.apply(h @ w)
         else:
             # layer 0 reads the operator's memo of the fixed input's product
             m = operator.propagate_input(h, rows) if l == 0 else op.apply(h)
-            z = m @ w + b
+            z = m @ w
+        z += b
         inputs.append(m)
         preacts.append(z)
         h = z if l == last else np.maximum(z, 0.0)
@@ -269,26 +294,38 @@ def ce_head(logits: np.ndarray, label_index: np.ndarray,
     The head reads the logits class-major: the max, the exponentials, their
     sums and the log-sum-exp are computed once, each reducing over the
     class axis, and the gradient (softmax - one-hot) / m reuses the
-    exponentials in place.
+    exponentials in place. Logits with a leading weight axis (K x m x C)
+    give K values and a K x m x C gradient, each weight's the same bits as
+    alone.
 
     Up to C = 7 classes the sums are bit for bit those of a reduction over
     the classes of the row-major logits; from C = 8 numpy sums such rows
     pairwise, and the two differ by about 1e-15 relative."""
-    logits_t = np.ascontiguousarray(logits.T)
-    m = logits_t.shape[1]
-    zmax = logits_t.max(axis=0)
+    logits_t = np.ascontiguousarray(logits.mT)
+    m = logits_t.shape[-1]
+    zmax = logits_t.max(axis=-2, keepdims=True)
     e = logits_t - zmax
     np.exp(e, out=e)
-    sums = e.sum(axis=0)
+    sums = e.sum(axis=-2, keepdims=True)
     lse = np.log(sums)
     lse += zmax
-    value = float(np.mean(lse - logits_t.ravel()[label_index]))
+    value = np.mean(lse[..., 0, :] - pick(logits_t, label_index), axis=-1)
     if not compute_grad:
         return value, None
     e /= sums
-    e.ravel()[label_index] -= 1.0
+    # the -1 at each true class, one matrix of a stack at a time: a 1-D
+    # index serves a matrix faster than a broadcast one serves the stack
+    for matrix in e.reshape(-1, e.shape[-2] * m):
+        np.subtract.at(matrix, label_index, 1.0)
     e /= m
-    return value, np.ascontiguousarray(e.T)
+    return value, np.ascontiguousarray(e.mT)
+
+
+def pick(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """`a.ravel()[index]` of each matrix (last two axes) of a C-contiguous
+    stack `a`."""
+    return a.reshape(a.shape[:-2] + (-1,)).take(index, -1)
+
 
 
 def head_loss(params: ModelParams, operator: PropagationOperator,
@@ -296,25 +333,29 @@ def head_loss(params: ModelParams, operator: PropagationOperator,
               weight_decay: float = 0.0, blocks=None,
               compute_grad: bool = True):
     """(loss, flat gradient or None) of a head on `rows` of a forward's
-    logits (None: all of them, in their order), plus weight decay.
+    logits (None: all of them, in their order), plus weight decay. Stacked
+    params give a list of K losses and a (K, P) gradient.
 
     A head is `head(logits, target, compute_grad) -> (value, d_logits)`,
     with `d_logits` None without `compute_grad`: `ce_head` with a spec's
-    `label_index`, or `fsnc.proto_head` with an episode. The head's
-    gradient is scattered back to one row per logits row (the rows are
-    distinct, so each gets 0.0 + its gradient) and backpropagated through
-    the blocks of the forward that made `activations`."""
+    `label_index`, or `fsnc.proto_head` with an episode; each takes logits
+    with or without a leading weight axis. The head's gradient is
+    scattered back to one row per logits row (the rows are distinct, so
+    each gets 0.0 + its gradient) and backpropagated through the blocks of
+    the forward that made `activations`."""
     logits = activations.logits
-    value, d = head(logits if rows is None else logits[rows], target,
+    value, d = head(logits if rows is None else logits[..., rows, :], target,
                     compute_grad)
     if weight_decay:
+        # one dot product per weight, as for a weight alone
         flat = params.flatten()
-        value += weight_decay * float(flat @ flat)
+        value = value + weight_decay * np.vecdot(flat, flat)
+    value = np.asarray(value).tolist()
     if not compute_grad:
         return value, None
     if rows is not None:
         d_out = np.zeros_like(logits)
-        d_out[rows] += d
+        d_out[..., rows, :] += d
         d = d_out
     grad = backward_from_output(params, operator, activations, d, blocks)
     if weight_decay:
@@ -332,9 +373,10 @@ def backward_from_output(params: ModelParams, operator: PropagationOperator,
                          activations: Activations, d_out: np.ndarray,
                          blocks=None) -> np.ndarray:
     """Backpropagate a gradient w.r.t. the final layer output down to the
-    flat parameter vector. The last layer has no nonlinearity, so d_out is
-    also the gradient w.r.t. its preactivation. `blocks` are those of the
-    forward that made `activations`."""
+    flat parameter vector, or to a (K, P) stack of them for stacked params.
+    The last layer has no nonlinearity, so d_out is also the gradient
+    w.r.t. its preactivation. `blocks` are those of the forward that made
+    `activations`."""
     grads_w = [None] * params.num_layers
     grads_b = [None] * params.num_layers
     dz = d_out
@@ -345,16 +387,12 @@ def backward_from_output(params: ModelParams, operator: PropagationOperator,
         # Z = A (H W) + b: one transpose product U = A^T dZ serves both
         # dW = H^T U and dH = U W^T
         u = op.apply_t(dz) if after else dz
-        grads_w[l] = activations.inputs[l].T @ u
-        grads_b[l] = dz.sum(axis=0)
+        grads_w[l] = activations.inputs[l].mT @ u
+        grads_b[l] = dz.sum(axis=-2)
         if l > 0:
-            dh = u @ w.T if after else op.apply_t(dz @ w.T)
+            dh = u @ w.mT if after else op.apply_t(dz @ w.mT)
             dz = dh * (activations.preacts[l - 1] > 0)
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    return _concat(grads_w, grads_b)
 
 
 def backward(params: ModelParams, graph: Graph, operator: PropagationOperator,

@@ -44,7 +44,7 @@ class Hyperparams:
             raise OptimError("lambda_topo must be non-negative")
         if not 0 < self.alpha <= 1:
             raise OptimError("alpha must lie in (0, 1]")
-        if self.k < 1:
+        if isinstance(self.k, bool) or self.k != int(self.k) or self.k < 1:
             raise OptimError("k must be a positive integer")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise OptimError("betas must lie in [0, 1)")
@@ -92,7 +92,12 @@ class StepRecord:
 
 
 class Objective:
-    """Instrumented gradient evaluations of a model and its PeerMLP."""
+    """Instrumented gradient evaluations of a model and its PeerMLP.
+
+    `mlp_grad` also takes a (K, P) stack of weight vectors, counts K
+    evaluations and returns (K losses, (K, P) gradients) from one pass, each
+    the bits of that weight's own evaluation. `gnn_grad` takes one vector.
+    """
 
     def __init__(self, gnn_fn, mlp_fn):
         self._gnn_fn = gnn_fn
@@ -105,7 +110,7 @@ class Objective:
         return self._gnn_fn(w)
 
     def mlp_grad(self, w):
-        self.mlp_evals += 1
+        self.mlp_evals += 1 if w.ndim == 1 else len(w)
         return self._mlp_fn(w)
 
 
@@ -113,7 +118,8 @@ def peer_objective(dims, operator: PropagationOperator,
                    loss_grad) -> Objective:
     """The GNN, propagating with `operator`, and its PeerMLP, the same model
     under the identity operator, over one flat weight vector.
-    `loss_grad(params, op)` returns (loss, flat gradient) under `op`."""
+    `loss_grad(params, op)` returns (loss, flat gradient) under `op`; the
+    PeerMLP's params may be a stack (`model.ModelParams.from_flat`)."""
     identity = PropagationOperator("identity", None)
 
     def make(op):
@@ -128,8 +134,10 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
 
     Each forward outputs only the loss rows' sorted union: the GNN runs its
     lower layers on all n rows and its last layer on `model.top_blocks` of
-    the union, the PeerMLP on the union's features, each cut or gathered
-    here once. Each gradient is its forward plus one `model.head_loss` with
+    the union (the operator itself when the union is every node), the
+    PeerMLP on the union's features (the graph's own when it is every
+    node), each cut, with its transpose, or gathered here once. Each
+    gradient is its forward plus one `model.head_loss` with
     `model.ce_head` at each loss row's position in the union (None, no
     gather, when the spec's rows are sorted), which is the gradient of a
     forward over all n rows, bit for bit. The GNN's first layer reads all n
@@ -139,7 +147,9 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     union = np.sort(spec.indices)
     positions = (None if np.array_equal(union, spec.indices)
                  else np.searchsorted(union, spec.indices))
-    mlp = (graph.features[union], None)
+    # sorted distinct rows, so n of them are every node in order
+    mlp = (graph.features if union.size == graph.n
+           else graph.features[union], None)
     gnn = mlp if operator.is_identity else (
         graph.features, mdl.top_blocks(operator, union, len(dims) - 1))
 
@@ -285,11 +295,11 @@ class FgsamPlusOptimizer(BaseOptimizer):
     def _exact_step(self, objective, w):
         hp, st = self.state.hp, self.state
         _, g_gnn = objective.gnn_grad(w)
-        _, g_mlp = objective.mlp_grad(w)
         eps, degenerate = sam_epsilon(g_gnn, hp.rho)
         flags = ["zero-grad"] if degenerate else []
+        # the PeerMLP at w and at w + eps are independent: one stacked pass
+        (_, value), (g_mlp, g_s) = objective.mlp_grad(np.stack([w, w + eps]))
         g_G = topology_grad(g_gnn, g_mlp)
-        value, g_s = objective.mlp_grad(w + eps)
         g_h, g_v = decompose(g_s, g_mlp)
         g = hp.lambda_topo * g_gnn + g_s
         st.cached_g_v, st.cached_g_G = g_v, g_G

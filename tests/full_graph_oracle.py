@@ -107,3 +107,18 @@ def proto_episode(params: mdl.ModelParams, graph, operator, episode,
         value += weight_decay * float(flat @ flat)
         grad += 2.0 * weight_decay * flat
     return value, grad
+
+
+def per_weight(head):
+    """A head written for one weight's (rows x C) logits, in the head
+    contract of `fgsam.model.head_loss`, whose logits may also carry a
+    leading weight axis: one call of `head` per weight of the stack, their
+    values and gradients stacked."""
+    def stacked(logits, target, compute_grad=True):
+        if logits.ndim == 2:
+            return head(logits, target, compute_grad)
+        pairs = [head(z, target, compute_grad) for z in logits]
+        grads = [d for _, d in pairs]
+        return (np.array([v for v, _ in pairs]),
+                np.stack(grads) if compute_grad else None)
+    return stacked

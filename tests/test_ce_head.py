@@ -182,7 +182,8 @@ def test_bench_training_trace_is_the_oracle_heads(bench_graph, arm,
         return oracle.ce_head(logits.T, oracle.one_hot_t(label_index // m, c),
                               compute_grad)
 
-    monkeypatch.setattr(mdl, "ce_head", oracle_head)
+    # FGSAM+'s exact step hands the head its PeerMLP pair as one stack
+    monkeypatch.setattr(mdl, "ce_head", oracle.per_weight(oracle_head))
     want = nc_run(bench_graph, arm)
     assert len(got.trace) == 20
     columns = [c for c in fsnc.TRACE_COLUMNS if c != "wall_ms"]

@@ -303,6 +303,9 @@ class TestRunDirBytes:
                    "test_acc_std", "trace_path"]
     NC_KEYS = ["config", "stop_step", "best_val_acc", "test_acc",
                "gnn_evals", "mlp_evals", "wall_seconds", "trace_path"]
+    TRACE_HEADER = ("step", "loss", "grad_norm", "gv_norm", "gG_norm",
+                    "branch", "flags", "gnn_evals_cum", "mlp_evals_cum",
+                    "wall_ms")
 
     def test_report_trace_and_table_bytes(self, graph_dir, tmp_path):
         runs = {
@@ -336,19 +339,61 @@ class TestRunDirBytes:
                 self.REPEAT_KEYS]
             val_accs[name] = report["repeats"][0]["best_val_acc"]
             assert (assert_csv_bytes(tmp_path / name / "trace_r0.csv")
-                    == fsnc.TRACE_COLUMNS)
+                    == self.TRACE_HEADER == fsnc.TRACE_COLUMNS)
         assert 0.0 <= val_accs["fsnc"] <= 1.0
         assert math.isnan(val_accs["fsnc-no-val"])
         report = assert_json_bytes(tmp_path / "nc" / "report.json")
         assert list(report) == self.NC_KEYS
         assert (assert_csv_bytes(tmp_path / "nc" / "trace.csv")
-                == fsnc.TRACE_COLUMNS)
+                == self.TRACE_HEADER)
         meta = assert_json_bytes(tmp_path / "landscape" /
                                  "landscape.meta.json")
         assert list(meta)[:2] == ["command", "seed"]
         assert meta["command"] == "landscape"
         assert (assert_csv_bytes(tmp_path / "landscape" / "landscape.csv")
                 == ("alpha", "beta", "loss"))
+
+
+class TestTraceFlags:
+    """Each trace row's `flags` cell names the step's degenerate cases,
+    joined by ";", and is empty when there are none."""
+
+    @staticmethod
+    def trace_rows(out):
+        with open(os.path.join(out, "trace.csv"), newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_zero_gnn_gradient_reads_back_as_zero_grad(self, graph_dir,
+                                                       tmp_path, monkeypatch):
+        # every GNN gradient zeroed: FGSAM's ascent step is degenerate
+        gnn_grad = optim.Objective.gnn_grad
+
+        def zero_grad(self, w):
+            value, grad = gnn_grad(self, w)
+            return value, grad * 0.0
+
+        monkeypatch.setattr(optim.Objective, "gnn_grad", zero_grad)
+        out = str(tmp_path / "nc")
+        assert run_cli("nc", "--graph", graph_dir, "--out", out,
+                       "--optimizer", "fgsam", "--episodes", "3",
+                       "--seed", "0") == 0
+        rows = self.trace_rows(out)
+        assert [row["flags"] for row in rows] == ["zero-grad"] * 3
+
+    def test_peer_mlp_at_rho_zero_flags_every_approximate_step(
+            self, graph_dir, tmp_path):
+        # under the identity operator the GNN is its PeerMLP, and at rho 0
+        # the perturbed gradient is the MLP's: both cached components are
+        # exactly zero, and each approximate step says so
+        out = str(tmp_path / "nc")
+        assert run_cli("nc", "--graph", graph_dir, "--out", out,
+                       "--optimizer", "fgsam+", "--scheme", "identity",
+                       "--rho", "0", "--k", "2", "--episodes", "4",
+                       "--seed", "0") == 0
+        rows = self.trace_rows(out)
+        assert [(row["branch"], row["flags"]) for row in rows] == [
+            ("exact", ""), ("approx", "zero-gG;zero-gv")] * 2
+        assert {row["gv_norm"] for row in rows} == {"0"}
 
 
 class TestAnalysisCommands:

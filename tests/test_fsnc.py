@@ -390,15 +390,16 @@ class TestReceptiveField:
                                 calls.append((name, a[0])) or real(*a))
         dims = mdl.uniform_dims(g.d0, 4, 4, 2)
         obj = fsnc.episode_objective(dims, g, op, ep, blocks=blocks)
-        # the GNN's blocks are the ones handed over; the PeerMLP's are cut
-        # with the objective, once
-        (name, cut_on), = calls
-        assert name == "receptive_field" and cut_on.is_identity
+        # the GNN's blocks are the ones handed over, and the PeerMLP reads
+        # the episode's rows of the features, gathered with the objective:
+        # neither the objective nor a gradient cuts a block
+        assert calls == []
         w = mdl.init_params(dims, np.random.default_rng(0)).flatten()
         for _ in range(3):
             obj.gnn_grad(w)
             obj.mlp_grad(w)
-        assert len(calls) == 1
+            obj.mlp_grad(np.stack([w, w]))
+        assert calls == []
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_full_path_bit_identical_to_scatter_oracle(self, scheme):
@@ -1251,6 +1252,64 @@ class TestBatchedHead:
 class TestWorkLedger:
     """The work of evaluation and of a repeat's plan, pinned as counts."""
 
+    # each arm's work per step on one objective: (A products, A^T
+    # products, GNN evaluations, PeerMLP evaluations, PeerMLP passes);
+    # FGSAM+'s exact step evaluates the PeerMLP at w and w + eps in one pass
+    STEP_WORK = {
+        "adam": [(1, 1, 1, 0, 0)] * 4,
+        "sam": [(2, 2, 2, 0, 0)] * 4,
+        "fgsam": [(1, 1, 1, 1, 1)] * 4,
+        "fgsam+": [(1, 1, 1, 2, 1), (0, 0, 0, 1, 1)] * 2,
+    }
+
+    @pytest.mark.parametrize("objective", ["episode", "nc"])
+    @pytest.mark.parametrize("arm", optim.OPTIMIZER_NAMES)
+    def test_step_work_pinned(self, monkeypatch, arm, objective):
+        g = sparse_graph()
+        operator = normalize(g, "gcn-sym")
+        if objective == "episode":
+            # a 2-layer episode on its receptive field, A.X filled ahead
+            ep = sample_episode(g, np.arange(2), way=2, shot=3, query=5,
+                                rng=np.random.default_rng(0))
+            dims = mdl.uniform_dims(g.d0, 8, 8, 2)
+            operator.propagate_input(g.features)
+            blocks = mdl.blocks_for(operator, ep.rows, 2)
+            assert blocks[0].rows is not None
+            obj = fsnc.episode_objective(dims, g, operator, ep, blocks=blocks)
+        else:
+            # the nc train mask; its top layer narrows 8 -> 6 classes
+            spec = mdl.loss_spec_from_labels(cli.make_nc_masks(g, 0)[0],
+                                             g.labels, g.num_classes)
+            dims = mdl.uniform_dims(g.d0, 8, g.num_classes, 2)
+            obj = optim.model_objective(dims, g, operator, spec)
+        counts = {"apply_t": 0, "mlp_grad": 0}
+        apply_t, mlp_grad = PropagationOperator.apply_t, optim.Objective.mlp_grad
+
+        def spy_apply_t(op, x):
+            counts["apply_t"] += not op.is_identity
+            return apply_t(op, x)
+
+        def spy_mlp_grad(objective, w):
+            counts["mlp_grad"] += 1
+            return mlp_grad(objective, w)
+
+        monkeypatch.setattr(PropagationOperator, "apply_t", spy_apply_t)
+        monkeypatch.setattr(optim.Objective, "mlp_grad", spy_mlp_grad)
+
+        def work():
+            return (operator.apply_count, counts["apply_t"], obj.gnn_evals,
+                    obj.mlp_evals, counts["mlp_grad"])
+
+        opt = optim.make_optimizer(
+            arm, optim.Hyperparams(rho=0.05, lambda_topo=0.5, k=2))
+        w = mdl.init_params(dims, 0).flatten()
+        steps = []
+        for _ in range(4):
+            before = work()
+            w, _ = opt.step(obj, w)
+            steps.append(tuple(b - a for a, b in zip(before, work())))
+        assert steps == self.STEP_WORK[arm]
+
     @pytest.mark.parametrize("sliced", [False, True], ids=["full", "sliced"])
     def test_round_is_one_forward_and_no_proto_head(self, monkeypatch,
                                                     sliced):
@@ -1514,4 +1573,5 @@ class TestReports:
         assert payload["test_acc_mean"] == rep.test_acc_mean
         assert (tmp_path / "trace_r0.csv").exists()
         header = open(tmp_path / "trace_r0.csv").readline().strip()
-        assert header == ",".join(fsnc.TRACE_COLUMNS)
+        assert header == ("step,loss,grad_norm,gv_norm,gG_norm,branch,flags,"
+                          "gnn_evals_cum,mlp_evals_cum,wall_ms")

@@ -62,6 +62,17 @@ class TestHyperparams:
         with pytest.raises(OptimError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize("k", [2.5, 0.5, 1.0000001, True, False, -2])
+    def test_k_must_be_a_positive_integer(self, k):
+        # a fractional k would run exact steps at t = 0, 5, 10, ... for
+        # k = 2.5, and a boolean k is no count of steps
+        with pytest.raises(OptimError, match="^k must be a positive integer$"):
+            Hyperparams(k=k)
+
+    @pytest.mark.parametrize("k", [1, 3, 3.0, np.int64(4)])
+    def test_integral_k_accepted(self, k):
+        assert Hyperparams(k=k).k == k
+
     @pytest.mark.parametrize("kwargs", [
         {"lr": float("nan"), "rho": float("inf")}, {"lr": float("inf")},
         {"rho": float("nan")}, {"lambda_topo": float("inf")},

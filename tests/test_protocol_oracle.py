@@ -8,6 +8,7 @@ import pytest
 
 from fgsam import fsnc, optim
 from fgsam.graphcore import CsbmParams, generate_csbm
+from full_graph_oracle import per_weight
 from proto_head_oracle import proto_head as oracle_head
 
 
@@ -38,7 +39,7 @@ def approx_step_oracle(self, objective, w):
 
 
 def oracle_pair(emb, episode, compute_grad=True):
-    """The oracle head in `model.head_loss`'s head contract."""
+    """The oracle head on one weight's embeddings, without its accuracy."""
     value, _, grad = oracle_head(emb, episode, compute_grad)
     return value, grad
 
@@ -77,7 +78,9 @@ def test_protocol_bit_identical_under_oracles(monkeypatch, seed):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fsnc, "proto_head", counted("head", oracle_pair))
+    # one oracle call per weight, also of FGSAM+'s stacked PeerMLP pair
+    monkeypatch.setattr(fsnc, "proto_head",
+                        per_weight(counted("head", oracle_pair)))
     monkeypatch.setattr(optim.FgsamPlusOptimizer, "_approx_step",
                         counted("approx", approx_step_oracle))
     slow = {arm: outcome(graph, split, arm, seed) for arm in arms}
