@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 class GraphError(ValueError):
@@ -146,16 +147,33 @@ SCHEMES = ("gcn-sym", "mean-neighbors", "identity")
 
 
 class Slice(NamedTuple):
-    """A CSR row slice of a graph's matrix and its transpose, cut once by
+    """A CSR row slice of a graph's matrix, cut once by
     `PropagationOperator.cut_slice` and shared by every run on the graph:
     `matrix` is A[rows] with all n columns (`cols` None, `row_block`'s) or
-    A[rows][:, cols] (`restrict`'s). Its arrays are read-only; each run
-    wraps it in an operator of its own (`PropagationOperator.wrap`)."""
+    A[rows][:, cols] (`restrict`'s), and `transpose` is `matrix.T`, the CSC
+    view of the same arrays. They are read-only; each run wraps the slice
+    in an operator of its own (`PropagationOperator.wrap`)."""
 
     rows: np.ndarray
     matrix: sp.csr_matrix
-    transpose: sp.csr_matrix
+    transpose: sp.csc_matrix
     cols: np.ndarray | None
+
+
+# the kernels `matrix @ x` runs for a CSR or CSC matrix and a 2-D x
+_MATVECS = {"csr": _sparsetools.csr_matvecs, "csc": _sparsetools.csc_matvecs}
+
+
+def _product(matrix, x: np.ndarray) -> np.ndarray:
+    """`matrix @ x` for a CSR or CSC `matrix` and a float64 2-D `x`, the
+    same bits: scipy's kernel called with the arguments scipy's own
+    product passes it, without the dispatch around it."""
+    rows, cols = matrix.shape
+    out = np.zeros((rows, x.shape[1]))
+    _MATVECS[matrix.format](rows, cols, x.shape[1], matrix.indptr,
+                            matrix.indices, matrix.data, x.ravel(),
+                            out.ravel())
+    return out
 
 
 @dataclass
@@ -175,8 +193,9 @@ class PropagationOperator:
     # (x, full product or None, row-to-slot map, filled rows)
     _input_memo: tuple = field(default=None, init=False, repr=False,
                                compare=False)
-    # A^T in CSR form, built on the first transpose product
-    _transpose: sp.csr_matrix = field(default=None, init=False, repr=False,
+    # `matrix.T`, the CSC view of its arrays, made on the first transpose
+    # product
+    _transpose: sp.csc_matrix = field(default=None, init=False, repr=False,
                                       compare=False)
     # the operator whose apply_count a block's products add to
     _source: "PropagationOperator" = field(default=None, repr=False,
@@ -186,7 +205,7 @@ class PropagationOperator:
         if self.scheme == "identity":
             return x
         (self if self._source is None else self._source).apply_count += 1
-        return self.matrix @ x
+        return _product(self.matrix, x)
 
     def propagate_input(self, x: np.ndarray, rows=None) -> np.ndarray:
         """`apply(x)` for the network input, or its `rows`, each row
@@ -222,33 +241,34 @@ class PropagationOperator:
             return full
         if full is not None:
             return full[rows]
-        rows = np.asarray(rows)
         if slot is None:
             slot = np.full(x.shape[0], -1, dtype=np.int64)
-        missing = np.unique(rows[slot[rows] < 0])
-        if missing.size or filled is None:
+        at = slot[rows]
+        if filled is None or (at < 0).any():
+            missing = np.unique(np.asarray(rows)[at < 0])
             start = 0 if filled is None else filled.shape[0]
             slot[missing] = np.arange(start, start + missing.size)
             new = self.row_block(missing).apply(x)
             filled = new if filled is None else np.concatenate([filled, new])
             self._input_memo = (x, None, slot, filled)
-        return filled[slot[rows]]
+            at = slot[rows]
+        return filled[at]
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Multiply by the transpose (needed for reverse-mode gradients).
 
-        The product runs on a CSR copy of A^T with sorted indices, which
-        sums every output row in the same order as `matrix.T @ x` and gives
-        the same bits, faster. A graph's `gcn-sym` matrix is symmetric bit
-        for bit and has sorted rows, so it serves as its own transpose.
+        The product runs on `matrix.T`, the CSC view of the matrix's own
+        arrays, made on the first call (a shared slice's comes with it,
+        `wrap`). It adds into every output row in ascending order of the
+        source row, the order of each row of a sorted CSR copy of A^T, and
+        so of a graph's `gcn-sym` matrix itself, which is symmetric bit for
+        bit with sorted rows.
         """
         if self.scheme == "identity":
             return x
         if self._transpose is None:
-            symmetric = self.scheme == "gcn-sym" and self._source is None
-            self._transpose = (self.matrix if symmetric
-                               else self.matrix.T.tocsr())
-        return self._transpose @ x
+            self._transpose = self.matrix.T
+        return _product(self._transpose, x)
 
     def row_block(self, rows: np.ndarray) -> "PropagationOperator":
         """The operator of the CSR row slice A[rows], with all n columns,
@@ -282,20 +302,20 @@ class PropagationOperator:
 
     def cut_slice(self, rows: np.ndarray, narrow: bool) -> Slice:
         """The `Slice` of `rows`, to share across runs: `restrict(rows)`'s
-        block where `narrow`, else `row_block(rows)`'s, with the transpose
-        `apply_t` would build, every array read-only."""
+        block where `narrow`, else `row_block(rows)`'s, with the CSC view
+        `apply_t` would make, every array read-only."""
         if narrow:
             block, cols = self.restrict(rows)
             cols.flags.writeable = False
         else:
             block, cols = self.row_block(rows), None
-        return Slice(rows, _read_only(block.matrix),
-                     _read_only(block.matrix.T.tocsr()), cols)
+        matrix = _read_only(block.matrix)
+        return Slice(rows, matrix, matrix.T, cols)
 
     def wrap(self, piece: Slice) -> "PropagationOperator":
         """The operator of a shared slice (`cut_slice`): its products
-        count on this operator, and its transpose products read the
-        slice's transpose."""
+        count on this operator, and its transpose products run on the
+        slice's CSC view, made when the slice was cut."""
         block = PropagationOperator(self.scheme, piece.matrix, _source=self)
         block._transpose = piece.transpose
         return block
@@ -322,8 +342,9 @@ class PropagationOperator:
 
 def normalize(graph: Graph, scheme: str) -> PropagationOperator:
     """A fresh operator over the graph's shared `scheme` matrix: its
-    `apply_count`, A.X memo and transpose belong to this operator alone, so
-    A.X lives no longer than the run that holds the operator."""
+    `apply_count`, A.X memo and CSC view of the matrix belong to this
+    operator alone, so A.X lives no longer than the run that holds the
+    operator."""
     if scheme not in SCHEMES:
         raise GraphError(f"unknown scheme {scheme!r}")
     if scheme == "identity":

@@ -229,10 +229,10 @@ def top_blocks(operator: PropagationOperator, rows, layers: int,
     their order, and whose lower layers output all n rows. The last layer
     propagates through the row slice A[rows], which keeps all n columns,
     so the layer below is read as it is: `top` if it was cut beforehand,
-    else one cut here with its transpose (`cut_slice`), so that no product
-    builds it; all n rows in order propagate through the operator itself,
-    whose matrix that slice would copy. A one-layer forward reads those
-    rows of the A.X memo.
+    else one cut here with the CSC view its transpose products run on
+    (`cut_slice`), so that no product makes it; all n rows in order
+    propagate through the operator itself, whose matrix that slice would
+    copy. A one-layer forward reads those rows of the A.X memo.
 
     With ascending `rows`, each transpose product sums every row in the
     order of the full product plus exact zeros, so the gradient of a loss

@@ -136,13 +136,13 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     lower layers on all n rows and its last layer on `model.top_blocks` of
     the union (the operator itself when the union is every node), the
     PeerMLP on the union's features (the graph's own when it is every
-    node), each cut, with its transpose, or gathered here once. Each
-    gradient is its forward plus one `model.head_loss` with
-    `model.ce_head` at each loss row's position in the union (None, no
-    gather, when the spec's rows are sorted), which is the gradient of a
-    forward over all n rows, bit for bit. The GNN's first layer reads all n
-    rows of A.X, which are filled here, so that no gradient evaluation
-    makes that product."""
+    node), each cut, with the CSC view of its arrays that transpose
+    products run on, or gathered here once. Each gradient is its forward
+    plus one `model.head_loss` with `model.ce_head` at each loss row's
+    position in the union (None, no gather, when the spec's rows are
+    sorted), which is the gradient of a forward over all n rows, bit for
+    bit. The GNN's first layer reads all n rows of A.X, which are filled
+    here, so that no gradient evaluation makes that product."""
     operator.propagate_input(graph.features)
     union = np.sort(spec.indices)
     positions = (None if np.array_equal(union, spec.indices)

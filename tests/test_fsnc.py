@@ -562,7 +562,7 @@ class TestTopSlices:
     def test_narrow_slices_bit_identical_to_cuts_at_use(self, scheme,
                                                         layers):
         # on a sparse graph the memo holds each episode's `restrict(rows)`
-        # and its transpose, which a run would otherwise cut at use
+        # with its CSC view, which a run would otherwise cut at use
         g = sparse_graph()
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(episodes=20, layers=layers, scheme=scheme,
@@ -724,21 +724,23 @@ class TestTrainProtocol:
             assert set(vars(g)) - fields == {"_matrices", "_tasks",
                                              "class_nodes"}
             # the memo holds read-only arrays only: the tasks' integer
-            # arrays, and the slices' CSR arrays, each slice and its
-            # transpose, whose stored entries are the only floats besides
-            # the matrix: 1-D, 2 nnz(A[T]) of them over the episodes' rows
+            # arrays, and the slices' CSR arrays, which each slice's
+            # transpose views as CSC; their stored entries are the only
+            # floats besides the matrix: 1-D, nnz(A[T]) of them over the
+            # episodes' rows, each counted once per buffer
             memo = list(held_arrays(g._tasks))
             assert memo and not any(a.flags.writeable for a in memo)
             assert all(a.dtype.kind in "if" for a in memo)
             rest = [a for name, value in vars(g).items()
                     if name not in fields | {"_matrices"}
                     for a in held_arrays(value)]
-            floats = [a for a in rest if a.dtype.kind == "f"]
-            assert floats and all(a.ndim == 1 for a in floats)
+            floats = {a.__array_interface__["data"][0]: a
+                      for a in rest if a.dtype.kind == "f"}
+            assert floats and all(a.ndim == 1 for a in floats.values())
             episodes = fsnc.repeat_tasks(config, g, split, 0)[0]
             op = normalize(g, config.scheme)
-            assert sum(a.size for a in floats) == sum(
-                2 * op.row_nnz(e.rows) for e in episodes)
+            assert sum(a.size for a in floats.values()) == sum(
+                op.row_nnz(e.rows) for e in episodes)
             assert list(g._matrices) == ["gcn-sym"]
             for mat in g._matrices.values():
                 assert sp.isspmatrix_csr(mat)

@@ -268,9 +268,15 @@ class TestOperators:
         assert np.array_equal(ident.restrict(rows)[1], rows)
 
 
+def same_buffer(a, b):
+    """Whether `a` and `b` are the same array in memory: one data pointer,
+    dtype, shape and strides, so one may be a view of the other."""
+    return a.__array_interface__ == b.__array_interface__
+
+
 class TestCutSlice:
     """`cut_slice` against the `restrict` or `row_block` it shares, with
-    the transpose `apply_t` would build."""
+    the CSC view `apply_t` would make."""
 
     @staticmethod
     def cut(scheme, sets=20, seed=6):
@@ -300,13 +306,18 @@ class TestCutSlice:
             else:
                 block = op.row_block(rows)
                 assert piece.cols is None
-            want = block.matrix
-            for got, mat in ((piece.matrix, want),
-                             (piece.transpose, want.T.tocsr())):
-                assert sp.isspmatrix_csr(got) and got.shape == mat.shape
-                for name in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(got, name),
-                                          getattr(mat, name)), name
+            want, got = block.matrix, piece.matrix
+            assert sp.isspmatrix_csr(got) and got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+            # the transpose is the CSC view of the slice's own arrays: it
+            # holds no buffer of its own
+            view = piece.transpose
+            assert sp.isspmatrix_csc(view) and view.shape == want.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert same_buffer(getattr(view, name),
+                                   getattr(got, name)), name
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_wrapped_products_bit_identical_and_counted(self, scheme):
@@ -333,6 +344,79 @@ class TestCutSlice:
                                    else [piece.cols]):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
+
+
+class TestProducts:
+    """Every product runs `graphcore._product`, scipy's own kernel without
+    its dispatch: the same bits as `matrix @ x` on every matrix an operator
+    multiplies by, and transpose products the same bits as the sorted CSR
+    copy of A^T that `apply_t` multiplied by before (`matrix.T.tocsr()`)."""
+
+    @staticmethod
+    def matrices(scheme):
+        """Every CSR matrix an operator multiplies by: the full matrix, a
+        `row_block`, a `restrict` block and the two shared slices."""
+        rng = np.random.default_rng(11)
+        full = random_graph(rng, 70)
+        # node 69 loses its edges
+        g = build_graph(70, full.edges[full.edges[:, 1] != 69],
+                        full.features, full.labels)
+        op = normalize(g, scheme)
+        rows = np.array([40, 3, 69, 17, 3, 55])
+        return op, {"full": op.matrix,
+                    "row_block": op.row_block(rows).matrix,
+                    "restrict": op.restrict(rows)[0].matrix,
+                    "narrow slice": op.cut_slice(rows, True).matrix,
+                    "wide slice": op.cut_slice(rows, False).matrix}
+
+    @staticmethod
+    def inputs(rows, rng):
+        """Inputs of widths 1, 5 and 16, with -0.0 and +0.0 entries."""
+        for width in (1, 5, 16):
+            x = rng.standard_normal((rows, width))
+            x[::3, 0] = -0.0
+            x[1::4, -1] = 0.0
+            yield x
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_helper_matches_scipy_product(self, scheme):
+        _, mats = self.matrices(scheme)
+        # a block with an empty row and an empty column
+        empty = sp.csr_matrix((np.array([0.5, -0.25, 2.0]),
+                               np.array([0, 2, 0]), np.array([0, 2, 2, 3])),
+                              shape=(3, 4))
+        rng = np.random.default_rng(12)
+        for name, mat in {**mats, "empty row": empty}.items():
+            for operand in (mat, mat.T):
+                assert operand.format == ("csr" if operand is mat else "csc")
+                for x in self.inputs(operand.shape[1], rng):
+                    got = graphcore._product(operand, x)
+                    want = operand @ x
+                    assert got.dtype == want.dtype, name
+                    assert got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
+        assert not graphcore._product(empty, np.ones((4, 2)))[1].any()
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_transpose_products_match_csr_copy(self, scheme):
+        op, mats = self.matrices(scheme)
+        rng = np.random.default_rng(13)
+        for name, mat in mats.items():
+            block = (op if name == "full"
+                     else graphcore.PropagationOperator(scheme, mat,
+                                                        _source=op))
+            oracle = mat.T.tocsr()
+            for x in self.inputs(mat.shape[0], rng):
+                assert (block.apply_t(x).tobytes()
+                        == (oracle @ x).tobytes()), name
+            # the view is made once and holds the matrix's own arrays
+            assert block._transpose.format == "csc"
+            assert same_buffer(block._transpose.data, mat.data)
+        # gcn-sym multiplied its full transpose products by the matrix
+        # itself, which is symmetric bit for bit with sorted rows
+        if scheme == "gcn-sym":
+            for x in self.inputs(op.matrix.shape[0], rng):
+                assert op.apply_t(x).tobytes() == (op.matrix @ x).tobytes()
 
 
 def gcn_sym_by_products(graph):
