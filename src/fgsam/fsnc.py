@@ -387,23 +387,20 @@ def top_slices(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     same scheme: every arm, optimizer and rho reads the same read-only
     arrays, and wraps them in operators of its own.
 
-    An episode whose rows are `worth_slicing` gets `restrict(rows)`, the
-    head of its receptive field; any other gets `row_block(union)`, the
-    last of `model.top_blocks` of its sorted distinct rows. Neither depends
-    on the layer count above one. With one layer, or the identity operator,
-    a forward cuts nothing, and each entry is None."""
+    An episode whose rows are `worth_slicing` gets the narrow slice of its
+    rows, the head of its receptive field; any other gets the wide slice of
+    its sorted distinct rows (`union`), the last of `model.top_blocks` of
+    them. Neither depends on the layer count above one. With one layer, or
+    the identity operator, a forward cuts nothing, and each entry is None."""
     episodes = repeat_tasks(config, graph, split, root)[0]
     if config.layers == 1 or operator.is_identity:
         return (None,) * len(episodes)
 
     def cut():
-        slices = []
-        for e in episodes:
-            if mdl.worth_slicing(operator, e.rows, config.layers):
-                slices.append(operator.cut_slice(e.rows, True))
-            else:
-                slices.append(operator.cut_slice(e.union, False))
-        return tuple(slices)
+        narrow = [mdl.worth_slicing(operator, e.rows, config.layers)
+                  for e in episodes]
+        return tuple(operator.cut_slice(e.rows if slim else e.union, slim)
+                     for e, slim in zip(episodes, narrow))
 
     return graph.tasks(("top", operator.scheme,
                         _task_key(config, split, root)), cut)

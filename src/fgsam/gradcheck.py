@@ -110,11 +110,14 @@ def check_episode(rng, scheme: str, layers: int) -> CheckResult:
     episode = fsnc.sample_episode(graph, eligible, way=2, shot=1, query=1,
                                   rng=rng)
     wd = float(rng.choice([0.0, 0.01]))
-    # the analytic gradient runs on the episode's receptive field, the
-    # finite differences on all n rows
-    blocks = mdl.receptive_field(operator, episode.rows, layers)
-    _, grad = fsnc.proto_episode(params, graph, operator, episode,
-                                 weight_decay=wd, blocks=blocks)
+    # the analytic gradient comes from the trainers' objective, whose GNN
+    # forwards run on the episode's receptive field, the finite differences
+    # on all n rows; under the identity operator it is the PeerMLP's
+    obj = fsnc.episode_objective(
+        dims, graph, operator, episode, wd,
+        blocks=mdl.receptive_field(operator, episode.rows, layers))
+    grad_fn = obj.mlp_grad if operator.is_identity else obj.gnn_grad
+    _, grad = grad_fn(params.flatten())
 
     def f(w):
         p = mdl.ModelParams.from_flat(w, dims)

@@ -147,12 +147,13 @@ SCHEMES = ("gcn-sym", "mean-neighbors", "identity")
 
 
 class Slice(NamedTuple):
-    """A CSR row slice of a graph's matrix, cut once by
-    `PropagationOperator.cut_slice` and shared by every run on the graph:
-    `matrix` is A[rows] with all n columns (`cols` None, `row_block`'s) or
-    A[rows][:, cols] (`restrict`'s), and `transpose` is `matrix.T`, the CSC
-    view of the same arrays. They are read-only; each run wraps the slice
-    in an operator of its own (`PropagationOperator.wrap`)."""
+    """A block of a graph's matrix A, cut by `PropagationOperator.cut_slice`,
+    the one function that cuts one: `matrix` is the CSR slice A[rows] with
+    all n columns (`cols` None) or A[rows][:, cols] with the sorted columns
+    A[rows] reads, each row's entries in A's order, and `transpose` is
+    `matrix.T`, the CSC view of the same arrays. They are read-only, so a
+    slice may be shared by every run on the graph; each use wraps it in an
+    operator of its own (`PropagationOperator.wrap`)."""
 
     rows: np.ndarray
     matrix: sp.csr_matrix
@@ -181,9 +182,9 @@ class PropagationOperator:
     """Sparse propagation matrix; the identity scheme bypasses the matmul.
 
     The matrix of a graph's operator is n x n, read-only and shared by
-    every operator of the graph (`Graph.propagation_matrix`). A block cut
-    from it by `restrict` holds a rectangular slice and counts its products
-    on the operator it was cut from.
+    every operator of the graph (`Graph.propagation_matrix`). A block's
+    operator (`wrap` of a `cut_slice`) holds the slice's matrix and CSC
+    view and counts its products on the operator it was cut from.
     """
 
     scheme: str
@@ -221,11 +222,11 @@ class PropagationOperator:
         forward shares it. Given `rows` (any order, repeats allowed), the
         rows come from the full product once it is filled; until then they
         come from a compact buffer with an n-long row-to-slot map, and the
-        rows still missing are filled by one product over the CSR slice
-        A[missing]. The slice keeps each row's entries in A's order and all
-        n columns, so a filled row is the same bits as that row of the full
-        product, and no rows of `x` are gathered. The identity operator
-        returns `x` or `x[rows]`.
+        rows still missing are filled by one product over the wide slice
+        A[missing] (`cut_slice`). The slice keeps each row's entries in A's
+        order and all n columns, so a filled row is the same bits as that
+        row of the full product, and no rows of `x` are gathered. The
+        identity operator returns `x` or `x[rows]`.
         """
         if self.scheme == "identity":
             return x if rows is None else x[rows]
@@ -248,7 +249,7 @@ class PropagationOperator:
             missing = np.unique(np.asarray(rows)[at < 0])
             start = 0 if filled is None else filled.shape[0]
             slot[missing] = np.arange(start, start + missing.size)
-            new = self.row_block(missing).apply(x)
+            new = self.wrap(self.cut_slice(missing, False)).apply(x)
             filled = new if filled is None else np.concatenate([filled, new])
             self._input_memo = (x, None, slot, filled)
             at = slot[rows]
@@ -258,11 +259,11 @@ class PropagationOperator:
         """Multiply by the transpose (needed for reverse-mode gradients).
 
         The product runs on `matrix.T`, the CSC view of the matrix's own
-        arrays, made on the first call (a shared slice's comes with it,
-        `wrap`). It adds into every output row in ascending order of the
-        source row, the order of each row of a sorted CSR copy of A^T, and
-        so of a graph's `gcn-sym` matrix itself, which is symmetric bit for
-        bit with sorted rows.
+        arrays: a block's comes with its slice (`wrap`), the graph
+        operator's is made on the first call. It adds into every output row
+        in ascending order of the source row, the order of each row of a
+        sorted CSR copy of A^T, and so of a graph's `gcn-sym` matrix itself,
+        which is symmetric bit for bit with sorted rows.
         """
         if self.scheme == "identity":
             return x
@@ -270,65 +271,37 @@ class PropagationOperator:
             self._transpose = self.matrix.T
         return _product(self._transpose, x)
 
-    def row_block(self, rows: np.ndarray) -> "PropagationOperator":
-        """The operator of the CSR row slice A[rows], with all n columns,
-        whose products count on this operator. It keeps each row's entries
-        in A's order, so a row of `row_block(rows).apply(h)` is the same
-        row of `A @ h`, bit for bit, and `h` is read as it is."""
-        indptr, pos = self._row_slice(rows)
-        a = self.matrix
-        block = sp.csr_matrix((a.data[pos], a.indices[pos], indptr),
-                              shape=(len(rows), a.shape[1]))
-        return PropagationOperator(self.scheme, block, _source=self)
-
-    def restrict(self, rows: np.ndarray):
-        """The block of this operator that produces only `rows`.
-
-        Returns (block, cols): `cols` are the sorted columns that A[rows]
-        reads, and `block` is the operator of the slice A[rows][:, cols],
-        whose products count on this operator. The slice is cut from the
-        CSR arrays and keeps every row's entries in A's order, so a row of
-        `block.apply(h[cols])` is the same row of `A @ h`, bit for bit.
-        The identity operator is its own block and reads `rows`.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if self.scheme == "identity":
-            return self, rows
-        indptr, pos = self._row_slice(rows)
-        cols, local = np.unique(self.matrix.indices[pos], return_inverse=True)
-        block = sp.csr_matrix((self.matrix.data[pos], local, indptr),
-                              shape=(rows.size, cols.size))
-        return PropagationOperator(self.scheme, block, _source=self), cols
-
     def cut_slice(self, rows: np.ndarray, narrow: bool) -> Slice:
-        """The `Slice` of `rows`, to share across runs: `restrict(rows)`'s
-        block where `narrow`, else `row_block(rows)`'s, with the CSC view
-        `apply_t` would make, every array read-only."""
-        if narrow:
-            block, cols = self.restrict(rows)
-            cols.flags.writeable = False
-        else:
-            block, cols = self.row_block(rows), None
-        matrix = _read_only(block.matrix)
-        return Slice(rows, matrix, matrix.T, cols)
-
-    def wrap(self, piece: Slice) -> "PropagationOperator":
-        """The operator of a shared slice (`cut_slice`): its products
-        count on this operator, and its transpose products run on the
-        slice's CSC view, made when the slice was cut."""
-        block = PropagationOperator(self.scheme, piece.matrix, _source=self)
-        block._transpose = piece.transpose
-        return block
-
-    def _row_slice(self, rows: np.ndarray):
-        """The CSR row pointers of A[rows] and the positions of its stored
-        entries in A's `data` and `indices`, each row's in A's order."""
-        starts = self.matrix.indptr[rows]
-        counts = self.matrix.indptr[rows + 1] - starts
+        """The `Slice` of the block of A that produces only `rows` (an
+        integer array, any order), cut from the CSR arrays: A[rows] with all
+        n columns, or where `narrow` A[rows][:, cols] with `cols` the sorted
+        columns A[rows] reads. Each row keeps its entries in A's order, so a
+        row of `wrap(piece).apply(h)`, with `h[cols]` for a narrow slice, is
+        the same row of `A @ h`, bit for bit. Every array is read-only and
+        the CSC view comes with the slice, so no product makes it."""
+        a = self.matrix
+        starts = a.indptr[rows]
+        counts = a.indptr[rows + 1] - starts
         indptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         pos = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        return indptr, pos
+        if narrow:
+            cols, indices = np.unique(a.indices[pos], return_inverse=True)
+            cols.flags.writeable = False
+            width = cols.size
+        else:
+            cols, indices, width = None, a.indices[pos], a.shape[1]
+        matrix = _read_only(sp.csr_matrix((a.data[pos], indices, indptr),
+                                          shape=(rows.size, width)))
+        return Slice(rows, matrix, matrix.T, cols)
+
+    def wrap(self, piece: Slice) -> "PropagationOperator":
+        """The operator of a slice (`cut_slice`): its products count on
+        this operator, and its transpose products run on the slice's CSC
+        view, made when the slice was cut."""
+        block = PropagationOperator(self.scheme, piece.matrix, _source=self)
+        block._transpose = piece.transpose
+        return block
 
     def row_nnz(self, rows: np.ndarray) -> int:
         """Stored entries of A[rows], read from the row pointers."""
@@ -515,20 +488,33 @@ def load_graph(directory: str) -> Graph:
     for name in ("edges.csv", "features.csv", "labels.csv", "meta.json"):
         if not os.path.exists(os.path.join(directory, name)):
             raise GraphError(f"missing {name} in {directory}")
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
-    n, d0, num_classes = meta["n"], meta["d0"], meta["num_classes"]
-    edges = np.loadtxt(os.path.join(directory, "edges.csv"),
-                       dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+    path = os.path.join(directory, "meta.json")
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+        n, d0, num_classes = meta["n"], meta["d0"], meta["num_classes"]
+    except (ValueError, KeyError, TypeError):
+        raise GraphError(f"{path}: expected a JSON object with n, d0 and "
+                         f"num_classes") from None
+    edges = _read_table(directory, "edges.csv", dtype=np.int64,
+                        delimiter=",", ndmin=2)
     if edges.size == 0:
         edges = np.zeros((0, 2), dtype=np.int64)
-    features = np.loadtxt(os.path.join(directory, "features.csv"),
-                          delimiter=",", skiprows=1, ndmin=2)
-    labels = np.loadtxt(os.path.join(directory, "labels.csv"),
-                        dtype=np.int64, skiprows=1, ndmin=1)
+    features = _read_table(directory, "features.csv", delimiter=",",
+                           ndmin=2)
+    labels = _read_table(directory, "labels.csv", dtype=np.int64, ndmin=1)
     if features.shape != (n, d0):
         raise GraphError("features do not match meta record")
     if labels.shape != (n,):
         raise GraphError("labels do not match meta record")
     graph = build_graph(n, edges, features, labels)
     return with_num_classes(graph, num_classes)
+
+
+def _read_table(directory: str, name: str, **kwargs) -> np.ndarray:
+    """The rows of a graph's CSV file below its header line."""
+    path = os.path.join(directory, name)
+    try:
+        return np.loadtxt(path, skiprows=1, **kwargs)
+    except ValueError as exc:
+        raise GraphError(f"{path}: {exc}") from None

@@ -176,19 +176,19 @@ def receptive_field(operator: PropagationOperator, targets, layers: int,
                     top: Slice = None) -> list[Block]:
     """The exact per-layer blocks of a forward whose last layer outputs only
     `targets`, in their order: S_{L-1} = targets and S_{l-1} = the columns
-    of A[S_l]. The PeerMLP (identity operator) reads `targets` at every
-    layer. `top` is the last layer's slice `restrict(targets)`, if it was
-    cut beforehand (`PropagationOperator.cut_slice`); the layers below are
-    cut here."""
+    of A[S_l], each layer above the first on the narrow slice
+    `cut_slice(S_l, True)`. `top` is the last layer's, if it was cut
+    beforehand; the layers below are cut here. The PeerMLP (identity
+    operator) reads `targets` at every layer and cuts nothing."""
     rows = np.asarray(targets, dtype=np.int64)
+    if operator.is_identity:
+        return [Block(rows, operator)] * layers
     blocks = [None] * layers
     for l in range(layers - 1, 0, -1):
-        if l == layers - 1 and top is not None:
-            op, below = operator.wrap(top), top.cols
-        else:
-            op, below = operator.restrict(rows)
-        blocks[l] = Block(rows, op)
-        rows = below
+        piece = (top if l == layers - 1 and top is not None
+                 else operator.cut_slice(rows, True))
+        blocks[l] = Block(rows, operator.wrap(piece))
+        rows = piece.cols
     blocks[0] = Block(rows, operator)
     return blocks
 
@@ -213,9 +213,9 @@ def blocks_for(operator: PropagationOperator, targets, layers: int,
     `receptive_field` when `worth_slicing`, otherwise None, a forward over
     all n rows. Given the last layer's slice, cut beforehand by
     `PropagationOperator.cut_slice` as a training episode's is, the forward
-    runs its last layer on it: a narrow slice is `restrict(targets)` and
-    heads the receptive field, a wide one is `row_block` of the targets'
-    sorted distinct rows and gives `top_blocks` of them."""
+    runs its last layer on it: a narrow slice of `targets` heads the
+    receptive field, a wide one of the targets' sorted distinct rows gives
+    `top_blocks` of them."""
     if top is not None and top.cols is None:
         return top_blocks(operator, top.rows, layers, top)
     if top is None and not worth_slicing(operator, targets, layers):
@@ -227,10 +227,9 @@ def top_blocks(operator: PropagationOperator, rows, layers: int,
                top: Slice = None) -> list[Block]:
     """The blocks of a forward whose last layer outputs only `rows`, in
     their order, and whose lower layers output all n rows. The last layer
-    propagates through the row slice A[rows], which keeps all n columns,
-    so the layer below is read as it is: `top` if it was cut beforehand,
-    else one cut here with the CSC view its transpose products run on
-    (`cut_slice`), so that no product makes it; all n rows in order
+    propagates through the wide slice A[rows] (`cut_slice(rows, False)`),
+    which keeps all n columns, so the layer below is read as it is: `top`
+    if it was cut beforehand, else one cut here; all n rows in order
     propagate through the operator itself, whose matrix that slice would
     copy. A one-layer forward reads those rows of the A.X memo.
 

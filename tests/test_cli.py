@@ -871,6 +871,28 @@ class TestErrors:
         assert err.startswith("error: edges must have shape (E, 2)")
         assert "(2, 3)" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fsnc", "nc"])
+    @pytest.mark.parametrize("name, text, says", [
+        ("meta.json", '{"n": 3, "d0": 1}\n', "expected a JSON object"),
+        ("meta.json", '{"n": 3,\n', "expected a JSON object"),
+        ("meta.json", "[3, 1, 3]\n", "expected a JSON object"),
+        ("features.csv", "f0\n0\nx\n0\n", "could not convert string 'x'"),
+        ("edges.csv", "src,dst\n0,1.5\n", "could not convert string '1.5'"),
+    ], ids=["meta-no-classes", "meta-bad-json", "meta-list",
+            "features-text", "edges-float"])
+    def test_malformed_graph_file(self, tmp_path, capsys, command, name,
+                                  text, says):
+        out = str(tmp_path / "g")
+        graphcore.save_graph(graphcore.build_graph(
+            3, [(0, 1)], np.zeros((3, 1)), [0, 1, 2]), out)
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text)
+        assert run_cli(command, "--graph", out,
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {os.path.join(out, name)}: ")
+        assert says in err and err.count("\n") == 1
+
     def test_nc_error_names_the_setting_typed(self, graph_dir, tmp_path,
                                               capsys):
         # `nc` stores --episodes as NCConfig.steps

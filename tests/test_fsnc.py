@@ -15,6 +15,7 @@ from fgsam.fsnc import (FsncError, NCConfig, ProtocolConfig, proto_episode,
 from fgsam.graphcore import (CsbmParams, PropagationOperator, build_graph,
                              generate_csbm, normalize)
 from fgsam.seeding import stream_rng
+from block_oracle import assert_block_of_slice
 from proto_head_oracle import proto_head as oracle_head
 import round_oracle
 
@@ -500,8 +501,7 @@ class TestNoCutInSteps:
 
         for name in ("receptive_field", "blocks_for", "top_blocks"):
             spy_on(mdl, name)
-        for name in ("restrict", "row_block", "cut_slice"):
-            spy_on(PropagationOperator, name)
+        spy_on(PropagationOperator, "cut_slice")
         for cls in optim._OPTIMIZERS.values():
             def step(self, objective, w, real=cls.step):
                 stepping[0] = True
@@ -520,6 +520,63 @@ class TestNoCutInSteps:
             fsnc.train_protocol(config, g, split, shared)
         assert set(steps) == {"adam", "sam", "fgsam", "fgsam+"}
         assert cuts == []
+
+
+class TestEveryBlockIsASlice:
+    """Every block a forward multiplies by, shared or cut for one use, is a
+    wrapped `cut_slice`: read-only arrays, and the CSC view of them already
+    made when its first product runs."""
+
+    @pytest.mark.parametrize("dense,shared,seen", [
+        (False, True, {"fill", "evaluation", "step"}),
+        (False, False, {"fill", "evaluation", "step"}),
+        (True, True, {"step"})],
+        ids=["sparse-shared", "sparse-unshared", "dense-shared"])
+    def test_blocks_read_only_with_csc_view(self, monkeypatch, dense, shared,
+                                            seen):
+        g = small_graph() if dense else sparse_graph()
+        split = split_classes(g.num_classes,
+                              (4, 2, 2) if dense else (2, 2, 2), 0)
+        where, labels = [None], set()
+
+        def during(owner, name, label):
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                outer, where[0] = where[0], label
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    where[0] = outer
+
+            monkeypatch.setattr(owner, name, spy)
+
+        def spy_product(name):
+            real = getattr(PropagationOperator, name)
+
+            def spy(op, x):
+                if op._source is not None:
+                    assert_block_of_slice(op)
+                    labels.add(where[0])
+                return real(op, x)
+
+            monkeypatch.setattr(PropagationOperator, name, spy)
+
+        spy_product("apply")
+        spy_product("apply_t")
+        during(PropagationOperator, "propagate_input", "fill")
+        during(fsnc, "task_accuracy", "evaluation")
+        for cls in optim._OPTIMIZERS.values():
+            during(cls, "step", "step")
+        for name in optim.OPTIMIZER_NAMES:
+            config = small_config(episodes=6, val_interval=3, query=10,
+                                  layers=3, optimizer=name)
+            fsnc.train_protocol(config, g, split, shared)
+        # a sparse graph's fill and evaluation rounds cut one-use blocks;
+        # its steps run on shared slices, or on receptive fields cut with
+        # their objectives; a dense graph's steps run on shared wide slices
+        # and every other forward on all n rows
+        assert labels == seen
 
 
 class TestTopSlices:
@@ -561,7 +618,7 @@ class TestTopSlices:
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_narrow_slices_bit_identical_to_cuts_at_use(self, scheme,
                                                         layers):
-        # on a sparse graph the memo holds each episode's `restrict(rows)`
+        # on a sparse graph the memo holds each episode's narrow slice
         # with its CSC view, which a run would otherwise cut at use
         g = sparse_graph()
         split = split_classes(g.num_classes, (2, 2, 2), 0)
@@ -780,8 +837,8 @@ class TestPlan:
         g = sparse_graph()
         in_step = self.spy_steps(monkeypatch)
         products, cuts, plans = [], [], []
-        apply, restrict, plan = (PropagationOperator.apply,
-                                 PropagationOperator.restrict, fsnc._plan)
+        apply, cut, plan = (PropagationOperator.apply,
+                            PropagationOperator.cut_slice, fsnc._plan)
 
         def spy_apply(op, x):
             if not op.is_identity:
@@ -789,15 +846,17 @@ class TestPlan:
                                  in_step[0]))
             return apply(op, x)
 
-        def spy_restrict(op, rows):
-            cuts.append((op.is_identity, in_step[0]))
-            return restrict(op, rows)
+        def spy_cut(op, rows, narrow):
+            cuts.append((narrow, in_step[0]))
+            return cut(op, rows, narrow)
 
         def spy_plan(config, graph, split, operator, root):
             before = len(cuts)
             out = plan(config, graph, split, operator, root)
-            # one receptive-field walk over all the repeat's rows
-            assert len(cuts) - before == config.layers - 1
+            # one receptive-field walk over all the repeat's rows, then the
+            # wide slice of the A.X rows still missing
+            assert [narrow for narrow, _ in cuts[before:]] == (
+                [True] * (config.layers - 1) + [False])
             episodes, val_rounds, test_round = out
             read = [mdl.blocks_for(operator, rows, config.layers)[0].rows
                     for rows in [e.rows for e in episodes]
@@ -808,7 +867,7 @@ class TestPlan:
             return out
 
         monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
-        monkeypatch.setattr(PropagationOperator, "restrict", spy_restrict)
+        monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
         monkeypatch.setattr(fsnc, "_plan", spy_plan)
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(optimizer=name, repeats=2, episodes=6,
@@ -820,11 +879,8 @@ class TestPlan:
         # the rows the first left missing
         fills = [p for p in products if p[1]]
         assert len(fills) == 2 and not any(p[2] for p in fills)
-        # blocks of the graph's operator are cut by the plan and at each
-        # use, never inside a step; the PeerMLP's identity blocks are the
-        # episode's rows, with nothing to cut
-        assert any(not identity for identity, _ in cuts)
-        assert not any(step for identity, step in cuts if not identity)
+        # blocks are cut by the plan and at each use, never inside a step
+        assert cuts and not any(step for _, step in cuts)
         # each plan leaves exactly the rows read so far filled
         read = np.zeros(0, dtype=np.int64)
         for rows, full, slot, shape in plans:
@@ -1357,45 +1413,71 @@ class TestWorkLedger:
                               else (4, 2, 2), 0)
         cfg = small_config(repeats=repeats, episodes=6, val_interval=3,
                            query=10)
-        cuts, operators = [], []
+        # (rows, whether `top_slices` cut them) of every cut
+        cuts, operators, in_top = [], [], [False]
         cut, fresh_operator = PropagationOperator.cut_slice, fsnc.normalize
+        top_slices = fsnc.top_slices
 
         def spy_cut(op, rows, narrow):
-            cuts.append(rows)
+            cuts.append((rows, in_top[0]))
             return cut(op, rows, narrow)
+
+        def spy_top_slices(*args):
+            in_top[0] = True
+            try:
+                return top_slices(*args)
+            finally:
+                in_top[0] = False
 
         def spy_normalize(graph, scheme):
             operators.append(fresh_operator(graph, scheme))
             return operators[-1]
 
         monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
+        monkeypatch.setattr(fsnc, "top_slices", spy_top_slices)
         monkeypatch.setattr(fsnc, "normalize", spy_normalize)
 
         def arm(name, graph, share_slices=True):
+            before = sum(not top for _, top in cuts)
             report = train_protocol(dataclasses.replace(cfg, optimizer=name),
                                     graph, split, share_slices)
-            return without_walls(report), operators[-1].apply_count
+            one_use = sum(not top for _, top in cuts) - before
+            return without_walls(report), operators[-1].apply_count, one_use
 
         names = optim.OPTIMIZER_NAMES
         shared = [arm(name, g) for name in names]
         # every training episode's rows cut once, in the order drawn
         want = [e.rows if sparse else e.union for root in range(repeats)
                 for e in fsnc.repeat_tasks(cfg, g, split, root)[0]]
-        assert len(cuts) == len(want) == repeats * cfg.episodes
-        assert all(got is rows for got, rows in zip(cuts, want))
+        slices = [rows for rows, top in cuts if top]
+        assert len(slices) == len(want) == repeats * cfg.episodes
+        assert all(got is rows for got, rows in zip(slices, want))
+        # one-use cuts, per repeat of a sparse graph's arm: the plan's
+        # receptive-field walk (one layer below the top), its fill of the
+        # A.X rows still missing, and the receptive field of each of the 2
+        # validation rounds and the test round; an arm that shares no
+        # slices also cuts each episode's at use. A dense graph's forwards
+        # run on all n rows but for the shared slices.
+        per_repeat = 5 if sparse else 0
+        assert [one_use for _, _, one_use in shared] == (
+            [repeats * per_repeat] * len(names))
         # each arm's report, evaluation counts and products are the ones
         # it gives on a fresh graph, where it cuts the slices itself, and
         # on one where it cuts none ahead
-        for name, (report, applied) in zip(names, shared):
-            fresh, fresh_applied = arm(name, make())
+        for name, (report, applied, one_use) in zip(names, shared):
+            fresh, fresh_applied, fresh_one_use = arm(name, make())
             np.testing.assert_equal(report, fresh)
             assert applied == fresh_applied > 0
+            assert fresh_one_use == one_use
             alone = make()
-            unshared, unshared_applied = arm(name, alone, share_slices=False)
+            unshared, unshared_applied, unshared_one_use = arm(
+                name, alone, share_slices=False)
             np.testing.assert_equal(report, unshared)
             assert applied == unshared_applied
+            assert unshared_one_use == one_use + (
+                len(want) if sparse else 0)
             assert not [key for key in alone._tasks if key[0] == "top"]
-        assert len(cuts) == len(want) * (1 + len(names))
+        assert sum(top for _, top in cuts) == len(want) * (1 + len(names))
 
     @pytest.mark.parametrize("sparse,scheme,fills", [
         (True, "gcn-sym", [(1, 1110, 672573), (2, 1183, 710908)]),

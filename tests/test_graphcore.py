@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from block_oracle import (assert_block_of_slice, restrict, row_block,
+                          same_buffer)
 from fgsam import cli, graphcore
+from fgsam import model as mdl
 from fgsam.graphcore import (CsbmParams, Graph, GraphError, build_graph,
                              generate_csbm, load_graph, normalize, save_graph,
                              simplex_means, with_num_classes)
@@ -245,13 +248,14 @@ class TestOperators:
         assert op.apply_count == 0  # the counter is for forward products
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
-    def test_restrict_rows_bit_identical(self, scheme):
+    def test_narrow_slice_rows_bit_identical(self, scheme):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 80)
         op = normalize(g, scheme)
         h = rng.standard_normal((g.n, 4))
         rows = np.array([17, 3, 64, 40])          # any order, not sorted
-        block, cols = op.restrict(rows)
+        piece = op.cut_slice(rows, True)
+        block, cols = op.wrap(piece), piece.cols
         dense = op.matrix.toarray()
         assert np.array_equal(cols, np.flatnonzero(dense[rows].any(axis=0)))
         assert np.array_equal(block.matrix.toarray(), dense[rows][:, cols])
@@ -263,20 +267,25 @@ class TestOperators:
         # products on a block count on the operator it was cut from
         assert (op.apply_count, block.apply_count) == (1, 0)
         assert op.row_nnz(rows) == block.matrix.nnz
+        # the identity operator cuts nothing: every layer of its receptive
+        # field is itself on `rows`
         ident = normalize(g, "identity")
-        assert ident.restrict(rows)[0] is ident
-        assert np.array_equal(ident.restrict(rows)[1], rows)
+        for b in mdl.receptive_field(ident, rows, 3):
+            assert b.op is ident and np.array_equal(b.rows, rows)
 
 
-def same_buffer(a, b):
-    """Whether `a` and `b` are the same array in memory: one data pointer,
-    dtype, shape and strides, so one may be a view of the other."""
-    return a.__array_interface__ == b.__array_interface__
+def assert_same_csr(got, want):
+    """The same CSR arrays, dtypes included, and the same shape."""
+    assert sp.isspmatrix_csr(got) and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestCutSlice:
-    """`cut_slice` against the `restrict` or `row_block` it shares, with
-    the CSC view `apply_t` would make."""
+    """`cut_slice` against the oracle cuts (`block_oracle`): `restrict`'s
+    arrays where narrow, `row_block`'s where wide, with the CSC view of
+    them, every array read-only."""
 
     @staticmethod
     def cut(scheme, sets=20, seed=6):
@@ -287,44 +296,56 @@ class TestCutSlice:
                         full.features, full.labels)
         op = normalize(g, scheme)
         # narrow and wide mixed, rows in any order; the last set holds the
-        # isolated node
-        narrow = [bool(s % 3) for s in range(sets)]
+        # isolated node, and two more sets hold no row at all
+        narrow = [bool(s % 3) for s in range(sets)] + [True, False]
         row_sets = [rng.choice(g.n - 1, int(rng.integers(1, 30)),
                                replace=False) for _ in range(sets)]
         row_sets[-1] = np.append(row_sets[-1][:3], 89)
+        row_sets += [np.zeros(0, dtype=np.int64)] * 2
         return op, [(rows, slim, op.cut_slice(rows, slim))
                     for rows, slim in zip(row_sets, narrow)]
 
+    @staticmethod
+    def assert_oracle_cut(op, rows, slim, piece):
+        assert piece.rows is rows
+        if slim:
+            block, cols = restrict(op, rows)
+            assert piece.cols.dtype == cols.dtype
+            assert np.array_equal(piece.cols, cols)
+        else:
+            block = row_block(op, rows)
+            assert piece.cols is None
+        assert_same_csr(piece.matrix, block.matrix)
+        # the transpose is the CSC view of the slice's own arrays: it
+        # holds no buffer of its own
+        assert_block_of_slice(op.wrap(piece))
+        assert piece.transpose.shape == block.matrix.shape[::-1]
+
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
-    def test_same_arrays_as_restrict_or_row_block(self, scheme):
+    def test_same_arrays_as_oracle_cuts(self, scheme):
         op, pieces = self.cut(scheme)
         for rows, slim, piece in pieces:
-            assert piece.rows is rows
-            if slim:
-                block, cols = op.restrict(rows)
-                assert np.array_equal(piece.cols, cols)
-            else:
-                block = op.row_block(rows)
-                assert piece.cols is None
-            want, got = block.matrix, piece.matrix
-            assert sp.isspmatrix_csr(got) and got.shape == want.shape
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, name),
-                                      getattr(want, name)), name
-            # the transpose is the CSC view of the slice's own arrays: it
-            # holds no buffer of its own
-            view = piece.transpose
-            assert sp.isspmatrix_csc(view) and view.shape == want.shape[::-1]
-            for name in ("data", "indices", "indptr"):
-                assert same_buffer(getattr(view, name),
-                                   getattr(got, name)), name
+            self.assert_oracle_cut(op, rows, slim, piece)
+
+    @pytest.mark.parametrize("narrow", [True, False])
+    def test_empty_row(self, narrow):
+        # row 1 of this matrix stores no entry
+        a = graphcore._read_only(sp.csr_matrix(
+            (np.array([0.5, -0.25, 2.0]), np.array([0, 2, 0]),
+             np.array([0, 2, 2, 3])), shape=(3, 3)))
+        op = graphcore.PropagationOperator("gcn-sym", a)
+        for rows in (np.array([1]), np.array([2, 1, 0]), np.array([1, 0])):
+            piece = op.cut_slice(rows, narrow)
+            self.assert_oracle_cut(op, rows, narrow, piece)
+            x = np.arange(1.0, 1.0 + 2 * piece.matrix.shape[1]).reshape(-1, 2)
+            assert not op.wrap(piece).apply(x)[list(rows).index(1)].any()
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_wrapped_products_bit_identical_and_counted(self, scheme):
         op, pieces = self.cut(scheme)
         rng = np.random.default_rng(7)
         for rows, slim, piece in pieces:
-            block = op.restrict(rows)[0] if slim else op.row_block(rows)
+            block = restrict(op, rows)[0] if slim else row_block(op, rows)
             wrapped = op.wrap(piece)
             x = rng.standard_normal((piece.matrix.shape[1], 5))
             dz = rng.standard_normal((rows.size, 5))
@@ -353,9 +374,11 @@ class TestProducts:
     copy of A^T that `apply_t` multiplied by before (`matrix.T.tocsr()`)."""
 
     @staticmethod
-    def matrices(scheme):
-        """Every CSR matrix an operator multiplies by: the full matrix, a
-        `row_block`, a `restrict` block and the two shared slices."""
+    def blocks(scheme):
+        """The operator of every kind of matrix a forward multiplies by:
+        the full matrix, a wide slice, a narrow slice and the narrow slice
+        of the columns it reads (a receptive field's next layer down), each
+        slice the oracle's cut, array for array."""
         rng = np.random.default_rng(11)
         full = random_graph(rng, 70)
         # node 69 loses its edges
@@ -363,11 +386,15 @@ class TestProducts:
                         full.features, full.labels)
         op = normalize(g, scheme)
         rows = np.array([40, 3, 69, 17, 3, 55])
-        return op, {"full": op.matrix,
-                    "row_block": op.row_block(rows).matrix,
-                    "restrict": op.restrict(rows)[0].matrix,
-                    "narrow slice": op.cut_slice(rows, True).matrix,
-                    "wide slice": op.cut_slice(rows, False).matrix}
+        narrow = op.cut_slice(rows, True)
+        pieces = {"wide slice": op.cut_slice(rows, False),
+                  "narrow slice": narrow,
+                  "lower slice": op.cut_slice(narrow.cols, True)}
+        for piece in pieces.values():
+            TestCutSlice.assert_oracle_cut(op, piece.rows,
+                                           piece.cols is not None, piece)
+        return op, {"full": op, **{name: op.wrap(piece)
+                                   for name, piece in pieces.items()}}
 
     @staticmethod
     def inputs(rows, rng):
@@ -380,11 +407,12 @@ class TestProducts:
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_helper_matches_scipy_product(self, scheme):
-        _, mats = self.matrices(scheme)
+        _, blocks = self.blocks(scheme)
         # a block with an empty row and an empty column
         empty = sp.csr_matrix((np.array([0.5, -0.25, 2.0]),
                                np.array([0, 2, 0]), np.array([0, 2, 2, 3])),
                               shape=(3, 4))
+        mats = {name: block.matrix for name, block in blocks.items()}
         rng = np.random.default_rng(12)
         for name, mat in {**mats, "empty row": empty}.items():
             for operand in (mat, mat.T):
@@ -399,17 +427,16 @@ class TestProducts:
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_transpose_products_match_csr_copy(self, scheme):
-        op, mats = self.matrices(scheme)
+        op, blocks = self.blocks(scheme)
         rng = np.random.default_rng(13)
-        for name, mat in mats.items():
-            block = (op if name == "full"
-                     else graphcore.PropagationOperator(scheme, mat,
-                                                        _source=op))
+        for name, block in blocks.items():
+            mat = block.matrix
             oracle = mat.T.tocsr()
             for x in self.inputs(mat.shape[0], rng):
                 assert (block.apply_t(x).tobytes()
                         == (oracle @ x).tobytes()), name
-            # the view is made once and holds the matrix's own arrays
+            # the view holds the matrix's own arrays: a slice's came with
+            # it, the full matrix's is made on the first transpose product
             assert block._transpose.format == "csc"
             assert same_buffer(block._transpose.data, mat.data)
         # gcn-sym multiplied its full transpose products by the matrix

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fgsam.model as mdl
-from fgsam import gradcheck, optim
+from fgsam import fsnc, gradcheck, optim
 from fgsam.gradcheck import random_instance
 from fgsam.graphcore import PropagationOperator, normalize
 from peermlp_oracle import forward_mlp
@@ -250,6 +250,29 @@ class TestGradcheckSuite:
             assert any(len(r.dims) > 2 and not narrows(r.dims)
                        for r in mine), scheme
             assert max(r.rel_err for r in mine) < 1e-4
+
+    def test_episode_checks_run_the_trainers_objective(self, monkeypatch):
+        # its episode checks take their gradients from the objective the
+        # optimizers call: the PeerMLP's under the identity operator, else
+        # the GNN's on the episode's receptive field
+        made = []
+        objective = fsnc.episode_objective
+
+        def spy(dims, graph, operator, episode, weight_decay=0.0, *,
+                blocks):
+            made.append((operator.scheme, blocks is not None,
+                         objective(dims, graph, operator, episode,
+                                   weight_decay, blocks=blocks)))
+            return made[-1][-1]
+
+        monkeypatch.setattr(fsnc, "episode_objective", spy)
+        results = gradcheck.run_suite(instances=50, seed=0)
+        episodes = [r for r in results if r.description.startswith("episode")]
+        assert [f"episode {scheme} " for scheme, _, _ in made] == [
+            r.description[:-3] for r in episodes]
+        for scheme, sliced, obj in made:
+            mlp = scheme == "identity"
+            assert sliced and (obj.gnn_evals, obj.mlp_evals) == (1 - mlp, mlp)
 
 
 class TestCheckpoint:
