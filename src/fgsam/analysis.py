@@ -131,12 +131,21 @@ def landscape_slice(params: mdl.ModelParams, graph: Graph, operator,
         acts = mdl.forward(p, graph, operator)
         return mdl.loss(acts, loss_spec, p)
 
-    base_loss = eval_at(0.0)
-    if ndims == 1:
-        losses = np.array([eval_at(a) for a in grid])
-        return LandscapeSlice(grid, None, losses, base_loss, seed)
-    losses = np.array([[eval_at(a, b) for b in grid] for a in grid])
-    return LandscapeSlice(grid, grid, losses, base_loss, seed)
+    # a far grid point may overflow; its loss is reported, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base_loss = eval_at(0.0)
+        if ndims == 1:
+            losses = np.array([eval_at(a) for a in grid])
+        else:
+            losses = np.array([[eval_at(a, b) for b in grid] for a in grid])
+    bad = np.argwhere(~np.isfinite(losses))
+    if bad.size:
+        at = ", ".join(f"{name} = {grid[i]:g}"
+                       for name, i in zip(("alpha", "beta"), bad[0]))
+        raise AnalysisError(f"loss {losses[tuple(bad[0])]} is not finite at "
+                            f"{at}")
+    return LandscapeSlice(grid, None if ndims == 1 else grid, losses,
+                          base_loss, seed)
 
 
 DRIFT_NAMES = ("g_s", "g_h", "g_v", "g_G")

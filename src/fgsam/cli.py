@@ -433,7 +433,11 @@ def cmd_landscape(args) -> int:
     operator = normalize(graph, get("scheme", "gcn-sym"))
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                      graph.num_classes)
-    grid = np.linspace(-grid_range, grid_range, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(-grid_range, grid_range, points)
+    if not np.isfinite(grid).all():
+        raise CliError(f"--grid-range {grid_range:g} is too large: the grid "
+                       f"from -{grid_range:g} to {grid_range:g} is not finite")
     slc = analysis.landscape_slice(params, graph, operator, spec,
                                    slice_dims, grid,
                                    seed=int(stream_rng(seed, "directions")

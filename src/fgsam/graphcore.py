@@ -150,30 +150,30 @@ class Slice(NamedTuple):
     """A block of a graph's matrix A, cut by `PropagationOperator.cut_slice`,
     the one function that cuts one: `matrix` is the CSR slice A[rows] with
     all n columns (`cols` None) or A[rows][:, cols] with the sorted columns
-    A[rows] reads, each row's entries in A's order, and `transpose` is
-    `matrix.T`, the CSC view of the same arrays. They are read-only, so a
-    slice may be shared by every run on the graph; each use wraps it in an
-    operator of its own (`PropagationOperator.wrap`)."""
+    A[rows] reads, each row's entries in A's order. Its arrays are
+    read-only, so a slice may be shared by every run on the graph; each use
+    wraps it in an operator of its own (`PropagationOperator.wrap`)."""
 
     rows: np.ndarray
     matrix: sp.csr_matrix
-    transpose: sp.csc_matrix
     cols: np.ndarray | None
 
 
-# the kernels `matrix @ x` runs for a CSR or CSC matrix and a 2-D x
-_MATVECS = {"csr": _sparsetools.csr_matvecs, "csc": _sparsetools.csc_matvecs}
-
-
-def _product(matrix, x: np.ndarray) -> np.ndarray:
-    """`matrix @ x` for a CSR or CSC `matrix` and a float64 2-D `x`, the
-    same bits: scipy's kernel called with the arguments scipy's own
-    product passes it, without the dispatch around it."""
+def _product(matrix: sp.csr_matrix, x: np.ndarray,
+             transpose: bool = False) -> np.ndarray:
+    """`matrix @ x`, or its transpose times `x` with `transpose`, for a CSR
+    `matrix` and a float64 2-D `x`, the same bits: scipy's kernel called
+    with the arguments scipy's own product passes it, without the dispatch
+    around it. scipy's transpose of a CSR matrix is the CSC matrix of the
+    same three arrays with the shape swapped, so the transpose product runs
+    `csc_matvecs` on the CSR arrays themselves and no CSC matrix is made."""
     rows, cols = matrix.shape
+    matvecs = _sparsetools.csr_matvecs
+    if transpose:
+        rows, cols, matvecs = cols, rows, _sparsetools.csc_matvecs
     out = np.zeros((rows, x.shape[1]))
-    _MATVECS[matrix.format](rows, cols, x.shape[1], matrix.indptr,
-                            matrix.indices, matrix.data, x.ravel(),
-                            out.ravel())
+    matvecs(rows, cols, x.shape[1], matrix.indptr, matrix.indices,
+            matrix.data, x.ravel(), out.ravel())
     return out
 
 
@@ -183,8 +183,8 @@ class PropagationOperator:
 
     The matrix of a graph's operator is n x n, read-only and shared by
     every operator of the graph (`Graph.propagation_matrix`). A block's
-    operator (`wrap` of a `cut_slice`) holds the slice's matrix and CSC
-    view and counts its products on the operator it was cut from.
+    operator (`wrap` of a `cut_slice`) holds the slice's matrix and counts
+    its products on the operator it was cut from.
     """
 
     scheme: str
@@ -194,10 +194,6 @@ class PropagationOperator:
     # (x, full product or None, row-to-slot map, filled rows)
     _input_memo: tuple = field(default=None, init=False, repr=False,
                                compare=False)
-    # `matrix.T`, the CSC view of its arrays, made on the first transpose
-    # product
-    _transpose: sp.csc_matrix = field(default=None, init=False, repr=False,
-                                      compare=False)
     # the operator whose apply_count a block's products add to
     _source: "PropagationOperator" = field(default=None, repr=False,
                                            compare=False)
@@ -258,18 +254,15 @@ class PropagationOperator:
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Multiply by the transpose (needed for reverse-mode gradients).
 
-        The product runs on `matrix.T`, the CSC view of the matrix's own
-        arrays: a block's comes with its slice (`wrap`), the graph
-        operator's is made on the first call. It adds into every output row
-        in ascending order of the source row, the order of each row of a
-        sorted CSR copy of A^T, and so of a graph's `gcn-sym` matrix itself,
-        which is symmetric bit for bit with sorted rows.
+        scipy's CSC kernel reads the CSR arrays as those of A^T
+        (`_product`). It adds into every output row in ascending order of
+        the source row, the order of each row of a sorted CSR copy of A^T,
+        and so of a graph's `gcn-sym` matrix itself, which is symmetric bit
+        for bit with sorted rows.
         """
         if self.scheme == "identity":
             return x
-        if self._transpose is None:
-            self._transpose = self.matrix.T
-        return _product(self._transpose, x)
+        return _product(self.matrix, x, transpose=True)
 
     def cut_slice(self, rows: np.ndarray, narrow: bool) -> Slice:
         """The `Slice` of the block of A that produces only `rows` (an
@@ -277,8 +270,8 @@ class PropagationOperator:
         n columns, or where `narrow` A[rows][:, cols] with `cols` the sorted
         columns A[rows] reads. Each row keeps its entries in A's order, so a
         row of `wrap(piece).apply(h)`, with `h[cols]` for a narrow slice, is
-        the same row of `A @ h`, bit for bit. Every array is read-only and
-        the CSC view comes with the slice, so no product makes it."""
+        the same row of `A @ h`, bit for bit. Every array is read-only, and
+        the cut builds one scipy matrix."""
         a = self.matrix
         starts = a.indptr[rows]
         counts = a.indptr[rows + 1] - starts
@@ -293,15 +286,12 @@ class PropagationOperator:
             cols, indices, width = None, a.indices[pos], a.shape[1]
         matrix = _read_only(sp.csr_matrix((a.data[pos], indices, indptr),
                                           shape=(rows.size, width)))
-        return Slice(rows, matrix, matrix.T, cols)
+        return Slice(rows, matrix, cols)
 
     def wrap(self, piece: Slice) -> "PropagationOperator":
-        """The operator of a slice (`cut_slice`): its products count on
-        this operator, and its transpose products run on the slice's CSC
-        view, made when the slice was cut."""
-        block = PropagationOperator(self.scheme, piece.matrix, _source=self)
-        block._transpose = piece.transpose
-        return block
+        """The operator of a slice (`cut_slice`), whose products count on
+        this operator."""
+        return PropagationOperator(self.scheme, piece.matrix, _source=self)
 
     def row_nnz(self, rows: np.ndarray) -> int:
         """Stored entries of A[rows], read from the row pointers."""
@@ -315,9 +305,8 @@ class PropagationOperator:
 
 def normalize(graph: Graph, scheme: str) -> PropagationOperator:
     """A fresh operator over the graph's shared `scheme` matrix: its
-    `apply_count`, A.X memo and CSC view of the matrix belong to this
-    operator alone, so A.X lives no longer than the run that holds the
-    operator."""
+    `apply_count` and A.X memo belong to this operator alone, so A.X lives
+    no longer than the run that holds the operator."""
     if scheme not in SCHEMES:
         raise GraphError(f"unknown scheme {scheme!r}")
     if scheme == "identity":

@@ -136,8 +136,7 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     lower layers on all n rows and its last layer on `model.top_blocks` of
     the union (the operator itself when the union is every node), the
     PeerMLP on the union's features (the graph's own when it is every
-    node), each cut, with the CSC view of its arrays that transpose
-    products run on, or gathered here once. Each gradient is its forward
+    node), each cut or gathered here once. Each gradient is its forward
     plus one `model.head_loss` with `model.ce_head` at each loss row's
     position in the union (None, no gather, when the spec's rows are
     sorted), which is the gradient of a forward over all n rows, bit for
@@ -225,8 +224,6 @@ def adam_step(state: OptimizerState, grad: np.ndarray,
 
 
 class BaseOptimizer:
-    name = "base"
-
     def __init__(self, hp: Hyperparams):
         self.state = OptimizerState(hp=hp)
 
@@ -235,8 +232,6 @@ class BaseOptimizer:
 
 
 class AdamOptimizer(BaseOptimizer):
-    name = "adam"
-
     def step(self, objective, w):
         value, g = objective.gnn_grad(w)
         w_new = adam_step(self.state, g, w)
@@ -246,8 +241,6 @@ class AdamOptimizer(BaseOptimizer):
 
 class SamOptimizer(BaseOptimizer):
     """Baseline SAM: perturb and minimize with the GNN."""
-
-    name = "sam"
 
     def step(self, objective, w):
         value, g = objective.gnn_grad(w)
@@ -262,8 +255,6 @@ class SamOptimizer(BaseOptimizer):
 class FgsamOptimizer(BaseOptimizer):
     """Perturb with the GNN gradient, minimize the perturbed loss on the
     PeerMLP, and add back lambda times the GNN gradient."""
-
-    name = "fgsam"
 
     def step(self, objective, w):
         hp = self.state.hp
@@ -282,8 +273,6 @@ class FgsamPlusOptimizer(BaseOptimizer):
     """FGSAM executed exactly every k steps; intermediate steps reuse the
     cached flatness (g_v) and topology (g_G) gradients. Step 0 is always
     exact, so the caches exist before any approximate step."""
-
-    name = "fgsam+"
 
     def step(self, objective, w):
         hp = self.state.hp

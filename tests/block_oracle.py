@@ -46,19 +46,10 @@ def restrict(op: PropagationOperator, rows):
     return PropagationOperator(op.scheme, block, _source=op), cols
 
 
-def same_buffer(a, b):
-    """Whether `a` and `b` are the same array in memory: one data pointer,
-    dtype, shape and strides, so one may be a view of the other."""
-    return a.__array_interface__ == b.__array_interface__
-
-
 def assert_block_of_slice(op: PropagationOperator):
-    """A block's operator holds a read-only CSR matrix and, before any
-    product, its transpose as the CSC view of the same buffers."""
-    matrix, view = op.matrix, op._transpose
+    """A block's operator holds a read-only CSR matrix, the one matrix both
+    its products read."""
+    matrix = op.matrix
     assert matrix.format == "csr"
-    assert view is not None and view.format == "csc"
-    assert view.shape == matrix.shape[::-1]
     for name in ("data", "indices", "indptr"):
         assert not getattr(matrix, name).flags.writeable, name
-        assert same_buffer(getattr(view, name), getattr(matrix, name)), name

@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +122,21 @@ class TestLandscape:
         g, op, params, spec = quadratic_setup()
         with pytest.raises(AnalysisError):
             landscape_slice(params, g, op, spec, 1, [0.5, 1.0], seed=0)
+
+    @pytest.mark.parametrize("ndims,grid,where", [
+        (1, [-1.0, 0.0, 1e300], "alpha = 1e+300"),
+        (2, [-1.0, 0.0, 1e300], "alpha = -1, beta = 1e+300"),
+        (1, [-np.inf, 0.0, 1.0], "alpha = -inf"),
+        (1, [0.0, np.nan], "alpha = nan")])
+    def test_non_finite_loss_names_first_grid_point(self, ndims, grid,
+                                                    where):
+        g, op, params, spec = quadratic_setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalysisError,
+                               match=re.escape(f"is not finite at {where}")
+                               + "$"):
+                landscape_slice(params, g, op, spec, ndims, grid, seed=0)
 
     def test_quadratic_term_is_exact_parabola(self):
         # the weight-decay part of the loss is quadratic along any

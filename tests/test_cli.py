@@ -779,6 +779,34 @@ class TestErrors:
         assert err.startswith("error: --grid-range") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_landscape_non_finite_loss(self, graph_dir, tmp_path, capsys):
+        # the far grid points overflow the forward: an error names the first
+        # one, nothing is written and numpy warns of nothing
+        out = tmp_path / "land"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("landscape", "--graph", graph_dir, "--out",
+                           str(out), "--grid-points", "3", "--grid-range",
+                           "1e300") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: loss nan is not finite at "
+                                "alpha = -1e+300\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_landscape_grid_not_finite(self, graph_dir, tmp_path, capsys):
+        # a finite range whose grid steps overflow
+        out = tmp_path / "land"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("landscape", "--graph", graph_dir, "--out",
+                           str(out), "--grid-points", "3", "--grid-range",
+                           "1e308") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --grid-range 1e+308 is too large: "
+                                "the grid from -1e+308 to 1e+308 is not "
+                                "finite\n")
+        assert captured.out == "" and not out.exists()
+
     def test_bench_needs_episodes(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert run_cli("bench", "--episodes", "0", "--out", str(out)) == 1

@@ -502,10 +502,10 @@ class TestNoCutInSteps:
         for name in ("receptive_field", "blocks_for", "top_blocks"):
             spy_on(mdl, name)
         spy_on(PropagationOperator, "cut_slice")
-        for cls in optim._OPTIMIZERS.values():
-            def step(self, objective, w, real=cls.step):
+        for label, cls in optim._OPTIMIZERS.items():
+            def step(self, objective, w, real=cls.step, label=label):
                 stepping[0] = True
-                steps.append(self.name)
+                steps.append(label)
                 try:
                     return real(self, objective, w)
                 finally:
@@ -524,16 +524,15 @@ class TestNoCutInSteps:
 
 class TestEveryBlockIsASlice:
     """Every block a forward multiplies by, shared or cut for one use, is a
-    wrapped `cut_slice`: read-only arrays, and the CSC view of them already
-    made when its first product runs."""
+    wrapped `cut_slice` with read-only CSR arrays, and no product builds a
+    CSC matrix."""
 
     @pytest.mark.parametrize("dense,shared,seen", [
         (False, True, {"fill", "evaluation", "step"}),
         (False, False, {"fill", "evaluation", "step"}),
         (True, True, {"step"})],
         ids=["sparse-shared", "sparse-unshared", "dense-shared"])
-    def test_blocks_read_only_with_csc_view(self, monkeypatch, dense, shared,
-                                            seen):
+    def test_blocks_read_only(self, monkeypatch, dense, shared, seen):
         g = small_graph() if dense else sparse_graph()
         split = split_classes(g.num_classes,
                               (4, 2, 2) if dense else (2, 2, 2), 0)
@@ -578,6 +577,36 @@ class TestEveryBlockIsASlice:
         # and every other forward on all n rows
         assert labels == seen
 
+    def test_no_csc_matrix_built(self, monkeypatch):
+        # a transpose product reads the block's CSR arrays through scipy's
+        # CSC kernel, so no run builds a CSC matrix, not even for one use
+        built = []
+        init = sp.csc_matrix.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        for cls in (sp.csc_matrix, sp.csc_array):
+            monkeypatch.setattr(cls, "__init__", spy)
+        assert sp.csr_matrix((2, 3)).T.shape == (3, 2) and len(built) == 1
+        built.clear()
+        ran = []
+        for g, ratio in ((sparse_graph(), (2, 2, 2)), (small_graph(),
+                                                         (4, 2, 2))):
+            split = split_classes(g.num_classes, ratio, 0)
+            for name in optim.OPTIMIZER_NAMES:
+                config = small_config(episodes=6, val_interval=3, query=10,
+                                      layers=3, repeats=1, optimizer=name)
+                ran.append(fsnc.train_protocol(config, g, split).gnn_evals)
+        g = small_graph()
+        config = NCConfig(steps=4, val_interval=2, hidden=8, layers=3,
+                          hp=optim.Hyperparams(rho=0.05, k=2),
+                          optimizer="fgsam+", seed=0)
+        ran.append(standard_nc_train(config, g, nc_masks(g)).gnn_evals)
+        assert len(ran) == 9 and all(ran)
+        assert built == []
+
 
 class TestTopSlices:
     """Each training episode's last layer on its slice from the graph's
@@ -618,8 +647,8 @@ class TestTopSlices:
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_narrow_slices_bit_identical_to_cuts_at_use(self, scheme,
                                                         layers):
-        # on a sparse graph the memo holds each episode's narrow slice
-        # with its CSC view, which a run would otherwise cut at use
+        # on a sparse graph the memo holds each episode's narrow slice,
+        # which a run would otherwise cut at use
         g = sparse_graph()
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(episodes=20, layers=layers, scheme=scheme,
@@ -659,10 +688,10 @@ class TestTopSlices:
             assert fsnc.top_slices(config, g, split, operator,
                                    0) == (None,) * 6
         for piece in tops:
-            for mat in (piece.matrix, piece.transpose):
-                for array in (mat.data, mat.indices, mat.indptr):
-                    with pytest.raises(ValueError, match="read-only"):
-                        array[0] = 1
+            mat = piece.matrix
+            for array in (mat.data, mat.indices, mat.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
 
 def held_arrays(obj, seen=None):
@@ -781,10 +810,9 @@ class TestTrainProtocol:
             assert set(vars(g)) - fields == {"_matrices", "_tasks",
                                              "class_nodes"}
             # the memo holds read-only arrays only: the tasks' integer
-            # arrays, and the slices' CSR arrays, which each slice's
-            # transpose views as CSC; their stored entries are the only
-            # floats besides the matrix: 1-D, nnz(A[T]) of them over the
-            # episodes' rows, each counted once per buffer
+            # arrays, and the slices' CSR arrays, whose stored entries are
+            # the only floats besides the matrix: 1-D, nnz(A[T]) of them
+            # over the episodes' rows
             memo = list(held_arrays(g._tasks))
             assert memo and not any(a.flags.writeable for a in memo)
             assert all(a.dtype.kind in "if" for a in memo)

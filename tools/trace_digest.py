@@ -1,0 +1,106 @@
+"""Digest the benchmark's protocol outputs in one or more checkouts.
+
+    python3 tools/trace_digest.py CHECKOUT [CHECKOUT ...]
+
+For each checkout, one subprocess imports that checkout's own `src` and
+`perfbench` and runs one protocol round (`workloads.run_round`) of every
+benchmark workload at seeds 0 and 17, with one BLAS thread. Each
+(workload, seed) pair gets a SHA-256 over every arm's trace rows without
+their `wall_ms`, its evaluation counts, its test accuracy and its best
+validation accuracy, so two checkouts whose digests agree computed the same
+floats, bit for bit. The subprocess runs this file, so a checkout that
+lacks it can be digested too.
+
+One line per pair gives each checkout's digest and, with two or more
+checkouts, `same` or `DIFFERENT`. The exit code is 1 if a pair differs or a
+checkout fails, else 0.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+SEEDS = (0, 17)
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def digest(results) -> str:
+    """SHA-256 of a round's arm results (`workloads.ArmResult`, in arm
+    order): each arm's name, trace rows without `wall_ms`, evaluation
+    counts, test accuracy and best validation accuracy. Floats enter by
+    their shortest repr, so a move of one ulp changes the digest."""
+    arms = [{"arm": r.arm,
+             "trace": [{k: v for k, v in row.items() if k != "wall_ms"}
+                       for row in r.trace],
+             "gnn_evals": r.gnn_evals, "mlp_evals": r.mlp_evals,
+             "test_acc": r.test_acc, "best_val_acc": r.best_val_acc}
+            for r in results]
+    text = json.dumps(arms, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def worker(checkout) -> int:
+    """Print {"workload/seed": digest} for the checkout's own code."""
+    src = os.path.join(checkout, "src")
+    sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
+    import fgsam
+    import workloads as wl
+    if os.path.dirname(os.path.dirname(fgsam.__file__)) != src:
+        print(f"error: fgsam imported from {fgsam.__file__}, not {src}",
+              file=sys.stderr)
+        return 1
+    digests = {}
+    for name, workload in wl.WORKLOADS.items():
+        for seed in SEEDS:
+            variant = wl.variant_of(seed)
+            inputs = wl.setup(workload, variant)
+            digests[f"{name}/{seed}"] = digest(
+                wl.run_round(workload, inputs, variant))
+    print(json.dumps(digests))
+    return 0
+
+
+def run_checkout(checkout):
+    """The checkout's digests by pair, or None if its worker failed."""
+    env = {**os.environ, **{var: "1" for var in BLAS_VARS}}
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", checkout],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"{checkout}: worker failed\n{proc.stderr}", file=sys.stderr)
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkouts", nargs="+")
+    parser.add_argument("--worker", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    checkouts = [os.path.abspath(c) for c in args.checkouts]
+    if args.worker:
+        return worker(checkouts[0])
+    runs = [run_checkout(c) for c in checkouts]
+    if None in runs:
+        return 1
+    for i, checkout in enumerate(checkouts):
+        print(f"[{i}] {checkout}")
+    differ = False
+    for pair in runs[0]:
+        digests = [run[pair] for run in runs]
+        line = f"{pair:16s} " + " ".join(digests)
+        if len(runs) > 1:
+            same = len(set(digests)) == 1
+            differ = differ or not same
+            line += "  same" if same else "  DIFFERENT"
+        print(line)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
