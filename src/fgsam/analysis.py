@@ -174,18 +174,22 @@ def grad_drift(bundles) -> dict:
 def rho_sweep(config: fsnc.ProtocolConfig, rho_list, graph: Graph,
               split: fsnc.ClassSplit) -> dict:
     """Single-repeat training-loss trace per rho (identical seeds, so
-    traces differ only through rho)."""
-    if any(r <= 0 for r in rho_list):
+    traces differ only through rho), keyed by rho. A repeated rho, whose
+    trace would replace the first one's, is refused before any training."""
+    rhos = [float(r) for r in rho_list]
+    if any(r <= 0 for r in rhos):
         raise AnalysisError("rho values must be positive")
+    for rho in rhos:
+        if rhos.count(rho) > 1:
+            raise AnalysisError(f"rho {rho} is given more than once")
     if config.optimizer == "adam":
         warnings.warn("adam has no rho; running one flat-config trace")
-        rho_list = rho_list[:1]
+        rhos = rhos[:1]
     out = {}
-    for rho in rho_list:
-        cfg = replace(config, repeats=1,
-                      hp=replace(config.hp, rho=float(rho)))
+    for rho in rhos:
+        cfg = replace(config, repeats=1, hp=replace(config.hp, rho=rho))
         report = fsnc.train_protocol(cfg, graph, split)
-        out[float(rho)] = [row["loss"] for row in report.repeats[0].trace]
+        out[rho] = [row["loss"] for row in report.repeats[0].trace]
     return out
 
 

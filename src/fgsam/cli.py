@@ -88,11 +88,6 @@ class CliError(ValueError):
     pass
 
 
-def _reads(args) -> tuple:
-    """The names of the settings that `args.command` reads."""
-    return _COMMANDS[args.command][2]
-
-
 def _load_config(path: str, command: str) -> dict:
     """Setting name -> text of every key in the config file at `path`,
     each of which `command` must read."""
@@ -151,10 +146,11 @@ def _settings(args):
     return get
 
 
-def _config(cls, get, reads, **given):
-    """A `cls` whose fields that the command `reads` are read through
-    `get`, defaulting to the field's own default, whose `given` fields are
-    passed as they are and whose other fields keep their defaults."""
+def _config(cls, get, command, **given):
+    """A `cls` whose fields that `command` reads are read through `get`,
+    defaulting to the field's own default, whose `given` fields are passed
+    as they are and whose other fields keep their defaults."""
+    reads = _COMMANDS[command][2]
     return cls(**given, **{f.name: get(f.name, f.default) for f in fields(cls)
                            if f.name in reads and f.name not in given})
 
@@ -244,9 +240,9 @@ def _parse_split(text: str):
     return tuple(parts)
 
 
-def _out(get, required=True) -> str:
-    """The output directory, checked before any work and not created: it,
-    or its nearest existing ancestor, must be a directory."""
+def _out(get, required) -> str:
+    """The output directory, checked by `run` before any work and not
+    created: it, or its nearest existing ancestor, must be a directory."""
     out = get("out")
     if out is None and required:
         raise CliError("--out required")
@@ -263,17 +259,6 @@ def _input_hash(graph) -> str:
     return analysis.content_hash(graph.features, graph.edges, graph.labels)
 
 
-def _graph_preamble(args):
-    """The preamble of the commands that read a graph: settings, output
-    directory and graph."""
-    get = _settings(args)
-    out = _out(get)
-    path = get("graph")
-    if path is None:
-        raise CliError("no graph directory given (--graph or [graph] path)")
-    return get, out, load_graph(path)
-
-
 def _steps(get, default) -> int:
     """The --episodes of the commands that take full-batch steps."""
     steps = get("episodes", default)
@@ -283,44 +268,33 @@ def _steps(get, default) -> int:
     return steps
 
 
-def _episodic(args, share_slices=False, **given):
-    """The preamble of the episodic commands: `_graph_preamble`'s, the
-    protocol config with its `given` fields and the class split. Commands
-    whose runs share the graph pass `share_slices` (`fsnc.train_protocol`)."""
-    get, out, graph = _graph_preamble(args)
-    reads = _reads(args)
-    config = _config(fsnc.ProtocolConfig, get, reads,
-                     hp=_config(Hyperparams, get, reads), **given)
+def _episodic(args, get, graph, **given):
+    """The episodic commands' protocol config, with its `given` fields, and
+    their class split, as (config, TRAIN/VAL/NOVEL ratio, split). What a
+    run builds before its clock starts, `fsnc.train_protocol` builds."""
+    config = _config(fsnc.ProtocolConfig, get, args.command,
+                     hp=_config(Hyperparams, get, args.command), **given)
     ratio = _parse_split(get("split_ratio", f"{graph.num_classes - 4}/2/2"))
     split = fsnc.split_classes(graph.num_classes, ratio, config.seed)
-    # the graph's propagation matrix and every repeat's tasks, and where
-    # runs share them its training episodes' last-layer slices, built
-    # before any run so that the first run's wall time does not carry them
-    operator = normalize(graph, config.scheme)
-    for r in range(config.repeats):
-        if share_slices:
-            fsnc.top_slices(config, graph, split, operator, config.seed + r)
-        else:
-            fsnc.repeat_tasks(config, graph, split, config.seed + r)
-    return get, out, graph, config, ratio, split
+    return config, ratio, split
 
 
-def cmd_gen_csbm(args) -> int:
-    get = _settings(args)
-    out = _out(get)
-    params = CsbmParams(
-        K=get("csbm_classes", 2),
-        nodes_per_class=get("nodes_per_class", 100),
-        p=get("p", 0.1),
-        q=get("q", 0.02),
-        D=get("dist", 2.0),
-        l=get("dim", 8),
-        seed=get("seed", 0),
-    )
-    graph = generate_csbm(params)
-    save_graph(graph, out)
-    print(f"wrote CSBM graph: n={graph.n} edges={graph.num_edges} "
-          f"classes={graph.num_classes} -> {out}")
+def _csbm(get, classes, nodes_per_class, p, q, dim) -> CsbmParams:
+    """The CSBM of `gen-csbm` or `verify-theorem`, whose settings default
+    to the given values."""
+    return CsbmParams(K=get("csbm_classes", classes),
+                      nodes_per_class=nodes_per_class, p=get("p", p),
+                      q=get("q", q), D=get("dist", 2.0), l=get("dim", dim),
+                      seed=get("seed", 0))
+
+
+def cmd_gen_csbm(args, get, out, graph) -> int:
+    nodes = get("nodes_per_class", 100)
+    csbm = generate_csbm(_csbm(get, classes=2, nodes_per_class=nodes,
+                               p=0.1, q=0.02, dim=8))
+    save_graph(csbm, out)
+    print(f"wrote CSBM graph: n={csbm.n} edges={csbm.num_edges} "
+          f"classes={csbm.num_classes} -> {out}")
     return 0
 
 
@@ -336,8 +310,8 @@ def _run_fsnc_arm(config, graph, split, outdir, share_slices):
     return report
 
 
-def cmd_fsnc(args) -> int:
-    get, out, graph, config, ratio, split = _episodic(args)
+def cmd_fsnc(args, get, out, graph) -> int:
+    config, _, split = _episodic(args, get, graph)
     report = _run_fsnc_arm(config, graph, split, out, share_slices=False)
     print(f"fsnc [{config.optimizer}] test acc "
           f"{report.test_acc_mean:.4f} +/- {report.test_acc_std:.4f} "
@@ -345,11 +319,10 @@ def cmd_fsnc(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, get, out, graph) -> int:
     names = optim.OPTIMIZER_NAMES
     # every arm runs, so the config's optimizer is a placeholder
-    get, out, graph, config, ratio, split = _episodic(
-        args, share_slices=True, optimizer=names[0])
+    config, ratio, split = _episodic(args, get, graph, optimizer=names[0])
     reports = {name: _run_fsnc_arm(replace(config, optimizer=name), graph,
                                    split, os.path.join(out, name),
                                    share_slices=True)
@@ -384,12 +357,10 @@ def make_nc_masks(graph, seed):
             np.sort(np.concatenate(test)))
 
 
-def cmd_nc(args) -> int:
-    get, out, graph = _graph_preamble(args)
-    reads = _reads(args)
-    config = _config(fsnc.NCConfig, get, reads,
+def cmd_nc(args, get, out, graph) -> int:
+    config = _config(fsnc.NCConfig, get, args.command,
                      steps=_steps(get, fsnc.NCConfig.steps),
-                     hp=_config(Hyperparams, get, reads))
+                     hp=_config(Hyperparams, get, args.command))
     masks = make_nc_masks(graph, config.seed)
     report = fsnc.standard_nc_train(config, graph, masks)
     _write_report(report, out)
@@ -403,8 +374,7 @@ def cmd_nc(args) -> int:
     return 0
 
 
-def cmd_landscape(args) -> int:
-    get, out, graph = _graph_preamble(args)
+def cmd_landscape(args, get, out, graph) -> int:
     points = get("grid_points", 41)
     if points < 3 or points % 2 == 0:
         # the grid is symmetric about the base point, so its count is odd
@@ -438,6 +408,8 @@ def cmd_landscape(args) -> int:
     if not np.isfinite(grid).all():
         raise CliError(f"--grid-range {grid_range:g} is too large: the grid "
                        f"from -{grid_range:g} to {grid_range:g} is not finite")
+    # linspace can put its middle point a rounding error away from 0
+    grid[points // 2] = 0.0
     slc = analysis.landscape_slice(params, graph, operator, spec,
                                    slice_dims, grid,
                                    seed=int(stream_rng(seed, "directions")
@@ -456,9 +428,9 @@ def cmd_landscape(args) -> int:
     return 0
 
 
-def cmd_drift(args) -> int:
-    get, out, graph, config, ratio, split = _episodic(
-        args, optimizer="fgsam+", repeats=1, collect_bundles=True)
+def cmd_drift(args, get, out, graph) -> int:
+    config, _, split = _episodic(args, get, graph, optimizer="fgsam+",
+                                 repeats=1, collect_bundles=True)
     report = fsnc.train_protocol(config, graph, split, share_slices=False)
     drift = analysis.grad_drift(report.repeats[0].bundles)
     names = analysis.DRIFT_NAMES
@@ -476,10 +448,9 @@ def cmd_drift(args) -> int:
     return 0
 
 
-def cmd_rho_sweep(args) -> int:
+def cmd_rho_sweep(args, get, out, graph) -> int:
     # each curve runs one repeat at its own rho
-    get, out, graph, config, ratio, split = _episodic(
-        args, share_slices=True, repeats=1)
+    config, _, split = _episodic(args, get, graph, repeats=1)
     text = get("rhos", "0.01,0.05,0.1,0.5,1.0")
     rhos = [_cast(float, r, "--rhos") for r in text.split(",")]
     curves = analysis.rho_sweep(config, rhos, graph, split)
@@ -492,25 +463,15 @@ def cmd_rho_sweep(args) -> int:
     return 0
 
 
-def cmd_verify_theorem(args) -> int:
-    get = _settings(args)
-    params = CsbmParams(
-        K=get("csbm_classes", 3),
-        nodes_per_class=1,
-        p=get("p", 0.6),
-        q=get("q", 0.1),
-        D=get("dist", 2.0),
-        l=get("dim", 4),
-        seed=get("seed", 0),
-    )
-    report = analysis.verify_theorem(params)
+def cmd_verify_theorem(args, get, out, graph) -> int:
+    report = analysis.verify_theorem(_csbm(get, classes=3, nodes_per_class=1,
+                                           p=0.6, q=0.1, dim=4))
     print(f"max |w.b - w'.b'| = {report.max_offset_gap:.3e}")
     print(f"min cosine(w, w')  = {report.min_cosine:.15f}")
     return 0 if report.max_offset_gap <= 1e-9 else 1
 
 
-def cmd_check_grads(args) -> int:
-    get = _settings(args)
+def cmd_check_grads(args, get, out, graph) -> int:
     instances = get("instances", 50)
     if instances < 1:
         raise CliError(f"--instances must be positive, got {instances}")
@@ -546,12 +507,10 @@ def run_bench(graph, steps, hp_base, seed=0):
     return traces
 
 
-def cmd_bench(args) -> int:
-    get = _settings(args)
-    out = _out(get, required=False)
+def cmd_bench(args, get, out, graph) -> int:
     seed = get("seed", 0)
     steps = _steps(get, 200)
-    hp = _config(Hyperparams, get, _reads(args))
+    hp = _config(Hyperparams, get, args.command)
     graph = bench_instance(seed)
     deg = graph.degrees().mean()
     print(f"bench graph: n={graph.n} edges={graph.num_edges} "
@@ -624,11 +583,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse `argv` and run its command after the one preamble, which,
+    before any work, resolves the settings (the config file checked against
+    the command, and the seed), the output directory if the command reads
+    `out` (required but for `bench`) and the graph if it reads `graph`,
+    each None where not read. An error is one `error:` line, exit code 1."""
+    args = build_parser().parse_args(argv)
+    reads = _COMMANDS[args.command][2]
     try:
-        code = args.func(args)
-        if code == 0 and args.settings.get("out"):
+        get = _settings(args)
+        out = (_out(get, required=args.command != "bench")
+               if "out" in reads else None)
+        graph = None
+        if "graph" in reads:
+            path = get("graph")
+            if path is None:
+                raise CliError(
+                    "no graph directory given (--graph or [graph] path)")
+            graph = load_graph(path)
+        code = args.func(args, get, out, graph)
+        if code == 0 and out:
             _echo_ini(args.settings)
         return code
     except (CliError, GraphError, ModelError, OptimError, fsnc.FsncError,

@@ -462,9 +462,17 @@ def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     later one reuses. A run that is the graph's only one passes False, so
     that the graph keeps no slices: each episode then cuts its receptive
     field with its objective, or runs its forward on all n rows. Both give
-    the same bits."""
-    t0 = time.perf_counter()
+    the same bits. The clock of `wall_seconds` starts once the operator,
+    every repeat's tasks and, when shared, their slices are made, so that
+    the first run on a graph carries none of what later runs reuse; each
+    repeat's A.X fill (`_plan`) is inside it."""
     operator = normalize(graph, config.scheme)
+    for r in range(config.repeats):
+        if share_slices:
+            top_slices(config, graph, split, operator, config.seed + r)
+        else:
+            repeat_tasks(config, graph, split, config.seed + r)
+    t0 = time.perf_counter()
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
                             config.layers)
 

@@ -474,6 +474,9 @@ def save_graph(graph: Graph, directory: str) -> None:
 
 
 def load_graph(directory: str) -> Graph:
+    """The graph `save_graph` wrote to `directory`. A missing or malformed
+    file, or a count in `meta.json` that is not a JSON integer, raises one
+    `GraphError` naming the file."""
     for name in ("edges.csv", "features.csv", "labels.csv", "meta.json"):
         if not os.path.exists(os.path.join(directory, name)):
             raise GraphError(f"missing {name} in {directory}")
@@ -485,6 +488,10 @@ def load_graph(directory: str) -> Graph:
     except (ValueError, KeyError, TypeError):
         raise GraphError(f"{path}: expected a JSON object with n, d0 and "
                          f"num_classes") from None
+    for key in ("n", "d0", "num_classes"):
+        if type(meta[key]) is not int:     # bool is a subclass of int
+            raise GraphError(f"{path}: {key} must be an integer, got "
+                             f"{meta[key]!r}")
     edges = _read_table(directory, "edges.csv", dtype=np.int64,
                         delimiter=",", ndmin=2)
     if edges.size == 0:

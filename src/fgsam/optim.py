@@ -190,11 +190,10 @@ def decompose(g_s: np.ndarray, g_ref: np.ndarray):
 
 
 def topology_grad(g_gnn: np.ndarray, g_mlp: np.ndarray) -> np.ndarray:
-    """Component of the GNN gradient orthogonal to the MLP gradient."""
-    denom = float(g_mlp @ g_mlp)
-    if denom == 0.0:
-        raise OptimError("zero MLP gradient")
-    return g_gnn - (float(g_gnn @ g_mlp) / denom) * g_mlp
+    """Component of the GNN gradient orthogonal to the MLP gradient: the
+    orthogonal part of `decompose(g_gnn, g_mlp)`, which raises
+    `OptimError` on a zero MLP gradient."""
+    return decompose(g_gnn, g_mlp)[1]
 
 
 def adam_step(state: OptimizerState, grad: np.ndarray,

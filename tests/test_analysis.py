@@ -225,6 +225,15 @@ class TestRhoSweep:
         with pytest.raises(AnalysisError):
             rho_sweep(cfg, [0.0], g, split)
 
+    @pytest.mark.parametrize("rhos", [[0.1, 0.1], [0.05, 0.1, 0.05],
+                                      [0.1, 1e-1]])
+    def test_repeated_rho_rejected_before_training(self, monkeypatch, rhos):
+        # its curve would replace the first one's in the result
+        cfg, g, split = protocol_setup("sam")
+        monkeypatch.setattr(fsnc, "train_protocol", None)
+        with pytest.raises(AnalysisError, match="given more than once"):
+            rho_sweep(cfg, rhos, g, split)
+
 
 class TestCostReport:
     def test_ledger_rows(self):

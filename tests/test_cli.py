@@ -8,6 +8,7 @@ import re
 import shlex
 import shutil
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ def graph_dir(tmp_path_factory):
                    "--p", "0.35", "--q", "0.05", "--dist", "3",
                    "--dim", "8", "--seed", "0", "--out", out) == 0
     return out
+
+
+def record_clock(monkeypatch, events):
+    """Append "clock" to `events` at each reading of `fsnc`'s clock."""
+    clock = fsnc.time.perf_counter
+    monkeypatch.setattr(fsnc, "time", SimpleNamespace(
+        perf_counter=lambda: events.append("clock") or clock()))
 
 
 FSNC_FLAGS = ["--episodes", "15", "--repeats", "1", "--val-interval", "5",
@@ -181,33 +189,34 @@ class TestCompare:
 
     def test_matrix_built_once_before_the_arms(self, graph_dir, tmp_path,
                                                monkeypatch):
+        # before adam, the first arm, reads its clock, so no arm's wall
+        # time carries the build
         events = []
         build = graphcore._BUILDERS["gcn-sym"]
         monkeypatch.setitem(graphcore._BUILDERS, "gcn-sym",
                             lambda graph: events.append("build")
                             or build(graph))
-        train = fsnc.train_protocol
-        monkeypatch.setattr(fsnc, "train_protocol", lambda *args: (
-            events.append("arm"), train(*args))[1])
+        record_clock(monkeypatch, events)
         assert run_cli("compare", "--graph", graph_dir, "--out",
                        str(tmp_path / "cmp"), *FSNC_FLAGS) == 0
-        assert events == ["build"] + ["arm"] * 4
+        assert events[:2] == ["build", "clock"]
+        assert events.count("build") == 1
 
     def test_tasks_drawn_once_before_the_arms(self, graph_dir, tmp_path,
                                               monkeypatch):
-        # every repeat's tasks are drawn before adam, the first arm, runs,
-        # so no arm's wall time carries them
+        # every repeat's tasks are drawn before adam, the first arm, reads
+        # its clock, so no arm's wall time carries them
         events = []
-        draw, train = fsnc._draw_repeat, fsnc.train_protocol
+        draw = fsnc._draw_repeat
         monkeypatch.setattr(fsnc, "_draw_repeat", lambda *args: (
             events.append(("draw", args[-1])), draw(*args))[1])
-        monkeypatch.setattr(fsnc, "train_protocol", lambda *args: (
-            events.append(("arm", args[0].optimizer)), train(*args))[1])
+        record_clock(monkeypatch, events)
         assert run_cli("compare", "--graph", graph_dir, "--out",
                        str(tmp_path / "cmp"), *FSNC_FLAGS, "--repeats",
                        "3") == 0
-        assert events == ([("draw", root) for root in range(3)]
-                          + [("arm", name) for name in optim.OPTIMIZER_NAMES])
+        first = events.index("clock")
+        assert events[:first] == [("draw", root) for root in range(3)]
+        assert set(events[first:]) == {"clock"}
 
     def test_adam_arm_matches_standalone_fsnc(self, graph_dir, tmp_path):
         out_cmp = str(tmp_path / "cmp2")
@@ -448,6 +457,24 @@ class TestAnalysisCommands:
                        "--rhos", "0.01,0.1") == 0
         rows = list(csv.DictReader(open(os.path.join(out, "rho_sweep.csv"))))
         assert {float(r["rho"]) for r in rows} == {0.01, 0.1}
+
+    @pytest.mark.parametrize("points, grid_range", [(23, "0.1"),
+                                                    (19, "0.333")])
+    def test_landscape_grid_holds_zero(self, graph_dir, tmp_path, points,
+                                       grid_range):
+        # linspace puts these grids' middle points a rounding error off 0
+        out = tmp_path / "land"
+        assert run_cli("landscape", "--graph", graph_dir, "--out", str(out),
+                       "--grid-points", str(points), "--grid-range",
+                       grid_range) == 0
+        rows = list(csv.DictReader(open(out / "landscape.csv")))
+        base = json.load(open(out / "landscape.meta.json"))["base_loss"]
+        middle = rows[points // 2]
+        assert float(middle["alpha"]) == 0.0
+        assert float(middle["loss"]) == base
+        assert [float(r["alpha"]) for r in rows] == [
+            0.0 if i == points // 2 else a for i, a in enumerate(
+                np.linspace(-float(grid_range), float(grid_range), points))]
 
     def test_check_grads(self, capsys):
         assert run_cli("check-grads", "--instances", "4") == 0
@@ -863,6 +890,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, flags, config", [
         ("fsnc", ["--split", "4/x/2"], None),
         ("rho-sweep", ["--rhos", "0.1,abc"], None),
+        ("rho-sweep", ["--rhos", "0.1,0.1"], None),
         ("fsnc", [], "[protocol]\nway = two\n"),
         ("fsnc", [], "way = 2\n"),
         ("nc", ["--episodes", "0"], None),
@@ -872,8 +900,8 @@ class TestErrors:
         ("nc", ["--hidden", "0"], None),
         ("landscape", ["--grid-points", "-5"], None),
         ("landscape", ["--grid-points", "4"], None),
-    ], ids=["split", "rhos", "config-value", "config-no-section",
-            "nc-episodes", "nc-patience", "nc-val-interval", "nc-layers",
+    ], ids=["split", "rhos", "rhos-repeated", "config-value",
+            "config-no-section", "nc-episodes", "nc-patience", "nc-val-interval", "nc-layers",
             "nc-hidden", "grid-points", "grid-points-even"])
     def test_malformed_input_one_line_error(self, graph_dir, tmp_path, capsys,
                                             command, flags, config):
@@ -904,9 +932,16 @@ class TestErrors:
         ("meta.json", '{"n": 3, "d0": 1}\n', "expected a JSON object"),
         ("meta.json", '{"n": 3,\n', "expected a JSON object"),
         ("meta.json", "[3, 1, 3]\n", "expected a JSON object"),
+        ("meta.json", '{"n": 3, "d0": 1, "num_classes": 3.0}\n',
+         "num_classes must be an integer, got 3.0"),
+        ("meta.json", '{"n": 3.0, "d0": 1, "num_classes": 3}\n',
+         "n must be an integer, got 3.0"),
+        ("meta.json", '{"n": 3, "d0": 1, "num_classes": "3"}\n',
+         "num_classes must be an integer, got '3'"),
         ("features.csv", "f0\n0\nx\n0\n", "could not convert string 'x'"),
         ("edges.csv", "src,dst\n0,1.5\n", "could not convert string '1.5'"),
     ], ids=["meta-no-classes", "meta-bad-json", "meta-list",
+            "meta-float-classes", "meta-float-n", "meta-text-classes",
             "features-text", "edges-float"])
     def test_malformed_graph_file(self, tmp_path, capsys, command, name,
                                   text, says):

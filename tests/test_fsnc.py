@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1013,6 +1014,37 @@ class TestSharedTasks:
                                         episodes=6, val_interval=3, seed=4),
                            g, split)
         assert roots == [4 + r for r in range(repeats)]
+
+    @pytest.mark.parametrize("share", [False, True], ids=["own", "shared"])
+    def test_memos_filled_before_the_clock(self, monkeypatch, share):
+        # the first run on a fresh graph builds its matrix and draws every
+        # repeat's tasks, and when it shares slices cuts them, before its
+        # clock starts, so its wall time carries none of what later runs
+        # on the graph reuse
+        g = small_graph()
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        cfg = small_config(repeats=3, episodes=6, val_interval=3)
+        at_clock = []
+        clock = fsnc.time.perf_counter
+
+        def spy():
+            if not at_clock:
+                at_clock.append((dict(g._matrices), dict(g._tasks)))
+            return clock()
+
+        monkeypatch.setattr(fsnc, "time", SimpleNamespace(perf_counter=spy))
+        train_protocol(cfg, g, split, share_slices=share)
+        matrices, memo = at_clock[0]
+        assert list(matrices) == list(g._matrices) == ["gcn-sym"]
+        # nothing is drawn or cut once the clock runs
+        assert memo.keys() == g._tasks.keys()
+        assert all(memo[key] is g._tasks[key] for key in memo)
+        want = [fsnc.repeat_tasks(cfg, g, split, root) for root in range(3)]
+        if share:
+            op = normalize(g, "gcn-sym")
+            want += [fsnc.top_slices(cfg, g, split, op, root)
+                     for root in range(3)]
+        assert sorted(map(id, memo.values())) == sorted(map(id, want))
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])

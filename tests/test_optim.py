@@ -178,6 +178,19 @@ class TestTopologyGrad:
         with pytest.raises(OptimError):
             topology_grad(np.ones(3), np.zeros(3))
 
+    def test_bits_of_the_projection_formula(self):
+        # the orthogonal part of `decompose`, and the formula
+        # g_gnn - (g_gnn . g_mlp / g_mlp . g_mlp) g_mlp bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            g_gnn, g_mlp = rng.standard_normal((2, n)) * rng.uniform(
+                1e-3, 1e3, size=(2, 1))
+            g_G = topology_grad(g_gnn, g_mlp)
+            scale = float(g_gnn @ g_mlp) / float(g_mlp @ g_mlp)
+            assert g_G.tobytes() == (g_gnn - scale * g_mlp).tobytes()
+            assert g_G.tobytes() == decompose(g_gnn, g_mlp)[1].tobytes()
+
 
 class TestAdamStep:
     def test_zero_gradient_no_move(self):

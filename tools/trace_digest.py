@@ -1,4 +1,5 @@
-"""Digest the benchmark's protocol outputs in one or more checkouts.
+"""Digest the benchmark's protocol outputs and the CLI's run directories
+in one or more checkouts.
 
     python3 tools/trace_digest.py CHECKOUT [CHECKOUT ...]
 
@@ -8,23 +9,53 @@ benchmark workload at seeds 0 and 17, with one BLAS thread. Each
 (workload, seed) pair gets a SHA-256 over every arm's trace rows without
 their `wall_ms`, its evaluation counts, its test accuracy and its best
 validation accuracy, so two checkouts whose digests agree computed the same
-floats, bit for bit. The subprocess runs this file, so a checkout that
-lacks it can be digested too.
+floats, bit for bit. The subprocess then runs each command of `CLI_RUNS`
+through the checkout's own `cli.run`, on a 200-node CSBM in a temporary
+directory and with the same relative paths for every checkout, so that the
+config echoes match. Each run directory gets a SHA-256 over its files as
+`tests/run_dir_reader.py` (next to this file) reads them, without the
+wall-time fields. The subprocess runs this file, so a checkout that lacks
+it can be digested too.
 
-One line per pair gives each checkout's digest and, with two or more
-checkouts, `same` or `DIFFERENT`. The exit code is 1 if a pair differs or a
-checkout fails, else 0.
+One line per pair or command gives each checkout's digest and, with two or
+more checkouts, `same` or `DIFFERENT`. The exit code is 1 if a digest
+differs or a checkout fails, else 0.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from run_dir_reader import read_run_dir  # noqa: E402
 
 SEEDS = (0, 17)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SHORT = ("--episodes", "20", "--val-interval", "5", "--val-tasks", "4",
+         "--test-tasks", "6", "--hidden", "8", "--k", "2")
+# (output directory, argv) of every command whose run directory is
+# digested, in run order; each path is relative to the temporary directory
+CLI_RUNS = (
+    ("graph", ("gen-csbm", "--k", "8", "--nodes-per-class", "25", "--p",
+               "0.35", "--q", "0.05", "--dist", "3", "--dim", "8")),
+    ("fsnc", ("fsnc", "--graph", "graph", "--optimizer", "fgsam+",
+              "--repeats", "2", *SHORT)),
+    ("compare", ("compare", "--graph", "graph", "--repeats", "2", *SHORT)),
+    ("drift", ("drift", "--graph", "graph", *SHORT)),
+    ("rho-sweep", ("rho-sweep", "--graph", "graph", "--optimizer", "fgsam",
+                   "--rhos", "0.01,0.1", *SHORT)),
+    ("nc", ("nc", "--graph", "graph", "--episodes", "20")),
+    ("landscape", ("landscape", "--graph", "graph", "--checkpoint",
+                   "nc/best.ckpt", "--grid-points", "7")),
+    ("bench", ("bench", "--episodes", "2")),
+)
 
 
 def digest(results) -> str:
@@ -42,12 +73,45 @@ def digest(results) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def digest_run_dir(outdir) -> str:
+    """SHA-256 of a run directory as `read_run_dir` reads it: every file
+    under its relative path, without the wall-time fields."""
+    h = hashlib.sha256()
+    for name, content in sorted(read_run_dir(outdir).items()):
+        if not isinstance(content, bytes):
+            content = json.dumps(content, sort_keys=True).encode()
+        h.update(f"{name}\0{len(content)}\0".encode())
+        h.update(content)
+    return h.hexdigest()
+
+
+def cli_digests(cli) -> dict:
+    """{"cli/<directory>": digest} of the run directories of `CLI_RUNS`,
+    each run by `cli.run` with its printed lines dropped."""
+    digests = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for out, argv in CLI_RUNS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.run([*argv, "--out", out])
+                if code != 0:
+                    raise RuntimeError(f"{argv[0]} exited with {code}")
+                digests[f"cli/{out}"] = digest_run_dir(out)
+        finally:
+            os.chdir(cwd)
+    return digests
+
+
 def worker(checkout) -> int:
-    """Print {"workload/seed": digest} for the checkout's own code."""
+    """Print {"workload/seed" or "cli/<directory>": digest} for the
+    checkout's own code."""
     src = os.path.join(checkout, "src")
     sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
     import fgsam
     import workloads as wl
+    from fgsam import cli
     if os.path.dirname(os.path.dirname(fgsam.__file__)) != src:
         print(f"error: fgsam imported from {fgsam.__file__}, not {src}",
               file=sys.stderr)
@@ -59,6 +123,7 @@ def worker(checkout) -> int:
             inputs = wl.setup(workload, variant)
             digests[f"{name}/{seed}"] = digest(
                 wl.run_round(workload, inputs, variant))
+    digests.update(cli_digests(cli))
     print(json.dumps(digests))
     return 0
 
