@@ -391,18 +391,48 @@ def top_slices(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     rows, the head of its receptive field; any other gets the wide slice of
     its sorted distinct rows (`union`), the last of `model.top_blocks` of
     them. Neither depends on the layer count above one. With one layer, or
-    the identity operator, a forward cuts nothing, and each entry is None."""
+    the identity operator, a forward cuts nothing, and each entry is None.
+    `train_protocol` asks for them before its clock starts."""
     episodes = repeat_tasks(config, graph, split, root)[0]
-    if config.layers == 1 or operator.is_identity:
-        return (None,) * len(episodes)
 
     def cut():
-        narrow = [mdl.worth_slicing(operator, e.rows, config.layers)
-                  for e in episodes]
-        return tuple(operator.cut_slice(e.rows if slim else e.union, slim)
-                     for e, slim in zip(episodes, narrow))
+        return tuple(
+            operator.cut_slice(e.rows, True)
+            if mdl.worth_slicing(operator, e.rows, config.layers)
+            else operator.cut_slice(e.union, False) for e in episodes)
 
-    return graph.tasks(("top", operator.scheme,
+    return _graph_slices(config, graph, split, operator, root, "top", cut,
+                         len(episodes))
+
+
+def round_slices(config: ProtocolConfig, graph: Graph, split: ClassSplit,
+                 operator: PropagationOperator, root: int) -> tuple:
+    """The last-layer slice of each evaluation round of the repeat whose
+    root seed is `root`, its validation rounds then its test round, shared
+    as `top_slices` shares the training episodes': the narrow slice of the
+    round's sorted distinct rows (`union`), the head of their receptive
+    field, where they are `worth_slicing`, and None where the round's
+    forward runs on all n rows."""
+    _, rounds, test_round = repeat_tasks(config, graph, split, root)
+    rounds += (test_round,)
+
+    def cut():
+        return tuple(
+            operator.cut_slice(t.union, True)
+            if mdl.worth_slicing(operator, t.union, config.layers) else None
+            for t in rounds)
+
+    return _graph_slices(config, graph, split, operator, root, "rounds",
+                         cut, len(rounds))
+
+
+def _graph_slices(config, graph, split, operator, root, kind, cut,
+                  count) -> tuple:
+    """`cut()`, kept on the graph under the repeat's task key, `kind` and
+    the scheme; `count` Nones where a forward cuts nothing."""
+    if config.layers == 1 or operator.is_identity:
+        return (None,) * count
+    return graph.tasks((kind, operator.scheme,
                         _task_key(config, split, root)), cut)
 
 
@@ -421,32 +451,41 @@ def _draw_repeat(config: ProtocolConfig, graph: Graph, split: ClassSplit,
 
 
 def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
-          operator: PropagationOperator, root: int):
-    """A repeat's tasks (`repeat_tasks`) and, before its first step, the
-    layer-0 rows they read filled on `operator`.
+          operator: PropagationOperator, share: bool):
+    """The layer-0 plan of a run of `config.repeats` repeats: the wide
+    slice A[S_0] (`cut_slice(S_0, False)`) of the sorted rows S_0 of A.X
+    that all their training episodes and evaluation rounds read, found by
+    one receptive-field walk over the union of all their rows. It is None
+    when any of those reads takes the full-graph path (not
+    `model.worth_slicing`), where the run fills the whole A.X instead, and
+    under the identity operator, which fills nothing.
 
-    If any episode or round union takes the full-graph path (not
-    `model.worth_slicing`), the whole A.X is filled. Otherwise the layer-0
-    rows of the receptive field of all their rows are, which is the union
-    of each task's layer-0 rows (rows an earlier repeat filled are not
-    filled again). The fill belongs to the operator, and so do the blocks
-    cut from it: an evaluation round's when it is scored, and a training
-    episode's with its objective, but for the last-layer slice that a run
-    sharing slices reads from the graph (`top_slices`) and wraps in
-    operators of its own. Early stopping leaves a superset filled. Returns
-    (episodes, validation rounds, test round), each round one
-    `draw_round`."""
-    episodes, rounds, test_round = repeat_tasks(config, graph, split, root)
-    reads = [e.rows for e in episodes] + [
-        r.union for r in rounds + (test_round,)]
-    if all(mdl.worth_slicing(operator, rows, config.layers)
-           for rows in reads):
+    The run fills its own operator's memo from the plan with one product
+    (`PropagationOperator.fill_input`), so every row is filled once per
+    run, whatever its repeats share. With `share`, the plan is cut on the
+    first request and kept on the graph, keyed by the scheme, the layer
+    count, the repeat count and the first repeat's task key; without it
+    the run holds its own."""
+    def cut():
+        reads = []
+        for r in range(config.repeats):
+            episodes, rounds, test_round = repeat_tasks(
+                config, graph, split, config.seed + r)
+            reads += [e.rows for e in episodes] + [
+                t.union for t in rounds + (test_round,)]
+        if operator.is_identity or not all(
+                mdl.worth_slicing(operator, rows, config.layers)
+                for rows in reads):
+            return None
         union = np.unique(np.concatenate(reads))
-        blocks = mdl.receptive_field(operator, union, config.layers)
-        operator.propagate_input(graph.features, blocks[0].rows)
-    else:
-        operator.propagate_input(graph.features)
-    return list(episodes), list(rounds), test_round
+        rows = mdl.receptive_field(operator, union, config.layers)[0].rows
+        return operator.cut_slice(rows, False)
+
+    if not share:
+        return cut()
+    return graph.tasks(("plan", operator.scheme, config.layers,
+                        config.repeats, _task_key(config, split, config.seed)),
+                       cut)
 
 
 def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
@@ -457,38 +496,46 @@ def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     the graph draws and every later one reuses; the operator, its A.X fill,
     the blocks and the evaluation counters are this run's own.
 
-    With `share_slices`, each training episode runs its last layer on its
-    slice from the graph (`top_slices`), which the first run cuts and every
-    later one reuses. A run that is the graph's only one passes False, so
-    that the graph keeps no slices: each episode then cuts its receptive
-    field with its objective, or runs its forward on all n rows. Both give
-    the same bits. The clock of `wall_seconds` starts once the operator,
-    every repeat's tasks and, when shared, their slices are made, so that
-    the first run on a graph carries none of what later runs reuse; each
-    repeat's A.X fill (`_plan`) is inside it."""
+    With `share_slices`, each training episode and evaluation round runs
+    its last layer on its slice from the graph (`top_slices`,
+    `round_slices`), and the run fills its A.X rows from the graph's
+    layer-0 plan (`_plan`): the first run cuts them and every later one
+    reuses them. A run that is the graph's only one passes False, so that
+    the graph keeps no slices: the run holds its own plan, and each episode
+    or round cuts its receptive field at use, or runs its forward on all n
+    rows. Both give the same bits.
+
+    The clock of `wall_seconds` starts once the operator, every repeat's
+    tasks, the plan and, when shared, the slices are made, so that the
+    first run on a graph carries none of what later runs reuse. The run's
+    one A.X fill from the plan is inside it, before the first step, and so
+    are the cuts below the last layer (three layers and more), which stay
+    per operator."""
     operator = normalize(graph, config.scheme)
-    for r in range(config.repeats):
-        if share_slices:
-            top_slices(config, graph, split, operator, config.seed + r)
-        else:
-            repeat_tasks(config, graph, split, config.seed + r)
+    roots = range(config.seed, config.seed + config.repeats)
+    drawn = [repeat_tasks(config, graph, split, root) for root in roots]
+    if share_slices:
+        slices = [(top_slices(config, graph, split, operator, root),
+                   round_slices(config, graph, split, operator, root))
+                  for root in roots]
+    else:
+        slices = [((None,) * len(episodes), (None,) * (len(rounds) + 1))
+                  for episodes, rounds, _ in drawn]
+    plan = _plan(config, graph, split, operator, share_slices)
     t0 = time.perf_counter()
+    operator.fill_input(graph.features, plan)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
                             config.layers)
 
-    def accuracy(w, tasks):
-        blocks = mdl.blocks_for(operator, tasks.union, config.layers)
+    def accuracy(w, tasks, top):
+        blocks = mdl.blocks_for(operator, tasks.union, config.layers, top)
         return task_accuracy(mdl.ModelParams.from_flat(w, dims), graph,
                              operator, tasks, blocks)
 
     results = []
-    for r in range(config.repeats):
-        root = config.seed + r
-        episodes, val_rounds, test_round = _plan(config, graph, split,
-                                                 operator, root)
-        tops = (top_slices(config, graph, split, operator, root)
-                if share_slices else (None,) * len(episodes))
-        val_rounds = iter(val_rounds)
+    for r, root in enumerate(roots):
+        (episodes, val_rounds, test_round), (tops, evals) = drawn[r], slices[r]
+        scored = iter(zip(val_rounds, evals))
 
         def objective_at(t):
             episode = episodes[t]
@@ -502,10 +549,10 @@ def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
             optim.make_optimizer(config.optimizer, config.hp),
             mdl.init_params(dims, stream_rng(root, "init")).flatten(),
             config.episodes, objective_at,
-            lambda w: accuracy(w, next(val_rounds))[0],
+            lambda w: accuracy(w, *next(scored))[0],
             config.val_interval, config.patience, f"repeat {r} episode ",
             config.collect_bundles)
-        test_mean, test_std = accuracy(best_w, test_round)
+        test_mean, test_std = accuracy(best_w, test_round, evals[-1])
         results.append(RepeatResult(
             seed=root, stop_episode=stop, best_val_acc=best_val,
             test_acc_mean=test_mean, test_acc_std=test_std, trace=trace,
@@ -552,8 +599,14 @@ class NCReport:
 
 def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
     """Full-batch supervised training on the train mask with early stopping
-    on the validation mask; reports accuracy on the test mask."""
-    t0 = time.perf_counter()
+    on the validation mask; reports accuracy on the test mask.
+
+    The clock of `wall_seconds` starts once the operator, the mask checks,
+    the loss spec, the objective (whose A.X fill and last-layer block are
+    made when it is built, `optim.model_objective`) and the blocks that
+    score the validation and test masks are made. Each mask is scored by
+    one forward on `model.top_blocks` of its sorted rows, whose logits are
+    those rows of a forward over all n rows, bit for bit."""
     train_idx, val_idx, test_idx = (np.asarray(m, dtype=np.int64) for m in masks)
     combined = np.concatenate([train_idx, val_idx, test_idx])
     if np.unique(combined).size != combined.size:
@@ -570,19 +623,26 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
                                      graph.num_classes,
                                      weight_decay=config.hp.weight_decay)
     obj = optim.model_objective(dims, graph, operator, spec)
+    val_rows, test_rows = np.sort(val_idx), np.sort(test_idx)
+    val_blocks, test_blocks = (mdl.top_blocks(operator, rows, config.layers)
+                               for rows in (val_rows, test_rows))
+    t0 = time.perf_counter()
 
-    def accuracy(w, idx):
-        acts = mdl.forward(mdl.ModelParams.from_flat(w, dims), graph, operator)
-        pred = np.argmax(acts.logits[idx], axis=1)
-        return float(np.mean(pred == graph.labels[idx]))
+    def accuracy(w, rows, blocks):
+        logits = mdl.forward_features(mdl.ModelParams.from_flat(w, dims),
+                                      graph.features, operator,
+                                      blocks).logits
+        return float(np.mean(np.argmax(logits, axis=1) == graph.labels[rows]))
 
     best_w, best_val, stop, trace, _ = train_steps(
         optim.make_optimizer(config.optimizer, config.hp),
         mdl.init_params(dims, stream_rng(config.seed, "init")).flatten(),
-        config.steps, lambda t: obj, lambda w: accuracy(w, val_idx),
+        config.steps, lambda t: obj,
+        lambda w: accuracy(w, val_rows, val_blocks),
         config.val_interval, config.patience, "step ")
     return NCReport(config=asdict(config), stop_step=stop,
-                    best_val_acc=best_val, test_acc=accuracy(best_w, test_idx),
+                    best_val_acc=best_val,
+                    test_acc=accuracy(best_w, test_rows, test_blocks),
                     trace=trace, gnn_evals=obj.gnn_evals,
                     mlp_evals=obj.mlp_evals,
                     wall_seconds=time.perf_counter() - t0,

@@ -64,14 +64,15 @@ class Graph:
     def tasks(self, key, draw):
         """`draw()`, called on the first request for `key` and shared by
         every later one on this graph: a repeat's tasks
-        (`fsnc.repeat_tasks`) and its training episodes' last-layer slices
-        (`fsnc.top_slices`), which live as long as the graph. The caller's
-        `key` must hold every input that decides the result, and its arrays
-        must be read-only, as every holder of the key reads the same ones."""
-        drawn = self._tasks.get(key)
-        if drawn is None:
-            drawn = self._tasks[key] = draw()
-        return drawn
+        (`fsnc.repeat_tasks`), the last-layer slices of its training
+        episodes and evaluation rounds (`fsnc.top_slices`,
+        `fsnc.round_slices`) and a run's layer-0 plan (`fsnc._plan`), which
+        live as long as the graph. The caller's `key` must hold every input
+        that decides the result, and its arrays must be read-only, as every
+        holder of the key reads the same ones."""
+        if key not in self._tasks:
+            self._tasks[key] = draw()
+        return self._tasks[key]
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
@@ -219,17 +220,14 @@ class PropagationOperator:
         rows come from the full product once it is filled; until then they
         come from a compact buffer with an n-long row-to-slot map, and the
         rows still missing are filled by one product over the wide slice
-        A[missing] (`cut_slice`). The slice keeps each row's entries in A's
-        order and all n columns, so a filled row is the same bits as that
-        row of the full product, and no rows of `x` are gathered. The
-        identity operator returns `x` or `x[rows]`.
+        A[missing] (`cut_slice`, `fill_input`). The slice keeps each row's
+        entries in A's order and all n columns, so a filled row is the same
+        bits as that row of the full product, and no rows of `x` are
+        gathered. The identity operator returns `x` or `x[rows]`.
         """
         if self.scheme == "identity":
             return x if rows is None else x[rows]
-        memo = self._input_memo
-        if memo is None or memo[0] is not x:
-            memo = (x, None, None, None)
-        _, full, slot, filled = memo
+        full, slot, filled = self._memo(x)
         if rows is None:
             if full is None:
                 full = self.apply(x)
@@ -238,18 +236,42 @@ class PropagationOperator:
             return full
         if full is not None:
             return full[rows]
-        if slot is None:
-            slot = np.full(x.shape[0], -1, dtype=np.int64)
-        at = slot[rows]
-        if filled is None or (at < 0).any():
-            missing = np.unique(np.asarray(rows)[at < 0])
-            start = 0 if filled is None else filled.shape[0]
-            slot[missing] = np.arange(start, start + missing.size)
-            new = self.wrap(self.cut_slice(missing, False)).apply(x)
-            filled = new if filled is None else np.concatenate([filled, new])
-            self._input_memo = (x, None, slot, filled)
+        rows = np.asarray(rows)
+        at = None if slot is None else slot[rows]
+        if at is None or (at < 0).any():
+            missing = np.unique(rows if at is None else rows[at < 0])
+            self.fill_input(x, self.cut_slice(missing, False))
+            _, slot, filled = self._memo(x)
             at = slot[rows]
         return filled[at]
+
+    def fill_input(self, x: np.ndarray, piece: Slice = None) -> None:
+        """Fill the memo of `propagate_input` for `x` with one product:
+        without `piece`, the full product; given the wide slice `piece`
+        (`cut_slice(rows, False)`) of distinct rows that the memo does not
+        hold yet, those rows, added to its compact buffer. The slice may be
+        one that every run on the graph shares (`fsnc._plan`): it is only
+        read, and the slot map and buffer belong to this operator. A memo
+        that holds the full product of `x` takes no rows."""
+        if piece is None:
+            self.propagate_input(x)
+            return
+        full, slot, filled = self._memo(x)
+        if full is not None:
+            return
+        if slot is None:
+            slot = np.full(x.shape[0], -1, dtype=np.int64)
+        start = 0 if filled is None else filled.shape[0]
+        slot[piece.rows] = np.arange(start, start + piece.rows.size)
+        new = self.wrap(piece).apply(x)
+        filled = new if filled is None else np.concatenate([filled, new])
+        self._input_memo = (x, None, slot, filled)
+
+    def _memo(self, x: np.ndarray) -> tuple:
+        """(full product, row-to-slot map, filled rows) of the memo of `x`,
+        each None until it is made."""
+        memo = self._input_memo
+        return (None,) * 3 if memo is None or memo[0] is not x else memo[1:]
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Multiply by the transpose (needed for reverse-mode gradients).

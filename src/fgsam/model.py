@@ -231,13 +231,16 @@ def top_blocks(operator: PropagationOperator, rows, layers: int,
     which keeps all n columns, so the layer below is read as it is: `top`
     if it was cut beforehand, else one cut here; all n rows in order
     propagate through the operator itself, whose matrix that slice would
-    copy. A one-layer forward reads those rows of the A.X memo.
+    copy. A one-layer forward reads those rows of the A.X memo, and the
+    PeerMLP (identity operator) reads `rows` at every layer.
 
     With ascending `rows`, each transpose product sums every row in the
     order of the full product plus exact zeros, so the gradient of a loss
     on these rows is the full-graph path's, bit for bit; other orders move
     it by about 1e-15."""
     rows = np.asarray(rows, dtype=np.int64)
+    if operator.is_identity:
+        return [Block(rows, operator)] * layers
     n = operator.matrix.shape[0]
     if layers == 1 or (rows.size == n and np.array_equal(rows, np.arange(n))):
         last = operator

@@ -564,7 +564,7 @@ class TestEveryBlockIsASlice:
 
         spy_product("apply")
         spy_product("apply_t")
-        during(PropagationOperator, "propagate_input", "fill")
+        during(PropagationOperator, "fill_input", "fill")
         during(fsnc, "task_accuracy", "evaluation")
         for cls in optim._OPTIMIZERS.values():
             during(cls, "step", "step")
@@ -572,9 +572,9 @@ class TestEveryBlockIsASlice:
             config = small_config(episodes=6, val_interval=3, query=10,
                                   layers=3, optimizer=name)
             fsnc.train_protocol(config, g, split, shared)
-        # a sparse graph's fill and evaluation rounds cut one-use blocks;
-        # its steps run on shared slices, or on receptive fields cut with
-        # their objectives; a dense graph's steps run on shared wide slices
+        # a sparse graph's fill runs on the run's layer-0 plan and its
+        # evaluation rounds and steps on shared slices, or on receptive
+        # fields cut at use; a dense graph's steps run on shared wide slices
         # and every other forward on all n rows
         assert labels == seen
 
@@ -780,8 +780,10 @@ class TestTrainProtocol:
         # the A.X a run fills belongs to its operator's memo and is freed
         # with it: on a sparse graph only the rows it reads (row-to-slot map
         # and row buffer), on a dense one the full product. The graph keeps
-        # its sparse matrix, here smaller than the features, and the
-        # training episodes' last-layer slices (`fsnc.top_slices`)
+        # its sparse matrix, here smaller than the features, the training
+        # episodes' and evaluation rounds' last-layer slices
+        # (`fsnc.top_slices`, `fsnc.round_slices`) and the wide slice of the
+        # layer-0 rows the run fills from (`fsnc._plan`), never a product
         sparse = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
                                           q=0.001, D=3.0, l=32, seed=1))
         # the benchmark's fsnc-small graph with wider features
@@ -813,7 +815,8 @@ class TestTrainProtocol:
             # the memo holds read-only arrays only: the tasks' integer
             # arrays, and the slices' CSR arrays, whose stored entries are
             # the only floats besides the matrix: 1-D, nnz(A[T]) of them
-            # over the episodes' rows
+            # over the episodes' rows, the sliced rounds' rows and, on a
+            # sparse graph, the layer-0 rows S_0 of all of them
             memo = list(held_arrays(g._tasks))
             assert memo and not any(a.flags.writeable for a in memo)
             assert all(a.dtype.kind in "if" for a in memo)
@@ -823,10 +826,18 @@ class TestTrainProtocol:
             floats = {a.__array_interface__["data"][0]: a
                       for a in rest if a.dtype.kind == "f"}
             assert floats and all(a.ndim == 1 for a in floats.values())
-            episodes = fsnc.repeat_tasks(config, g, split, 0)[0]
+            episodes, rounds, test_round = fsnc.repeat_tasks(config, g,
+                                                             split, 0)
             op = normalize(g, config.scheme)
+            trained = [e.rows for e in episodes]
+            scored = [t.union for t in rounds + (test_round,)]
+            sliced = [rows for rows in scored if op.row_nnz(rows) < g.n]
+            assert len(sliced) == (3 if g is sparse else 0)
+            layer0 = (mdl.receptive_field(
+                op, np.unique(np.concatenate(trained + scored)), 2)[0].rows
+                      if g is sparse else np.zeros(0, dtype=np.int64))
             assert sum(a.size for a in floats.values()) == sum(
-                op.row_nnz(e.rows) for e in episodes)
+                op.row_nnz(rows) for rows in trained + sliced + [layer0])
             assert list(g._matrices) == ["gcn-sym"]
             for mat in g._matrices.values():
                 assert sp.isspmatrix_csr(mat)
@@ -836,9 +847,10 @@ class TestTrainProtocol:
 
 
 class TestPlan:
-    """Each repeat of `train_protocol` draws its tasks and fills the
-    layer-0 rows they read before its first step; a task's blocks are cut
-    when it is used, outside the optimizer step."""
+    """Each run of `train_protocol` draws its repeats' tasks and plans the
+    layer-0 rows they read before its clock, and fills them with one
+    product before its first step; a task's blocks are cut before the
+    clock or when it is used, outside the optimizer step."""
 
     @staticmethod
     def spy_steps(monkeypatch):
@@ -865,9 +877,10 @@ class TestPlan:
                                                          name):
         g = sparse_graph()
         in_step = self.spy_steps(monkeypatch)
-        products, cuts, plans = [], [], []
-        apply, cut, plan = (PropagationOperator.apply,
-                            PropagationOperator.cut_slice, fsnc._plan)
+        products, cuts, plans, filled = [], [], [], []
+        apply, cut, plan, fill = (PropagationOperator.apply,
+                                  PropagationOperator.cut_slice, fsnc._plan,
+                                  PropagationOperator.fill_input)
 
         def spy_apply(op, x):
             if not op.is_identity:
@@ -879,44 +892,48 @@ class TestPlan:
             cuts.append((narrow, in_step[0]))
             return cut(op, rows, narrow)
 
-        def spy_plan(config, graph, split, operator, root):
+        def spy_plan(config, graph, split, operator, share):
             before = len(cuts)
-            out = plan(config, graph, split, operator, root)
-            # one receptive-field walk over all the repeat's rows, then the
-            # wide slice of the A.X rows still missing
-            assert [narrow for narrow, _ in cuts[before:]] == (
-                [True] * (config.layers - 1) + [False])
-            episodes, val_rounds, test_round = out
-            read = [mdl.blocks_for(operator, rows, config.layers)[0].rows
-                    for rows in [e.rows for e in episodes]
-                    + [np.unique(t.rows) for t in val_rounds + [test_round]]]
-            _, full, slot, buffer = operator._input_memo
-            plans.append((np.concatenate(read), full, slot.copy(),
-                          buffer.shape))
+            out = plan(config, graph, split, operator, share)
+            # one receptive-field walk over all the repeats' rows, then the
+            # wide slice of the A.X rows they read
+            plans.append([narrow for narrow, _ in cuts[before:]])
             return out
+
+        def spy_fill(op, x, piece=None):
+            fill(op, x, piece)
+            _, full, slot, buffer = op._input_memo
+            filled.append((full, slot.copy(), buffer.shape))
 
         monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
         monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
+        monkeypatch.setattr(PropagationOperator, "fill_input", spy_fill)
         monkeypatch.setattr(fsnc, "_plan", spy_plan)
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(optimizer=name, repeats=2, episodes=6,
                            val_interval=3, query=10)
         train_protocol(cfg, g, split)
+        assert plans == [[True] * (cfg.layers - 1) + [False]]
         # no product over all n rows, A.X included
         assert products and max(rows for rows, _, _ in products) < g.n
-        # A.X rows are filled by the plans only: the second repeat fills
-        # the rows the first left missing
+        # A.X rows are filled by the run's one fill, which covers both
+        # repeats, so the second repeat fills none
         fills = [p for p in products if p[1]]
-        assert len(fills) == 2 and not any(p[2] for p in fills)
+        assert len(fills) == 1 and not any(p[2] for p in fills)
         # blocks are cut by the plan and at each use, never inside a step
         assert cuts and not any(step for _, step in cuts)
-        # each plan leaves exactly the rows read so far filled
-        read = np.zeros(0, dtype=np.int64)
-        for rows, full, slot, shape in plans:
-            read = np.union1d(read, rows)
-            assert full is None
-            assert np.array_equal(np.flatnonzero(slot >= 0), read)
-            assert shape == (read.size, g.d0)
+        # the fill leaves exactly the rows the repeats read filled
+        op = normalize(g, cfg.scheme)
+        read = np.unique(np.concatenate([
+            mdl.blocks_for(op, rows, cfg.layers)[0].rows
+            for episodes, rounds, test_round in (
+                fsnc.repeat_tasks(cfg, g, split, root) for root in (0, 1))
+            for rows in [e.rows for e in episodes]
+            + [t.union for t in rounds + (test_round,)]]))
+        [(full, slot, shape)] = filled
+        assert full is None
+        assert np.array_equal(np.flatnonzero(slot >= 0), read)
+        assert shape == (read.size, g.d0)
         assert read.size < g.n
 
     def test_dense_graph_fills_the_full_product(self, monkeypatch):
@@ -946,8 +963,8 @@ class TestPlan:
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         cfg = small_config(episodes=7, val_interval=3, val_tasks=4,
                            test_tasks=5)
-        op = normalize(g, "gcn-sym")
-        episodes, val_rounds, test_round = fsnc._plan(cfg, g, split, op, 11)
+        episodes, val_rounds, test_round = fsnc.repeat_tasks(cfg, g, split,
+                                                             11)
         ep_rng, val_rng = stream_rng(11, "episodes"), stream_rng(11, "val")
         test_rng = stream_rng(11, "test")
         draw = round_oracle.draw_tasks
@@ -956,7 +973,7 @@ class TestPlan:
                 + draw(g, split.novel_classes, 2, 3, 5, 5, test_rng))
         assert [len(tasks.rows) for tasks in val_rounds] == [4, 4]
         got = [(e.classes, e.rows) for e in episodes] + [
-            task for tasks in val_rounds + [test_round]
+            task for tasks in val_rounds + (test_round,)
             for task in zip(tasks.classes, tasks.rows)]
         assert len(got) == len(want)
         for (classes, rows), theirs in zip(got, want):
@@ -1018,9 +1035,9 @@ class TestSharedTasks:
     @pytest.mark.parametrize("share", [False, True], ids=["own", "shared"])
     def test_memos_filled_before_the_clock(self, monkeypatch, share):
         # the first run on a fresh graph builds its matrix and draws every
-        # repeat's tasks, and when it shares slices cuts them, before its
-        # clock starts, so its wall time carries none of what later runs
-        # on the graph reuse
+        # repeat's tasks, and when it shares slices cuts them and its
+        # layer-0 plan, before its clock starts, so its wall time carries
+        # none of what later runs on the graph reuse
         g = small_graph()
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         cfg = small_config(repeats=3, episodes=6, val_interval=3)
@@ -1042,8 +1059,9 @@ class TestSharedTasks:
         want = [fsnc.repeat_tasks(cfg, g, split, root) for root in range(3)]
         if share:
             op = normalize(g, "gcn-sym")
-            want += [fsnc.top_slices(cfg, g, split, op, root)
-                     for root in range(3)]
+            want += [cut(cfg, g, split, op, root) for root in range(3)
+                     for cut in (fsnc.top_slices, fsnc.round_slices)]
+            want.append(fsnc._plan(cfg, g, split, op, True))
         assert sorted(map(id, memo.values())) == sorted(map(id, want))
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
@@ -1473,94 +1491,154 @@ class TestWorkLedger:
                               else (4, 2, 2), 0)
         cfg = small_config(repeats=repeats, episodes=6, val_interval=3,
                            query=10)
-        # (rows, whether `top_slices` cut them) of every cut
-        cuts, operators, in_top = [], [], [False]
+        # (rows, the function of the graph's memo that cut them, or None)
+        # of every cut
+        cuts, operators, inside = [], [], [None]
         cut, fresh_operator = PropagationOperator.cut_slice, fsnc.normalize
-        top_slices = fsnc.top_slices
 
         def spy_cut(op, rows, narrow):
-            cuts.append((rows, in_top[0]))
+            cuts.append((rows, inside[0]))
             return cut(op, rows, narrow)
 
-        def spy_top_slices(*args):
-            in_top[0] = True
-            try:
-                return top_slices(*args)
-            finally:
-                in_top[0] = False
+        def spy_on(name):
+            real = getattr(fsnc, name)
+
+            def spy(*args):
+                outer, inside[0] = inside[0], name
+                try:
+                    return real(*args)
+                finally:
+                    inside[0] = outer
+
+            monkeypatch.setattr(fsnc, name, spy)
 
         def spy_normalize(graph, scheme):
             operators.append(fresh_operator(graph, scheme))
             return operators[-1]
 
         monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
-        monkeypatch.setattr(fsnc, "top_slices", spy_top_slices)
+        for name in ("top_slices", "round_slices", "_plan"):
+            spy_on(name)
         monkeypatch.setattr(fsnc, "normalize", spy_normalize)
 
         def arm(name, graph, share_slices=True):
-            before = sum(not top for _, top in cuts)
+            before = len(cuts)
             report = train_protocol(dataclasses.replace(cfg, optimizer=name),
                                     graph, split, share_slices)
-            one_use = sum(not top for _, top in cuts) - before
-            return without_walls(report), operators[-1].apply_count, one_use
+            made = [where for _, where in cuts[before:]]
+            return without_walls(report), operators[-1].apply_count, made
 
         names = optim.OPTIMIZER_NAMES
         shared = [arm(name, g) for name in names]
+        drawn = [fsnc.repeat_tasks(cfg, g, split, root)
+                 for root in range(repeats)]
         # every training episode's rows cut once, in the order drawn
-        want = [e.rows if sparse else e.union for root in range(repeats)
-                for e in fsnc.repeat_tasks(cfg, g, split, root)[0]]
-        slices = [rows for rows, top in cuts if top]
+        want = [e.rows if sparse else e.union for episodes, _, _ in drawn
+                for e in episodes]
+        slices = [rows for rows, where in cuts if where == "top_slices"]
         assert len(slices) == len(want) == repeats * cfg.episodes
         assert all(got is rows for got, rows in zip(slices, want))
-        # one-use cuts, per repeat of a sparse graph's arm: the plan's
-        # receptive-field walk (one layer below the top), its fill of the
-        # A.X rows still missing, and the receptive field of each of the 2
-        # validation rounds and the test round; an arm that shares no
-        # slices also cuts each episode's at use. A dense graph's forwards
-        # run on all n rows but for the shared slices.
-        per_repeat = 5 if sparse else 0
-        assert [one_use for _, _, one_use in shared] == (
-            [repeats * per_repeat] * len(names))
+        # every evaluation round's rows cut once where the round slices, in
+        # the order drawn, and the run's layer-0 plan once: its walk one
+        # layer below the top and the wide slice of the A.X rows
+        rounds = [t.union for _, val, test in drawn for t in val + (test,)]
+        scored = [rows for rows, where in cuts if where == "round_slices"]
+        assert len(scored) == (len(rounds) if sparse else 0)
+        assert all(got is rows for got, rows in zip(scored, rounds))
+        planned = 2 if sparse else 0
+        # the first arm cuts them all, before its clock; the others reuse
+        # them and cut nothing: no one-use block, no A.X fill of their own
+        first = len(want) + len(scored) + planned
+        assert [len(made) for _, _, made in shared] == [first, 0, 0, 0]
+        assert None not in shared[0][2]
         # each arm's report, evaluation counts and products are the ones
         # it gives on a fresh graph, where it cuts the slices itself, and
         # on one where it cuts none ahead
-        for name, (report, applied, one_use) in zip(names, shared):
-            fresh, fresh_applied, fresh_one_use = arm(name, make())
+        for name, (report, applied, _) in zip(names, shared):
+            fresh, fresh_applied, fresh_made = arm(name, make())
             np.testing.assert_equal(report, fresh)
             assert applied == fresh_applied > 0
-            assert fresh_one_use == one_use
+            assert len(fresh_made) == first
             alone = make()
-            unshared, unshared_applied, unshared_one_use = arm(
+            unshared, unshared_applied, unshared_made = arm(
                 name, alone, share_slices=False)
             np.testing.assert_equal(report, unshared)
             assert applied == unshared_applied
-            assert unshared_one_use == one_use + (
-                len(want) if sparse else 0)
-            assert not [key for key in alone._tasks if key[0] == "top"]
-        assert sum(top for _, top in cuts) == len(want) * (1 + len(names))
+            # the plan of its own, and each sliced task's block at use
+            assert unshared_made.count("_plan") == planned
+            assert unshared_made.count(None) == (
+                len(want) + len(rounds) if sparse else 0)
+            assert set(alone._tasks) == {
+                fsnc._task_key(cfg, split, root) for root in range(repeats)}
+
+    def test_later_arms_cut_nothing_and_fill_once(self, monkeypatch):
+        # four arms share one sparse graph: the first cuts the last-layer
+        # slices and the layer-0 plan of both repeats, before its clock;
+        # the others cut nothing, and each arm fills its own A.X rows with
+        # one product over the planned rows, those every task reads, once
+        # its clock runs
+        g = sparse_graph()
+        split = split_classes(g.num_classes, (2, 2, 2), 0)
+        cfg = small_config(repeats=2, episodes=6, val_interval=3, query=10)
+        cuts, fills = [], []
+        cut, apply = PropagationOperator.cut_slice, PropagationOperator.apply
+        clock = fsnc.time.perf_counter
+
+        def spy_cut(op, rows, narrow):
+            cuts[-1] += 1
+            return cut(op, rows, narrow)
+
+        def spy_apply(op, x):
+            if x is g.features:
+                fills[-1].append((op.matrix.shape, op.matrix.nnz))
+            return apply(op, x)
+
+        def spy_clock():
+            if not fills[-1]:
+                fills[-1].append("clock")
+            return clock()
+
+        monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
+        monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
+        monkeypatch.setattr(fsnc, "time", SimpleNamespace(
+            perf_counter=spy_clock))
+        for name in optim.OPTIMIZER_NAMES:
+            cuts.append(0)
+            fills.append([])
+            train_protocol(dataclasses.replace(cfg, optimizer=name), g, split)
+        assert cuts[0] > 0 and cuts[1:] == [0, 0, 0]
+        op = normalize(g, cfg.scheme)
+        reads = [rows for root in (0, 1)
+                 for episodes, rounds, test in [
+                     fsnc.repeat_tasks(cfg, g, split, root)]
+                 for rows in [e.rows for e in episodes]
+                 + [t.union for t in rounds + (test,)]]
+        planned = mdl.receptive_field(op, np.unique(np.concatenate(reads)),
+                                      cfg.layers)[0].rows
+        assert planned.size < g.n
+        assert fills == [["clock", ((planned.size, g.n),
+                                    op.row_nnz(planned))]] * 4
 
     @pytest.mark.parametrize("sparse,scheme,fills", [
-        (True, "gcn-sym", [(1, 1110, 672573), (2, 1183, 710908)]),
-        (True, "mean-neighbors", [(1, 1060, 644120), (2, 1165, 701566)]),
-        (False, "gcn-sym", [(1, 160, 12720)] * 2),
-        (False, "mean-neighbors", [(1, 160, 12720)] * 2)])
+        (True, "gcn-sym", (1, 1183, 710908)),
+        (True, "mean-neighbors", (1, 1165, 701566)),
+        (False, "gcn-sym", (1, 160, 12720)),
+        (False, "mean-neighbors", (1, 160, 12720))])
     def test_plan_fills_pinned_rows(self, sparse, scheme, fills):
-        # two repeats' plans on one operator: products made so far, and
-        # the count and sum of the A.X rows filled so far
+        # a two-repeat run's fill from its plan, on a fresh operator:
+        # products made, and the count and sum of the A.X rows filled,
+        # which are the rows that both repeats' tasks read, each once
         g = sparse_graph() if sparse else small_graph()
         split = split_classes(g.num_classes, (2, 2, 2) if sparse
                               else (4, 2, 2), 0)
-        cfg = small_config(episodes=6, val_interval=3, query=10)
+        cfg = small_config(episodes=6, val_interval=3, query=10, repeats=2)
         op = normalize(g, scheme)
-        got = []
-        for root in (0, 1):
-            fsnc._plan(cfg, g, split, op, root)
-            _, full, slot, _ = op._input_memo
-            rows = (np.arange(g.n) if full is not None
-                    else np.flatnonzero(slot >= 0))
-            assert (full is None) == sparse
-            got.append((op.apply_count, rows.size, int(rows.sum())))
-        assert got == fills
+        op.fill_input(g.features, fsnc._plan(cfg, g, split, op, False))
+        _, full, slot, _ = op._input_memo
+        rows = (np.arange(g.n) if full is not None
+                else np.flatnonzero(slot >= 0))
+        assert (full is None) == sparse
+        assert (op.apply_count, rows.size, int(rows.sum())) == fills
 
 
 def nc_masks(g, seed=0):
@@ -1651,6 +1729,70 @@ class TestStandardNC:
         g.features = np.full_like(g.features, np.inf)
         with pytest.raises(FsncError, match="at step 0"):
             standard_nc_train(NCConfig(steps=5, seed=0), g, nc_masks(g))
+
+    def test_clock_starts_after_the_set_up(self, monkeypatch):
+        # the operator, with the graph's matrix, and the objective, with
+        # its A.X fill, are built before the first read of the clock
+        events = []
+        for owner, name in ((fsnc, "normalize"), (optim, "model_objective")):
+            def spy(*args, real=getattr(owner, name), name=name, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        g = small_graph(K=3, npc=15)
+        clock = fsnc.time.perf_counter
+
+        def spy_clock():
+            events.append(("clock", list(g._matrices)))
+            return clock()
+
+        monkeypatch.setattr(fsnc, "time", SimpleNamespace(
+            perf_counter=spy_clock))
+        rep = standard_nc_train(NCConfig(steps=4, val_interval=2, seed=0), g,
+                                nc_masks(g))
+        assert events[:3] == ["normalize", "model_objective",
+                              ("clock", ["gcn-sym"])]
+        assert rep.wall_seconds > 0
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_masks_scored_as_by_the_full_forward(self, monkeypatch, scheme,
+                                                 layers):
+        # each validation and the test accuracy are those of a forward
+        # over all n rows, which the trainer itself never runs
+        g = sparse_graph()
+        masks = nc_masks(g)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("an n-row forward ran")
+
+        monkeypatch.setattr(mdl, "forward", no_forward)
+        scored, steps = [], fsnc.train_steps
+
+        def spy_steps(opt, w, count, objective_at, val_acc, *rest):
+            def spy(w):
+                scored.append((w.copy(), val_acc(w)))
+                return scored[-1][1]
+
+            return steps(opt, w, count, objective_at, spy, *rest)
+
+        monkeypatch.setattr(fsnc, "train_steps", spy_steps)
+        cfg = NCConfig(steps=6, val_interval=2, patience=5, layers=layers,
+                       hidden=8, scheme=scheme, seed=0)
+        rep = standard_nc_train(cfg, g, masks)
+        op = normalize(g, scheme)
+        dims = mdl.uniform_dims(g.d0, 8, g.num_classes, layers)
+
+        def full_graph(w, idx):
+            logits = mdl.forward_features(mdl.ModelParams.from_flat(w, dims),
+                                          g.features, op).logits[idx]
+            return float(np.mean(np.argmax(logits, axis=1) == g.labels[idx]))
+
+        assert len(scored) == 3
+        assert [acc for _, acc in scored] == [full_graph(w, masks[1])
+                                              for w, _ in scored]
+        assert rep.test_acc == full_graph(rep.best_params, masks[2])
 
     def test_all_optimizers_run(self):
         g = small_graph(K=3, npc=15)

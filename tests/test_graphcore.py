@@ -220,6 +220,41 @@ class TestOperators:
         assert np.array_equal(ident.propagate_input(x, first), x[first])
         assert ident.apply_count == 0
 
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_fill_from_a_slice_cut_beforehand(self, scheme):
+        # a slice cut by one operator fills another's memo with one
+        # product, and reads the same bits as the full product's rows
+        rng = np.random.default_rng(11)
+        g = random_graph(rng, 80)
+        x = g.features
+        want = normalize(g, scheme).matrix @ x
+        rows = np.array([3, 17, 40, 64])
+        piece = normalize(g, scheme).cut_slice(rows, False)
+        op = normalize(g, scheme)
+        op.fill_input(x, piece)
+        assert op.apply_count == 1
+        _, full, slot, filled = op._input_memo
+        assert full is None and np.array_equal(np.flatnonzero(slot >= 0),
+                                               rows)
+        assert filled.tobytes() == want[rows].tobytes()
+        read = np.array([64, 3, 3])
+        assert op.propagate_input(x, read).tobytes() == want[read].tobytes()
+        assert op.apply_count == 1                    # nothing missing
+        # rows outside the slice are filled at use, as without it
+        assert (op.propagate_input(x, [5, 3]).tobytes()
+                == want[[5, 3]].tobytes())
+        assert op.apply_count == 2
+        # without a slice the fill is the full product, which then takes
+        # no rows
+        op.fill_input(x)
+        _, full, slot, filled = op._input_memo
+        assert op.apply_count == 3 and full.tobytes() == want.tobytes()
+        op.fill_input(x, piece)
+        assert op.apply_count == 3 and op._input_memo[1] is full
+        ident = normalize(g, "identity")
+        ident.fill_input(x)
+        assert ident.propagate_input(x) is x and ident.apply_count == 0
+
     def test_unknown_scheme(self):
         g = build_graph(2, [(0, 1)], np.zeros((2, 1)), [0, 0])
         with pytest.raises(GraphError):

@@ -15,13 +15,21 @@ An entry holds:
   one exact step and k - 1 approximate ones, and the cost of a branch's
   step does not depend on k;
 - `manifest`: the first run's manifest (versions, threads, host speed).
+
+`fingerprint()` is the part of a manifest that decides a run's floats
+besides the code: the Python, numpy and scipy versions and the BLAS
+vendor. `tests/golden_digests.json` records it beside its digests.
 """
 
 import glob
 import hashlib
 import json
 import os
+import platform
 import statistics
+
+import numpy as np
+import scipy
 
 K_VALUES = (2, 3, 4)
 
@@ -82,3 +90,12 @@ def append(path, entries) -> None:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def fingerprint() -> dict:
+    """This interpreter's `python`, `numpy`, `scipy` and `blas_vendor`, as
+    `perfbench/bench.py` writes them into a run's manifest."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_vendor": f"{blas.get('name')} {blas.get('version')}"}

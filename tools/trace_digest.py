@@ -20,6 +20,13 @@ it can be digested too.
 One line per pair or command gives each checkout's digest and, with two or
 more checkouts, `same` or `DIFFERENT`. The exit code is 1 if a digest
 differs or a checkout fails, else 0.
+
+    python3 tools/trace_digest.py --write tests/golden_digests.json CHECKOUT
+
+writes the checkout's digests and this interpreter's environment
+fingerprint (`bench_record.fingerprint`) to the file that
+`tests/test_golden_digests.py` holds the working tree to. Rewrite it only
+with a change that moves the arithmetic on purpose.
 """
 
 import argparse
@@ -35,6 +42,8 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 from run_dir_reader import read_run_dir  # noqa: E402
+
+import bench_record  # noqa: E402
 
 SEEDS = (0, 17)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -146,13 +155,23 @@ def main(argv=None) -> int:
     parser.add_argument("checkouts", nargs="+")
     parser.add_argument("--worker", action="store_true",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--write", metavar="PATH",
+                        help="write the one checkout's digests and this "
+                             "interpreter's fingerprint to PATH as JSON")
     args = parser.parse_args(argv)
     checkouts = [os.path.abspath(c) for c in args.checkouts]
     if args.worker:
         return worker(checkouts[0])
+    if args.write and len(checkouts) != 1:
+        parser.error("--write takes one checkout")
     runs = [run_checkout(c) for c in checkouts]
     if None in runs:
         return 1
+    if args.write:
+        with open(args.write, "w") as fh:
+            json.dump({"fingerprint": bench_record.fingerprint(),
+                       "digests": runs[0]}, fh, indent=2)
+            fh.write("\n")
     for i, checkout in enumerate(checkouts):
         print(f"[{i}] {checkout}")
     differ = False
