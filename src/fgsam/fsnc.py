@@ -379,63 +379,6 @@ def _task_key(config: ProtocolConfig, split: ClassSplit, root: int) -> tuple:
         config.val_interval, config.val_tasks, config.test_tasks, root)
 
 
-def top_slices(config: ProtocolConfig, graph: Graph, split: ClassSplit,
-               operator: PropagationOperator, root: int) -> tuple:
-    """The last-layer slice of each training episode of the repeat whose
-    root seed is `root` (`repeat_tasks`), cut from `operator`'s matrix on
-    the first request and shared by every later one on the graph with the
-    same scheme: every arm, optimizer and rho reads the same read-only
-    arrays, and wraps them in operators of its own.
-
-    An episode whose rows are `worth_slicing` gets the narrow slice of its
-    rows, the head of its receptive field; any other gets the wide slice of
-    its sorted distinct rows (`union`), the last of `model.top_blocks` of
-    them. Neither depends on the layer count above one. With one layer, or
-    the identity operator, a forward cuts nothing, and each entry is None.
-    `train_protocol` asks for them before its clock starts."""
-    episodes = repeat_tasks(config, graph, split, root)[0]
-
-    def cut():
-        return tuple(
-            operator.cut_slice(e.rows, True)
-            if mdl.worth_slicing(operator, e.rows, config.layers)
-            else operator.cut_slice(e.union, False) for e in episodes)
-
-    return _graph_slices(config, graph, split, operator, root, "top", cut,
-                         len(episodes))
-
-
-def round_slices(config: ProtocolConfig, graph: Graph, split: ClassSplit,
-                 operator: PropagationOperator, root: int) -> tuple:
-    """The last-layer slice of each evaluation round of the repeat whose
-    root seed is `root`, its validation rounds then its test round, shared
-    as `top_slices` shares the training episodes': the narrow slice of the
-    round's sorted distinct rows (`union`), the head of their receptive
-    field, where they are `worth_slicing`, and None where the round's
-    forward runs on all n rows."""
-    _, rounds, test_round = repeat_tasks(config, graph, split, root)
-    rounds += (test_round,)
-
-    def cut():
-        return tuple(
-            operator.cut_slice(t.union, True)
-            if mdl.worth_slicing(operator, t.union, config.layers) else None
-            for t in rounds)
-
-    return _graph_slices(config, graph, split, operator, root, "rounds",
-                         cut, len(rounds))
-
-
-def _graph_slices(config, graph, split, operator, root, kind, cut,
-                  count) -> tuple:
-    """`cut()`, kept on the graph under the repeat's task key, `kind` and
-    the scheme; `count` Nones where a forward cuts nothing."""
-    if config.layers == 1 or operator.is_identity:
-        return (None,) * count
-    return graph.tasks((kind, operator.scheme,
-                        _task_key(config, split, root)), cut)
-
-
 def _draw_repeat(config: ProtocolConfig, graph: Graph, split: ClassSplit,
                  root: int) -> tuple:
     sizes = (config.way, config.shot, config.query)
@@ -450,42 +393,71 @@ def _draw_repeat(config: ProtocolConfig, graph: Graph, split: ClassSplit,
                                         stream_rng(root, "test"))
 
 
-def _plan(config: ProtocolConfig, graph: Graph, split: ClassSplit,
-          operator: PropagationOperator, share: bool):
-    """The layer-0 plan of a run of `config.repeats` repeats: the wide
-    slice A[S_0] (`cut_slice(S_0, False)`) of the sorted rows S_0 of A.X
-    that all their training episodes and evaluation rounds read, found by
-    one receptive-field walk over the union of all their rows. It is None
-    when any of those reads takes the full-graph path (not
-    `model.worth_slicing`), where the run fills the whole A.X instead, and
-    under the identity operator, which fills nothing.
+def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
+              operator: PropagationOperator, share: bool) -> tuple:
+    """(tasks, slices, plan) of a run of `config.repeats` repeats.
 
-    The run fills its own operator's memo from the plan with one product
-    (`PropagationOperator.fill_input`), so every row is filled once per
-    run, whatever its repeats share. With `share`, the plan is cut on the
-    first request and kept on the graph, keyed by the scheme, the layer
-    count, the repeat count and the first repeat's task key; without it
-    the run holds its own."""
-    def cut():
-        reads = []
-        for r in range(config.repeats):
-            episodes, rounds, test_round = repeat_tasks(
-                config, graph, split, config.seed + r)
-            reads += [e.rows for e in episodes] + [
-                t.union for t in rounds + (test_round,)]
-        if operator.is_identity or not all(
-                mdl.worth_slicing(operator, rows, config.layers)
-                for rows in reads):
+    `tasks` holds every repeat's `repeat_tasks`. `slices` holds, for every
+    repeat, the last-layer slice of each training episode and of each
+    evaluation round, its validation rounds then its test round. An
+    episode gets the narrow slice of its rows (`cut_slice(rows, True)`),
+    the head of its receptive field, where they are
+    `model.worth_slicing`, and otherwise the wide slice of its sorted
+    distinct rows (`union`), the last of `model.top_blocks` of them. A
+    round gets the narrow slice of its `union` where that is worth
+    slicing, and None where its forward runs on all n rows.
+
+    `plan` is the layer-0 plan: the wide slice A[S_0] of the sorted rows
+    S_0 of A.X that all the training episodes and evaluation rounds read,
+    found by one receptive-field walk over the union of their rows. The
+    run fills its own operator's memo from it with one product
+    (`PropagationOperator.fill_input`). It is None when any of those reads
+    takes the full-graph path, where the run fills the whole A.X instead,
+    and under the identity operator, which fills nothing.
+
+    With `share`, the slices and the plan are cut on the first request and
+    kept on the graph (`Graph.tasks`) under the scheme, the layer count and
+    every repeat's task key, so every later arm, optimizer and rho reads
+    the same read-only arrays and wraps them in operators of its own.
+    Without it, no slice is cut (each entry is None) and the run holds its
+    own plan. A one-layer forward or the identity operator cuts no slice."""
+    roots = range(config.seed, config.seed + config.repeats)
+    tasks = [repeat_tasks(config, graph, split, root) for root in roots]
+    slicing = share and config.layers > 1 and not operator.is_identity
+
+    def worth(rows):
+        return mdl.worth_slicing(operator, rows, config.layers)
+
+    def top(e):
+        if not slicing:
             return None
+        if worth(e.rows):
+            return operator.cut_slice(e.rows, True)
+        return operator.cut_slice(e.union, False)
+
+    def scored(t):
+        if slicing and worth(t.union):
+            return operator.cut_slice(t.union, True)
+        return None
+
+    def cut():
+        slices = [(tuple(map(top, episodes)),
+                   tuple(map(scored, rounds + (test_round,))))
+                  for episodes, rounds, test_round in tasks]
+        reads = [rows for episodes, rounds, test_round in tasks
+                 for rows in [e.rows for e in episodes]
+                 + [t.union for t in rounds + (test_round,)]]
+        if operator.is_identity or not all(map(worth, reads)):
+            return slices, None
         union = np.unique(np.concatenate(reads))
         rows = mdl.receptive_field(operator, union, config.layers)[0].rows
-        return operator.cut_slice(rows, False)
+        return slices, operator.cut_slice(rows, False)
 
     if not share:
-        return cut()
-    return graph.tasks(("plan", operator.scheme, config.layers,
-                        config.repeats, _task_key(config, split, config.seed)),
-                       cut)
+        return (tasks,) + cut()
+    key = (operator.scheme, config.layers,
+           tuple(_task_key(config, split, root) for root in roots))
+    return (tasks,) + graph.tasks(key, cut)
 
 
 def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
@@ -497,31 +469,21 @@ def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     the blocks and the evaluation counters are this run's own.
 
     With `share_slices`, each training episode and evaluation round runs
-    its last layer on its slice from the graph (`top_slices`,
-    `round_slices`), and the run fills its A.X rows from the graph's
-    layer-0 plan (`_plan`): the first run cuts them and every later one
-    reuses them. A run that is the graph's only one passes False, so that
-    the graph keeps no slices: the run holds its own plan, and each episode
-    or round cuts its receptive field at use, or runs its forward on all n
-    rows. Both give the same bits.
+    its last layer on its slice from the graph, and the run fills its A.X
+    rows from the graph's layer-0 plan (`run_setup`): the first run cuts
+    them and every later one reuses them. A run that is the graph's only
+    one passes False, so that the graph keeps no slices: the run holds its
+    own plan, and each episode or round cuts its receptive field at use, or
+    runs its forward on all n rows. Both give the same bits.
 
-    The clock of `wall_seconds` starts once the operator, every repeat's
-    tasks, the plan and, when shared, the slices are made, so that the
-    first run on a graph carries none of what later runs reuse. The run's
-    one A.X fill from the plan is inside it, before the first step, and so
-    are the cuts below the last layer (three layers and more), which stay
-    per operator."""
+    The clock of `wall_seconds` starts once the operator and the run's
+    set-up are made, so that the first run on a graph carries none of what
+    later runs reuse. The run's one A.X fill from the plan is inside it,
+    before the first step, and so are the cuts below the last layer (three
+    layers and more), which stay per operator."""
     operator = normalize(graph, config.scheme)
-    roots = range(config.seed, config.seed + config.repeats)
-    drawn = [repeat_tasks(config, graph, split, root) for root in roots]
-    if share_slices:
-        slices = [(top_slices(config, graph, split, operator, root),
-                   round_slices(config, graph, split, operator, root))
-                  for root in roots]
-    else:
-        slices = [((None,) * len(episodes), (None,) * (len(rounds) + 1))
-                  for episodes, rounds, _ in drawn]
-    plan = _plan(config, graph, split, operator, share_slices)
+    drawn, slices, plan = run_setup(config, graph, split, operator,
+                                    share_slices)
     t0 = time.perf_counter()
     operator.fill_input(graph.features, plan)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,
@@ -533,8 +495,9 @@ def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
                              operator, tasks, blocks)
 
     results = []
-    for r, root in enumerate(roots):
-        (episodes, val_rounds, test_round), (tops, evals) = drawn[r], slices[r]
+    for r, ((episodes, val_rounds, test_round), (tops, evals)) in enumerate(
+            zip(drawn, slices)):
+        root = config.seed + r
         scored = iter(zip(val_rounds, evals))
 
         def objective_at(t):

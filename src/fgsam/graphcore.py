@@ -31,7 +31,7 @@ class Graph:
     # scheme -> normalized matrix, filled by `propagation_matrix`
     _matrices: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # key -> drawn tasks or their last-layer slices, filled by `tasks`
+    # key -> drawn tasks or a run's set-up, filled by `tasks`
     _tasks: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -64,12 +64,11 @@ class Graph:
     def tasks(self, key, draw):
         """`draw()`, called on the first request for `key` and shared by
         every later one on this graph: a repeat's tasks
-        (`fsnc.repeat_tasks`), the last-layer slices of its training
-        episodes and evaluation rounds (`fsnc.top_slices`,
-        `fsnc.round_slices`) and a run's layer-0 plan (`fsnc._plan`), which
-        live as long as the graph. The caller's `key` must hold every input
-        that decides the result, and its arrays must be read-only, as every
-        holder of the key reads the same ones."""
+        (`fsnc.repeat_tasks`) and a run's set-up, its last-layer slices and
+        layer-0 plan (`fsnc.run_setup`), which live as long as the graph.
+        The caller's `key` must hold every input that decides the result,
+        and its arrays must be read-only, as every holder of the key reads
+        the same ones."""
         if key not in self._tasks:
             self._tasks[key] = draw()
         return self._tasks[key]
@@ -191,8 +190,8 @@ class PropagationOperator:
     scheme: str
     matrix: sp.csr_matrix | None  # None for identity
     apply_count: int = 0          # message-passing applications (identity not counted)
-    # A @ x for the last network input x seen by `propagate_input`:
-    # (x, full product or None, row-to-slot map, filled rows)
+    # A @ x for the last network input x, made by `fill_input`:
+    # (x, product, row-to-slot map or None)
     _input_memo: tuple = field(default=None, init=False, repr=False,
                                compare=False)
     # the operator whose apply_count a block's products add to
@@ -206,72 +205,56 @@ class PropagationOperator:
         return _product(self.matrix, x)
 
     def propagate_input(self, x: np.ndarray, rows=None) -> np.ndarray:
-        """`apply(x)` for the network input, or its `rows`, each row
-        computed once per input array.
+        """`apply(x)` for the network input, or its `rows` (any order,
+        repeats allowed), read from one memo.
 
         A @ x does not depend on the parameters, so the first layer of
-        every forward over the same features reads one memo, keyed by the
-        identity of `x`. The memo holds `x` itself, so its identity cannot
-        be recycled, and relies on `x` not being mutated (graph arrays are
-        immutable after construction).
+        every forward over the same features reads the memo `fill_input`
+        made, keyed by the identity of `x`. The memo holds `x` itself, so
+        its identity cannot be recycled, and relies on `x` not being mutated
+        (graph arrays are immutable after construction).
 
         `rows=None` returns the full product, read-only because every
-        forward shares it. Given `rows` (any order, repeats allowed), the
-        rows come from the full product once it is filled; until then they
-        come from a compact buffer with an n-long row-to-slot map, and the
-        rows still missing are filled by one product over the wide slice
-        A[missing] (`cut_slice`, `fill_input`). The slice keeps each row's
-        entries in A's order and all n columns, so a filled row is the same
-        bits as that row of the full product, and no rows of `x` are
-        gathered. The identity operator returns `x` or `x[rows]`.
+        forward shares it. A read the memo cannot serve (none for `x` yet,
+        or all rows or a row outside the slice of a compact memo) makes the
+        full product first, so every read is the full product's rows, bit
+        for bit. The identity operator returns `x` or `x[rows]`.
         """
         if self.scheme == "identity":
             return x if rows is None else x[rows]
-        full, slot, filled = self._memo(x)
-        if rows is None:
-            if full is None:
-                full = self.apply(x)
-                full.flags.writeable = False
-                self._input_memo = (x, full, None, None)
-            return full
-        if full is not None:
-            return full[rows]
-        rows = np.asarray(rows)
-        at = None if slot is None else slot[rows]
-        if at is None or (at < 0).any():
-            missing = np.unique(rows if at is None else rows[at < 0])
-            self.fill_input(x, self.cut_slice(missing, False))
-            _, slot, filled = self._memo(x)
-            at = slot[rows]
-        return filled[at]
+        memo = self._input_memo
+        if memo is not None and memo[0] is x:
+            _, product, slot = memo
+            if slot is None:
+                return product if rows is None else product[rows]
+            if rows is not None:
+                at = slot[rows]
+                if (at >= 0).all():
+                    return product[at]
+        self.fill_input(x)
+        return self.propagate_input(x, rows)
 
     def fill_input(self, x: np.ndarray, piece: Slice = None) -> None:
-        """Fill the memo of `propagate_input` for `x` with one product:
+        """Make the memo of `propagate_input` for `x` with one product:
         without `piece`, the full product; given the wide slice `piece`
-        (`cut_slice(rows, False)`) of distinct rows that the memo does not
-        hold yet, those rows, added to its compact buffer. The slice may be
-        one that every run on the graph shares (`fsnc._plan`): it is only
-        read, and the slot map and buffer belong to this operator. A memo
-        that holds the full product of `x` takes no rows."""
+        (`cut_slice(rows, False)`) of distinct rows, a compact memo of those
+        rows and an n-long row-to-slot map. The slice keeps each row's
+        entries in A's order and all n columns, so a row is the same bits
+        as that row of the full product. It may be one that every run on
+        the graph shares (`fsnc.run_setup`): it is only read, and the slot
+        map and product belong to this operator. The identity operator
+        fills nothing."""
+        if self.scheme == "identity":
+            return
+        slot = None
         if piece is None:
-            self.propagate_input(x)
-            return
-        full, slot, filled = self._memo(x)
-        if full is not None:
-            return
-        if slot is None:
+            product = self.apply(x)
+        else:
             slot = np.full(x.shape[0], -1, dtype=np.int64)
-        start = 0 if filled is None else filled.shape[0]
-        slot[piece.rows] = np.arange(start, start + piece.rows.size)
-        new = self.wrap(piece).apply(x)
-        filled = new if filled is None else np.concatenate([filled, new])
-        self._input_memo = (x, None, slot, filled)
-
-    def _memo(self, x: np.ndarray) -> tuple:
-        """(full product, row-to-slot map, filled rows) of the memo of `x`,
-        each None until it is made."""
-        memo = self._input_memo
-        return (None,) * 3 if memo is None or memo[0] is not x else memo[1:]
+            slot[piece.rows] = np.arange(piece.rows.size)
+            product = self.wrap(piece).apply(x)
+        product.flags.writeable = False
+        self._input_memo = (x, product, slot)
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         """Multiply by the transpose (needed for reverse-mode gradients).

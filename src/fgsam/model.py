@@ -165,8 +165,9 @@ class Block(NamedTuple):
     """Layer l of a forward that produces only some rows: `rows` are the
     rows S_l it outputs (None: all n rows), and `op` propagates the rows
     that layer l-1 output into them. Layer 0 reads rows S_0 of A.X from
-    the operator's memo (`propagate_input`) instead, so its `op` is the
-    graph's operator."""
+    the memo that the run made before its first step
+    (`PropagationOperator.fill_input`) instead, so its `op` is the graph's
+    operator."""
 
     rows: np.ndarray | None
     op: PropagationOperator
@@ -260,9 +261,11 @@ def forward_features(params: ModelParams, x: np.ndarray,
                      blocks=None) -> Activations:
     """Forward pass over all n rows, or over the rows of `blocks` (see
     `receptive_field`), in which case row i of every output is row
-    `blocks[l].rows[i]` of the full forward. Stacked params (a leading K
-    axis) give every output that axis; their layers above the first run
-    only under the identity operator, the PeerMLP's."""
+    `blocks[l].rows[i]` of the full forward. Layer 0 reads A.X from the
+    operator's memo (`PropagationOperator.propagate_input`), which makes
+    the full product if the memo cannot serve the read. Stacked params (a
+    leading K axis) give every output that axis; their layers above the
+    first run only under the identity operator, the PeerMLP's."""
     if x.shape[-1] != params.weights[0].shape[-2]:
         raise ModelError(
             f"feature dim {x.shape[-1]} != model input dim {params.dims[0]}")

@@ -609,9 +609,15 @@ class TestEveryBlockIsASlice:
         assert built == []
 
 
+def shared_tops(config, graph, split, operator):
+    """The last-layer slices of the training episodes of the first repeat
+    of a shared run set-up (`fsnc.run_setup`)."""
+    return fsnc.run_setup(config, graph, split, operator, True)[1][0][0]
+
+
 class TestTopSlices:
     """Each training episode's last layer on its slice from the graph's
-    memo (`fsnc.top_slices`), against the paths that cut nothing ahead."""
+    memo (`fsnc.run_setup`), against the paths that cut nothing ahead."""
 
     @pytest.mark.parametrize("layers", [2, 3])
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
@@ -626,10 +632,10 @@ class TestTopSlices:
             split = split_classes(g.num_classes, (4, 2, 2), seed)
             cfg = ProtocolConfig(episodes=100, val_interval=10, val_tasks=20,
                                  test_tasks=100, layers=layers, hidden=16,
-                                 scheme=scheme, seed=seed)
+                                 scheme=scheme, seed=seed, repeats=1)
             op = normalize(g, scheme)
             episodes = fsnc.repeat_tasks(cfg, g, split, seed)[0]
-            tops = fsnc.top_slices(cfg, g, split, op, seed)
+            tops = shared_tops(cfg, g, split, op)
             dims = mdl.uniform_dims(g.d0, 16, 16, layers)
             rng = np.random.default_rng(seed)
             for ep, top in zip(episodes, tops):
@@ -658,7 +664,7 @@ class TestTopSlices:
         episodes = fsnc.repeat_tasks(cfg, g, split, 0)[0]
         dims = mdl.uniform_dims(g.d0, 6, 6, layers)
         rng = np.random.default_rng(layers)
-        for ep, top in zip(episodes, fsnc.top_slices(cfg, g, split, op, 0)):
+        for ep, top in zip(episodes, shared_tops(cfg, g, split, op)):
             assert top.rows is ep.rows and top.cols is not None
             params = mdl.init_params(dims, rng)
             assert_same_bits(
@@ -672,22 +678,27 @@ class TestTopSlices:
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         cfg = small_config(episodes=6, val_interval=3)
         op = normalize(g, "gcn-sym")
-        tops = fsnc.top_slices(cfg, g, split, op, 0)
+        tops = shared_tops(cfg, g, split, op)
         assert len(tops) == 6
-        # another run's operator, layer count or optimizer: the same slices
-        assert fsnc.top_slices(
-            dataclasses.replace(cfg, layers=3, optimizer="sam"), g, split,
-            normalize(g, "gcn-sym"), 0) is tops
+        # another run's operator, optimizer or rho: the same slices
+        assert shared_tops(
+            dataclasses.replace(cfg, optimizer="sam",
+                                hp=optim.Hyperparams(rho=0.5)),
+            g, split, normalize(g, "gcn-sym")) is tops
+        # another layer count: a set-up of its own, with the same slices
+        deeper = shared_tops(dataclasses.replace(cfg, layers=3), g, split, op)
+        assert deeper is not tops
+        for a, b in zip(deeper, tops):
+            assert a.rows is b.rows
+            assert a.matrix.data.tobytes() == b.matrix.data.tobytes()
         # another scheme's matrix: other slices of the same rows
-        other = fsnc.top_slices(cfg, g, split,
-                                normalize(g, "mean-neighbors"), 0)
+        other = shared_tops(cfg, g, split, normalize(g, "mean-neighbors"))
         assert [t.rows for t in other] == [t.rows for t in tops]
         assert not np.array_equal(other[0].matrix.data, tops[0].matrix.data)
         # a forward that cuts nothing gets no slice
         for config, operator in ((dataclasses.replace(cfg, layers=1), op),
                                  (cfg, normalize(g, "identity"))):
-            assert fsnc.top_slices(config, g, split, operator,
-                                   0) == (None,) * 6
+            assert shared_tops(config, g, split, operator) == (None,) * 6
         for piece in tops:
             mat = piece.matrix
             for array in (mat.data, mat.indices, mat.indptr):
@@ -778,12 +789,12 @@ class TestTrainProtocol:
 
     def test_run_leaves_no_dense_propagation_on_the_graph(self, monkeypatch):
         # the A.X a run fills belongs to its operator's memo and is freed
-        # with it: on a sparse graph only the rows it reads (row-to-slot map
-        # and row buffer), on a dense one the full product. The graph keeps
-        # its sparse matrix, here smaller than the features, the training
-        # episodes' and evaluation rounds' last-layer slices
-        # (`fsnc.top_slices`, `fsnc.round_slices`) and the wide slice of the
-        # layer-0 rows the run fills from (`fsnc._plan`), never a product
+        # with it: on a sparse graph only the rows it reads (their product
+        # and a row-to-slot map), on a dense one the full product. The graph
+        # keeps its sparse matrix, here smaller than the features, and the
+        # run's set-up (`fsnc.run_setup`): the training episodes' and
+        # evaluation rounds' last-layer slices and the wide slice of the
+        # layer-0 rows the run fills from, never a product
         sparse = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
                                           q=0.001, D=3.0, l=32, seed=1))
         # the benchmark's fsnc-small graph with wider features
@@ -796,10 +807,10 @@ class TestTrainProtocol:
             def spy(op, x, rows=None):
                 out = propagate(op, x, rows)
                 if not op.is_identity:
-                    _, full, slot, buffer = op._input_memo
+                    _, product, slot = op._input_memo
                     # a sparse graph fills rows only, a dense one all of A.X
-                    assert (full is None) == (g is sparse)
-                    kept = (slot, buffer) if full is None else (full,)
+                    assert (slot is not None) == (g is sparse)
+                    kept = (product,) if slot is None else (product, slot)
                     filled.extend(weakref.ref(a) for a in kept)
                 return out
 
@@ -877,10 +888,11 @@ class TestPlan:
                                                          name):
         g = sparse_graph()
         in_step = self.spy_steps(monkeypatch)
-        products, cuts, plans, filled = [], [], [], []
-        apply, cut, plan, fill = (PropagationOperator.apply,
-                                  PropagationOperator.cut_slice, fsnc._plan,
-                                  PropagationOperator.fill_input)
+        products, cuts, setups, filled = [], [], [], []
+        apply, cut, setup, fill = (PropagationOperator.apply,
+                                   PropagationOperator.cut_slice,
+                                   fsnc.run_setup,
+                                   PropagationOperator.fill_input)
 
         def spy_apply(op, x):
             if not op.is_identity:
@@ -892,35 +904,36 @@ class TestPlan:
             cuts.append((narrow, in_step[0]))
             return cut(op, rows, narrow)
 
-        def spy_plan(config, graph, split, operator, share):
+        def spy_setup(config, graph, split, operator, share):
             before = len(cuts)
-            out = plan(config, graph, split, operator, share)
-            # one receptive-field walk over all the repeats' rows, then the
-            # wide slice of the A.X rows they read
-            plans.append([narrow for narrow, _ in cuts[before:]])
+            out = setup(config, graph, split, operator, share)
+            setups.append([narrow for narrow, _ in cuts[before:]])
             return out
 
         def spy_fill(op, x, piece=None):
             fill(op, x, piece)
-            _, full, slot, buffer = op._input_memo
-            filled.append((full, slot.copy(), buffer.shape))
+            _, product, slot = op._input_memo
+            filled.append((slot.copy(), product.shape))
 
         monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
         monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
         monkeypatch.setattr(PropagationOperator, "fill_input", spy_fill)
-        monkeypatch.setattr(fsnc, "_plan", spy_plan)
+        monkeypatch.setattr(fsnc, "run_setup", spy_setup)
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(optimizer=name, repeats=2, episodes=6,
                            val_interval=3, query=10)
         train_protocol(cfg, g, split)
-        assert plans == [[True] * (cfg.layers - 1) + [False]]
+        # the set-up ends with its plan: one receptive-field walk over all
+        # the repeats' rows, then the wide slice of the A.X rows they read
+        [made] = setups
+        assert made[-cfg.layers:] == [True] * (cfg.layers - 1) + [False]
         # no product over all n rows, A.X included
         assert products and max(rows for rows, _, _ in products) < g.n
         # A.X rows are filled by the run's one fill, which covers both
         # repeats, so the second repeat fills none
         fills = [p for p in products if p[1]]
         assert len(fills) == 1 and not any(p[2] for p in fills)
-        # blocks are cut by the plan and at each use, never inside a step
+        # blocks are cut by the set-up and at each use, never inside a step
         assert cuts and not any(step for _, step in cuts)
         # the fill leaves exactly the rows the repeats read filled
         op = normalize(g, cfg.scheme)
@@ -930,8 +943,7 @@ class TestPlan:
                 fsnc.repeat_tasks(cfg, g, split, root) for root in (0, 1))
             for rows in [e.rows for e in episodes]
             + [t.union for t in rounds + (test_round,)]]))
-        [(full, slot, shape)] = filled
-        assert full is None
+        [(slot, shape)] = filled
         assert np.array_equal(np.flatnonzero(slot >= 0), read)
         assert shape == (read.size, g.d0)
         assert read.size < g.n
@@ -1056,13 +1068,18 @@ class TestSharedTasks:
         # nothing is drawn or cut once the clock runs
         assert memo.keys() == g._tasks.keys()
         assert all(memo[key] is g._tasks[key] for key in memo)
-        want = [fsnc.repeat_tasks(cfg, g, split, root) for root in range(3)]
+        want = {fsnc._task_key(cfg, split, root):
+                fsnc.repeat_tasks(cfg, g, split, root) for root in range(3)}
         if share:
-            op = normalize(g, "gcn-sym")
-            want += [cut(cfg, g, split, op, root) for root in range(3)
-                     for cut in (fsnc.top_slices, fsnc.round_slices)]
-            want.append(fsnc._plan(cfg, g, split, op, True))
-        assert sorted(map(id, memo.values())) == sorted(map(id, want))
+            # one set-up, the slices and plan that a later run reads
+            _, slices, plan = fsnc.run_setup(cfg, g, split,
+                                             normalize(g, "gcn-sym"), True)
+            [key] = memo.keys() - want.keys()
+            assert key == ("gcn-sym", cfg.layers, tuple(want))
+            assert memo[key][0] is slices and memo[key][1] is plan
+            want[key] = memo[key]
+        assert memo.keys() == want.keys()
+        assert all(memo[key] is want[key] for key in want)
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -1491,66 +1508,61 @@ class TestWorkLedger:
                               else (4, 2, 2), 0)
         cfg = small_config(repeats=repeats, episodes=6, val_interval=3,
                            query=10)
-        # (rows, the function of the graph's memo that cut them, or None)
-        # of every cut
+        # (rows, "run_setup" if the run's set-up cut them, else None) of
+        # every cut
         cuts, operators, inside = [], [], [None]
-        cut, fresh_operator = PropagationOperator.cut_slice, fsnc.normalize
+        cut, setup = PropagationOperator.cut_slice, fsnc.run_setup
+        fresh_operator = fsnc.normalize
 
         def spy_cut(op, rows, narrow):
             cuts.append((rows, inside[0]))
             return cut(op, rows, narrow)
 
-        def spy_on(name):
-            real = getattr(fsnc, name)
-
-            def spy(*args):
-                outer, inside[0] = inside[0], name
-                try:
-                    return real(*args)
-                finally:
-                    inside[0] = outer
-
-            monkeypatch.setattr(fsnc, name, spy)
+        def spy_setup(*args):
+            inside[0] = "run_setup"
+            try:
+                return setup(*args)
+            finally:
+                inside[0] = None
 
         def spy_normalize(graph, scheme):
             operators.append(fresh_operator(graph, scheme))
             return operators[-1]
 
         monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
-        for name in ("top_slices", "round_slices", "_plan"):
-            spy_on(name)
+        monkeypatch.setattr(fsnc, "run_setup", spy_setup)
         monkeypatch.setattr(fsnc, "normalize", spy_normalize)
 
         def arm(name, graph, share_slices=True):
             before = len(cuts)
             report = train_protocol(dataclasses.replace(cfg, optimizer=name),
                                     graph, split, share_slices)
-            made = [where for _, where in cuts[before:]]
+            made = cuts[before:]
             return without_walls(report), operators[-1].apply_count, made
 
         names = optim.OPTIMIZER_NAMES
         shared = [arm(name, g) for name in names]
         drawn = [fsnc.repeat_tasks(cfg, g, split, root)
                  for root in range(repeats)]
-        # every training episode's rows cut once, in the order drawn
-        want = [e.rows if sparse else e.union for episodes, _, _ in drawn
-                for e in episodes]
-        slices = [rows for rows, where in cuts if where == "top_slices"]
-        assert len(slices) == len(want) == repeats * cfg.episodes
-        assert all(got is rows for got, rows in zip(slices, want))
-        # every evaluation round's rows cut once where the round slices, in
-        # the order drawn, and the run's layer-0 plan once: its walk one
-        # layer below the top and the wide slice of the A.X rows
-        rounds = [t.union for _, val, test in drawn for t in val + (test,)]
-        scored = [rows for rows, where in cuts if where == "round_slices"]
-        assert len(scored) == (len(rounds) if sparse else 0)
-        assert all(got is rows for got, rows in zip(scored, rounds))
+        # every repeat's training episodes' rows cut once, in the order
+        # drawn, then its evaluation rounds' rows where the round slices,
+        # and last the run's layer-0 plan, once: its walk one layer below
+        # the top and the wide slice of the A.X rows
+        sliced = []
+        for episodes, val, test in drawn:
+            sliced += [e.rows if sparse else e.union for e in episodes]
+            sliced += [t.union for t in val + (test,)] if sparse else []
+        tasks = sum(len(episodes) + len(val) + 1
+                    for episodes, val, _ in drawn)
+        assert len(sliced) == (tasks if sparse else repeats * cfg.episodes)
         planned = 2 if sparse else 0
         # the first arm cuts them all, before its clock; the others reuse
         # them and cut nothing: no one-use block, no A.X fill of their own
-        first = len(want) + len(scored) + planned
+        first = len(sliced) + planned
         assert [len(made) for _, _, made in shared] == [first, 0, 0, 0]
-        assert None not in shared[0][2]
+        assert all(where == "run_setup" for _, where in shared[0][2])
+        assert all(got is rows
+                   for (got, _), rows in zip(shared[0][2], sliced))
         # each arm's report, evaluation counts and products are the ones
         # it gives on a fresh graph, where it cuts the slices itself, and
         # on one where it cuts none ahead
@@ -1565,9 +1577,9 @@ class TestWorkLedger:
             np.testing.assert_equal(report, unshared)
             assert applied == unshared_applied
             # the plan of its own, and each sliced task's block at use
-            assert unshared_made.count("_plan") == planned
-            assert unshared_made.count(None) == (
-                len(want) + len(rounds) if sparse else 0)
+            wheres = [where for _, where in unshared_made]
+            assert wheres.count("run_setup") == planned
+            assert wheres.count(None) == (tasks if sparse else 0)
             assert set(alone._tasks) == {
                 fsnc._task_key(cfg, split, root) for root in range(repeats)}
 
@@ -1619,6 +1631,43 @@ class TestWorkLedger:
         assert fills == [["clock", ((planned.size, g.n),
                                     op.row_nnz(planned))]] * 4
 
+    @pytest.mark.parametrize("share", [False, True], ids=["own", "shared"])
+    def test_one_layer_run_fills_its_reads_from_a_wide_slice(
+            self, monkeypatch, share):
+        # a one-layer forward only gathers rows of A.X, so a one-layer run
+        # always plans: one wide slice of the sorted union of every row its
+        # tasks read, here 882 of 2 000 rows, and never the full product;
+        # it cuts no other block
+        g = small_graph(K=10, npc=200, p=0.02, q=0.001)
+        split = split_classes(g.num_classes, (6, 2, 2), 0)
+        cfg = small_config(repeats=2, episodes=6, val_interval=3, query=10,
+                           layers=1)
+        cuts, fills = [], []
+        cut, apply = PropagationOperator.cut_slice, PropagationOperator.apply
+
+        def spy_cut(op, rows, narrow):
+            cuts.append(narrow)
+            return cut(op, rows, narrow)
+
+        def spy_apply(op, x):
+            if x is g.features:
+                fills.append((op.matrix.shape, op.matrix.nnz))
+            return apply(op, x)
+
+        monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
+        monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
+        train_protocol(cfg, g, split, share)
+        reads = np.unique(np.concatenate([
+            rows for root in (0, 1)
+            for episodes, rounds, test in [
+                fsnc.repeat_tasks(cfg, g, split, root)]
+            for rows in [e.rows for e in episodes]
+            + [t.union for t in rounds + (test,)]]))
+        nnz = normalize(g, cfg.scheme).row_nnz(reads)
+        assert (g.n, reads.size, nnz) == (2000, 882, 5991)
+        assert cuts == [False]
+        assert fills == [((reads.size, g.n), nnz)]
+
     @pytest.mark.parametrize("sparse,scheme,fills", [
         (True, "gcn-sym", (1, 1183, 710908)),
         (True, "mean-neighbors", (1, 1165, 701566)),
@@ -1633,11 +1682,10 @@ class TestWorkLedger:
                               else (4, 2, 2), 0)
         cfg = small_config(episodes=6, val_interval=3, query=10, repeats=2)
         op = normalize(g, scheme)
-        op.fill_input(g.features, fsnc._plan(cfg, g, split, op, False))
-        _, full, slot, _ = op._input_memo
-        rows = (np.arange(g.n) if full is not None
-                else np.flatnonzero(slot >= 0))
-        assert (full is None) == sparse
+        op.fill_input(g.features, fsnc.run_setup(cfg, g, split, op, False)[2])
+        slot = op._input_memo[2]
+        rows = np.arange(g.n) if slot is None else np.flatnonzero(slot >= 0)
+        assert (slot is not None) == sparse
         assert (op.apply_count, rows.size, int(rows.sum())) == fills
 
 

@@ -194,27 +194,24 @@ class TestOperators:
             return op.propagate_input(x, rows).tobytes() == want[rows].tobytes()
 
         first = np.array([17, 3, 64, 3, 40, 17])      # unsorted, repeated
+        # a fresh operator's first read makes the full product, which then
+        # serves every read
         assert same(first)
         assert op.apply_count == 1
-        _, full, slot, filled = op._input_memo
-        assert full is None and slot.shape == (g.n,)
-        assert filled.shape == (4, g.d0)
-        second = np.array([64, 5, 79, 0, 5])          # 2 filled, 3 missing
-        assert same(second)
-        assert op.apply_count == 2                    # one more fill
-        assert op._input_memo[3].shape == (7, g.d0)   # the buffer grew
-        both = np.concatenate([second, first])
-        assert same(both) and op.apply_count == 2     # nothing missing
-        # the full product, once filled, serves rows and drops the buffer
-        assert op.propagate_input(x).tobytes() == want.tobytes()
-        assert op.apply_count == 3 and op._input_memo[2:] == (None, None)
-        assert same(both) and same(np.arange(g.n)[::-1])
-        assert op.apply_count == 3
+        _, full, slot = op._input_memo
+        assert slot is None and full.tobytes() == want.tobytes()
+        assert same(np.arange(g.n)[::-1]) and op.propagate_input(x) is full
+        assert op.apply_count == 1
+        # a compact memo of the wide slice of the distinct rows
+        op.fill_input(x, op.cut_slice(np.unique(first), False))
+        assert op.apply_count == 2 and op._input_memo[2] is not None
+        assert same(first) and same(first[::-1])
+        assert op.apply_count == 2
         # another input array starts a memo of its own
         copy = x.copy()
         assert (op.propagate_input(copy, first).tobytes()
                 == want[first].tobytes())
-        assert op.apply_count == 4 and op._input_memo[0] is copy
+        assert op.apply_count == 3 and op._input_memo[0] is copy
         ident = normalize(g, "identity")
         assert ident.propagate_input(x) is x
         assert np.array_equal(ident.propagate_input(x, first), x[first])
@@ -233,27 +230,44 @@ class TestOperators:
         op = normalize(g, scheme)
         op.fill_input(x, piece)
         assert op.apply_count == 1
-        _, full, slot, filled = op._input_memo
-        assert full is None and np.array_equal(np.flatnonzero(slot >= 0),
-                                               rows)
+        _, filled, slot = op._input_memo
+        assert np.array_equal(np.flatnonzero(slot >= 0), rows)
         assert filled.tobytes() == want[rows].tobytes()
         read = np.array([64, 3, 3])
         assert op.propagate_input(x, read).tobytes() == want[read].tobytes()
         assert op.apply_count == 1                    # nothing missing
-        # rows outside the slice are filled at use, as without it
-        assert (op.propagate_input(x, [5, 3]).tobytes()
-                == want[[5, 3]].tobytes())
-        assert op.apply_count == 2
-        # without a slice the fill is the full product, which then takes
-        # no rows
+        # without a slice the fill is the full product, which replaces the
+        # compact memo
         op.fill_input(x)
-        _, full, slot, filled = op._input_memo
-        assert op.apply_count == 3 and full.tobytes() == want.tobytes()
-        op.fill_input(x, piece)
-        assert op.apply_count == 3 and op._input_memo[1] is full
+        _, full, slot = op._input_memo
+        assert op.apply_count == 2 and slot is None
+        assert full.tobytes() == want.tobytes() and not full.flags.writeable
         ident = normalize(g, "identity")
-        ident.fill_input(x)
-        assert ident.propagate_input(x) is x and ident.apply_count == 0
+        ident.fill_input(x, piece)
+        assert ident._input_memo is None and ident.apply_count == 0
+        assert ident.propagate_input(x) is x and x.flags.writeable
+
+    @pytest.mark.parametrize("ask", ["missing row", "all rows"])
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_compact_memo_reads_only_its_rows(self, scheme, ask):
+        # a read that a compact memo cannot serve makes the full product
+        # once, returns its bits, and leaves it to serve every later read
+        rng = np.random.default_rng(13)
+        g = random_graph(rng, 80)
+        x = g.features
+        want = normalize(g, scheme).matrix @ x
+        op = normalize(g, scheme)
+        op.fill_input(x, op.cut_slice(np.array([3, 17, 40, 64]), False))
+        rows = np.array([64, 5, 3]) if ask == "missing row" else None
+        got = op.propagate_input(x, rows)
+        assert got.tobytes() == (want if rows is None
+                                 else want[rows]).tobytes()
+        assert op.apply_count == 2
+        _, full, slot = op._input_memo
+        assert slot is None and full.tobytes() == want.tobytes()
+        later = [5, 79]
+        assert op.propagate_input(x, later).tobytes() == want[later].tobytes()
+        assert op.apply_count == 2
 
     def test_unknown_scheme(self):
         g = build_graph(2, [(0, 1)], np.zeros((2, 1)), [0, 0])

@@ -10,11 +10,11 @@ benchmark workload at seeds 0 and 17, with one BLAS thread. Each
 their `wall_ms`, its evaluation counts, its test accuracy and its best
 validation accuracy, so two checkouts whose digests agree computed the same
 floats, bit for bit. The subprocess then runs each command of `CLI_RUNS`
-through the checkout's own `cli.run`, on a 200-node CSBM in a temporary
-directory and with the same relative paths for every checkout, so that the
-config echoes match. Each run directory gets a SHA-256 over its files as
-`tests/run_dir_reader.py` (next to this file) reads them, without the
-wall-time fields. The subprocess runs this file, so a checkout that lacks
+through the checkout's own `cli.run`, on a dense 200-node and a sparse
+6 000-node CSBM in a temporary directory and with the same relative paths
+for every checkout, so that the config echoes match. Each run directory
+gets a SHA-256 over its files as `tests/run_dir_reader.py` (next to this
+file) reads them, without the wall-time fields. The subprocess runs this file, so a checkout that lacks
 it can be digested too.
 
 One line per pair or command gives each checkout's digest and, with two or
@@ -64,6 +64,15 @@ CLI_RUNS = (
     ("landscape", ("landscape", "--graph", "graph", "--checkpoint",
                    "nc/best.ckpt", "--grid-points", "7")),
     ("bench", ("bench", "--episodes", "2")),
+    # a 6 000-node graph of mean degree 3.5, where each run fills A.X from
+    # a slice of A, the rows its tasks read: 1 775 rows with one layer,
+    # 5 635 with three
+    ("sparse", ("gen-csbm", "--k", "6", "--nodes-per-class", "1000", "--p",
+                "0.003", "--q", "0.0001", "--dist", "3", "--dim", "8")),
+    ("fsnc-layers1", ("fsnc", "--graph", "sparse", "--layers", "1",
+                      "--repeats", "2", *SHORT)),
+    ("compare-layers3", ("compare", "--graph", "sparse", "--layers", "3",
+                         "--repeats", "2", *SHORT)),
 )
 
 
@@ -177,7 +186,7 @@ def main(argv=None) -> int:
     differ = False
     for pair in runs[0]:
         digests = [run[pair] for run in runs]
-        line = f"{pair:16s} " + " ".join(digests)
+        line = f"{pair:19s} " + " ".join(digests)
         if len(runs) > 1:
             same = len(set(digests)) == 1
             differ = differ or not same
