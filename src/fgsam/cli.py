@@ -207,13 +207,16 @@ def _write_report(report, outdir: str) -> None:
     """`report.json` of a `fsnc.TrainReport` or `fsnc.NCReport`: each
     record's config and scalar fields in declaration order, then its
     repeats or the name of the CSV its trace is written to (`trace_path`).
-    A trace CSV an earlier run left in `outdir` that this report does not
-    name is deleted, so that every trace in the directory is this run's."""
+    A NaN field, the `best_val_acc` of a run without a validation round,
+    is written as null, as JSON has no NaN. A trace CSV an earlier run left
+    in `outdir` that this report does not name is deleted, so that every
+    trace in the directory is this run's."""
     os.makedirs(outdir, exist_ok=True)
     written = set()
 
     def payload(record, trace_name):
-        entry = {name: value for name, value in vars(record).items()
+        entry = {name: None if value != value else value
+                 for name, value in vars(record).items()
                  if isinstance(value, (dict, float, int, str))}
         if isinstance(record, fsnc.TrainReport):
             entry["repeats"] = [payload(rep, f"trace_r{i}.csv")

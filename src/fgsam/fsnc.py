@@ -43,7 +43,8 @@ class Episode:
     """One N-way K-shot task, or a round of them (`draw_round`), with the
     index arrays its loss and its evaluation read, built when it is made.
     Every array of a drawn episode is read-only and the episode is frozen:
-    a graph's drawn tasks are shared by every run on it (`Graph.tasks`)."""
+    a shared run's tasks are read by every later run on its graph
+    (`run_setup`)."""
 
     way: int
     shot: int
@@ -150,12 +151,7 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     way, shot = episode.way, episode.shot
     ns = way * shot
     lead = emb.shape[:-2]
-    zs, zq = emb[..., :ns, :], emb[..., ns:, :]
-    # (..., 1, way, d): every query's row of prototypes
-    protos = np.add.reduce(zs.reshape(lead + (1, way, shot, -1)), axis=-2)
-    protos /= shot
-    diff = zq[..., None, :] - protos
-    d2 = np.add.reduce(diff * diff, axis=-1)     # the logits are -d2
+    diff, d2 = _distances(emb, episode)    # the logits are -d2
     m = d2.shape[-2]
     dmin = np.minimum.reduce(d2, axis=-1, keepdims=True)
     e = dmin - d2                  # logits - max(logits)
@@ -179,6 +175,22 @@ def proto_head(emb: np.ndarray, episode: Episode, compute_grad: bool = True):
     # a view: the support rows split into (way, shot) without a copy
     grad[..., :ns, :].reshape(lead + (way, shot, -1))[:] = dprot[..., None, :]
     return value, grad
+
+
+def _distances(emb: np.ndarray, episode: Episode):
+    """(diff, d2) of the embeddings `emb` of the episode's rows: each
+    query's difference from every class prototype, the mean of its support
+    embeddings, with shape (..., query, way, d), and its squared distances
+    to them, (..., query, way)."""
+    way, shot = episode.way, episode.shot
+    ns = way * shot
+    zs, zq = emb[..., :ns, :], emb[..., ns:, :]
+    # (..., 1, way, d): every query's row of prototypes
+    protos = np.add.reduce(zs.reshape(emb.shape[:-2] + (1, way, shot, -1)),
+                           axis=-2)
+    protos /= shot
+    diff = zq[..., None, :] - protos
+    return diff, np.add.reduce(diff * diff, axis=-1)
 
 
 def proto_episode(params: mdl.ModelParams, graph: Graph,
@@ -205,17 +217,13 @@ def task_accuracy(params: mdl.ModelParams, graph: Graph,
                   operator: PropagationOperator, tasks: Episode, blocks):
     """Mean and standard deviation of the accuracy over the tasks of an
     evaluation round (`draw_round`). One forward over the union of the
-    tasks' rows serves them all, and one batched head makes `proto_head`'s
-    reductions, in its order, for every task. `blocks` are
+    tasks' rows serves them all, and `proto_head`'s squared distances, for
+    every task at once, pick each query's nearest prototype. `blocks` are
     `model.blocks_for` of that union (`tasks.union`), whose logits are read
     at `tasks.positions`; None runs the forward on all n rows."""
     emb = mdl.forward(params, graph, operator, blocks).logits
     emb = emb[tasks.rows if blocks is None else tasks.positions]
-    ns = tasks.way * tasks.shot
-    protos = emb[:, :ns].reshape(len(emb), tasks.way, tasks.shot,
-                                 -1).mean(axis=2)
-    diff = emb[:, ns:, None, :] - protos[:, None, :, :]
-    nearest = np.argmin((diff * diff).sum(axis=3), axis=2)
+    nearest = np.argmin(_distances(emb, tasks)[1], axis=-1)
     accs = np.mean(nearest == tasks.query_labels, axis=1)
     return float(np.mean(accs)), float(np.std(accs))
 
@@ -358,29 +366,10 @@ def train_steps(opt, w, steps, objective_at, val_acc, val_interval,
 def repeat_tasks(config: ProtocolConfig, graph: Graph, split: ClassSplit,
                  root: int) -> tuple:
     """The tasks of the repeat whose root seed is `root`, as (episodes,
-    validation rounds, test round) with one episode per step, drawn on the
-    first request and shared by every later one on the graph: every arm,
-    optimizer and rho runs the same tasks, bit for bit.
-
-    The draws are a function of the graph and of the key alone: the
-    split's class arrays, by value, the protocol sizes and counts and
-    `root`. The episode of every step, every validation round and the test
-    round are drawn from the repeat's `episodes`, `val` and `test` streams,
-    which gives the same draws as drawing each task when it is used."""
-    return graph.tasks(_task_key(config, split, root),
-                       lambda: _draw_repeat(config, graph, split, root))
-
-
-def _task_key(config: ProtocolConfig, split: ClassSplit, root: int) -> tuple:
-    """Every input that decides a repeat's draws (`repeat_tasks`)."""
-    return (tuple((c.dtype.str, c.tobytes()) for c in map(np.asarray, (
-        split.train_classes, split.val_classes, split.novel_classes))),
-        config.way, config.shot, config.query, config.episodes,
-        config.val_interval, config.val_tasks, config.test_tasks, root)
-
-
-def _draw_repeat(config: ProtocolConfig, graph: Graph, split: ClassSplit,
-                 root: int) -> tuple:
+    validation rounds, test round) with one episode per step. The episode
+    of every step, every validation round and the test round are drawn
+    from the repeat's `episodes`, `val` and `test` streams, which gives the
+    same draws as drawing each task when it is used."""
     sizes = (config.way, config.shot, config.query)
     ep_rng, val_rng = stream_rng(root, "episodes"), stream_rng(root, "val")
     episodes = tuple(sample_episode(graph, split.train_classes, *sizes,
@@ -397,14 +386,14 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
               operator: PropagationOperator, share: bool) -> tuple:
     """(tasks, slices, plan) of a run of `config.repeats` repeats.
 
-    `tasks` holds every repeat's `repeat_tasks`. `slices` holds, for every
-    repeat, the last-layer slice of each training episode and of each
-    evaluation round, its validation rounds then its test round. An
-    episode gets the narrow slice of its rows (`cut_slice(rows, True)`),
-    the head of its receptive field, where they are
-    `model.worth_slicing`, and otherwise the wide slice of its sorted
-    distinct rows (`union`), the last of `model.top_blocks` of them. A
-    round gets the narrow slice of its `union` where that is worth
+    `tasks` holds the `repeat_tasks` of every repeat, whose root seeds run
+    from `config.seed`. `slices` holds, for every repeat, the last-layer
+    slice of each training episode and of each evaluation round, its
+    validation rounds then its test round. An episode gets the narrow slice
+    of its rows (`cut_slice(rows, True)`), the head of its receptive field,
+    where they are `model.worth_slicing`, and otherwise the wide slice of
+    its sorted distinct rows (`union`), the last of `model.top_blocks` of
+    them. A round gets the narrow slice of its `union` where that is worth
     slicing, and None where its forward runs on all n rows.
 
     `plan` is the layer-0 plan: the wide slice A[S_0] of the sorted rows
@@ -415,14 +404,13 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     takes the full-graph path, where the run fills the whole A.X instead,
     and under the identity operator, which fills nothing.
 
-    With `share`, the slices and the plan are cut on the first request and
-    kept on the graph (`Graph.tasks`) under the scheme, the layer count and
-    every repeat's task key, so every later arm, optimizer and rho reads
-    the same read-only arrays and wraps them in operators of its own.
-    Without it, no slice is cut (each entry is None) and the run holds its
-    own plan. A one-layer forward or the identity operator cuts no slice."""
-    roots = range(config.seed, config.seed + config.repeats)
-    tasks = [repeat_tasks(config, graph, split, root) for root in roots]
+    With `share`, the set-up is made on the first request and kept on the
+    graph (`Graph.memo`) under the scheme, the layer count and `_draw_key`,
+    so every later arm, optimizer and rho reads the same tasks and
+    read-only arrays and wraps them in operators of its own. Without it,
+    the run draws its own tasks and plan, cuts no slice (each entry is
+    None) and keeps nothing on the graph. A one-layer forward or the
+    identity operator cuts no slice."""
     slicing = share and config.layers > 1 and not operator.is_identity
 
     def worth(rows):
@@ -440,7 +428,9 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
             return operator.cut_slice(t.union, True)
         return None
 
-    def cut():
+    def make():
+        tasks = [repeat_tasks(config, graph, split, root) for root in
+                 range(config.seed, config.seed + config.repeats)]
         slices = [(tuple(map(top, episodes)),
                    tuple(map(scored, rounds + (test_round,))))
                   for episodes, rounds, test_round in tasks]
@@ -448,33 +438,42 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
                  for rows in [e.rows for e in episodes]
                  + [t.union for t in rounds + (test_round,)]]
         if operator.is_identity or not all(map(worth, reads)):
-            return slices, None
+            return tasks, slices, None
         union = np.unique(np.concatenate(reads))
         rows = mdl.receptive_field(operator, union, config.layers)[0].rows
-        return slices, operator.cut_slice(rows, False)
+        return tasks, slices, operator.cut_slice(rows, False)
 
     if not share:
-        return (tasks,) + cut()
-    key = (operator.scheme, config.layers,
-           tuple(_task_key(config, split, root) for root in roots))
-    return (tasks,) + graph.tasks(key, cut)
+        return make()
+    return graph.memo((operator.scheme, config.layers,
+                       _draw_key(config, split)), make)
+
+
+def _draw_key(config: ProtocolConfig, split: ClassSplit) -> tuple:
+    """Every input that decides a run's draws (`repeat_tasks` of each of
+    its repeats)."""
+    return (tuple((c.dtype.str, c.tobytes()) for c in map(np.asarray, (
+        split.train_classes, split.val_classes, split.novel_classes))),
+        config.way, config.shot, config.query, config.episodes,
+        config.val_interval, config.val_tasks, config.test_tasks,
+        config.seed, config.repeats)
 
 
 def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
                    share_slices: bool = True) -> TrainReport:
     """`config.repeats` repeats of episodic training with validation and
     early stopping, each scored on its test round. Repeat r runs the tasks
-    of root seed `config.seed + r` (`repeat_tasks`), which the first run on
-    the graph draws and every later one reuses; the operator, its A.X fill,
-    the blocks and the evaluation counters are this run's own.
+    of root seed `config.seed + r` (`repeat_tasks`); the operator, its A.X
+    fill, the blocks and the evaluation counters are this run's own.
 
-    With `share_slices`, each training episode and evaluation round runs
-    its last layer on its slice from the graph, and the run fills its A.X
-    rows from the graph's layer-0 plan (`run_setup`): the first run cuts
-    them and every later one reuses them. A run that is the graph's only
-    one passes False, so that the graph keeps no slices: the run holds its
-    own plan, and each episode or round cuts its receptive field at use, or
-    runs its forward on all n rows. Both give the same bits.
+    With `share_slices`, the run reads its set-up (`run_setup`) from the
+    graph, where the first run with its scheme, layer count and draws made
+    it: the tasks, each training episode's and evaluation round's
+    last-layer slice, and the layer-0 plan it fills its A.X rows from. A
+    run that is the graph's only one passes False, so that the graph keeps
+    only its matrix: the run draws its own tasks and plan, and each episode
+    or round cuts its receptive field at use, or runs its forward on all n
+    rows. Both give the same bits.
 
     The clock of `wall_seconds` starts once the operator and the run's
     set-up are made, so that the first run on a graph carries none of what

@@ -28,12 +28,10 @@ class Graph:
     edges: np.ndarray     # (E, 2) int64, u < v
     labels: np.ndarray    # (n,) int64
     num_classes: int
-    # scheme -> normalized matrix, filled by `propagation_matrix`
-    _matrices: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-    # key -> drawn tasks or a run's set-up, filled by `tasks`
-    _tasks: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # key -> a value made on the first request and shared by every later
+    # one, filled by `memo`
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -53,25 +51,24 @@ class Graph:
     def propagation_matrix(self, scheme: str) -> sp.csr_matrix:
         """The normalized n x n matrix of `scheme` ("gcn-sym" or
         "mean-neighbors"), built on the first call and shared by every
-        operator of this graph. Its arrays are read-only, so an in-place
-        change such as `sort_indices` raises instead of re-ordering the
-        products of every later run on the graph."""
-        mat = self._matrices.get(scheme)
-        if mat is None:
-            mat = self._matrices[scheme] = _read_only(_BUILDERS[scheme](self))
-        return mat
+        operator of this graph (`memo` key `("matrix", scheme)`). Its
+        arrays are read-only, so an in-place change such as `sort_indices`
+        raises instead of re-ordering the products of every later run on
+        the graph."""
+        return self.memo(("matrix", scheme),
+                         lambda: _read_only(_BUILDERS[scheme](self)))
 
-    def tasks(self, key, draw):
-        """`draw()`, called on the first request for `key` and shared by
-        every later one on this graph: a repeat's tasks
-        (`fsnc.repeat_tasks`) and a run's set-up, its last-layer slices and
-        layer-0 plan (`fsnc.run_setup`), which live as long as the graph.
-        The caller's `key` must hold every input that decides the result,
-        and its arrays must be read-only, as every holder of the key reads
-        the same ones."""
-        if key not in self._tasks:
-            self._tasks[key] = draw()
-        return self._tasks[key]
+    def memo(self, key, make):
+        """`make()`, called on the first request for `key` and shared by
+        every later one on this graph, for as long as the graph lives: the
+        normalized matrices (`propagation_matrix`) and each shared run's
+        set-up, its tasks, last-layer slices and layer-0 plan
+        (`fsnc.run_setup`). The caller's `key` must hold every input that
+        decides the result, and its arrays must be read-only, as every
+        holder of the key reads the same ones."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)

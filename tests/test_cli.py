@@ -207,8 +207,8 @@ class TestCompare:
         # every repeat's tasks are drawn before adam, the first arm, reads
         # its clock, so no arm's wall time carries them
         events = []
-        draw = fsnc._draw_repeat
-        monkeypatch.setattr(fsnc, "_draw_repeat", lambda *args: (
+        draw = fsnc.repeat_tasks
+        monkeypatch.setattr(fsnc, "repeat_tasks", lambda *args: (
             events.append(("draw", args[-1])), draw(*args))[1])
         record_clock(monkeypatch, events)
         assert run_cli("compare", "--graph", graph_dir, "--out",
@@ -270,12 +270,19 @@ class TestNcCheckpoint:
         assert meta["base_loss"] == mdl.loss(acts, spec, params)
 
 
+def strict_json(text):
+    """`text` parsed as strict JSON, which has no NaN or infinities."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def assert_json_bytes(path):
     """The file is `json.dump(..., indent=2)` of its content plus a final
-    newline, and is returned parsed."""
+    newline, and is returned parsed as strict JSON."""
     with open(path) as fh:
         text = fh.read()
-    content = json.loads(text)
+    content = strict_json(text)
     assert text.splitlines()[1].startswith('  "')
     assert text.endswith("}\n")
     assert text == json.dumps(content, indent=2) + "\n"
@@ -319,7 +326,7 @@ class TestRunDirBytes:
     def test_report_trace_and_table_bytes(self, graph_dir, tmp_path):
         runs = {
             "fsnc": ("fsnc", FSNC_FLAGS),
-            # 5 episodes, validation every 10: no round, NaN best_val_acc
+            # 5 episodes, validation every 10: no round, null best_val_acc
             "fsnc-no-val": ("fsnc", ["--episodes", "5", "--val-interval",
                                      "10", "--repeats", "1", "--test-tasks",
                                      "5", "--split", "4/2/2"]),
@@ -350,7 +357,7 @@ class TestRunDirBytes:
             assert (assert_csv_bytes(tmp_path / name / "trace_r0.csv")
                     == self.TRACE_HEADER == fsnc.TRACE_COLUMNS)
         assert 0.0 <= val_accs["fsnc"] <= 1.0
-        assert math.isnan(val_accs["fsnc-no-val"])
+        assert val_accs["fsnc-no-val"] is None
         report = assert_json_bytes(tmp_path / "nc" / "report.json")
         assert list(report) == self.NC_KEYS
         assert (assert_csv_bytes(tmp_path / "nc" / "trace.csv")
@@ -361,6 +368,18 @@ class TestRunDirBytes:
         assert meta["command"] == "landscape"
         assert (assert_csv_bytes(tmp_path / "landscape" / "landscape.csv")
                 == ("alpha", "beta", "loss"))
+
+    @pytest.mark.parametrize("command", ["fsnc", "nc"])
+    def test_run_without_validation_writes_null(self, graph_dir, tmp_path,
+                                                command):
+        # 5 steps, validation every 10: no round, so no best validation
+        # accuracy, which JSON cannot write as NaN
+        out = tmp_path / command
+        assert run_cli(command, "--graph", graph_dir, "--out", str(out),
+                       "--episodes", "5", "--val-interval", "10") == 0
+        report = strict_json((out / "report.json").read_text())
+        records = report.get("repeats", [report])
+        assert records and all(r["best_val_acc"] is None for r in records)
 
 
 class TestTraceFlags:

@@ -610,9 +610,10 @@ class TestEveryBlockIsASlice:
 
 
 def shared_tops(config, graph, split, operator):
-    """The last-layer slices of the training episodes of the first repeat
-    of a shared run set-up (`fsnc.run_setup`)."""
-    return fsnc.run_setup(config, graph, split, operator, True)[1][0][0]
+    """(episodes, slices): the training episodes of the first repeat of a
+    shared run set-up (`fsnc.run_setup`) and their last-layer slices."""
+    tasks, slices, _ = fsnc.run_setup(config, graph, split, operator, True)
+    return tasks[0][0], slices[0][0]
 
 
 class TestTopSlices:
@@ -634,8 +635,7 @@ class TestTopSlices:
                                  test_tasks=100, layers=layers, hidden=16,
                                  scheme=scheme, seed=seed, repeats=1)
             op = normalize(g, scheme)
-            episodes = fsnc.repeat_tasks(cfg, g, split, seed)[0]
-            tops = shared_tops(cfg, g, split, op)
+            episodes, tops = shared_tops(cfg, g, split, op)
             dims = mdl.uniform_dims(g.d0, 16, 16, layers)
             rng = np.random.default_rng(seed)
             for ep, top in zip(episodes, tops):
@@ -661,10 +661,9 @@ class TestTopSlices:
         cfg = small_config(episodes=20, layers=layers, scheme=scheme,
                            query=10)
         op = normalize(g, scheme)
-        episodes = fsnc.repeat_tasks(cfg, g, split, 0)[0]
         dims = mdl.uniform_dims(g.d0, 6, 6, layers)
         rng = np.random.default_rng(layers)
-        for ep, top in zip(episodes, shared_tops(cfg, g, split, op)):
+        for ep, top in zip(*shared_tops(cfg, g, split, op)):
             assert top.rows is ep.rows and top.cols is not None
             params = mdl.init_params(dims, rng)
             assert_same_bits(
@@ -678,27 +677,30 @@ class TestTopSlices:
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         cfg = small_config(episodes=6, val_interval=3)
         op = normalize(g, "gcn-sym")
-        tops = shared_tops(cfg, g, split, op)
+        episodes, tops = shared_tops(cfg, g, split, op)
         assert len(tops) == 6
-        # another run's operator, optimizer or rho: the same slices
-        assert shared_tops(
-            dataclasses.replace(cfg, optimizer="sam",
-                                hp=optim.Hyperparams(rho=0.5)),
-            g, split, normalize(g, "gcn-sym")) is tops
+        # another run's operator, optimizer or rho: the same tasks and
+        # slices
+        again = shared_tops(dataclasses.replace(
+            cfg, optimizer="sam", hp=optim.Hyperparams(rho=0.5)),
+            g, split, normalize(g, "gcn-sym"))
+        assert again[0] is episodes and again[1] is tops
         # another layer count: a set-up of its own, with the same slices
-        deeper = shared_tops(dataclasses.replace(cfg, layers=3), g, split, op)
+        deeper = shared_tops(dataclasses.replace(cfg, layers=3), g, split,
+                             op)[1]
         assert deeper is not tops
         for a, b in zip(deeper, tops):
-            assert a.rows is b.rows
+            assert a.rows is not b.rows and np.array_equal(a.rows, b.rows)
             assert a.matrix.data.tobytes() == b.matrix.data.tobytes()
         # another scheme's matrix: other slices of the same rows
-        other = shared_tops(cfg, g, split, normalize(g, "mean-neighbors"))
-        assert [t.rows for t in other] == [t.rows for t in tops]
+        other = shared_tops(cfg, g, split, normalize(g, "mean-neighbors"))[1]
+        for a, b in zip(other, tops):
+            assert np.array_equal(a.rows, b.rows)
         assert not np.array_equal(other[0].matrix.data, tops[0].matrix.data)
         # a forward that cuts nothing gets no slice
         for config, operator in ((dataclasses.replace(cfg, layers=1), op),
                                  (cfg, normalize(g, "identity"))):
-            assert shared_tops(config, g, split, operator) == (None,) * 6
+            assert shared_tops(config, g, split, operator)[1] == (None,) * 6
         for piece in tops:
             mat = piece.matrix
             for array in (mat.data, mat.indices, mat.indptr):
@@ -821,19 +823,19 @@ class TestTrainProtocol:
             gc.collect()
             assert filled and all(ref() is None for ref in filled)
             fields = {"n", "features", "edges", "labels", "num_classes"}
-            assert set(vars(g)) - fields == {"_matrices", "_tasks",
-                                             "class_nodes"}
-            # the memo holds read-only arrays only: the tasks' integer
-            # arrays, and the slices' CSR arrays, whose stored entries are
-            # the only floats besides the matrix: 1-D, nnz(A[T]) of them
-            # over the episodes' rows, the sliced rounds' rows and, on a
-            # sparse graph, the layer-0 rows S_0 of all of them
-            memo = list(held_arrays(g._tasks))
+            assert set(vars(g)) - fields == {"_memo", "class_nodes"}
+            # the memo holds the matrix and the run's set-up, read-only
+            # arrays only: the tasks' integer arrays, and the slices' CSR
+            # arrays, whose stored entries are the only floats besides the
+            # matrix: 1-D, nnz(A[T]) of them over the episodes' rows, the
+            # sliced rounds' rows and, on a sparse graph, the layer-0 rows
+            # S_0 of all of them
+            [matrix_key, setup_key] = g._memo
+            assert matrix_key == ("matrix", config.scheme)
+            memo = list(held_arrays(g._memo[setup_key]))
             assert memo and not any(a.flags.writeable for a in memo)
             assert all(a.dtype.kind in "if" for a in memo)
-            rest = [a for name, value in vars(g).items()
-                    if name not in fields | {"_matrices"}
-                    for a in held_arrays(value)]
+            rest = memo + list(held_arrays(g.class_nodes))
             floats = {a.__array_interface__["data"][0]: a
                       for a in rest if a.dtype.kind == "f"}
             assert floats and all(a.ndim == 1 for a in floats.values())
@@ -849,11 +851,10 @@ class TestTrainProtocol:
                       if g is sparse else np.zeros(0, dtype=np.int64))
             assert sum(a.size for a in floats.values()) == sum(
                 op.row_nnz(rows) for rows in trained + sliced + [layer0])
-            assert list(g._matrices) == ["gcn-sym"]
-            for mat in g._matrices.values():
-                assert sp.isspmatrix_csr(mat)
-                assert (mat.data.nbytes + mat.indices.nbytes
-                        + mat.indptr.nbytes < g.features.nbytes)
+            mat = g._memo[matrix_key]
+            assert sp.isspmatrix_csr(mat)
+            assert (mat.data.nbytes + mat.indices.nbytes
+                    + mat.indptr.nbytes < g.features.nbytes)
             assert all(pool.ndim == 1 for pool in g.class_nodes)
 
 
@@ -1018,19 +1019,19 @@ def without_walls(report):
 
 
 class TestSharedTasks:
-    """A repeat's tasks are drawn once per graph and key (`repeat_tasks`)
-    and shared by every arm that runs on the graph."""
+    """A run's tasks are drawn once per graph and set-up key
+    (`fsnc.run_setup`) and shared by every arm that runs on the graph."""
 
     @staticmethod
     def count_draws(monkeypatch):
         roots = []
-        draw = fsnc._draw_repeat
+        draw = fsnc.repeat_tasks
 
         def spy(config, graph, split, root):
             roots.append(root)
             return draw(config, graph, split, root)
 
-        monkeypatch.setattr(fsnc, "_draw_repeat", spy)
+        monkeypatch.setattr(fsnc, "repeat_tasks", spy)
         return roots
 
     @pytest.mark.parametrize("repeats", [1, 3])
@@ -1050,6 +1051,7 @@ class TestSharedTasks:
         # repeat's tasks, and when it shares slices cuts them and its
         # layer-0 plan, before its clock starts, so its wall time carries
         # none of what later runs on the graph reuse
+        roots = self.count_draws(monkeypatch)
         g = small_graph()
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         cfg = small_config(repeats=3, episodes=6, val_interval=3)
@@ -1058,28 +1060,41 @@ class TestSharedTasks:
 
         def spy():
             if not at_clock:
-                at_clock.append((dict(g._matrices), dict(g._tasks)))
+                at_clock.append((dict(g._memo), list(roots)))
             return clock()
 
         monkeypatch.setattr(fsnc, "time", SimpleNamespace(perf_counter=spy))
         train_protocol(cfg, g, split, share_slices=share)
-        matrices, memo = at_clock[0]
-        assert list(matrices) == list(g._matrices) == ["gcn-sym"]
-        # nothing is drawn or cut once the clock runs
-        assert memo.keys() == g._tasks.keys()
-        assert all(memo[key] is g._tasks[key] for key in memo)
-        want = {fsnc._task_key(cfg, split, root):
-                fsnc.repeat_tasks(cfg, g, split, root) for root in range(3)}
+        memo, drawn = at_clock[0]
+        # nothing is built, drawn or cut once the clock runs
+        assert drawn == roots == [0, 1, 2]
+        assert memo.keys() == g._memo.keys()
+        assert all(memo[key] is g._memo[key] for key in memo)
+        want = [("matrix", "gcn-sym")]
         if share:
-            # one set-up, the slices and plan that a later run reads
-            _, slices, plan = fsnc.run_setup(cfg, g, split,
-                                             normalize(g, "gcn-sym"), True)
-            [key] = memo.keys() - want.keys()
-            assert key == ("gcn-sym", cfg.layers, tuple(want))
-            assert memo[key][0] is slices and memo[key][1] is plan
-            want[key] = memo[key]
-        assert memo.keys() == want.keys()
-        assert all(memo[key] is want[key] for key in want)
+            # one set-up, the tasks, slices and plan that a later run reads
+            setup = fsnc.run_setup(cfg, g, split, normalize(g, "gcn-sym"),
+                                   True)
+            key = ("gcn-sym", cfg.layers, fsnc._draw_key(cfg, split))
+            assert memo[key] is setup
+            want.append(key)
+        assert list(memo) == want
+
+    @pytest.mark.parametrize("share", [False, True], ids=["own", "shared"])
+    def test_four_arms_leave_one_set_up(self, share):
+        # an unshared run leaves only the matrix on the graph; four shared
+        # arms of one config leave it and one set-up, whose draw key holds
+        # the config's seed and repeat count
+        g = small_graph()
+        split = split_classes(g.num_classes, (4, 2, 2), 0)
+        cfg = small_config(repeats=2, episodes=6, val_interval=3, seed=3)
+        for name in optim.OPTIMIZER_NAMES:
+            train_protocol(dataclasses.replace(cfg, optimizer=name), g,
+                           split, share_slices=share)
+        want = [("matrix", "gcn-sym")]
+        if share:
+            want.append(("gcn-sym", cfg.layers, fsnc._draw_key(cfg, split)))
+        assert list(g._memo) == want
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -1098,42 +1113,44 @@ class TestSharedTasks:
         np.testing.assert_equal(without_walls(shared), without_walls(fresh))
 
     @pytest.mark.parametrize("change", [
-        {"root": 1}, {"val_tasks": 3}, {"test_tasks": 4}, {"episodes": 9},
-        {"val_interval": 2}, {"split": 1}, {"flip": "train_classes"},
-        {"flip": "val_classes"}, {"flip": "novel_classes"}, {"way": 3},
-        {"shot": 2}, {"query": 4}])
+        {"seed": 1}, {"repeats": 2}, {"val_tasks": 3}, {"test_tasks": 4},
+        {"episodes": 9}, {"val_interval": 2}, {"split": 1},
+        {"flip": "train_classes"}, {"flip": "val_classes"},
+        {"flip": "novel_classes"}, {"way": 3}, {"shot": 2}, {"query": 4},
+        {"scheme": "mean-neighbors"}, {"layers": 3}])
     def test_every_key_field_draws_anew(self, monkeypatch, change):
         roots = self.count_draws(monkeypatch)
         g = small_graph(K=9)
         # "flip" reverses one class array of the split, which changes the
         # classes that the same stream draws from it
-        base = dict(root=0, split=0, flip=None)
+        base = dict(split=0, flip=None)
         fields = dict(way=2, shot=3, query=5, episodes=6, val_interval=3,
-                      val_tasks=2, test_tasks=3)
+                      val_tasks=2, test_tasks=3, seed=0, repeats=1)
 
-        def tasks(graph, changed):
-            given = {**base, **fields, **changed}
+        def setup(graph, changed, **others):
+            given = {**base, **fields, **changed, **others}
             split = split_classes(9, (3, 3, 3), given.pop("split"))
             flip = given.pop("flip")
             if flip is not None:
                 split = dataclasses.replace(
                     split, **{flip: getattr(split, flip)[::-1].copy()})
-            root = given.pop("root")
-            return fsnc.repeat_tasks(small_config(**given), graph, split,
-                                     root)
+            config = small_config(**given)
+            return fsnc.run_setup(config, graph, split,
+                                  normalize(graph, config.scheme), True)
 
-        first = tasks(g, {})
-        # a hit returns the same tasks; other settings are not in the key
-        assert tasks(g, {}) is first
-        assert fsnc.repeat_tasks(
-            small_config(**fields, optimizer="sam", layers=3, hidden=5,
-                         scheme="mean-neighbors", patience=1, repeats=7,
-                         seed=9, hp=optim.Hyperparams(rho=0.5)),
-            g, split_classes(9, (3, 3, 3), 0), 0) is first
+        first = setup(g, {})
+        # a hit returns the same set-up; other settings are not in the key
+        assert setup(g, {}) is first
+        assert setup(g, {}, optimizer="sam", hidden=5, patience=1,
+                     hp=optim.Hyperparams(rho=0.5)) is first
         assert len(roots) == 1
-        got = tasks(g, change)
-        assert len(roots) == 2
-        assert_same_tasks(got, tasks(small_graph(K=9), change))
+        got = setup(g, change)
+        assert got is not first
+        assert len(roots) == 1 + change.get("repeats", 1)
+        fresh = setup(small_graph(K=9), change)
+        assert len(got[0]) == len(fresh[0])
+        for tasks, want in zip(got[0], fresh[0]):
+            assert_same_tasks(tasks, want)
 
     def test_drawn_arrays_are_read_only(self):
         g = small_graph()
@@ -1542,8 +1559,8 @@ class TestWorkLedger:
 
         names = optim.OPTIMIZER_NAMES
         shared = [arm(name, g) for name in names]
-        drawn = [fsnc.repeat_tasks(cfg, g, split, root)
-                 for root in range(repeats)]
+        drawn = fsnc.run_setup(cfg, g, split, normalize(g, cfg.scheme),
+                               True)[0]
         # every repeat's training episodes' rows cut once, in the order
         # drawn, then its evaluation rounds' rows where the round slices,
         # and last the run's layer-0 plan, once: its walk one layer below
@@ -1580,8 +1597,7 @@ class TestWorkLedger:
             wheres = [where for _, where in unshared_made]
             assert wheres.count("run_setup") == planned
             assert wheres.count(None) == (tasks if sparse else 0)
-            assert set(alone._tasks) == {
-                fsnc._task_key(cfg, split, root) for root in range(repeats)}
+            assert list(alone._memo) == [("matrix", cfg.scheme)]
 
     def test_later_arms_cut_nothing_and_fill_once(self, monkeypatch):
         # four arms share one sparse graph: the first cuts the last-layer
@@ -1792,7 +1808,7 @@ class TestStandardNC:
         clock = fsnc.time.perf_counter
 
         def spy_clock():
-            events.append(("clock", list(g._matrices)))
+            events.append(("clock", list(g._memo)))
             return clock()
 
         monkeypatch.setattr(fsnc, "time", SimpleNamespace(
@@ -1800,7 +1816,7 @@ class TestStandardNC:
         rep = standard_nc_train(NCConfig(steps=4, val_interval=2, seed=0), g,
                                 nc_masks(g))
         assert events[:3] == ["normalize", "model_objective",
-                              ("clock", ["gcn-sym"])]
+                              ("clock", [("matrix", "gcn-sym")])]
         assert rep.wall_seconds > 0
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
