@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,6 +75,9 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def adjacency(self) -> sp.csr_matrix:
+        """The 0/1 adjacency matrix in CSR. The propagation matrices are
+        built from pair keys without it; `perfbench/tracing.py` names it
+        as a span target."""
         if self.num_edges == 0:
             return sp.csr_matrix((self.n, self.n))
         u, v = self.edges[:, 0], self.edges[:, 1]
@@ -90,6 +94,11 @@ def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def build_graph(n, edges, features, labels) -> Graph:
+    """A checked `Graph`: edges as distinct (min, max) pairs in
+    lexicographic order (`_dedup_pairs`), reversed and repeated pairs
+    merged. Invalid input raises one `GraphError`; the features are counted
+    for non-finite values only when their sum is not finite, as one such
+    value makes the sum non-finite."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64)
@@ -97,9 +106,12 @@ def build_graph(n, edges, features, labels) -> Graph:
         raise GraphError(f"edges must have shape (E, 2), got shape {edges.shape}")
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(f"features must have {n} rows, got shape {features.shape}")
-    bad = features.size - np.count_nonzero(np.isfinite(features))
-    if bad:
-        raise GraphError(f"features must be finite, got {bad} non-finite values")
+    # a sum that overflows gets counted too, and passes
+    if not np.isfinite(features.sum()):
+        bad = features.size - np.count_nonzero(np.isfinite(features))
+        if bad:
+            raise GraphError(f"features must be finite, got {bad} "
+                             f"non-finite values")
     if labels.shape != (n,):
         raise GraphError(f"labels must have {n} entries, got shape {labels.shape}")
     if labels.size and labels.min() < 0:
@@ -316,38 +328,59 @@ def normalize(graph: Graph, scheme: str) -> PropagationOperator:
     return PropagationOperator(scheme, graph.propagation_matrix(scheme))
 
 
+def _key_sorted_pattern(n: int, keys: np.ndarray, count: np.ndarray):
+    """Row pointers and column indices of the n x n matrix whose stored
+    entries are the distinct int64 `keys`, entry (r, c) being the key
+    r * n + c (`_dedup_pairs`' encoding), with `count[r]` of them in row r.
+    One sort of the keys lays every row out in ascending column order. Both
+    arrays have the index dtype scipy gives a matrix of this size, int32
+    while n and the entry count fit in it."""
+    index = (np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max
+             else np.int64)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(count, out=indptr[1:])
+    cols = np.sort(keys) - np.repeat(np.arange(0, n * n, n), count)
+    return indptr, cols.astype(index)
+
+
 def _gcn_sym_matrix(graph: Graph) -> sp.csr_matrix:
-    """D~^{-1/2} (A + I) D~^{-1/2} in CSR, built directly from the edge
-    list plus self-loops: the row lengths are the degrees of A + I."""
-    loops = np.arange(graph.n)
+    """D~^{-1/2} (A + I) D~^{-1/2} in CSR, built from one sort of the pair
+    keys of A + I (`_key_sorted_pattern`): each row's columns come out in
+    ascending order, the order of scipy's COO-to-CSR conversion of the
+    pairs, and the row lengths are the degrees of A + I."""
+    n = graph.n
     u, v = graph.edges[:, 0], graph.edges[:, 1]
-    rows = np.concatenate([u, v, loops])
-    cols = np.concatenate([v, u, loops])
-    mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                        shape=(graph.n, graph.n))
-    count = np.diff(mat.indptr)
+    count = graph.degrees() + 1
+    indptr, cols = _key_sorted_pattern(
+        n, np.concatenate([u * n + v, v * n + u, np.arange(n) * (n + 1)]),
+        count)
     dinv = 1.0 / np.sqrt(count)
-    mat.data = np.repeat(dinv, count) * dinv[mat.indices]
-    return mat
+    return sp.csr_matrix((np.repeat(dinv, count) * dinv[cols], cols, indptr),
+                         shape=(n, n))
 
 
 def _mean_neighbors_matrix(graph: Graph) -> sp.csr_matrix:
-    """D^{-1} A, isolated nodes keeping their own features. The product
-    leaves each row's columns in descending order (sorted when a node is
-    isolated); a sorted rebuild would change the order every row of a
-    product sums in, and with it the bits of every trace."""
-    adj = graph.adjacency()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    isolated = deg == 0
-    inv = np.zeros_like(deg)
-    inv[~isolated] = 1.0 / deg[~isolated]
-    mat = sp.diags(inv) @ adj
-    if isolated.any():
-        # isolated nodes keep their own features (self-entry 1)
-        idx = np.flatnonzero(isolated)
-        mat = mat + sp.csr_matrix(
-            (np.ones(idx.size), (idx, idx)), shape=(graph.n, graph.n))
-    return sp.csr_matrix(mat)
+    """D^{-1} A, isolated nodes keeping their own features (self entry 1),
+    in CSR from one sort of pair keys (`_key_sorted_pattern`). Each row
+    keeps the column order of scipy's `diags(1 / deg) @ A` product:
+    descending, from the key r * n + (n - 1 - c); when any node is
+    isolated, ascending, the order of that product's sum with the isolated
+    nodes' unit entries. A sorted rebuild would change the order every row
+    of a product sums in, and with it the bits of every trace."""
+    n = graph.n
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    deg = graph.degrees()
+    isolated = np.flatnonzero(deg == 0)
+    if isolated.size:
+        keys = [u * n + v, v * n + u, isolated * (n + 1)]
+    else:
+        keys = [u * n + (n - 1 - v), v * n + (n - 1 - u)]
+    count = np.maximum(deg, 1)
+    indptr, cols = _key_sorted_pattern(n, np.concatenate(keys), count)
+    if not isolated.size:
+        cols = n - 1 - cols
+    return sp.csr_matrix((np.repeat(1.0 / count, count), cols, indptr),
+                         shape=(n, n))
 
 
 _BUILDERS = {"gcn-sym": _gcn_sym_matrix,
@@ -416,25 +449,39 @@ def _sample_block_pairs(rng, rows, cols, prob, intra):
 
 def _upper_pair(m: int, index: np.ndarray):
     """Row and column of the pairs at `index` in the row-major upper
-    triangle of an m x m matrix, `np.triu_indices(m, k=1)[·][index]`,
-    computed without building the m * (m - 1) / 2 pairs. Row i starts at
-    pair i * (2m - i - 1) / 2."""
-    i = np.arange(m - 1)
-    starts = i * (2 * m - i - 1) // 2
-    row = np.searchsorted(starts, index, "right") - 1
-    return row, index - starts[row] + row + 1
+    triangle of an m x m matrix, `np.triu_indices(m, k=1)[·][index]` as
+    int64 arrays, computed without building the m * (m - 1) / 2 pairs.
+
+    Row i starts at pair s(i) = i * (b - i) / 2 with b = 2m - 1, so the row
+    of a pair is the floor of the smaller root of s(i) = index, estimated
+    from a float square root. Near a row start the rounding of b² - 8 index
+    (above 2**53 once m > 2**26) and of its root can put the estimate one
+    row off either way; an exact integer comparison with s(i) and s(i + 1)
+    corrects it."""
+    b = 2 * m - 1
+    row = np.floor((b - np.sqrt(b * b - 8 * index)) / 2).astype(np.int64)
+    row -= row * (b - row) // 2 > index
+    row += (row + 1) * (b - row - 1) // 2 <= index
+    return row, index - row * (b - row) // 2 + row + 1
 
 
 def generate_csbm(params: CsbmParams) -> Graph:
     """Sample a K-class CSBM graph: Gaussian features around equidistant
     class means, each unordered pair an edge with probability p (same
-    class) or q (different class). Pure function of params."""
+    class) or q (different class). Pure function of params.
+
+    Each class's mean is added in place to its block of the drawn noise,
+    the same additions as `noise + means[labels]` without that n x l copy.
+    Above `_DENSE_PAIR_LIMIT` nodes each block's pairs are counted, then
+    drawn by index and decoded arithmetically (`_upper_pair`)."""
     K, npc = params.K, params.nodes_per_class
     n = K * npc
     rng = np.random.default_rng(params.seed)
     means = simplex_means(K, params.D, params.l)
     labels = np.repeat(np.arange(K), npc)
-    features = rng.standard_normal((n, params.l)) + means[labels]
+    features = rng.standard_normal((n, params.l))
+    blocks = features.reshape(K, npc, params.l)    # a view, one class each
+    blocks += means[:, None, :]
     if n <= _DENSE_PAIR_LIMIT:
         iu, ju = np.triu_indices(n, k=1)
         prob = np.where(labels[iu] == labels[ju], params.p, params.q)
@@ -510,9 +557,14 @@ def load_graph(directory: str) -> Graph:
 
 
 def _read_table(directory: str, name: str, **kwargs) -> np.ndarray:
-    """The rows of a graph's CSV file below its header line."""
+    """The rows of a graph's CSV file below its header line. A file with
+    no rows, such as an edgeless graph's `edges.csv`, is valid and reads
+    as an empty array without numpy's no-data warning."""
     path = os.path.join(directory, name)
     try:
-        return np.loadtxt(path, skiprows=1, **kwargs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            return np.loadtxt(path, skiprows=1, **kwargs)
     except ValueError as exc:
         raise GraphError(f"{path}: {exc}") from None

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -143,7 +145,7 @@ class TestOperators:
     def test_gcn_sym_matches_dense_formula(self, seed):
         rng = np.random.default_rng(100 + seed)
         g = random_graph(rng, int(rng.integers(10, 200)))
-        adj = g.adjacency().toarray() + np.eye(g.n)
+        adj = adjacency(g).toarray() + np.eye(g.n)
         dinv = 1.0 / np.sqrt(adj.sum(axis=1))
         expect = dinv[:, None] * adj * dinv[None, :]
         op = normalize(g, "gcn-sym")
@@ -488,37 +490,145 @@ class TestProducts:
                 assert op.apply_t(x).tobytes() == (op.matrix @ x).tobytes()
 
 
+def adjacency(graph):
+    """The adjacency matrix A of `graph` through scipy's COO-to-CSR
+    conversion of both directions of every edge: unit entries, sorted
+    rows."""
+    if graph.num_edges == 0:
+        return sp.csr_matrix((graph.n, graph.n))
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    row = np.concatenate([u, v])
+    col = np.concatenate([v, u])
+    return sp.csr_matrix((np.ones(row.size), (row, col)),
+                         shape=(graph.n, graph.n))
+
+
 def gcn_sym_by_products(graph):
     """The gcn-sym oracle: D~^{-1/2} (A + I) D~^{-1/2} as sparse products
     over the adjacency matrix."""
-    adj_t = graph.adjacency() + sp.identity(graph.n, format="csr")
+    adj_t = adjacency(graph) + sp.identity(graph.n, format="csr")
     deg = np.asarray(adj_t.sum(axis=1)).ravel()
     dinv = 1.0 / np.sqrt(deg)
     return sp.csr_matrix(sp.diags(dinv) @ adj_t @ sp.diags(dinv))
 
 
-class TestSharedMatrix:
-    @pytest.mark.parametrize("graph", [
-        generate_csbm(CsbmParams(K=4, nodes_per_class=100, p=0.1, q=0.01,
-                                 D=2.0, l=4, seed=0)),
-        # p=0.02 within 30-node classes leaves some nodes isolated
-        generate_csbm(CsbmParams(K=3, nodes_per_class=30, p=0.02, q=0.0,
-                                 D=2.0, l=4, seed=1)),
-        build_graph(5, [], np.zeros((5, 2)), [0, 1, 0, 1, 0]),
-    ], ids=["csbm", "isolated", "edgeless"])
-    def test_gcn_sym_bit_identical_to_products(self, graph):
-        want = gcn_sym_by_products(graph)
-        got = normalize(graph, "gcn-sym").matrix
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
-        assert got.has_sorted_indices == want.has_sorted_indices
-        assert got.shape == want.shape
+def mean_neighbors_by_product(graph):
+    """The mean-neighbors oracle: D^{-1} A as scipy's product
+    `diags(1 / deg) @ A`, which leaves each row's columns in descending
+    order, plus a unit self entry on every isolated node, a sum that leaves
+    every row ascending."""
+    adj = adjacency(graph)
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    isolated = deg == 0
+    inv = np.zeros_like(deg)
+    inv[~isolated] = 1.0 / deg[~isolated]
+    mat = sp.diags(inv) @ adj
+    if isolated.any():
+        idx = np.flatnonzero(isolated)
+        mat = mat + sp.csr_matrix((np.ones(idx.size), (idx, idx)),
+                                  shape=(graph.n, graph.n))
+    return sp.csr_matrix(mat)
 
-    def test_isolated_case_is_covered(self):
-        g = generate_csbm(CsbmParams(K=3, nodes_per_class=30, p=0.02, q=0.0,
-                                     D=2.0, l=4, seed=1))
+
+ORACLES = {"gcn-sym": gcn_sym_by_products,
+           "mean-neighbors": mean_neighbors_by_product}
+
+
+def assert_same_bytes(got, want):
+    """The same CSR arrays byte for byte, dtypes, shape and sortedness
+    included."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.has_sorted_indices == want.has_sorted_indices
+    assert got.shape == want.shape
+
+
+def sparse_random_graph(seed):
+    """A seeded random graph with n / 3 random pairs, reversed and
+    repeated ones among them, sparse enough to leave some nodes
+    isolated."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 120))
+    edges = rng.integers(0, n, size=(n // 3, 2))
+    edges = np.concatenate([edges, edges[::4, ::-1], edges[::5]])
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return build_graph(n, edges, rng.standard_normal((n, 2)),
+                       rng.integers(0, 3, size=n))
+
+
+# pairs given reversed and repeated, without and with an isolated node 6
+REVERSED_PAIRS = [(1, 0), (0, 1), (4, 2), (2, 4), (2, 4), (3, 5), (5, 1),
+                  (0, 3)]
+
+ORACLE_GRAPHS = {
+    "csbm": generate_csbm(CsbmParams(K=4, nodes_per_class=100, p=0.1,
+                                     q=0.01, D=2.0, l=4, seed=0)),
+    # p=0.02 within 30-node classes leaves some nodes isolated
+    "isolated": generate_csbm(CsbmParams(K=3, nodes_per_class=30, p=0.02,
+                                         q=0.0, D=2.0, l=4, seed=1)),
+    **{f"random-isolated-{seed}": sparse_random_graph(seed)
+       for seed in range(4)},
+    "reversed-pairs": build_graph(6, REVERSED_PAIRS, np.zeros((6, 2)),
+                                  [0, 1, 0, 1, 0, 1]),
+    "reversed-pairs-isolated": build_graph(7, REVERSED_PAIRS,
+                                           np.zeros((7, 2)),
+                                           [0, 1, 0, 1, 0, 1, 0]),
+    "edgeless": build_graph(5, [], np.zeros((5, 2)), [0, 1, 0, 1, 0]),
+    "one-node": build_graph(1, [], np.zeros((1, 2)), [0]),
+}
+
+# the scipy kernels of the oracle constructions: COO-to-CSR conversion,
+# duplicate sum, index sort and sparse product
+BUILD_KERNELS = ("coo_tocsr", "csr_sum_duplicates", "csr_sort_indices",
+                 "csr_matmat")
+
+
+def spy_kernels(monkeypatch, names):
+    """Record the name of every call of the scipy kernels `names`, in every
+    `scipy.sparse` module that binds them."""
+    calls = []
+    for name in names:
+        kernel = getattr(graphcore._sparsetools, name)
+
+        def spy(*args, _name=name, _kernel=kernel):
+            calls.append(_name)
+            return _kernel(*args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("scipy.sparse")
+                    and getattr(module, name, None) is kernel):
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestSharedMatrix:
+    @pytest.mark.parametrize("scheme", list(ORACLES))
+    @pytest.mark.parametrize("graph", list(ORACLE_GRAPHS.values()),
+                             ids=list(ORACLE_GRAPHS))
+    def test_bit_identical_to_products(self, graph, scheme):
+        assert_same_bytes(normalize(graph, scheme).matrix,
+                          ORACLES[scheme](graph))
+
+    @pytest.mark.parametrize("scheme", list(ORACLES))
+    def test_built_without_scipy_conversions(self, monkeypatch, scheme):
+        # one sort of pair keys: no COO conversion, duplicate sum, index
+        # sort or sparse product runs, with or without isolated nodes
+        calls = spy_kernels(monkeypatch, BUILD_KERNELS)
+        ORACLES[scheme](ORACLE_GRAPHS["isolated"])
+        assert "coo_tocsr" in calls      # the spies see the oracle's calls
+        calls.clear()
+        for p in (0.02, 0.3):
+            g = generate_csbm(CsbmParams(K=3, nodes_per_class=30, p=p,
+                                         q=0.0, D=2.0, l=4, seed=1))
+            normalize(g, scheme)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["isolated", "reversed-pairs-isolated"]
+                             + [f"random-isolated-{seed}" for seed in range(4)])
+    def test_isolated_case_is_covered(self, name):
+        g = ORACLE_GRAPHS[name]
         assert (g.degrees() == 0).any() and (g.degrees() > 0).any()
 
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
@@ -677,6 +787,27 @@ class TestCsbm:
         assert np.array_equal(i, iu[index]) and np.array_equal(j, ju[index])
         assert i.dtype == iu.dtype and j.dtype == ju.dtype
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 1000, 2**20 + 7, 2**26 + 1,
+                                   2**27 + 1])
+    def test_upper_pair_row_ends(self, m):
+        # b² - 8 index exceeds 2**53 once m > 2**26 (b = 2m - 1); from
+        # m = 2**27 + 1 on, the float estimate of a row's last pair rounds
+        # up to the next row, which only the integer correction undoes
+        rng = np.random.default_rng(m)
+        rows = np.unique(np.concatenate([[0, 1, m // 2, m - 3, m - 2],
+                                         rng.integers(0, m - 1, 500)]))
+        rows = rows[(rows >= 0) & (rows <= m - 2)]
+        starts = rows * (2 * m - rows - 1) // 2      # closed-form row start
+        i, j = graphcore._upper_pair(
+            m, np.concatenate([starts, starts + (m - 2 - rows)]))
+        assert i.dtype == np.int64 and j.dtype == np.int64
+        assert np.array_equal(i, np.concatenate([rows, rows]))
+        assert np.array_equal(j, np.concatenate(
+            [rows + 1, np.full(rows.size, m - 1)]))
+        # the whole triangle's first and last pair
+        i, j = graphcore._upper_pair(m, np.array([0, m * (m - 1) // 2 - 1]))
+        assert i.tolist() == [0, m - 2] and j.tolist() == [1, m - 1]
+
     # (K, nodes per class, p, q, D, l) of the benchmark's graphs: the bench
     # graph (`cli.bench_instance`), fsnc-large and fsnc-small
     BENCH_CSBMS = {"nc-bench": (5, 1000, 0.03, 0.0025, 4.0, 128),
@@ -696,18 +827,18 @@ class TestCsbm:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         assert got.num_classes == params.K
-        for scheme in ("gcn-sym", "mean-neighbors"):
-            a = got.propagation_matrix(scheme)
-            b = want.propagation_matrix(scheme)
-            for part in ("indptr", "indices", "data"):
-                x, y = getattr(a, part), getattr(b, part)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        # each matrix against its scipy construction over the oracle's pairs
+        for scheme, oracle in ORACLES.items():
+            assert_same_bytes(got.propagation_matrix(scheme), oracle(want))
 
-    def test_sparse_path_builds_no_triangle(self, monkeypatch):
+    # the pair table of a block, and the row-start table that `_upper_pair`
+    # once searched
+    @pytest.mark.parametrize("name", ["triu_indices", "searchsorted"])
+    def test_sparse_path_builds_no_pair_table(self, monkeypatch, name):
         def refuse(*args, **kwargs):
-            raise AssertionError("np.triu_indices called")
+            raise AssertionError(f"np.{name} called")
 
-        monkeypatch.setattr(np, "triu_indices", refuse)
+        monkeypatch.setattr(np, name, refuse)
         g = generate_csbm(CsbmParams(K=3, nodes_per_class=667, p=0.01,
                                      q=0.002, D=2.0, l=3, seed=0))
         assert g.n == 2001 and g.num_edges > 0
@@ -776,6 +907,23 @@ class TestIO:
         assert back.n == g.n and back.num_classes == g.num_classes
         assert np.array_equal(back.features, g.features)
         assert np.array_equal(back.edges, g.edges)
+        assert np.array_equal(back.labels, g.labels)
+
+    def test_edgeless_round_trip_without_warnings(self, tmp_path):
+        # a header-only edges.csv is valid input, read without numpy's
+        # no-data warning
+        g = generate_csbm(CsbmParams(K=3, nodes_per_class=30, p=0.0, q=0.0,
+                                     D=2.0, l=4, seed=0))
+        path = str(tmp_path / "g")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_graph(g, path)
+            back = load_graph(path)
+            assert cli.run(["nc", "--graph", path, "--out",
+                            str(tmp_path / "r"), "--episodes", "5"]) == 0
+        assert g.num_edges == 0 and back.edges.shape == (0, 2)
+        assert back.edges.dtype == np.int64
+        assert np.array_equal(back.features, g.features)
         assert np.array_equal(back.labels, g.labels)
 
     def test_missing_file(self, tmp_path):
