@@ -201,16 +201,14 @@ def proto_episode(params: mdl.ModelParams, graph: Graph,
     episode's rows, with weight decay: a forward plus one
     `model.head_loss` with `proto_head`. `blocks` are `model.blocks_for`
     of `episode.rows`: the episode's receptive field, whose logits are
-    those rows, or `model.top_blocks` of `episode.union` (lower layers on
-    all n rows), whose logits the head reads at `episode.positions`; None
-    runs the forward on all n rows."""
+    those rows, or, from a wide slice of `episode.union`, blocks whose
+    lower layers run on all n rows and whose logits the head reads at
+    `episode.positions`; None runs the forward on all n rows."""
     acts = mdl.forward(params, graph, operator, blocks)
-    if blocks is None:
-        rows = episode.rows
-    else:
-        rows = episode.positions if blocks[0].rows is None else None
-    return mdl.head_loss(params, operator, acts, proto_head, episode, rows,
-                         weight_decay, blocks, compute_grad)
+    rows = (episode.rows if blocks is None
+            else episode.positions if blocks[0].rows is None else None)
+    return mdl.head_loss(params, acts, proto_head, episode, rows,
+                         weight_decay, compute_grad)
 
 
 def task_accuracy(params: mdl.ModelParams, graph: Graph,
@@ -245,7 +243,7 @@ def episode_objective(dims, graph: Graph, operator: PropagationOperator,
             return proto_episode(params, graph, op, episode,
                                  weight_decay=weight_decay, blocks=blocks)
         acts = mdl.forward_features(params, peer_x, op)
-        return mdl.head_loss(params, op, acts, proto_head, episode, None,
+        return mdl.head_loss(params, acts, proto_head, episode, None,
                              weight_decay)
 
     return optim.peer_objective(dims, operator, loss_grad)

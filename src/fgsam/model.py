@@ -104,6 +104,7 @@ class Activations:
     inputs: list            # per layer: what W^(l) multiplies, A H or H
     preacts: list           # per layer: Z^(l)
     logits: np.ndarray      # final layer output, one row per output row
+    blocks: list            # per layer: the Block it ran on
 
 
 def propagates_after(l: int, w: np.ndarray) -> bool:
@@ -162,12 +163,11 @@ def loss_spec_from_labels(indices, labels, num_classes, weight_decay=0.0) -> Los
 
 
 class Block(NamedTuple):
-    """Layer l of a forward that produces only some rows: `rows` are the
-    rows S_l it outputs (None: all n rows), and `op` propagates the rows
-    that layer l-1 output into them. Layer 0 reads rows S_0 of A.X from
-    the memo that the run made before its first step
-    (`PropagationOperator.fill_input`) instead, so its `op` is the graph's
-    operator."""
+    """Layer l of a forward: `rows` are the rows S_l it outputs (None: all
+    n rows), and `op` propagates the rows that layer l-1 output into them.
+    Layer 0 reads rows S_0 of A.X from the memo that the run made before
+    its first step (`PropagationOperator.fill_input`) instead, so its `op`
+    is the graph's operator."""
 
     rows: np.ndarray | None
     op: PropagationOperator
@@ -179,17 +179,21 @@ def receptive_field(operator: PropagationOperator, targets, layers: int,
     `targets`, in their order: S_{L-1} = targets and S_{l-1} = the columns
     of A[S_l], each layer above the first on the narrow slice
     `cut_slice(S_l, True)`. `top` is the last layer's, if it was cut
-    beforehand; the layers below are cut here. The PeerMLP (identity
+    beforehand; the layers below are cut here. A wide `top`
+    (`cut_slice(rows, False)`) reads all n columns, so the walk stops there
+    and every layer below it outputs all n rows. The PeerMLP (identity
     operator) reads `targets` at every layer and cuts nothing."""
     rows = np.asarray(targets, dtype=np.int64)
     if operator.is_identity:
         return [Block(rows, operator)] * layers
-    blocks = [None] * layers
+    blocks = [Block(None, operator)] * layers
     for l in range(layers - 1, 0, -1):
         piece = (top if l == layers - 1 and top is not None
                  else operator.cut_slice(rows, True))
         blocks[l] = Block(rows, operator.wrap(piece))
         rows = piece.cols
+        if rows is None:
+            return blocks
     blocks[0] = Block(rows, operator)
     return blocks
 
@@ -214,41 +218,30 @@ def blocks_for(operator: PropagationOperator, targets, layers: int,
     `receptive_field` when `worth_slicing`, otherwise None, a forward over
     all n rows. Given the last layer's slice, cut beforehand by
     `PropagationOperator.cut_slice` as a training episode's is, the forward
-    runs its last layer on it: a narrow slice of `targets` heads the
-    receptive field, a wide one of the targets' sorted distinct rows gives
-    `top_blocks` of them."""
-    if top is not None and top.cols is None:
-        return top_blocks(operator, top.rows, layers, top)
+    is the `receptive_field` of that slice's rows: a narrow slice of
+    `targets`, or a wide one of their sorted distinct rows."""
     if top is None and not worth_slicing(operator, targets, layers):
         return None
-    return receptive_field(operator, targets, layers, top)
+    return receptive_field(operator, targets if top is None else top.rows,
+                           layers, top)
 
 
-def top_blocks(operator: PropagationOperator, rows, layers: int,
-               top: Slice = None) -> list[Block]:
+def top_blocks(operator: PropagationOperator, rows,
+               layers: int) -> list[Block]:
     """The blocks of a forward whose last layer outputs only `rows`, in
-    their order, and whose lower layers output all n rows. The last layer
-    propagates through the wide slice A[rows] (`cut_slice(rows, False)`),
-    which keeps all n columns, so the layer below is read as it is: `top`
-    if it was cut beforehand, else one cut here; all n rows in order
-    propagate through the operator itself, whose matrix that slice would
-    copy. A one-layer forward reads those rows of the A.X memo, and the
-    PeerMLP (identity operator) reads `rows` at every layer.
+    their order, and whose lower layers output all n rows: the
+    `receptive_field` of the wide slice A[rows] (`cut_slice(rows, False)`).
+    A one-layer forward reads those rows of the A.X memo, and the PeerMLP
+    (identity operator) reads `rows` at every layer, so neither cuts.
 
     With ascending `rows`, each transpose product sums every row in the
     order of the full product plus exact zeros, so the gradient of a loss
     on these rows is the full-graph path's, bit for bit; other orders move
     it by about 1e-15."""
     rows = np.asarray(rows, dtype=np.int64)
-    if operator.is_identity:
-        return [Block(rows, operator)] * layers
-    n = operator.matrix.shape[0]
-    if layers == 1 or (rows.size == n and np.array_equal(rows, np.arange(n))):
-        last = operator
-    else:
-        last = operator.wrap(operator.cut_slice(rows, False) if top is None
-                             else top)
-    return [Block(None, operator)] * (layers - 1) + [Block(rows, last)]
+    wide = layers > 1 and not operator.is_identity
+    return receptive_field(operator, rows, layers,
+                           operator.cut_slice(rows, False) if wide else None)
 
 
 def forward(params: ModelParams, graph: Graph,
@@ -261,11 +254,12 @@ def forward_features(params: ModelParams, x: np.ndarray,
                      blocks=None) -> Activations:
     """Forward pass over all n rows, or over the rows of `blocks` (see
     `receptive_field`), in which case row i of every output is row
-    `blocks[l].rows[i]` of the full forward. Layer 0 reads A.X from the
-    operator's memo (`PropagationOperator.propagate_input`), which makes
-    the full product if the memo cannot serve the read. Stacked params (a
-    leading K axis) give every output that axis; their layers above the
-    first run only under the identity operator, the PeerMLP's."""
+    `blocks[l].rows[i]` of the full forward. The activations record the
+    blocks (None: the n-row list), and the backward runs on them. Layer 0
+    reads A.X from the operator's memo (`PropagationOperator.propagate_input`),
+    which makes the full product if the memo cannot serve the read. Stacked
+    params (a leading K axis) give every output that axis; their layers
+    above the first run only under the identity operator, the PeerMLP's."""
     if x.shape[-1] != params.weights[0].shape[-2]:
         raise ModelError(
             f"feature dim {x.shape[-1]} != model input dim {params.dims[0]}")
@@ -288,7 +282,7 @@ def forward_features(params: ModelParams, x: np.ndarray,
         inputs.append(m)
         preacts.append(z)
         h = z if l == last else np.maximum(z, 0.0)
-    return Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])
+    return Activations(inputs, preacts, preacts[-1], blocks)
 
 
 def ce_head(logits: np.ndarray, label_index: np.ndarray,
@@ -332,10 +326,8 @@ def pick(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (-1,)).take(index, -1)
 
 
-
-def head_loss(params: ModelParams, operator: PropagationOperator,
-              activations: Activations, head, target, rows=None,
-              weight_decay: float = 0.0, blocks=None,
+def head_loss(params: ModelParams, activations: Activations, head, target,
+              rows=None, weight_decay: float = 0.0,
               compute_grad: bool = True):
     """(loss, flat gradient or None) of a head on `rows` of a forward's
     logits (None: all of them, in their order), plus weight decay. Stacked
@@ -347,7 +339,7 @@ def head_loss(params: ModelParams, operator: PropagationOperator,
     with or without a leading weight axis. The head's gradient is
     scattered back to one row per logits row (the rows are distinct, so
     each gets 0.0 + its gradient) and backpropagated through the blocks of
-    the forward that made `activations`."""
+    `activations`."""
     logits = activations.logits
     value, d = head(logits if rows is None else logits[..., rows, :], target,
                     compute_grad)
@@ -362,7 +354,7 @@ def head_loss(params: ModelParams, operator: PropagationOperator,
         d_out = np.zeros_like(logits)
         d_out[..., rows, :] += d
         d = d_out
-    grad = backward_from_output(params, operator, activations, d, blocks)
+    grad = backward_from_output(params, activations, d)
     if weight_decay:
         grad += 2.0 * weight_decay * flat
     return value, grad
@@ -370,24 +362,23 @@ def head_loss(params: ModelParams, operator: PropagationOperator,
 
 def loss(activations: Activations, spec: LossSpec, params: ModelParams) -> float:
     """`ce_head` on the spec's rows of the logits, plus weight decay."""
-    return head_loss(params, None, activations, ce_head, spec.label_index,
+    return head_loss(params, activations, ce_head, spec.label_index,
                      spec.indices, spec.weight_decay, compute_grad=False)[0]
 
 
-def backward_from_output(params: ModelParams, operator: PropagationOperator,
-                         activations: Activations, d_out: np.ndarray,
-                         blocks=None) -> np.ndarray:
+def backward_from_output(params: ModelParams, activations: Activations,
+                         d_out: np.ndarray) -> np.ndarray:
     """Backpropagate a gradient w.r.t. the final layer output down to the
-    flat parameter vector, or to a (K, P) stack of them for stacked params.
-    The last layer has no nonlinearity, so d_out is also the gradient
-    w.r.t. its preactivation. `blocks` are those of the forward that made
-    `activations`."""
+    flat parameter vector, or to a (K, P) stack of them for stacked params,
+    each layer through the operator of the block its forward ran on. The
+    last layer has no nonlinearity, so d_out is also the gradient w.r.t.
+    its preactivation."""
     grads_w = [None] * params.num_layers
     grads_b = [None] * params.num_layers
     dz = d_out
     for l in range(params.num_layers - 1, -1, -1):
         w = params.weights[l]
-        op = operator if blocks is None else blocks[l].op
+        op = activations.blocks[l].op
         after = propagates_after(l, w)
         # Z = A (H W) + b: one transpose product U = A^T dZ serves both
         # dW = H^T U and dH = U W^T
@@ -406,16 +397,14 @@ def backward(params: ModelParams, graph: Graph, operator: PropagationOperator,
     package calls it: it is kept only as a target of the benchmark's tracer
     (`perfbench/tracing.py`)."""
     acts = forward(params, graph, operator)
-    return backward_from_acts(params, operator, acts, spec)
+    return backward_from_acts(params, acts, spec)
 
 
-def backward_from_acts(params: ModelParams, operator: PropagationOperator,
-                       acts: Activations, spec: LossSpec,
-                       blocks=None) -> np.ndarray:
-    """The gradient of `loss`, whose spec indexes the rows of the logits;
-    `blocks` are those of the forward that made `acts`."""
-    return head_loss(params, operator, acts, ce_head, spec.label_index,
-                     spec.indices, spec.weight_decay, blocks)[1]
+def backward_from_acts(params: ModelParams, acts: Activations,
+                       spec: LossSpec) -> np.ndarray:
+    """The gradient of `loss`, whose spec indexes the rows of the logits."""
+    return head_loss(params, acts, ce_head, spec.label_index, spec.indices,
+                     spec.weight_decay)[1]
 
 
 _HEADER = struct.Struct("<4i")  # L, d0, h, C

@@ -134,29 +134,29 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
 
     Each forward outputs only the loss rows' sorted union: the GNN runs its
     lower layers on all n rows and its last layer on `model.top_blocks` of
-    the union (the operator itself when the union is every node), the
-    PeerMLP on the union's features (the graph's own when it is every
-    node), each cut or gathered here once. Each gradient is its forward
-    plus one `model.head_loss` with `model.ce_head` at each loss row's
-    position in the union (None, no gather, when the spec's rows are
-    sorted), which is the gradient of a forward over all n rows, bit for
-    bit. The GNN's first layer reads all n rows of A.X, which are filled
-    here, so that no gradient evaluation makes that product."""
+    the union, the PeerMLP on the union's features, each cut or gathered
+    here once. When the union is every node, both run on all n rows
+    instead. Each gradient is its forward plus one `model.head_loss` with
+    `model.ce_head` at each loss row's position in the union (None, no
+    gather, when the spec's rows are sorted), which is the gradient of a
+    forward over all n rows, bit for bit. The GNN's first layer reads all n
+    rows of A.X, which are filled here, so that no gradient evaluation
+    makes that product."""
     operator.propagate_input(graph.features)
     union = np.sort(spec.indices)
     positions = (None if np.array_equal(union, spec.indices)
                  else np.searchsorted(union, spec.indices))
     # sorted distinct rows, so n of them are every node in order
-    mlp = (graph.features if union.size == graph.n
-           else graph.features[union], None)
-    gnn = mlp if operator.is_identity else (
+    full = union.size == graph.n
+    mlp = (graph.features if full else graph.features[union], None)
+    gnn = mlp if full or operator.is_identity else (
         graph.features, mdl.top_blocks(operator, union, len(dims) - 1))
 
     def loss_grad(params, op):
         x, blocks = mlp if op.is_identity else gnn
         acts = mdl.forward_features(params, x, op, blocks)
-        return mdl.head_loss(params, op, acts, mdl.ce_head, spec.label_index,
-                             positions, spec.weight_decay, blocks)
+        return mdl.head_loss(params, acts, mdl.ce_head, spec.label_index,
+                             positions, spec.weight_decay)
 
     return peer_objective(dims, operator, loss_grad)
 

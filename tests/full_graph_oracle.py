@@ -29,7 +29,9 @@ def forward(params: mdl.ModelParams, x: np.ndarray,
         inputs.append(m)
         preacts.append(z)
         h = z if l == last else np.maximum(z, 0.0)
-    return mdl.Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])
+    # the n-row blocks that a backward of `fgsam.model` runs on
+    return mdl.Activations(inputs=inputs, preacts=preacts, logits=preacts[-1],
+                           blocks=[mdl.Block(None, operator)] * len(inputs))
 
 
 def backward(params: mdl.ModelParams, operator, acts: mdl.Activations,

@@ -5,10 +5,13 @@ compared against an independent MLP path."""
 import numpy as np
 
 import fgsam.model as mdl
+from fgsam.graphcore import PropagationOperator
 
 
 def forward_mlp(params: mdl.ModelParams, x: np.ndarray) -> mdl.Activations:
-    """Dedicated MLP path: the layer rule without any propagation operator."""
+    """Dedicated MLP path: the layer rule without any propagation operator.
+    Its activations record the identity operator's n-row blocks, which a
+    backward of `fgsam.model` runs on."""
     h = x
     inputs, preacts = [], []
     last = params.num_layers - 1
@@ -17,4 +20,6 @@ def forward_mlp(params: mdl.ModelParams, x: np.ndarray) -> mdl.Activations:
         inputs.append(h)
         preacts.append(z)
         h = z if l == last else np.maximum(z, 0.0)
-    return mdl.Activations(inputs=inputs, preacts=preacts, logits=preacts[-1])
+    identity = PropagationOperator("identity", None)
+    return mdl.Activations(inputs=inputs, preacts=preacts, logits=preacts[-1],
+                           blocks=[mdl.Block(None, identity)] * len(inputs))

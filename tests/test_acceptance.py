@@ -146,7 +146,7 @@ def test_criterion_03_peermlp_equivalence(criterion):
         spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                          graph.num_classes)
         acts = mdl.forward(params, graph, ident)
-        grad = mdl.backward_from_acts(params, ident, acts, spec)
+        grad = mdl.backward_from_acts(params, acts, spec)
         ref_acts, ref_grad = _mlp_backward_dedicated(params, graph.features,
                                                      spec)
         if not (all(np.array_equal(a, b)

@@ -89,13 +89,13 @@ def test_loss_and_backward_from_acts_use_the_head(c, kind, weight_decay):
     params = mdl.init_params(dims, 0)
     acts = mdl.forward(params, graph, operator)
     got = (mdl.loss(acts, spec, params),
-           mdl.backward_from_acts(params, operator, acts, spec))
+           mdl.backward_from_acts(params, acts, spec))
     # the old head on the spec's rows, its gradient scattered by hand
     value, d = oracle.ce_head(acts.logits[rows].T,
                               oracle.one_hot_t(spec.labels, c))
     d_out = np.zeros_like(acts.logits)
     d_out[rows] = d
-    grad = mdl.backward_from_output(params, operator, acts, d_out)
+    grad = mdl.backward_from_output(params, acts, d_out)
     flat = params.flatten()
     if weight_decay:
         value += weight_decay * float(flat @ flat)

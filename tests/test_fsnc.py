@@ -419,7 +419,7 @@ class TestReceptiveField:
         ns = ep.support_idx.size
         np.add.at(d_emb, ep.query_idx, d[ns:])
         np.add.at(d_emb, ep.support_idx, d[:ns])
-        want = mdl.backward_from_output(params, op, acts, d_emb)
+        want = mdl.backward_from_output(params, acts, d_emb)
         got = proto_episode(params, g, op, ep)
         assert got[0] == value
         assert got[1].tobytes() == want.tobytes()
@@ -1405,7 +1405,7 @@ class TestBatchedHead:
         corners = np.random.default_rng(2).integers(0, 2, (g.n, 2)) * 1.0
         for emb in (corners, np.zeros((g.n, 2))):
             monkeypatch.setattr(mdl, "forward",
-                                lambda *args: mdl.Activations([], [], emb))
+                                lambda *args: mdl.Activations([], [], emb, []))
             got = task_accuracy(params, g, op, tasks, None)
             assert got == round_oracle.task_accuracy(params, g, op, episodes,
                                                      None)

@@ -72,7 +72,7 @@ def evaluations() -> dict:
                                   WITH_GRAD),
         "loss": (lambda: mdl.loss(acts, spec, nc_params), VALUE_ONLY),
         "backward_from_acts": (lambda: mdl.backward_from_acts(
-            nc_params, operator, acts, spec), WITH_GRAD),
+            nc_params, acts, spec), WITH_GRAD),
         "proto_episode-grad": (lambda: fsnc.proto_episode(
             ep_params, graph, operator, episode, 0.01), WITH_GRAD),
         "proto_episode-value": (lambda: fsnc.proto_episode(

@@ -75,7 +75,7 @@ def n_row_engine(params, graph, op, spec):
     """(loss, gradient) of a forward over all n rows and the head on the
     spec's rows of its logits."""
     acts = mdl.forward_features(params, graph.features, op)
-    return mdl.head_loss(params, op, acts, mdl.ce_head, spec.label_index,
+    return mdl.head_loss(params, acts, mdl.ce_head, spec.label_index,
                          spec.indices, spec.weight_decay)
 
 
@@ -139,11 +139,13 @@ def test_identity_operator_is_the_oracle_bit_for_bit(graph):
 
 
 def recorded_work(monkeypatch):
-    """Spies on the forwards and on the SpMMs: (x rows, blocks) per
-    forward and (matrix shape, stored entries, columns) per product."""
-    forwards, products = [], []
+    """Spies on the forwards, on the SpMMs and on the cuts: (x rows,
+    blocks) per forward, (matrix shape, stored entries, columns) per
+    product and (rows, narrow) per cut."""
+    forwards, products, cuts = [], [], []
     forward_features = mdl.forward_features
     apply, apply_t = PropagationOperator.apply, PropagationOperator.apply_t
+    cut_slice = PropagationOperator.cut_slice
 
     def forward_spy(params, x, operator, blocks=None):
         forwards.append((x.shape[0], blocks))
@@ -161,7 +163,10 @@ def recorded_work(monkeypatch):
     monkeypatch.setattr(PropagationOperator, "apply", spmm_spy(apply, "A"))
     monkeypatch.setattr(PropagationOperator, "apply_t",
                         spmm_spy(apply_t, "A^T"))
-    return forwards, products
+    monkeypatch.setattr(PropagationOperator, "cut_slice",
+                        lambda op, rows, narrow: cuts.append((rows, narrow))
+                        or cut_slice(op, rows, narrow))
+    return forwards, products, cuts
 
 
 def test_loss_row_cut_work(graph, monkeypatch):
@@ -171,10 +176,15 @@ def test_loss_row_cut_work(graph, monkeypatch):
     rows = spec.indices
     n, m, c = graph.n, rows.size, graph.num_classes
     dims = mdl.uniform_dims(graph.d0, 6, c, 2)
-    forwards, products = recorded_work(monkeypatch)
+    forwards, products, cuts = recorded_work(monkeypatch)
     obj = optim.model_objective(dims, graph, operator, spec)
+    # the objective cuts the wide slice of the loss rows once, and no
+    # gradient cuts
+    (cut_rows, narrow), = cuts
+    assert np.array_equal(cut_rows, rows) and not narrow
     w = mdl.init_params(dims, 0).flatten()
     obj.gnn_grad(w)
+    assert len(cuts) == 1
     # lower layer on all n rows, reading A.X from the memo; the top layer
     # through A[loss rows] with all n columns, after its transform, so each
     # of its two products moves the C output columns
@@ -196,14 +206,14 @@ def test_all_row_spec_runs_on_all_rows(graph, monkeypatch):
     operator.propagate_input(graph.features)
     spec = nc_spec(graph, False, 0.0)
     dims = mdl.uniform_dims(graph.d0, 6, graph.num_classes, 2)
-    forwards, products = recorded_work(monkeypatch)
+    forwards, products, cuts = recorded_work(monkeypatch)
     obj = optim.model_objective(dims, graph, operator, spec)
     w = mdl.init_params(dims, 0).flatten()
     obj.gnn_grad(w)
-    # the top block is A's rows cut once: it outputs all n rows in order
+    # every node in order: the forward runs on all n rows, on A itself,
+    # and nothing is cut
     (x_rows, blocks), = forwards
-    assert x_rows == graph.n and blocks[0].rows is None
-    assert np.array_equal(blocks[1].rows, np.arange(graph.n))
+    assert x_rows == graph.n and blocks is None and cuts == []
     shape, nnz, c = operator.matrix.shape, operator.matrix.nnz, dims[-1]
     assert products == [("A", shape, nnz, c), ("A^T", shape, nnz, c)]
     # the PeerMLP runs on the n gathered rows, and no SpMM
@@ -211,3 +221,54 @@ def test_all_row_spec_runs_on_all_rows(graph, monkeypatch):
     products.clear()
     obj.mlp_grad(w)
     assert forwards == [(graph.n, None)] and products == []
+
+
+@pytest.mark.parametrize("kind,layers,cuts", [
+    ("narrow", 2, [True]), ("narrow", 3, [True, True]), ("top", 1, []),
+    ("top", 2, [False]), ("top", 3, [False]), ("n-row", 3, []),
+    ("identity", 3, [])])
+def test_backward_runs_on_the_forward_blocks(graph, monkeypatch, kind,
+                                             layers, cuts):
+    # the blocks cut a narrow slice per layer above the first, or one wide
+    # top slice for two or more layers under a real operator, over n-row
+    # layers; a one-layer forward reads rows of A.X and the PeerMLP its
+    # rows of the features, so neither cuts
+    operator = (IDENTITY if kind == "identity"
+                else normalize(graph, "mean-neighbors"))
+    operator.propagate_input(graph.features)
+    targets = np.sort(np.random.default_rng(layers).choice(graph.n, 12,
+                                                           replace=False))
+    made, forward, backward = [], [], []
+    cut, apply, apply_t = (PropagationOperator.cut_slice,
+                           PropagationOperator.apply,
+                           PropagationOperator.apply_t)
+    monkeypatch.setattr(PropagationOperator, "cut_slice",
+                        lambda op, rows, narrow: made.append(narrow)
+                        or cut(op, rows, narrow))
+    monkeypatch.setattr(PropagationOperator, "apply",
+                        lambda op, x: forward.append(op) or apply(op, x))
+    monkeypatch.setattr(PropagationOperator, "apply_t",
+                        lambda op, x: backward.append(op) or apply_t(op, x))
+    blocks = (None if kind == "n-row" else mdl.receptive_field(
+        operator, targets, layers) if kind == "narrow"
+        else mdl.top_blocks(operator, targets, layers))
+    assert made == cuts
+    if kind == "top" and layers > 1:
+        assert blocks[:-1] == [(None, operator)] * (layers - 1)
+    # each layer above the first makes one product in the forward and one
+    # transpose product in the backward, on the same block operator, which
+    # the activations record; layer 0 reads A.X and has no transpose
+    params = mdl.init_params(
+        mdl.uniform_dims(graph.d0, 6, graph.num_classes, layers), 0)
+    acts = mdl.forward_features(params, graph.features, operator, blocks)
+    rows = targets if blocks is None else np.arange(targets.size)
+    spec = mdl.LossSpec(rows, np.arange(rows.size) % graph.num_classes)
+    mdl.backward_from_acts(params, acts, spec)
+    if blocks is None:
+        assert acts.blocks == [(None, operator)] * layers
+    else:
+        assert acts.blocks is blocks
+    ops = [b.op for b in acts.blocks[1:]]
+    assert len(forward) == len(backward) == layers - 1
+    assert all(a is b for a, b in zip(forward, ops))
+    assert all(a is b for a, b in zip(backward, ops[::-1]))

@@ -112,7 +112,8 @@ class TestForward:
 class TestLoss:
     def test_uniform_probabilities(self):
         logits = np.zeros((5, 4))
-        acts = mdl.Activations(inputs=[], preacts=[logits], logits=logits)
+        acts = mdl.Activations(inputs=[], preacts=[logits], logits=logits,
+                               blocks=[])
         spec = mdl.loss_spec_from_labels(np.arange(5), np.zeros(5, np.int64), 4)
         params = mdl.ModelParams([np.zeros((1, 1))], [np.zeros(1)])
         assert abs(mdl.loss(acts, spec, params) - np.log(4)) < 1e-12
@@ -120,7 +121,8 @@ class TestLoss:
     def test_confident_correct_is_zero(self):
         logits = np.zeros((3, 2))
         logits[:, 0] = 1000.0
-        acts = mdl.Activations(inputs=[], preacts=[logits], logits=logits)
+        acts = mdl.Activations(inputs=[], preacts=[logits], logits=logits,
+                               blocks=[])
         spec = mdl.loss_spec_from_labels(np.arange(3), np.zeros(3, np.int64), 2)
         params = mdl.ModelParams([np.zeros((1, 1))], [np.zeros(1)])
         assert mdl.loss(acts, spec, params) < 1e-12
@@ -138,7 +140,8 @@ class TestLoss:
 
     def test_large_logits_finite(self):
         logits = np.array([[1e4, -1e4], [-1e4, 1e4]])
-        acts = mdl.Activations(inputs=[], preacts=[logits], logits=logits)
+        acts = mdl.Activations(inputs=[], preacts=[logits], logits=logits,
+                               blocks=[])
         spec = mdl.loss_spec_from_labels(np.arange(2),
                                          np.array([0, 0]), 2)
         params = mdl.ModelParams([np.zeros((1, 1))], [np.zeros(1)])
@@ -189,7 +192,7 @@ class TestBackward:
         # the head computes the softmax, on the loss rows of the logits
         monkeypatch.setattr(mdl, "ce_head", head_spy)
         acts = mdl.forward(params, graph, operator)
-        mdl.backward_from_acts(params, operator, acts, spec)
+        mdl.backward_from_acts(params, acts, spec)
         assert seen == [rows.size]
 
     def test_identity_equals_mlp_gradient_path(self):
@@ -198,7 +201,7 @@ class TestBackward:
             ident = PropagationOperator("identity", None)
             g1 = mdl.backward(params, graph, ident, spec)
             acts = forward_mlp(params, graph.features)
-            g2 = mdl.backward_from_acts(params, ident, acts, spec)
+            g2 = mdl.backward_from_acts(params, acts, spec)
             assert np.array_equal(g1, g2)
 
     @pytest.mark.parametrize("scheme", ["identity", "mean-neighbors",

@@ -73,6 +73,12 @@ CLI_RUNS = (
                       "--repeats", "2", *SHORT)),
     ("compare-layers3", ("compare", "--graph", "sparse", "--layers", "3",
                          "--repeats", "2", *SHORT)),
+    # full-batch training at one layer, which cuts no slice, and at three,
+    # whose last layer runs on a wide slice above two n-row layers
+    ("nc-layers1", ("nc", "--graph", "graph", "--episodes", "20",
+                    "--layers", "1")),
+    ("nc-layers3", ("nc", "--graph", "graph", "--episodes", "20",
+                    "--layers", "3", "--scheme", "mean-neighbors")),
 )
 
 
