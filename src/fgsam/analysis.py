@@ -115,6 +115,7 @@ def landscape_slice(params: mdl.ModelParams, graph: Graph, operator,
     grid = np.asarray(grid, dtype=np.float64)
     if not np.any(grid == 0.0):
         raise AnalysisError("grid must contain 0")
+    operator.fill_input(graph.features)
     rng = np.random.default_rng(seed)
     dims = params.dims
     flat = params.flatten()

@@ -493,6 +493,7 @@ def bench_instance(seed=0):
 
 def run_bench(graph, steps, hp_base, seed=0):
     operator = normalize(graph, "gcn-sym")
+    operator.fill_input(graph.features)
     dims = mdl.uniform_dims(graph.d0, 16, graph.num_classes, 2)
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                      graph.num_classes)

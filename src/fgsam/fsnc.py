@@ -561,12 +561,12 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
     """Full-batch supervised training on the train mask with early stopping
     on the validation mask; reports accuracy on the test mask.
 
-    The clock of `wall_seconds` starts once the operator, the mask checks,
-    the loss spec, the objective (whose A.X fill and last-layer block are
-    made when it is built, `optim.model_objective`) and the blocks that
-    score the validation and test masks are made. Each mask is scored by
-    one forward on `model.top_blocks` of its sorted rows, whose logits are
-    those rows of a forward over all n rows, bit for bit."""
+    The clock of `wall_seconds` starts once the operator and its full A.X
+    fill, the mask checks, the loss spec, the objective with its last-layer
+    block (`optim.model_objective`) and the blocks that score the
+    validation and test masks are made. Each mask is scored by one forward
+    on `model.top_blocks` of its sorted rows, whose logits are those rows
+    of a forward over all n rows, bit for bit."""
     train_idx, val_idx, test_idx = (np.asarray(m, dtype=np.int64) for m in masks)
     combined = np.concatenate([train_idx, val_idx, test_idx])
     if np.unique(combined).size != combined.size:
@@ -577,6 +577,7 @@ def standard_nc_train(config: NCConfig, graph: Graph, masks) -> NCReport:
             # its accuracy or loss would be a NaN mean of no nodes
             raise FsncError(f"the {name} mask is empty")
     operator = normalize(graph, config.scheme)
+    operator.fill_input(graph.features)
     dims = mdl.uniform_dims(graph.d0, config.hidden, graph.num_classes,
                             config.layers)
     spec = mdl.loss_spec_from_labels(train_idx, graph.labels,

@@ -76,6 +76,7 @@ def _jittered_params(dims, graph, operator, rng):
 def check_supervised(rng, scheme: str, layers: int) -> CheckResult:
     graph = random_instance(rng)
     operator = normalize(graph, scheme)
+    operator.fill_input(graph.features)
     dims = mdl.uniform_dims(graph.d0, 3, graph.num_classes, layers)
     params = _jittered_params(dims, graph, operator, rng)
     wd = float(rng.choice([0.0, 0.01]))
@@ -101,6 +102,7 @@ def check_supervised(rng, scheme: str, layers: int) -> CheckResult:
 def check_episode(rng, scheme: str, layers: int) -> CheckResult:
     graph = random_instance(rng)
     operator = normalize(graph, scheme)
+    operator.fill_input(graph.features)
     dims = mdl.uniform_dims(graph.d0, 3, 3, layers)
     params = _jittered_params(dims, graph, operator, rng)
     counts = np.bincount(graph.labels, minlength=graph.num_classes)

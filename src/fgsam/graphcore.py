@@ -214,21 +214,14 @@ class PropagationOperator:
         return _product(self.matrix, x)
 
     def propagate_input(self, x: np.ndarray, rows=None) -> np.ndarray:
-        """`apply(x)` for the network input, or its `rows` (any order,
-        repeats allowed), read from one memo.
-
-        A @ x does not depend on the parameters, so the first layer of
-        every forward over the same features reads the memo `fill_input`
-        made, keyed by the identity of `x`. The memo holds `x` itself, so
-        its identity cannot be recycled, and relies on `x` not being mutated
-        (graph arrays are immutable after construction).
-
-        `rows=None` returns the full product, read-only because every
-        forward shares it. A read the memo cannot serve (none for `x` yet,
-        or all rows or a row outside the slice of a compact memo) makes the
-        full product first, so every read is the full product's rows, bit
-        for bit. The identity operator returns `x` or `x[rows]`.
-        """
+        """`apply(x)` for the network input `x`, or its `rows` (any order,
+        repeats allowed), read from the memo `fill_input` made: A @ x does
+        not depend on the parameters, so a run fills it once. The memo is
+        keyed by the identity of `x` and holds `x`, so the identity cannot
+        be recycled (graph arrays are immutable after construction); the
+        full product is read-only, as every forward shares it. A read the
+        memo cannot serve raises `GraphError`. The identity operator
+        returns `x` or `x[rows]`."""
         if self.scheme == "identity":
             return x if rows is None else x[rows]
         memo = self._input_memo
@@ -240,8 +233,11 @@ class PropagationOperator:
                 at = slot[rows]
                 if (at >= 0).all():
                     return product[at]
-        self.fill_input(x)
-        return self.propagate_input(x, rows)
+        miss = ("no A.X memo" if memo is None
+                else "the A.X memo is of another input" if memo[0] is not x
+                else "a compact A.X memo holds only its rows" if rows is None
+                else "a row lies outside the compact A.X memo")
+        raise GraphError(f"{miss}; call fill_input before the forward")
 
     def fill_input(self, x: np.ndarray, piece: Slice = None) -> None:
         """Make the memo of `propagate_input` for `x` with one product:

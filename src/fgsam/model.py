@@ -165,9 +165,8 @@ def loss_spec_from_labels(indices, labels, num_classes, weight_decay=0.0) -> Los
 class Block(NamedTuple):
     """Layer l of a forward: `rows` are the rows S_l it outputs (None: all
     n rows), and `op` propagates the rows that layer l-1 output into them.
-    Layer 0 reads rows S_0 of A.X from the memo that the run made before
-    its first step (`PropagationOperator.fill_input`) instead, so its `op`
-    is the graph's operator."""
+    Layer 0 reads rows S_0 of the run's A.X memo instead
+    (`PropagationOperator.fill_input`), so its `op` is the graph's operator."""
 
     rows: np.ndarray | None
     op: PropagationOperator
@@ -256,10 +255,10 @@ def forward_features(params: ModelParams, x: np.ndarray,
     `receptive_field`), in which case row i of every output is row
     `blocks[l].rows[i]` of the full forward. The activations record the
     blocks (None: the n-row list), and the backward runs on them. Layer 0
-    reads A.X from the operator's memo (`PropagationOperator.propagate_input`),
-    which makes the full product if the memo cannot serve the read. Stacked
-    params (a leading K axis) give every output that axis; their layers
-    above the first run only under the identity operator, the PeerMLP's."""
+    reads A.X from the memo the caller filled (`PropagationOperator`'s
+    `fill_input`). Stacked params (a leading K axis) give every output that
+    axis; their layers above the first run only under the identity
+    operator, the PeerMLP's."""
     if x.shape[-1] != params.weights[0].shape[-2]:
         raise ModelError(
             f"feature dim {x.shape[-1]} != model input dim {params.dims[0]}")

@@ -140,9 +140,8 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
     `model.ce_head` at each loss row's position in the union (None, no
     gather, when the spec's rows are sorted), which is the gradient of a
     forward over all n rows, bit for bit. The GNN's first layer reads all n
-    rows of A.X, which are filled here, so that no gradient evaluation
-    makes that product."""
-    operator.propagate_input(graph.features)
+    rows of A.X, so `operator` must hold the full `fill_input` of
+    `graph.features`."""
     union = np.sort(spec.indices)
     positions = (None if np.array_equal(union, spec.indices)
                  else np.searchsorted(union, spec.indices))

@@ -16,6 +16,15 @@ import numpy as np
 
 import fgsam.fsnc as fsnc
 import fgsam.model as mdl
+from fgsam.graphcore import normalize
+
+
+def filled(graph, scheme: str):
+    """A fresh operator of `scheme` on `graph` that holds the full A.X memo
+    of `graph.features`, as a run fills it before its first forward."""
+    operator = normalize(graph, scheme)
+    operator.fill_input(graph.features)
+    return operator
 
 
 def forward(params: mdl.ModelParams, x: np.ndarray,

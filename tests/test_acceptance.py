@@ -10,10 +10,9 @@ import pytest
 
 import fgsam.model as mdl
 from fgsam import analysis, cli, fsnc, gradcheck, optim
-from fgsam.graphcore import (CsbmParams, PropagationOperator, generate_csbm,
-                             normalize)
+from fgsam.graphcore import CsbmParams, PropagationOperator, generate_csbm
 from fgsam.seeding import stream_rng
-from full_graph_oracle import softmax_rows
+from full_graph_oracle import filled, softmax_rows
 from moments_oracle import mc_filtered_moments
 from peermlp_oracle import forward_mlp
 from run_dir_reader import read_run_dir
@@ -22,7 +21,7 @@ from run_dir_reader import read_run_dir
 def tiny_objective(seed=0, scheme="gcn-sym"):
     g = generate_csbm(CsbmParams(K=3, nodes_per_class=8, p=0.5, q=0.1,
                                  D=3.0, l=4, seed=seed))
-    op = normalize(g, scheme)
+    op = filled(g, scheme)
     dims = mdl.uniform_dims(g.d0, 5, g.num_classes, 2)
     spec = mdl.loss_spec_from_labels(np.arange(g.n), g.labels, g.num_classes)
     w0 = mdl.init_params(dims, stream_rng(seed, "init")).flatten()

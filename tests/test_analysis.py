@@ -13,6 +13,7 @@ from fgsam.analysis import (AnalysisError, cost_report, filtered_means,
                             verify_theorem)
 from fgsam.graphcore import CsbmParams, generate_csbm, normalize
 from fgsam.optim import GradientBundle
+from full_graph_oracle import filled
 from moments_oracle import mc_filtered_moments
 
 
@@ -103,7 +104,8 @@ def quadratic_setup(seed=0):
 class TestLandscape:
     def test_base_point_bit_exact(self):
         g, op, params, spec = quadratic_setup()
-        base = mdl.loss(mdl.forward(params, g, op), spec, params)
+        base = mdl.loss(mdl.forward(params, g, filled(g, "gcn-sym")), spec,
+                        params)
         slc = landscape_slice(params, g, op, spec, 1,
                               np.linspace(-1, 1, 41), seed=0)
         assert slc.base_loss == base

@@ -3,6 +3,7 @@ record's entries (`tools/bench_record.py`) on fixed numbers."""
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -137,7 +138,7 @@ def test_record_entry_on_fixed_numbers():
     runs = [step_metrics(s) for s in (1.0, 1.5, 0.5, 2.0)]
     runs[0]["round_s"] = 0.3     # in one run only: left out
     manifest = {"git_commit": "abc123", "workload": "fsnc-small"}
-    entry = bench_record.entry(runs, manifest, 17, "f" * 64)
+    entry = bench_record.entry(runs, manifest, 17, "f" * 64, "abc123")
     assert list(entry) == ["revision", "source", "seed", "runs", "metrics",
                            "fgsam_plus_over_adam", "manifest"]
     assert (entry["revision"], entry["source"], entry["seed"],
@@ -156,12 +157,12 @@ def test_record_entry_on_fixed_numbers():
 def test_record_appends_and_keeps_earlier_entries(tmp_path):
     path = str(tmp_path / "BENCH_fsnc-small.json")
     first = bench_record.entry([step_metrics(1.0)], {"git_commit": None}, 0,
-                               "a" * 64)
+                               "a" * 64, None)
     bench_record.append(path, [first])
     with open(path) as fh:
         text = fh.read()
     assert text.endswith("]\n") and json.loads(text) == [first]
-    later = [bench_record.entry([step_metrics(2.0)], {}, s, "b" * 64)
+    later = [bench_record.entry([step_metrics(2.0)], {}, s, "b" * 64, "c1")
              for s in (0, 17)]
     bench_record.append(path, later)
     with open(path) as fh:
@@ -181,3 +182,48 @@ def test_source_hash_names_the_sources(tmp_path):
     assert bench_record.source_hash(str(tmp_path)) == first
     (src / "a.py").write_text("x = 2\n")
     assert bench_record.source_hash(str(tmp_path)) != first
+
+
+def git(checkout, *args) -> str:
+    return subprocess.run(["git", "-C", str(checkout), "-c", "user.name=t",
+                           "-c", "user.email=t@t", *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_record_names_no_revision_for_uncommitted_sources(tmp_path,
+                                                          monkeypatch):
+    # two checkouts of one commit; the change's src/fgsam is then edited
+    sides = [tmp_path / "parent", tmp_path / "change"]
+    for checkout in sides:
+        (checkout / "src" / "fgsam").mkdir(parents=True)
+        (checkout / "src" / "fgsam" / "a.py").write_text("x = 1\n")
+        (checkout / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [], "per_layer": []}))
+        git(checkout, "init", "-q")
+        git(checkout, "add", "-A")
+        git(checkout, "commit", "-q", "-m", "seed")
+    parent, change = map(str, sides)
+    # a change outside src/fgsam leaves the measured tree the commit's
+    (sides[0] / "notes.txt").write_text("untracked\n")
+    (sides[1] / "src" / "fgsam" / "a.py").write_text("x = 2\n")
+    heads = {side: git(side, "rev-parse", "HEAD") for side in (parent,
+                                                               change)}
+    monkeypatch.setattr(
+        bench_pairs, "run_once",
+        lambda checkout, *args: (step_metrics(1.0), True,
+                                 {"git_commit": heads[checkout]}))
+    assert bench_pairs.main([parent, change, "--workload", "fsnc-small",
+                             "--pairs", "1", "--record"]) == 0
+    with open(os.path.join(change, "BENCH_fsnc-small.json")) as fh:
+        record = json.load(fh)
+    assert [e["revision"] for e in record] == [heads[parent], None]
+    assert [e["manifest"]["git_commit"] for e in record] == [
+        heads[parent], heads[change]]
+    assert [e["source"] for e in record] == [
+        bench_record.source_hash(side) for side in (parent, change)]
+    assert record[0]["source"] != record[1]["source"]
+    # committed, the same tree is named by its commit
+    git(change, "commit", "-q", "-am", "edit")
+    assert bench_record.revision(change, {"git_commit": "c2"}) == "c2"
+    # outside a git checkout the manifest has no commit either
+    assert bench_record.revision(str(tmp_path), {"git_commit": None}) is None

@@ -15,7 +15,8 @@ import pytest
 
 from fgsam import cli, fsnc, graphcore, optim
 from fgsam import model as mdl
-from fgsam.graphcore import load_graph, normalize
+from fgsam.graphcore import load_graph
+from full_graph_oracle import filled
 from run_dir_reader import read_run_dir
 
 
@@ -266,7 +267,7 @@ class TestNcCheckpoint:
         assert np.array_equal(params.flatten(), report.best_params)
         spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
                                          graph.num_classes)
-        acts = mdl.forward(params, graph, normalize(graph, "gcn-sym"))
+        acts = mdl.forward(params, graph, filled(graph, "gcn-sym"))
         assert meta["base_loss"] == mdl.loss(acts, spec, params)
 
 
@@ -498,42 +499,6 @@ class TestAnalysisCommands:
     def test_check_grads(self, capsys):
         assert run_cli("check-grads", "--instances", "4") == 0
         assert "max relative error" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_a_x_filled_before_the_first_timed_arm(self, monkeypatch):
-        # every arm's timed steps read the A.X memo, so no arm's wall time
-        # holds the fill; the first arm's steps used to make it
-        graph = cli.bench_instance(0)
-        in_step, products = [False], []
-
-        def wrap(step):
-            def traced(self, obj, w):
-                in_step[0] = True
-                try:
-                    return step(self, obj, w)
-                finally:
-                    in_step[0] = False
-            return traced
-
-        for cls in (optim.AdamOptimizer, optim.SamOptimizer,
-                    optim.FgsamOptimizer, optim.FgsamPlusOptimizer):
-            monkeypatch.setattr(cls, "step", wrap(cls.step))
-        apply = graphcore.PropagationOperator.apply
-
-        def spy_apply(op, x):
-            if not op.is_identity:
-                products.append((x is graph.features, op.matrix.shape[0],
-                                 in_step[0]))
-            return apply(op, x)
-
-        monkeypatch.setattr(graphcore.PropagationOperator, "apply",
-                            spy_apply)
-        traces = cli.run_bench(graph, 2, optim.Hyperparams(k=2))
-        assert [p for p in products if p[0]] == [(True, graph.n, False)]
-        assert traces["adam"]["gnn_evals"] == 2
-        # the timed steps multiply hidden layers only
-        assert products and all(step for x, _, step in products[1:])
 
 
 class TestSettingsTable:

@@ -17,6 +17,7 @@ from fgsam.graphcore import (CsbmParams, PropagationOperator, build_graph,
                              generate_csbm, normalize)
 from fgsam.seeding import stream_rng
 from block_oracle import assert_block_of_slice
+from full_graph_oracle import filled
 from proto_head_oracle import proto_head as oracle_head
 import round_oracle
 
@@ -178,7 +179,7 @@ class TestSampleEpisode:
 class TestProtoEpisode:
     def test_single_shot_prototype_is_support_embedding(self):
         g = small_graph()
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         dims = mdl.uniform_dims(g.d0, 6, 6, 2)
         params = mdl.init_params(dims, np.random.default_rng(0))
         ep = sample_episode(g, np.arange(4), way=2, shot=1, query=2,
@@ -208,7 +209,7 @@ class TestProtoEpisode:
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_flattens_only_for_weight_decay(self, monkeypatch, wd):
         g = small_graph(npc=6, K=4)
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 3, 3, 2),
                                  np.random.default_rng(1))
         ep = sample_episode(g, np.arange(4), way=2, shot=2, query=2,
@@ -228,7 +229,7 @@ class TestProtoEpisode:
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_finite_difference(self, wd):
         g = small_graph(npc=6, K=4)
-        op = normalize(g, "mean-neighbors")
+        op = filled(g, "mean-neighbors")
         dims = mdl.uniform_dims(g.d0, 3, 3, 2)
         params = mdl.init_params(dims, np.random.default_rng(1))
         ep = sample_episode(g, np.arange(4), way=2, shot=2, query=2,
@@ -249,8 +250,7 @@ class TestProtoEpisode:
         # the cached A.X of a long-lived operator gives the same floats as
         # a fresh operator, call after call
         g = small_graph(K=4, npc=15)
-        warm = normalize(g, scheme)
-        warm.propagate_input(g.features)
+        warm = filled(g, scheme)
         ep = sample_episode(g, np.arange(4), 2, 3, 4,
                             rng=np.random.default_rng(1))
         ep_dims = mdl.uniform_dims(g.d0, 6, 6, 2)
@@ -262,13 +262,13 @@ class TestProtoEpisode:
         for _ in range(4):
             params = mdl.init_params(ep_dims, rng)
             got = proto_episode(params, g, warm, ep, weight_decay=0.01)
-            want = proto_episode(params, g, normalize(g, scheme), ep,
+            want = proto_episode(params, g, filled(g, scheme), ep,
                                  weight_decay=0.01)
             assert got[0] == want[0]
             assert np.array_equal(got[1], want[1])
             w = mdl.init_params(nc_dims, rng).flatten()
             value, grad = warm_obj.gnn_grad(w)
-            fresh = optim.model_objective(nc_dims, g, normalize(g, scheme),
+            fresh = optim.model_objective(nc_dims, g, filled(g, scheme),
                                           spec)
             value0, grad0 = fresh.gnn_grad(w)
             assert value == value0
@@ -311,7 +311,7 @@ class TestReceptiveField:
                              ["gcn-sym", "mean-neighbors", "identity"])
     def test_matches_full_graph_oracle(self, scheme, layers):
         g = sparse_graph()
-        op = normalize(g, scheme)
+        op = filled(g, scheme)
         dims = mdl.uniform_dims(g.d0, 6, 6, layers)
         rng = np.random.default_rng(layers)
         for _ in range(3):
@@ -332,7 +332,7 @@ class TestReceptiveField:
         query_idx = ep.query_idx.copy()
         query_idx[0] = lonely[0]       # an isolated node of any class
         ep = dataclasses.replace(ep, query_idx=query_idx)
-        op = normalize(g, scheme)
+        op = filled(g, scheme)
         dims = mdl.uniform_dims(g.d0, 5, 5, 3)
         blocks = mdl.receptive_field(op, ep.rows, 3)
         # the node reads only itself at every layer
@@ -343,7 +343,7 @@ class TestReceptiveField:
 
     def test_receptive_field_is_whole_graph(self):
         g = small_graph(K=4, npc=10, p=0.5, q=0.1)
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         ep = sample_episode(g, np.arange(4), 2, 2, 3,
                             rng=np.random.default_rng(2))
         blocks = mdl.receptive_field(op, ep.rows, 3)
@@ -358,7 +358,7 @@ class TestReceptiveField:
     @pytest.mark.parametrize("dense", [False, True])
     def test_cutover_sides_match_oracle(self, dense):
         g = small_graph() if dense else sparse_graph()
-        op = normalize(g, "mean-neighbors")
+        op = filled(g, "mean-neighbors")
         ep = sample_episode(g, np.arange(4), 2, 3, 10,
                             rng=np.random.default_rng(4))
         assert (op.row_nnz(ep.rows) >= g.n) == dense
@@ -381,7 +381,7 @@ class TestReceptiveField:
 
     def test_blocks_cut_once_per_operator(self, monkeypatch):
         g = sparse_graph()
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         ep = sample_episode(g, np.arange(6), 2, 3, 10,
                             rng=np.random.default_rng(6))
         blocks = mdl.blocks_for(op, ep.rows, 2)
@@ -408,7 +408,7 @@ class TestReceptiveField:
         # on all n rows the head's gradient goes back through an n-row
         # array; it must hold the same bits as the scatter-add it replaced
         g = small_graph()
-        op = normalize(g, scheme)
+        op = filled(g, scheme)
         dims = mdl.uniform_dims(g.d0, 6, 6, 2)
         params = mdl.init_params(dims, np.random.default_rng(7))
         ep = sample_episode(g, np.arange(4), 2, 3, 4,
@@ -634,7 +634,7 @@ class TestTopSlices:
             cfg = ProtocolConfig(episodes=100, val_interval=10, val_tasks=20,
                                  test_tasks=100, layers=layers, hidden=16,
                                  scheme=scheme, seed=seed, repeats=1)
-            op = normalize(g, scheme)
+            op = filled(g, scheme)
             episodes, tops = shared_tops(cfg, g, split, op)
             dims = mdl.uniform_dims(g.d0, 16, 16, layers)
             rng = np.random.default_rng(seed)
@@ -660,7 +660,7 @@ class TestTopSlices:
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(episodes=20, layers=layers, scheme=scheme,
                            query=10)
-        op = normalize(g, scheme)
+        op = filled(g, scheme)
         dims = mdl.uniform_dims(g.d0, 6, 6, layers)
         rng = np.random.default_rng(layers)
         for ep, top in zip(*shared_tops(cfg, g, split, op)):
@@ -1202,22 +1202,23 @@ class TestMetaTest:
 
     def test_mp_counter_increments(self):
         g = small_graph()
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
-        before = op.apply_count
+        # A.X was made once, by the fill
+        assert op.apply_count == 1
         round_accuracy(params, g, op, fsnc.draw_round(
             g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(0)))
-        # one forward for all 3 tasks: A.X once, then A.H for layer 2
-        assert op.apply_count == before + 2
+        # one forward for all 3 tasks: A.X read from the memo, then A.H for
+        # layer 2
+        assert op.apply_count == 2
         round_accuracy(params, g, op, fsnc.draw_round(
             g, np.arange(4), 2, 1, 1, 3, np.random.default_rng(1)))
-        # A.X is cached on the operator: a second round adds only A.H
-        assert op.apply_count == before + 3
+        assert op.apply_count == 3
 
     def test_separable_reaches_perfect_accuracy(self):
         g = small_graph(D=20.0, p=0.9, q=0.01)
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         cfg = small_config(episodes=10, repeats=1)
         rep = train_protocol(cfg, g, split)
@@ -1229,7 +1230,7 @@ class TestMetaTest:
 
     def test_one_forward_matches_per_task_episodes(self):
         g = small_graph()
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         classes = np.arange(4)
@@ -1248,7 +1249,7 @@ class TestMetaTest:
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_sliced_round_matches_per_task_episodes(self, scheme):
         g = sparse_graph()
-        op = normalize(g, scheme)
+        op = filled(g, scheme)
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         classes = np.arange(6)
@@ -1271,7 +1272,7 @@ class TestMetaTest:
 
     def test_reproducible(self):
         g = small_graph()
-        op = normalize(g, "gcn-sym")
+        op = filled(g, "gcn-sym")
         params = mdl.init_params(mdl.uniform_dims(g.d0, 4, 4, 2),
                                  np.random.default_rng(0))
         a, b = (round_accuracy(params, g, op, fsnc.draw_round(
@@ -1371,7 +1372,7 @@ class TestBatchedHead:
     def test_bit_identical_to_per_task_heads(self, sliced, scheme, way, shot,
                                              tasks):
         g = sparse_graph() if sliced else small_graph()
-        op = normalize(g, scheme)
+        op = filled(g, scheme)
         params = mdl.init_params(mdl.uniform_dims(g.d0, 6, 6, 2),
                                  np.random.default_rng(way + shot + tasks))
         stds = []
@@ -1436,13 +1437,12 @@ class TestWorkLedger:
     @pytest.mark.parametrize("arm", optim.OPTIMIZER_NAMES)
     def test_step_work_pinned(self, monkeypatch, arm, objective):
         g = sparse_graph()
-        operator = normalize(g, "gcn-sym")
+        operator = filled(g, "gcn-sym")      # A.X filled ahead
         if objective == "episode":
-            # a 2-layer episode on its receptive field, A.X filled ahead
+            # a 2-layer episode on its receptive field
             ep = sample_episode(g, np.arange(2), way=2, shot=3, query=5,
                                 rng=np.random.default_rng(0))
             dims = mdl.uniform_dims(g.d0, 8, 8, 2)
-            operator.propagate_input(g.features)
             blocks = mdl.blocks_for(operator, ep.rows, 2)
             assert blocks[0].rows is not None
             obj = fsnc.episode_objective(dims, g, operator, ep, blocks=blocks)
@@ -1845,7 +1845,7 @@ class TestStandardNC:
         cfg = NCConfig(steps=6, val_interval=2, patience=5, layers=layers,
                        hidden=8, scheme=scheme, seed=0)
         rep = standard_nc_train(cfg, g, masks)
-        op = normalize(g, scheme)
+        op = filled(g, scheme)
         dims = mdl.uniform_dims(g.d0, 8, g.num_classes, layers)
 
         def full_graph(w, idx):

@@ -167,6 +167,11 @@ class TestOperators:
         rng = np.random.default_rng(3)
         g = random_graph(rng, 20)
         op = normalize(g, "mean-neighbors")
+        # before the fill a read raises, and makes no product
+        with pytest.raises(GraphError, match="no A.X memo"):
+            op.propagate_input(g.features)
+        assert op.apply_count == 0
+        op.fill_input(g.features)
         ax = op.propagate_input(g.features)
         assert np.array_equal(ax, op.matrix @ g.features)
         assert op.propagate_input(g.features) is ax
@@ -174,9 +179,10 @@ class TestOperators:
         assert not ax.flags.writeable
         with pytest.raises(ValueError):
             ax[0, 0] = 1.0
-        # a different array, even with equal contents, replaces the memo
-        op.propagate_input(g.features.copy())
-        assert op.apply_count == 2
+        # a different array, even with equal contents, has no memo
+        with pytest.raises(GraphError, match="another input"):
+            op.propagate_input(g.features.copy())
+        assert op.apply_count == 1 and op.propagate_input(g.features) is ax
         ident = normalize(g, "identity")
         assert ident.propagate_input(g.features) is g.features
 
@@ -196,8 +202,8 @@ class TestOperators:
             return op.propagate_input(x, rows).tobytes() == want[rows].tobytes()
 
         first = np.array([17, 3, 64, 3, 40, 17])      # unsorted, repeated
-        # a fresh operator's first read makes the full product, which then
-        # serves every read
+        # the full product serves every read
+        op.fill_input(x)
         assert same(first)
         assert op.apply_count == 1
         _, full, slot = op._input_memo
@@ -209,8 +215,12 @@ class TestOperators:
         assert op.apply_count == 2 and op._input_memo[2] is not None
         assert same(first) and same(first[::-1])
         assert op.apply_count == 2
-        # another input array starts a memo of its own
+        # another input array has no memo until it is filled
         copy = x.copy()
+        with pytest.raises(GraphError, match="another input"):
+            op.propagate_input(copy, first)
+        assert op.apply_count == 2
+        op.fill_input(copy)
         assert (op.propagate_input(copy, first).tobytes()
                 == want[first].tobytes())
         assert op.apply_count == 3 and op._input_memo[0] is copy
@@ -252,24 +262,23 @@ class TestOperators:
     @pytest.mark.parametrize("ask", ["missing row", "all rows"])
     @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
     def test_compact_memo_reads_only_its_rows(self, scheme, ask):
-        # a read that a compact memo cannot serve makes the full product
-        # once, returns its bits, and leaves it to serve every later read
+        # a read that a compact memo cannot serve raises, makes no product
+        # and leaves the memo to serve its own rows
         rng = np.random.default_rng(13)
         g = random_graph(rng, 80)
         x = g.features
         want = normalize(g, scheme).matrix @ x
         op = normalize(g, scheme)
         op.fill_input(x, op.cut_slice(np.array([3, 17, 40, 64]), False))
-        rows = np.array([64, 5, 3]) if ask == "missing row" else None
-        got = op.propagate_input(x, rows)
-        assert got.tobytes() == (want if rows is None
-                                 else want[rows]).tobytes()
-        assert op.apply_count == 2
-        _, full, slot = op._input_memo
-        assert slot is None and full.tobytes() == want.tobytes()
-        later = [5, 79]
+        memo = op._input_memo
+        rows, miss = ((np.array([64, 5, 3]), "outside the compact")
+                      if ask == "missing row" else (None, "holds only its"))
+        with pytest.raises(GraphError, match=miss):
+            op.propagate_input(x, rows)
+        assert op.apply_count == 1 and op._input_memo is memo
+        later = [64, 40, 3]
         assert op.propagate_input(x, later).tobytes() == want[later].tobytes()
-        assert op.apply_count == 2
+        assert op.apply_count == 1
 
     def test_unknown_scheme(self):
         g = build_graph(2, [(0, 1)], np.zeros((2, 1)), [0, 0])
@@ -637,9 +646,14 @@ class TestSharedMatrix:
         g = random_graph(rng, 40)
         a, b = normalize(g, scheme), normalize(g, scheme)
         assert a is not b and a.matrix is b.matrix
+        a.fill_input(g.features)
         ax = a.propagate_input(g.features)
         assert (a.apply_count, b.apply_count) == (1, 0)
         assert b._input_memo is None
+        with pytest.raises(GraphError, match="no A.X memo"):
+            b.propagate_input(g.features)
+        assert b.apply_count == 0
+        b.fill_input(g.features)
         assert b.propagate_input(g.features) is not ax
         assert (a.apply_count, b.apply_count) == (1, 1)
 

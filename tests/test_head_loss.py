@@ -8,7 +8,8 @@ import pytest
 
 import fgsam.model as mdl
 from fgsam import fsnc, optim
-from fgsam.graphcore import CsbmParams, generate_csbm, normalize
+from fgsam.graphcore import CsbmParams, generate_csbm
+from full_graph_oracle import filled
 
 WITH_GRAD = ["head_loss", "head", "backward_from_output"]
 VALUE_ONLY = ["head_loss", "head"]
@@ -39,7 +40,7 @@ def instance():
     a 2-way 3-shot episode, with 2-layer dims for each."""
     graph = generate_csbm(CsbmParams(K=4, nodes_per_class=100, p=0.03,
                                      q=0.002, D=3.0, l=8, seed=0))
-    operator = normalize(graph, "gcn-sym")
+    operator = filled(graph, "gcn-sym")
     rows = np.arange(0, graph.n, 2)
     spec = mdl.loss_spec_from_labels(rows, graph.labels, graph.num_classes,
                                      weight_decay=0.01)

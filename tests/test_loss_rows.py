@@ -7,8 +7,7 @@ import pytest
 
 import fgsam.model as mdl
 from fgsam import fsnc, optim
-from fgsam.graphcore import (CsbmParams, PropagationOperator, generate_csbm,
-                             normalize)
+from fgsam.graphcore import CsbmParams, PropagationOperator, generate_csbm
 import full_graph_oracle as oracle
 
 SCHEMES = ("gcn-sym", "mean-neighbors")
@@ -40,7 +39,7 @@ def nc_spec(graph, subset: bool, weight_decay: float) -> mdl.LossSpec:
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_model_objective_matches_full_graph_oracle(graph, layers, scheme,
                                                    subset, weight_decay):
-    operator = normalize(graph, scheme)
+    operator = oracle.filled(graph, scheme)
     spec = nc_spec(graph, subset, weight_decay)
     # hidden 6 narrows to the 4 classes on top, hidden 3 widens to them
     for hidden in (6, 3):
@@ -86,7 +85,7 @@ def n_row_engine(params, graph, op, spec):
 def test_model_objective_is_the_n_row_engine_bit_for_bit(
         graph, layers, scheme, kind, weight_decay):
     # one plan for every spec: the last layer on the sorted loss rows
-    operator = normalize(graph, scheme)
+    operator = oracle.filled(graph, scheme)
     spec = mdl.loss_spec_from_labels(rows_of(graph, kind), graph.labels,
                                      graph.num_classes, weight_decay)
     # hidden 6 narrows to the 4 classes on top, hidden 3 widens to them
@@ -108,7 +107,7 @@ def test_model_objective_is_the_n_row_engine_bit_for_bit(
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_proto_episode_on_fsnc_dims_is_the_oracle_bit_for_bit(graph, layers,
                                                               scheme):
-    operator = normalize(graph, scheme)
+    operator = oracle.filled(graph, scheme)
     dims = mdl.uniform_dims(graph.d0, 6, 6, layers)
     rng = np.random.default_rng(layers)
     for _ in range(3):
@@ -170,8 +169,7 @@ def recorded_work(monkeypatch):
 
 
 def test_loss_row_cut_work(graph, monkeypatch):
-    operator = normalize(graph, "gcn-sym")
-    operator.propagate_input(graph.features)
+    operator = oracle.filled(graph, "gcn-sym")
     spec = nc_spec(graph, True, 0.0)
     rows = spec.indices
     n, m, c = graph.n, rows.size, graph.num_classes
@@ -202,8 +200,7 @@ def test_loss_row_cut_work(graph, monkeypatch):
 
 
 def test_all_row_spec_runs_on_all_rows(graph, monkeypatch):
-    operator = normalize(graph, "gcn-sym")
-    operator.propagate_input(graph.features)
+    operator = oracle.filled(graph, "gcn-sym")
     spec = nc_spec(graph, False, 0.0)
     dims = mdl.uniform_dims(graph.d0, 6, graph.num_classes, 2)
     forwards, products, cuts = recorded_work(monkeypatch)
@@ -234,8 +231,7 @@ def test_backward_runs_on_the_forward_blocks(graph, monkeypatch, kind,
     # layers; a one-layer forward reads rows of A.X and the PeerMLP its
     # rows of the features, so neither cuts
     operator = (IDENTITY if kind == "identity"
-                else normalize(graph, "mean-neighbors"))
-    operator.propagate_input(graph.features)
+                else oracle.filled(graph, "mean-neighbors"))
     targets = np.sort(np.random.default_rng(layers).choice(graph.n, 12,
                                                            replace=False))
     made, forward, backward = [], [], []

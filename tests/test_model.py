@@ -4,14 +4,15 @@ import pytest
 import fgsam.model as mdl
 from fgsam import fsnc, gradcheck, optim
 from fgsam.gradcheck import random_instance
-from fgsam.graphcore import PropagationOperator, normalize
+from fgsam.graphcore import PropagationOperator
+from full_graph_oracle import filled
 from peermlp_oracle import forward_mlp
 
 
 def make_instance(seed, layers=2, hidden=3, scheme="gcn-sym"):
     rng = np.random.default_rng(seed)
     graph = random_instance(rng)
-    operator = normalize(graph, scheme)
+    operator = filled(graph, scheme)
     dims = mdl.uniform_dims(graph.d0, hidden, graph.num_classes, layers)
     params = mdl.init_params(dims, rng)
     spec = mdl.loss_spec_from_labels(np.arange(graph.n), graph.labels,
@@ -207,8 +208,7 @@ class TestBackward:
     @pytest.mark.parametrize("scheme", ["identity", "mean-neighbors",
                                         "gcn-sym"])
     def test_finite_difference_small_instance(self, scheme):
-        graph, _, dims, params, spec = make_instance(6, scheme=scheme)
-        operator = normalize(graph, scheme)
+        graph, operator, dims, params, spec = make_instance(6, scheme=scheme)
         grad = mdl.backward(params, graph, operator, spec)
 
         def f(w):

@@ -5,11 +5,12 @@ import pytest
 
 import fgsam.model as mdl
 from fgsam import fsnc, optim
-from fgsam.graphcore import CsbmParams, generate_csbm, normalize
+from fgsam.graphcore import CsbmParams, generate_csbm
 from fgsam.optim import (GradientBundle, Hyperparams, OptimError,
                          OptimizerState, adam_step, decompose, make_optimizer,
                          sam_epsilon, topology_grad)
 from fgsam.seeding import stream_rng
+from full_graph_oracle import filled
 
 
 def make_objective(seed=0, weight_decay=0.0, scheme="gcn-sym"):
@@ -17,7 +18,7 @@ def make_objective(seed=0, weight_decay=0.0, scheme="gcn-sym"):
     PeerMLP, so an optimizer run on it minimizes the PeerMLP."""
     g = generate_csbm(CsbmParams(K=3, nodes_per_class=8, p=0.5, q=0.1,
                                  D=3.0, l=4, seed=seed))
-    op = normalize(g, scheme)
+    op = filled(g, scheme)
     dims = mdl.uniform_dims(g.d0, 5, g.num_classes, 2)
     spec = mdl.loss_spec_from_labels(np.arange(g.n), g.labels, g.num_classes,
                                      weight_decay=weight_decay)

@@ -23,7 +23,9 @@ and a verdict:
 - `ok`: none of these.
 
 With `--record`, each side's runs become one entry appended to
-`BENCH_<workload>.json` in the CHANGE checkout (`bench_record.py`).
+`BENCH_<workload>.json` in the CHANGE checkout (`bench_record.py`). A
+side with uncommitted changes under `src/fgsam` is recorded with a null
+`revision`, and named by its source hash alone.
 
 The exit code is 1 if any run was not `correct` or failed, else 0.
 """
@@ -183,7 +185,9 @@ def main(argv=None) -> int:
             path = os.path.join(args.change, f"BENCH_{args.workload}.json")
             bench_record.append(path, [
                 bench_record.entry(runs[side], manifests[side], args.seed,
-                                   bench_record.source_hash(side))
+                                   bench_record.source_hash(side),
+                                   bench_record.revision(side,
+                                                         manifests[side]))
                 for side in (args.parent, args.change)])
             print(f"appended 2 entries to {path}")
         return 0

@@ -6,8 +6,9 @@ one entry per side of its pairs: the runs of one checkout at one seed.
 An entry holds:
 
 - `revision`: the checkout's git commit from the run manifest, or null
-  outside a git checkout, and `source`: the SHA-256 of its
-  `src/fgsam/*.py` files, which names an uncommitted tree too;
+  outside a git checkout or where `src/fgsam` has uncommitted changes
+  (`revision`), and `source`: the SHA-256 of its `src/fgsam/*.py` files,
+  which names an uncommitted tree too;
 - `seed` and `runs`, the number of runs N;
 - `metrics`: each metric's median and quartiles over the N runs;
 - `fgsam_plus_over_adam`: the mean FGSAM+ step over the Adam step at
@@ -27,6 +28,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 
 import numpy as np
 import scipy
@@ -49,17 +51,17 @@ def fgsam_plus_over_adam(p50: dict, k: int) -> float:
     return (exact + (k - 1) * approx) / k / p50["step_ms_p50.adam"]
 
 
-def entry(runs, manifest, seed, source) -> dict:
+def entry(runs, manifest, seed, source, revision) -> dict:
     """The entry of `runs`, a list of {metric: value}, one per run of one
-    checkout at `seed`, whose first run wrote `manifest`; `source` is the
-    checkout's `source_hash`."""
+    checkout at `seed`, whose first run wrote `manifest`; `source` and
+    `revision` are the checkout's `source_hash` and `revision`."""
     names = [name for name in runs[0] if all(name in run for run in runs)]
     metrics = {}
     for name in names:
         q1, median, q3 = quartiles([run[name] for run in runs])
         metrics[name] = {"median": median, "q1": q1, "q3": q3}
     medians = {name: m["median"] for name, m in metrics.items()}
-    return {"revision": manifest.get("git_commit"), "source": source,
+    return {"revision": revision, "source": source,
             "seed": seed, "runs": len(runs), "metrics": metrics,
             "fgsam_plus_over_adam": {str(k): fgsam_plus_over_adam(medians, k)
                                      for k in K_VALUES},
@@ -76,6 +78,16 @@ def source_hash(checkout) -> str:
         with open(path, "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
+
+
+def revision(checkout, manifest):
+    """The commit whose `src/fgsam` the checkout's runs measured: the
+    manifest's `git_commit`, or None where `git status --porcelain` lists a
+    change under `src/fgsam`, since no commit holds that tree."""
+    status = subprocess.run(["git", "status", "--porcelain", "--",
+                             os.path.join("src", "fgsam")], cwd=checkout,
+                            capture_output=True, text=True)
+    return None if status.stdout.strip() else manifest.get("git_commit")
 
 
 def append(path, entries) -> None:
