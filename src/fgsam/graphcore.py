@@ -96,9 +96,10 @@ def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
 def build_graph(n, edges, features, labels) -> Graph:
     """A checked `Graph`: edges as distinct (min, max) pairs in
     lexicographic order (`_dedup_pairs`), reversed and repeated pairs
-    merged. Invalid input raises one `GraphError`; the features are counted
-    for non-finite values only when their sum is not finite, as one such
-    value makes the sum non-finite."""
+    merged; edges already in that form, as `generate_csbm`'s dense path
+    gives them, skip the sort. Invalid input raises one `GraphError`; the
+    features are counted for non-finite values only when their sum is not
+    finite, as one such value makes the sum non-finite."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64)
@@ -137,11 +138,16 @@ def _dedup_pairs(n: int, edges: np.ndarray) -> np.ndarray:
     do because v < n; keys are exact while n * n < 2**63 (n < 3.03e9). A
     1-D sort and an adjacent-repeat mask take time near-linear in the edge
     count; `np.unique` is several times slower on both forms (it sorts a
-    structured view of the rows, and hashes the keys).
+    structured view of the rows, and hashes the keys). Keys that already
+    ascend strictly are distinct and sorted, so their (min, max) columns
+    are returned without the sort.
     """
     u = np.minimum(edges[:, 0], edges[:, 1])
     v = np.maximum(edges[:, 0], edges[:, 1])
-    keys = np.sort(u * n + v)
+    keys = u * n + v
+    if (keys[1:] > keys[:-1]).all():
+        return np.column_stack([u, v])
+    keys = np.sort(keys)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return np.column_stack([keys // n, keys % n])
 
@@ -468,8 +474,14 @@ def generate_csbm(params: CsbmParams) -> Graph:
 
     Each class's mean is added in place to its block of the drawn noise,
     the same additions as `noise + means[labels]` without that n x l copy.
-    Above `_DENSE_PAIR_LIMIT` nodes each block's pairs are counted, then
-    drawn by index and decoded arithmetically (`_upper_pair`)."""
+    Both paths draw pair indices into an upper triangle and decode them
+    arithmetically (`_upper_pair`), so no pair table is built. Up to
+    `_DENSE_PAIR_LIMIT` nodes one uniform is drawn per pair of the graph,
+    against a probability laid out row by row from the class blocks: row
+    i's pairs with the rest of its block take p, the others q. The kept
+    indices ascend, so the edges come out distinct and in lexicographic
+    order. Above the limit each block's pairs are counted, then drawn by
+    index."""
     K, npc = params.K, params.nodes_per_class
     n = K * npc
     rng = np.random.default_rng(params.seed)
@@ -479,10 +491,14 @@ def generate_csbm(params: CsbmParams) -> Graph:
     blocks = features.reshape(K, npc, params.l)    # a view, one class each
     blocks += means[:, None, :]
     if n <= _DENSE_PAIR_LIMIT:
-        iu, ju = np.triu_indices(n, k=1)
-        prob = np.where(labels[iu] == labels[ju], params.p, params.q)
-        keep = rng.random(iu.size) < prob
-        edges = np.column_stack([iu[keep], ju[keep]])
+        # row i pairs i with every j > i: the first (labels[i] + 1) * npc
+        # - i - 1 of them share its class block, the rest do not
+        rest = np.arange(n - 1, -1, -1)
+        same = (labels + 1) * npc - np.arange(n) - 1
+        counts = np.column_stack([same, rest - same]).ravel()
+        prob = np.repeat(np.tile([params.p, params.q], n), counts)
+        kept = np.flatnonzero(rng.random(prob.size) < prob)
+        edges = np.column_stack(_upper_pair(n, kept))
     else:
         blocks = [np.arange(k * npc, (k + 1) * npc) for k in range(K)]
         us, vs = [], []

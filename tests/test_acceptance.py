@@ -6,7 +6,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 import fgsam.model as mdl
 from fgsam import analysis, cli, fsnc, gradcheck, optim

@@ -73,6 +73,35 @@ class TestBuildGraph:
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
+    # (edges, np.sort calls): pairs whose (min, max) keys already ascend
+    # strictly take the early return, a reversed pair among them too
+    CANONICAL = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    DEDUP_CASES = {
+        "canonical": (CANONICAL, 0),
+        "one reversed pair": ([(0, 1), (4, 0), (1, 2), (2, 3), (3, 4)], 0),
+        "repeated pairs": ([(0, 1), (0, 1), (1, 2), (3, 4), (3, 4)], 1),
+        "descending pairs": (CANONICAL[::-1], 1),
+        "last pair out of place": (CANONICAL + [(0, 2)], 1),
+    }
+
+    @pytest.mark.parametrize("name", list(DEDUP_CASES))
+    def test_dedup_sorts_only_when_out_of_order(self, monkeypatch, name):
+        edges, sorts = self.DEDUP_CASES[name]
+        want = row_unique_dedup(edges)
+        calls = []
+        real_sort = np.sort
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", spy)
+        got = graphcore._dedup_pairs(5, np.array(edges, dtype=np.int64))
+        assert len(calls) == sorts
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     def test_edges_must_be_pairs(self):
         with pytest.raises(GraphError, match=r"\(2, 3\)"):
             build_graph(3, [(0, 1, 2), (0, 2, 1)], np.zeros((3, 1)), [0] * 3)
@@ -828,12 +857,18 @@ class TestCsbm:
                    "fsnc-large": (20, 1000, 0.015, 0.0002, 4.0, 128),
                    "fsnc-small": (8, 25, 0.35, 0.05, 3.0, 8)}
 
-    @pytest.mark.parametrize("seed", [0, 17])
-    @pytest.mark.parametrize("name", list(BENCH_CSBMS))
-    def test_bit_identical_to_triangle_generator(self, name, seed):
-        params = CsbmParams(*self.BENCH_CSBMS[name], seed=seed)
-        got = (cli.bench_instance(seed) if name == "nc-bench"
-               else generate_csbm(params))
+    # (K, nodes per class, p, q, D, l) of the dense path's edge cases
+    DENSE_CSBMS = {"one node": (1, 1, 0.5, 0.5, 1.0, 1),
+                   "one class": (1, 40, 0.3, 0.7, 1.0, 1),
+                   "one node per class": (6, 1, 0.5, 0.3, 1.0, 6),
+                   "p = q = 0": (3, 10, 0.0, 0.0, 1.0, 3),
+                   "p = q = 1": (3, 10, 1.0, 1.0, 1.0, 3),
+                   "p = 1, q = 0": (3, 10, 1.0, 0.0, 1.0, 3),
+                   "n = 2000": (4, 500, 0.01, 0.002, 2.0, 4),
+                   "fsnc-small": BENCH_CSBMS["fsnc-small"]}
+
+    @staticmethod
+    def assert_same_as_triangle(got, params):
         features, edges, labels = triangle_csbm(params)
         want = Graph(got.n, features, edges, labels, params.K)
         for a, b in ((got.features, features), (got.edges, edges),
@@ -844,6 +879,28 @@ class TestCsbm:
         # each matrix against its scipy construction over the oracle's pairs
         for scheme, oracle in ORACLES.items():
             assert_same_bytes(got.propagation_matrix(scheme), oracle(want))
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("name", list(BENCH_CSBMS))
+    def test_bit_identical_to_triangle_generator(self, name, seed):
+        params = CsbmParams(*self.BENCH_CSBMS[name], seed=seed)
+        got = (cli.bench_instance(seed) if name == "nc-bench"
+               else generate_csbm(params))
+        self.assert_same_as_triangle(got, params)
+
+    @pytest.mark.parametrize("seed", [0, 17, 99])
+    @pytest.mark.parametrize("name", list(DENSE_CSBMS))
+    def test_dense_path_bit_identical_to_triangle_generator(self, name,
+                                                            seed):
+        params = CsbmParams(*self.DENSE_CSBMS[name], seed=seed)
+        got = generate_csbm(params)
+        assert got.n <= graphcore._DENSE_PAIR_LIMIT
+        self.assert_same_as_triangle(got, params)
+        if name in ("one node", "p = q = 0"):
+            assert got.edges.shape == (0, 2)
+            assert got.edges.dtype == np.int64
+        if name == "p = q = 1":
+            assert got.num_edges == got.n * (got.n - 1) // 2
 
     # the pair table of a block, and the row-start table that `_upper_pair`
     # once searched
@@ -856,6 +913,15 @@ class TestCsbm:
         g = generate_csbm(CsbmParams(K=3, nodes_per_class=667, p=0.01,
                                      q=0.002, D=2.0, l=3, seed=0))
         assert g.n == 2001 and g.num_edges > 0
+
+    def test_dense_path_builds_no_pair_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.triu_indices called")
+
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        g = generate_csbm(CsbmParams(*self.BENCH_CSBMS["fsnc-small"],
+                                     seed=0))
+        assert g.n == 200 and g.num_edges > 0
 
     def test_invalid_params(self):
         with pytest.raises(GraphError):

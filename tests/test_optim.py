@@ -6,9 +6,9 @@ import pytest
 import fgsam.model as mdl
 from fgsam import fsnc, optim
 from fgsam.graphcore import CsbmParams, generate_csbm
-from fgsam.optim import (GradientBundle, Hyperparams, OptimError,
-                         OptimizerState, adam_step, decompose, make_optimizer,
-                         sam_epsilon, topology_grad)
+from fgsam.optim import (Hyperparams, OptimError, OptimizerState, adam_step,
+                         decompose, make_optimizer, sam_epsilon,
+                         topology_grad)
 from fgsam.seeding import stream_rng
 from full_graph_oracle import filled
 
