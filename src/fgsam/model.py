@@ -365,13 +365,33 @@ def loss(activations: Activations, spec: LossSpec, params: ModelParams) -> float
                      spec.indices, spec.weight_decay, compute_grad=False)[0]
 
 
+# Rows above which one einsum sums a bias gradient faster than `sum`: 8
+# against 19 us at 491 x 16, but 3.7 against 3.1 us at an episode's 26 x 16
+# (one thread of a shared 2-vCPU x86-64 VM)
+EINSUM_ROWS = 256
+
+
+def bias_grad(dz: np.ndarray) -> np.ndarray:
+    """`dz.sum(axis=-2)`, bit for bit. On a C-contiguous `dz` with more than
+    `EINSUM_ROWS` rows and more than one column, one `einsum` adds the rows
+    in order, as `sum` does there, in about a third of the time. `sum` adds
+    a one-wide column pairwise, and other layouts in another order, so those
+    keep `sum`."""
+    if (dz.shape[-2] > EINSUM_ROWS and dz.shape[-1] > 1
+            and dz.flags.c_contiguous):
+        return np.einsum("...ij->...j", dz)
+    return dz.sum(axis=-2)
+
+
 def backward_from_output(params: ModelParams, activations: Activations,
                          d_out: np.ndarray) -> np.ndarray:
     """Backpropagate a gradient w.r.t. the final layer output down to the
     flat parameter vector, or to a (K, P) stack of them for stacked params,
     each layer through the operator of the block its forward ran on. The
     last layer has no nonlinearity, so d_out is also the gradient w.r.t.
-    its preactivation."""
+    its preactivation. Bias gradients are `bias_grad`s, and the ReLU mask
+    is applied in place to the fresh product dH, so neither `d_out` nor
+    the activations are written."""
     grads_w = [None] * params.num_layers
     grads_b = [None] * params.num_layers
     dz = d_out
@@ -383,10 +403,12 @@ def backward_from_output(params: ModelParams, activations: Activations,
         # dW = H^T U and dH = U W^T
         u = op.apply_t(dz) if after else dz
         grads_w[l] = activations.inputs[l].mT @ u
-        grads_b[l] = dz.sum(axis=-2)
+        grads_b[l] = bias_grad(dz)
         if l > 0:
+            # dH is new (apply_t's own product, or under the identity
+            # operator the product it was given), so the mask writes into it
             dh = u @ w.mT if after else op.apply_t(dz @ w.mT)
-            dz = dh * (activations.preacts[l - 1] > 0)
+            dz = np.multiply(dh, activations.preacts[l - 1] > 0, out=dh)
     return _concat(grads_w, grads_b)
 
 

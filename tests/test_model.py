@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import fgsam.model as mdl
-from fgsam import fsnc, gradcheck, optim
+from fgsam import cli, fsnc, gradcheck, optim
 from fgsam.gradcheck import random_instance
-from fgsam.graphcore import PropagationOperator
+from fgsam.graphcore import CsbmParams, PropagationOperator, generate_csbm
 from full_graph_oracle import filled
 from peermlp_oracle import forward_mlp
 
@@ -178,6 +178,36 @@ class TestLoss:
             spec.label_index[0] = 0
 
 
+def einsum_calls(monkeypatch):
+    """The arguments of every `np.einsum` call from here on."""
+    calls, einsum = [], np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+def backward_inputs(case, layers, n):
+    """(params, activations, d_out) of a GNN or PeerMLP forward, or of the
+    PeerMLP's forward of a stacked pair of weights, over all rows of a
+    small random graph (n=None) or an n-node CSBM."""
+    rng = np.random.default_rng(layers)
+    graph = (random_instance(rng) if n is None else generate_csbm(
+        CsbmParams(3, n // 3, 0.05, 0.01, 3.0, 8, seed=layers)))
+    dims = mdl.uniform_dims(graph.d0, 16, graph.num_classes, layers)
+    w = mdl.init_params(dims, rng).flatten()
+    if case == "mlp-stacked":
+        w = np.stack([w, w + 0.01 * rng.standard_normal(w.size)])
+    operator = (filled(graph, "gcn-sym") if case == "gnn"
+                else PropagationOperator("identity", None))
+    params = mdl.ModelParams.from_flat(w, dims)
+    acts = mdl.forward_features(params, graph.features, operator)
+    return params, acts, rng.standard_normal(acts.logits.shape)
+
+
 class TestBackward:
     def test_softmax_only_on_loss_rows(self, monkeypatch):
         graph, operator, _, params, _ = make_instance(6)
@@ -217,6 +247,78 @@ class TestBackward:
 
         fd = gradcheck.finite_difference(f, params.flatten())
         assert gradcheck.relative_error(grad, fd) < 1e-4
+
+    # the workloads' tall gradients: 491 rows of an fsnc-large receptive
+    # field, 3 000 of nc-bench's training mask, 5 000 of its GNN layer 0
+    @pytest.mark.parametrize("stack", [(), (2,)], ids=["alone", "stacked"])
+    @pytest.mark.parametrize("rows", [257, 491, 3000, 5000])
+    def test_tall_gradients_are_sums_bit_for_bit(self, rows, stack):
+        rng = np.random.default_rng(rows)
+        for width in (2, 5, 16, 128):
+            dz = rng.standard_normal(stack + (rows, width))
+            dz *= 10.0 ** rng.integers(-8, 8, size=width)
+            assert dz.shape[-2] > mdl.EINSUM_ROWS
+            assert (mdl.bias_grad(dz).tobytes()
+                    == dz.sum(axis=-2).tobytes())
+
+    @pytest.mark.parametrize("layout", ["one-wide", "F-ordered"])
+    def test_layouts_einsum_sums_otherwise_keep_sum(self, layout):
+        rng = np.random.default_rng(7)
+        dz = rng.standard_normal((5000, 1 if layout == "one-wide" else 16))
+        if layout == "F-ordered":
+            dz = np.asfortranarray(dz)
+        want = dz.sum(axis=-2).tobytes()
+        assert mdl.bias_grad(dz).tobytes() == want
+        # the gate is needed: einsum's bits differ on these arrays
+        assert np.einsum("...ij->...j", dz).tobytes() != want
+
+    def test_episode_gradients_keep_sum(self, monkeypatch):
+        # fsnc-small's graph, scheme and 2-way 3-shot 10-query episodes
+        graph = generate_csbm(CsbmParams(8, 25, 0.35, 0.05, 3.0, 8, seed=0))
+        operator = filled(graph, "mean-neighbors")
+        split = fsnc.split_classes(graph.num_classes, (4, 2, 2), 0)
+        episode = fsnc.sample_episode(graph, split.train_classes, 2, 3, 10,
+                                      np.random.default_rng(1))
+        dims = mdl.uniform_dims(graph.d0, 16, 16, 2)
+        obj = fsnc.episode_objective(
+            dims, graph, operator, episode,
+            blocks=mdl.blocks_for(operator, episode.rows, 2))
+        w = mdl.init_params(dims, 0).flatten()
+        calls = einsum_calls(monkeypatch)
+        obj.gnn_grad(w)
+        obj.mlp_grad(w)
+        obj.mlp_grad(np.stack([w, 2.0 * w]))
+        assert calls == []
+
+    def test_training_mask_gradients_take_einsum(self, monkeypatch):
+        # nc-bench's graph, scheme and 3 000-node training mask
+        graph = cli.bench_instance(0)
+        operator = filled(graph, "gcn-sym")
+        train = cli.make_nc_masks(graph, 0)[0]
+        spec = mdl.loss_spec_from_labels(train, graph.labels,
+                                         graph.num_classes)
+        dims = mdl.uniform_dims(graph.d0, 16, graph.num_classes, 2)
+        obj = optim.model_objective(dims, graph, operator, spec)
+        w = mdl.init_params(dims, 0).flatten()
+        calls = einsum_calls(monkeypatch)
+        obj.gnn_grad(w)
+        assert calls
+        calls.clear()
+        obj.mlp_grad(w)
+        assert calls
+
+    @pytest.mark.parametrize("n", [None, 600], ids=["small", "tall"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["gnn", "mlp", "mlp-stacked"])
+    def test_mask_writes_only_its_own_product(self, case, layers, n):
+        params, acts, d_out = backward_inputs(case, layers, n)
+        arrays = acts.inputs + acts.preacts + [acts.logits, d_out]
+        before = [a.copy() for a in arrays]
+        first = mdl.backward_from_output(params, acts, d_out)
+        second = mdl.backward_from_output(params, acts, d_out)
+        assert first.tobytes() == second.tobytes()
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestGradcheckSuite:
