@@ -66,8 +66,6 @@ def verify_theorem(params: CsbmParams) -> TheoremReport:
                             f"K={params.K}")
     if params.p == params.q:
         raise AnalysisError("degenerate p == q")
-    if params.p + (params.K - 1) * params.q <= 0:
-        raise AnalysisError("p + (K-1)q must be positive")
     means = simplex_means(params.K, params.D, params.l)
     fmeans = filtered_means(means, params.p, params.q)
     pairs = []

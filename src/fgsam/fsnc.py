@@ -246,7 +246,7 @@ def episode_objective(dims, graph: Graph, operator: PropagationOperator,
         return mdl.head_loss(params, acts, proto_head, episode, None,
                              weight_decay)
 
-    return optim.peer_objective(dims, operator, loss_grad)
+    return optim.Objective(dims, operator, loss_grad)
 
 
 def _require_positive(config, names) -> None:
@@ -398,9 +398,11 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     S_0 of A.X that all the training episodes and evaluation rounds read,
     found by one receptive-field walk over the union of their rows. The
     run fills its own operator's memo from it with one product
-    (`PropagationOperator.fill_input`). It is None when any of those reads
-    takes the full-graph path, where the run fills the whole A.X instead,
-    and under the identity operator, which fills nothing.
+    (`PropagationOperator.fill_input`). It is None under the identity
+    operator, which fills nothing, and where the run fills all of A.X
+    instead: where any of those reads takes the full-graph path, or where
+    S_0 holds half of A's stored entries or more, a near-copy of A whose
+    rows the full fill gives the same bits.
 
     With `share`, the set-up is made on the first request and kept on the
     graph (`Graph.memo`) under the scheme, the layer count and `_draw_key`,
@@ -439,6 +441,8 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
             return tasks, slices, None
         union = np.unique(np.concatenate(reads))
         rows = mdl.receptive_field(operator, union, config.layers)[0].rows
+        if 2 * operator.row_nnz(rows) >= operator.matrix.nnz:
+            return tasks, slices, None
         return tasks, slices, operator.cut_slice(rows, False)
 
     if not share:

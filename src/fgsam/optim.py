@@ -92,40 +92,34 @@ class StepRecord:
 
 
 class Objective:
-    """Instrumented gradient evaluations of a model and its PeerMLP.
+    """Instrumented gradient evaluations of a GNN and its PeerMLP over one
+    flat weight vector. `loss_grad(params, op)` returns (loss, flat
+    gradient) under `op`: `gnn_grad` runs it under `operator`, `mlp_grad`
+    under the identity operator, which makes the same model the PeerMLP.
 
     `mlp_grad` also takes a (K, P) stack of weight vectors, counts K
     evaluations and returns (K losses, (K, P) gradients) from one pass, each
-    the bits of that weight's own evaluation. `gnn_grad` takes one vector.
+    the bits of that weight's own evaluation (`model.ModelParams.from_flat`
+    of a stack). `gnn_grad` takes one vector.
     """
 
-    def __init__(self, gnn_fn, mlp_fn):
-        self._gnn_fn = gnn_fn
-        self._mlp_fn = mlp_fn
+    def __init__(self, dims, operator: PropagationOperator, loss_grad):
+        self._dims = dims
+        self._operator = operator
+        self._identity = PropagationOperator("identity", None)
+        self._loss_grad = loss_grad
         self.gnn_evals = 0
         self.mlp_evals = 0
 
     def gnn_grad(self, w):
         self.gnn_evals += 1
-        return self._gnn_fn(w)
+        return self._loss_grad(mdl.ModelParams.from_flat(w, self._dims),
+                               self._operator)
 
     def mlp_grad(self, w):
         self.mlp_evals += 1 if w.ndim == 1 else len(w)
-        return self._mlp_fn(w)
-
-
-def peer_objective(dims, operator: PropagationOperator,
-                   loss_grad) -> Objective:
-    """The GNN, propagating with `operator`, and its PeerMLP, the same model
-    under the identity operator, over one flat weight vector.
-    `loss_grad(params, op)` returns (loss, flat gradient) under `op`; the
-    PeerMLP's params may be a stack (`model.ModelParams.from_flat`)."""
-    identity = PropagationOperator("identity", None)
-
-    def make(op):
-        return lambda w: loss_grad(mdl.ModelParams.from_flat(w, dims), op)
-
-    return Objective(make(operator), make(identity))
+        return self._loss_grad(mdl.ModelParams.from_flat(w, self._dims),
+                               self._identity)
 
 
 def model_objective(dims, graph: Graph, operator: PropagationOperator,
@@ -157,7 +151,7 @@ def model_objective(dims, graph: Graph, operator: PropagationOperator,
         return mdl.head_loss(params, acts, mdl.ce_head, spec.label_index,
                              positions, spec.weight_decay)
 
-    return peer_objective(dims, operator, loss_grad)
+    return Objective(dims, operator, loss_grad)
 
 
 def sam_epsilon(grad: np.ndarray, rho: float):

@@ -120,6 +120,11 @@ class TestLandscape:
                                np.linspace(-1, 1, 5), seed=1)
         assert slc2.losses.shape == (5, 5)
 
+    def test_ndims_must_be_one_or_two(self):
+        g, op, params, spec = quadratic_setup()
+        with pytest.raises(AnalysisError, match="^ndims must be 1 or 2$"):
+            landscape_slice(params, g, op, spec, 3, [0.0, 1.0], seed=0)
+
     def test_grid_must_contain_zero(self):
         g, op, params, spec = quadratic_setup()
         with pytest.raises(AnalysisError):

@@ -579,6 +579,13 @@ class TestErrors:
                                 f"directory\n")
         assert out.read_text() == "kept\n"
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.ini"
+        assert run_cli("verify-theorem", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read config {path}\n"
+
     def test_out_under_a_file(self, graph_dir, tmp_path, capsys):
         parent = tmp_path / "F"
         parent.write_text("")

@@ -282,6 +282,14 @@ def sparse_graph(seed=1):
     return small_graph(seed=seed, K=6, npc=200, p=0.02, q=0.001)
 
 
+def planned_graph(seed=1):
+    """18 000 nodes of mean degree about 4: the layer-0 rows that a
+    two-repeat test protocol reads hold under half of A's stored entries,
+    so its run plans (`fsnc.run_setup`). On `sparse_graph` they hold
+    nearly all of them, and the run fills the whole A.X."""
+    return small_graph(seed=seed, K=6, npc=3000, p=0.001, q=0.00005)
+
+
 def relative(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -534,7 +542,7 @@ class TestEveryBlockIsASlice:
         (True, True, {"step"})],
         ids=["sparse-shared", "sparse-unshared", "dense-shared"])
     def test_blocks_read_only(self, monkeypatch, dense, shared, seen):
-        g = small_graph() if dense else sparse_graph()
+        g = small_graph() if dense else planned_graph()
         split = split_classes(g.num_classes,
                               (4, 2, 2) if dense else (2, 2, 2), 0)
         where, labels = [None], set()
@@ -569,8 +577,11 @@ class TestEveryBlockIsASlice:
         for cls in optim._OPTIMIZERS.values():
             during(cls, "step", "step")
         for name in optim.OPTIMIZER_NAMES:
-            config = small_config(episodes=6, val_interval=3, query=10,
-                                  layers=3, optimizer=name)
+            # one repeat with few tasks, whose three-layer plan still holds
+            # under half of the sparse graph's A
+            config = small_config(repeats=1, episodes=6, val_interval=3,
+                                  val_tasks=2, test_tasks=3, layers=3,
+                                  optimizer=name)
             fsnc.train_protocol(config, g, split, shared)
         # a sparse graph's fill runs on the run's layer-0 plan and its
         # evaluation rounds and steps on shared slices, or on receptive
@@ -797,8 +808,9 @@ class TestTrainProtocol:
         # run's set-up (`fsnc.run_setup`): the training episodes' and
         # evaluation rounds' last-layer slices and the wide slice of the
         # layer-0 rows the run fills from, never a product
-        sparse = generate_csbm(CsbmParams(K=6, nodes_per_class=200, p=0.02,
-                                          q=0.001, D=3.0, l=32, seed=1))
+        sparse = generate_csbm(CsbmParams(K=6, nodes_per_class=3000,
+                                          p=0.001, q=0.00005, D=3.0, l=32,
+                                          seed=1))
         # the benchmark's fsnc-small graph with wider features
         dense = generate_csbm(CsbmParams(K=8, nodes_per_class=25, p=0.35,
                                          q=0.05, D=3.0, l=64, seed=0))
@@ -887,7 +899,7 @@ class TestPlan:
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_sparse_run_fills_planned_rows_outside_steps(self, monkeypatch,
                                                          name):
-        g = sparse_graph()
+        g = planned_graph()
         in_step = self.spy_steps(monkeypatch)
         products, cuts, setups, filled = [], [], [], []
         apply, cut, setup, fill = (PropagationOperator.apply,
@@ -1519,7 +1531,7 @@ class TestWorkLedger:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_four_arms_cut_each_slice_once(self, monkeypatch, sparse,
                                            repeats):
-        make = sparse_graph if sparse else small_graph
+        make = planned_graph if sparse else small_graph
         g = make()
         split = split_classes(g.num_classes, (2, 2, 2) if sparse
                               else (4, 2, 2), 0)
@@ -1605,7 +1617,7 @@ class TestWorkLedger:
         # the others cut nothing, and each arm fills its own A.X rows with
         # one product over the planned rows, those every task reads, once
         # its clock runs
-        g = sparse_graph()
+        g = planned_graph()
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(repeats=2, episodes=6, val_interval=3, query=10)
         cuts, fills = [], []
@@ -1651,9 +1663,9 @@ class TestWorkLedger:
     def test_one_layer_run_fills_its_reads_from_a_wide_slice(
             self, monkeypatch, share):
         # a one-layer forward only gathers rows of A.X, so a one-layer run
-        # always plans: one wide slice of the sorted union of every row its
-        # tasks read, here 882 of 2 000 rows, and never the full product;
-        # it cuts no other block
+        # plans one wide slice of the sorted union of every row its tasks
+        # read, here 882 of 2 000 rows with 5 991 of A's 13 626 entries,
+        # and never the full product; it cuts no other block
         g = small_graph(K=10, npc=200, p=0.02, q=0.001)
         split = split_classes(g.num_classes, (6, 2, 2), 0)
         cfg = small_config(repeats=2, episodes=6, val_interval=3, query=10,
@@ -1685,15 +1697,15 @@ class TestWorkLedger:
         assert fills == [((reads.size, g.n), nnz)]
 
     @pytest.mark.parametrize("sparse,scheme,fills", [
-        (True, "gcn-sym", (1, 1183, 710908)),
-        (True, "mean-neighbors", (1, 1165, 701566)),
+        (True, "gcn-sym", (1, 5219, 47701326)),
+        (True, "mean-neighbors", (1, 4260, 39168921)),
         (False, "gcn-sym", (1, 160, 12720)),
         (False, "mean-neighbors", (1, 160, 12720))])
     def test_plan_fills_pinned_rows(self, sparse, scheme, fills):
         # a two-repeat run's fill from its plan, on a fresh operator:
         # products made, and the count and sum of the A.X rows filled,
         # which are the rows that both repeats' tasks read, each once
-        g = sparse_graph() if sparse else small_graph()
+        g = planned_graph() if sparse else small_graph()
         split = split_classes(g.num_classes, (2, 2, 2) if sparse
                               else (4, 2, 2), 0)
         cfg = small_config(episodes=6, val_interval=3, query=10, repeats=2)
@@ -1703,6 +1715,55 @@ class TestWorkLedger:
         rows = np.arange(g.n) if slot is None else np.flatnonzero(slot >= 0)
         assert (slot is not None) == sparse
         assert (op.apply_count, rows.size, int(rows.sum())) == fills
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_no_plan_of_half_of_a(self, scheme):
+        # on `sparse_graph` the same protocol reads layer-0 rows that hold
+        # at least half of A's stored entries, so the set-up makes no plan
+        # and the run fills the whole A.X, whose rows have the plan's bits
+        # (`test_fill_from_a_slice_cut_beforehand`)
+        g = sparse_graph()
+        split = split_classes(g.num_classes, (2, 2, 2), 0)
+        cfg = small_config(episodes=6, val_interval=3, query=10, repeats=2)
+        op = normalize(g, scheme)
+        tasks, _, plan = fsnc.run_setup(cfg, g, split, op, False)
+        assert plan is None
+        reads = [rows for episodes, rounds, test in tasks
+                 for rows in [e.rows for e in episodes]
+                 + [t.union for t in rounds + (test,)]]
+        rows = mdl.receptive_field(op, np.unique(np.concatenate(reads)),
+                                   cfg.layers)[0].rows
+        assert rows.size < g.n and 2 * op.row_nnz(rows) >= op.matrix.nnz
+
+    @pytest.mark.parametrize("layers,plan", [(2, (6219, 127433)),
+                                             (3, None)])
+    def test_fsnc_large_plans_two_layers_only(self, monkeypatch, layers,
+                                              plan):
+        # the benchmark's fsnc-large graph and protocol sizes: two layers
+        # read 6 219 of 20 000 rows at layer 0, under half of A's entries,
+        # and fill them from a plan; three layers read 19 407 rows with 97%
+        # of A's entries, and fill the whole A.X instead of a near-copy of A
+        g = generate_csbm(CsbmParams(K=20, nodes_per_class=1000, p=0.015,
+                                     q=0.0002, D=4.0, l=128, seed=0))
+        split = split_classes(g.num_classes, (16, 2, 2), 0)
+        cfg = ProtocolConfig(repeats=1, episodes=8, patience=3,
+                             val_interval=4, val_tasks=3, test_tasks=3,
+                             layers=layers, hidden=16, optimizer="adam",
+                             seed=0)
+        pieces = []
+        fill = PropagationOperator.fill_input
+
+        def spy_fill(op, x, piece=None):
+            pieces.append(piece)
+            fill(op, x, piece)
+
+        monkeypatch.setattr(PropagationOperator, "fill_input", spy_fill)
+        train_protocol(cfg, g, split, share_slices=False)
+        [piece] = pieces
+        op = normalize(g, cfg.scheme)
+        assert op.matrix.nnz == 395832
+        assert plan == (None if piece is None else
+                        (piece.rows.size, piece.matrix.nnz))
 
 
 def nc_masks(g, seed=0):
@@ -1724,7 +1785,7 @@ class TestTrainSteps:
             def step(self, objective, w):
                 return w, optim.StepRecord(0.5, float("inf"))
 
-        obj = optim.Objective(None, None)
+        obj = optim.Objective(None, None, None)
         with pytest.raises(FsncError,
                            match="^non-finite gradient norm inf at step 0$"):
             fsnc.train_steps(Overflowing(), np.zeros(2), 3, lambda t: obj,

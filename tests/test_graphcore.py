@@ -36,6 +36,10 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(2, [(0, 0)], np.zeros((2, 2)), [0, 1])
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(GraphError, match="^negative label$"):
+            build_graph(2, [], np.zeros((2, 2)), [0, -1])
+
     def test_label_out_of_declared_range(self):
         g = build_graph(2, [], np.zeros((2, 2)), [0, 5])
         with pytest.raises(GraphError):
@@ -811,6 +815,16 @@ class TestCsbm:
         assert np.all(g.edges[:, 0] < g.edges[:, 1])
         assert np.unique(g.edges, axis=0).shape == g.edges.shape
 
+    @pytest.mark.parametrize("q", [0.0, 1e-12])
+    def test_sparse_path_edges_stay_in_class(self, q):
+        # each pair of blocks draws no edge: with q = 0 before any count,
+        # with q = 1e-12 from a count of zero
+        g = generate_csbm(CsbmParams(K=3, nodes_per_class=700, p=0.01, q=q,
+                                     D=2.0, l=3, seed=5))
+        assert g.n > 2000 and g.num_edges > 0
+        assert np.array_equal(g.labels[g.edges[:, 0]],
+                              g.labels[g.edges[:, 1]])
+
     def test_feature_distribution(self):
         params = CsbmParams(K=2, nodes_per_class=2000, p=0.1, q=0.02,
                             D=2.0, l=2, seed=9)
@@ -1037,6 +1051,16 @@ class TestIO:
         (tmp_path / "g" / "features.csv").write_text(
             "f0,f1\n0,0\nnan,0\n0,0\n")
         with pytest.raises(GraphError, match="non-finite"):
+            load_graph(str(tmp_path / "g"))
+
+    def test_labels_one_row_short_of_meta(self, tmp_path):
+        g = generate_csbm(CsbmParams(K=2, nodes_per_class=5, p=0.5, q=0.1,
+                                     D=2.0, l=2, seed=0))
+        save_graph(g, str(tmp_path / "g"))
+        path = tmp_path / "g" / "labels.csv"
+        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+        with pytest.raises(GraphError,
+                           match="^labels do not match meta record$"):
             load_graph(str(tmp_path / "g"))
 
     def test_meta_mismatch(self, tmp_path):

@@ -93,6 +93,10 @@ class TestSamEpsilon:
         eps, _ = sam_epsilon(np.array([5.0, 0.0]), 0.1)
         np.testing.assert_allclose(eps, [0.1, 0.0], atol=1e-15)
 
+    def test_negative_rho_rejected(self):
+        with pytest.raises(OptimError, match="^rho must be non-negative$"):
+            sam_epsilon(np.ones(3), -0.1)
+
     def test_zero_gradient_flags(self):
         eps, flag = sam_epsilon(np.zeros(4), 0.5)
         assert flag and np.array_equal(eps, np.zeros(4))

@@ -64,9 +64,9 @@ CLI_RUNS = (
     ("landscape", ("landscape", "--graph", "graph", "--checkpoint",
                    "nc/best.ckpt", "--grid-points", "7")),
     ("bench", ("bench", "--episodes", "2")),
-    # a 6 000-node graph of mean degree 3.5, where each run fills A.X from
-    # a slice of A, the rows its tasks read: 1 775 rows with one layer,
-    # 5 635 with three
+    # a 6 000-node graph of mean degree 3.5: with one layer a run fills A.X
+    # from a slice of A, the 1 775 rows its tasks read; with three, whose
+    # 5 635 rows hold 97% of A's entries, it fills all of A.X
     ("sparse", ("gen-csbm", "--k", "6", "--nodes-per-class", "1000", "--p",
                 "0.003", "--q", "0.0001", "--dist", "3", "--dim", "8")),
     ("fsnc-layers1", ("fsnc", "--graph", "sparse", "--layers", "1",
