@@ -396,8 +396,10 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
 
     `plan` is the layer-0 plan: the wide slice A[S_0] of the sorted rows
     S_0 of A.X that all the training episodes and evaluation rounds read,
-    found by one receptive-field walk over the union of their rows. The
-    run fills its own operator's memo from it with one product
+    found by one receptive-field walk over the union of their rows, and
+    made column-major where its rows ascend (`PropagationOperator.cut_plan`),
+    so that a shared set-up converts it once per graph. The run fills its
+    own operator's memo from it with one product
     (`PropagationOperator.fill_input`). It is None under the identity
     operator, which fills nothing, and where the run fills all of A.X
     instead: where any of those reads takes the full-graph path, or where
@@ -443,7 +445,7 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
         rows = mdl.receptive_field(operator, union, config.layers)[0].rows
         if 2 * operator.row_nnz(rows) >= operator.matrix.nnz:
             return tasks, slices, None
-        return tasks, slices, operator.cut_slice(rows, False)
+        return tasks, slices, operator.cut_plan(rows)
 
     if not share:
         return make()

@@ -87,7 +87,7 @@ class Graph:
         return sp.csr_matrix((data, (row, col)), shape=(self.n, self.n))
 
 
-def _read_only(mat: sp.csr_matrix) -> sp.csr_matrix:
+def _read_only(mat: sp.spmatrix) -> sp.spmatrix:
     for array in (mat.data, mat.indices, mat.indptr):
         array.flags.writeable = False
     return mat
@@ -165,27 +165,37 @@ class Slice(NamedTuple):
     """A block of a graph's matrix A, cut by `PropagationOperator.cut_slice`,
     the one function that cuts one: `matrix` is the CSR slice A[rows] with
     all n columns (`cols` None) or A[rows][:, cols] with the sorted columns
-    A[rows] reads, each row's entries in A's order. Its arrays are
-    read-only, so a slice may be shared by every run on the graph; each use
-    wraps it in an operator of its own (`PropagationOperator.wrap`)."""
+    A[rows] reads, each row's entries in A's order. A layer-0 plan
+    (`PropagationOperator.cut_plan`) is a wide slice whose `matrix` is CSC
+    where its rows ascend. Its arrays are read-only, so a slice may be
+    shared by every run on the graph; each use wraps it in an operator of
+    its own (`PropagationOperator.wrap`)."""
 
     rows: np.ndarray
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | sp.csc_matrix
     cols: np.ndarray | None
 
 
-def _product(matrix: sp.csr_matrix, x: np.ndarray,
+def _product(matrix: sp.csr_matrix | sp.csc_matrix, x: np.ndarray,
              transpose: bool = False) -> np.ndarray:
     """`matrix @ x`, or its transpose times `x` with `transpose`, for a CSR
-    `matrix` and a float64 2-D `x`, the same bits: scipy's kernel called
-    with the arguments scipy's own product passes it, without the dispatch
-    around it. scipy's transpose of a CSR matrix is the CSC matrix of the
-    same three arrays with the shape swapped, so the transpose product runs
-    `csc_matvecs` on the CSR arrays themselves and no CSC matrix is made."""
+    or CSC `matrix` and a float64 2-D `x`, the same bits: scipy's kernel
+    called with the arguments scipy's own product passes it, without the
+    dispatch around it. scipy's transpose of a CSR matrix is the CSC matrix
+    of the same three arrays with the shape swapped, so the transpose
+    product runs `csc_matvecs` on the CSR arrays themselves and no CSC
+    matrix is made.
+
+    `csr_matvecs` sums each output row over its stored entries in their
+    stored order. `csc_matvecs` reads each row of `x` once, in order, and
+    adds it into every output row that holds its column, so each output
+    row sums in ascending column order: the same bits as the CSR kernel on
+    a matrix whose rows ascend."""
     rows, cols = matrix.shape
-    matvecs = _sparsetools.csr_matvecs
     if transpose:
-        rows, cols, matvecs = cols, rows, _sparsetools.csc_matvecs
+        rows, cols = cols, rows
+    matvecs = (_sparsetools.csc_matvecs if (matrix.format == "csc")
+               != transpose else _sparsetools.csr_matvecs)
     out = np.zeros((rows, x.shape[1]))
     matvecs(rows, cols, x.shape[1], matrix.indptr, matrix.indices,
             matrix.data, x.ravel(), out.ravel())
@@ -198,12 +208,13 @@ class PropagationOperator:
 
     The matrix of a graph's operator is n x n, read-only and shared by
     every operator of the graph (`Graph.propagation_matrix`). A block's
-    operator (`wrap` of a `cut_slice`) holds the slice's matrix and counts
-    its products on the operator it was cut from.
+    operator (`wrap` of a `cut_slice` or `cut_plan`) holds the slice's
+    matrix and counts its products on the operator it was cut from.
     """
 
     scheme: str
-    matrix: sp.csr_matrix | None  # None for identity
+    # None for identity; CSC only for a layer-0 plan's block (`cut_plan`)
+    matrix: sp.csr_matrix | sp.csc_matrix | None
     apply_count: int = 0          # message-passing applications (identity not counted)
     # A @ x for the last network input x, made by `fill_input`:
     # (x, product, row-to-slot map or None)
@@ -247,14 +258,15 @@ class PropagationOperator:
 
     def fill_input(self, x: np.ndarray, piece: Slice = None) -> None:
         """Make the memo of `propagate_input` for `x` with one product:
-        without `piece`, the full product; given the wide slice `piece`
-        (`cut_slice(rows, False)`) of distinct rows, a compact memo of those
-        rows and an n-long row-to-slot map. The slice keeps each row's
-        entries in A's order and all n columns, so a row is the same bits
-        as that row of the full product. It may be one that every run on
-        the graph shares (`fsnc.run_setup`): it is only read, and the slot
-        map and product belong to this operator. The identity operator
-        fills nothing."""
+        without `piece`, the full product, by the CSR kernel; given the
+        layer-0 plan `piece` (`cut_plan`) of distinct rows, a compact memo
+        of those rows and an n-long row-to-slot map. The plan keeps each
+        row's entries in A's order and all n columns, and its CSC form is
+        read by the column kernel only where those rows ascend (`_product`),
+        so a row is the same bits as that row of the full product. It may be
+        one that every run on the graph shares (`fsnc.run_setup`): it is
+        only read, and the slot map and product belong to this operator.
+        The identity operator fills nothing."""
         if self.scheme == "identity":
             return
         slot = None
@@ -304,9 +316,23 @@ class PropagationOperator:
                                           shape=(rows.size, width)))
         return Slice(rows, matrix, cols)
 
+    def cut_plan(self, rows: np.ndarray) -> Slice:
+        """The layer-0 plan of the distinct `rows`: the wide slice A[rows]
+        (`cut_slice(rows, False)`), made column-major (CSC) once here where
+        every row stores its columns in ascending order, as every row of
+        `gcn-sym` does, and of `mean-neighbors` on a graph with an isolated
+        node. Its fill (`fill_input`) then reads each row of the input once,
+        in order, instead of one scattered row per stored entry, with the
+        same bits. A plan over descending rows stays CSR. Every array is
+        read-only."""
+        piece = self.cut_slice(rows, False)
+        if not piece.matrix.has_sorted_indices:
+            return piece
+        return piece._replace(matrix=_read_only(piece.matrix.tocsc()))
+
     def wrap(self, piece: Slice) -> "PropagationOperator":
-        """The operator of a slice (`cut_slice`), whose products count on
-        this operator."""
+        """The operator of a slice (`cut_slice` or `cut_plan`), whose
+        products count on this operator."""
         return PropagationOperator(self.scheme, piece.matrix, _source=self)
 
     def row_nnz(self, rows: np.ndarray) -> int:

@@ -46,10 +46,11 @@ def restrict(op: PropagationOperator, rows):
     return PropagationOperator(op.scheme, block, _source=op), cols
 
 
-def assert_block_of_slice(op: PropagationOperator):
-    """A block's operator holds a read-only CSR matrix, the one matrix both
-    its products read."""
+def assert_block_of_slice(op: PropagationOperator, fmt: str = "csr"):
+    """A block's operator holds a read-only matrix of format `fmt`, the one
+    matrix its products read: CSR, or CSC for a layer-0 plan whose rows
+    ascend (`PropagationOperator.cut_plan`)."""
     matrix = op.matrix
-    assert matrix.format == "csr"
+    assert matrix.format == fmt
     for name in ("data", "indices", "indptr"):
         assert not getattr(matrix, name).flags.writeable, name

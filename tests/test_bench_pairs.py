@@ -47,6 +47,16 @@ def test_claim_needs_nine_tenths_of_pairs_and_more_than_the_parent_iqr():
     assert summary(PARENT, new)["claim"]
 
 
+def test_claim_needs_ten_pairs():
+    # two clear wins, each run far below every parent run
+    row = summary([10.0, 11.0], [5.0, 5.5])
+    assert (row["wins"], row["pairs"]) == (2, 2)
+    assert (row["claim"], row["verdict"]) == (False, "ok")
+    row = summary(PARENT[:9], [v - 5.0 for v in PARENT[:9]])
+    assert (row["wins"], row["claim"]) == (9, False)
+    assert summary(PARENT, [v - 5.0 for v in PARENT])["claim"]
+
+
 def test_higher_is_better_metrics_win_upwards():
     row = summary(PARENT, [v + 5.0 for v in PARENT], better="higher")
     assert (row["wins"], row["verdict"]) == (10, "gain")
@@ -99,12 +109,12 @@ def test_round_wall_is_the_median_round_and_gets_a_row():
     result = calibrated([0.31, 0.18, 0.25, 0.2])
     assert bench_pairs.round_wall(result) == pytest.approx(0.225)
     assert bench_pairs.round_wall(calibrated([0.4])) == 0.4
-    parent = [{"protocol_s": 0.2, "round_s": 0.3}] * 3
-    change = [{"protocol_s": 0.2, "round_s": 0.2}] * 3
+    parent = [{"protocol_s": 0.2, "round_s": 0.3}] * 10
+    change = [{"protocol_s": 0.2, "round_s": 0.2}] * 10
     rows = bench_pairs.summarize(parent, change, {"protocol_s": "lower"},
                                  {"protocol_s": 0.25})
     assert [row["metric"] for row in rows] == ["protocol_s", "round_s"]
-    assert (rows[1]["wins"], rows[1]["verdict"]) == (3, "gain")
+    assert (rows[1]["wins"], rows[1]["verdict"]) == (10, "gain")
 
 
 def test_round_walls_lose_the_samples_taken_inside_them():

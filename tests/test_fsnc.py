@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import fgsam.model as mdl
-from fgsam import cli, fsnc, gradcheck, optim
+from fgsam import cli, fsnc, gradcheck, graphcore, optim
 from fgsam.fsnc import (FsncError, NCConfig, ProtocolConfig, proto_episode,
                         sample_episode, split_classes, standard_nc_train,
                         task_accuracy, train_protocol)
@@ -534,7 +534,9 @@ class TestNoCutInSteps:
 class TestEveryBlockIsASlice:
     """Every block a forward multiplies by, shared or cut for one use, is a
     wrapped `cut_slice` with read-only CSR arrays, and no product builds a
-    CSC matrix."""
+    CSC matrix. The fill's block is the layer-0 plan (`cut_plan`), whose
+    read-only arrays are CSC, made once per graph, where its rows ascend,
+    as every `gcn-sym` row does."""
 
     @pytest.mark.parametrize("dense,shared,seen", [
         (False, True, {"fill", "evaluation", "step"}),
@@ -564,7 +566,8 @@ class TestEveryBlockIsASlice:
 
             def spy(op, x):
                 if op._source is not None:
-                    assert_block_of_slice(op)
+                    assert_block_of_slice(
+                        op, "csc" if where[0] == "fill" else "csr")
                     labels.add(where[0])
                 return real(op, x)
 
@@ -591,7 +594,8 @@ class TestEveryBlockIsASlice:
 
     def test_no_csc_matrix_built(self, monkeypatch):
         # a transpose product reads the block's CSR arrays through scipy's
-        # CSC kernel, so no run builds a CSC matrix, not even for one use
+        # CSC kernel, so no run builds a CSC matrix, not even for one use;
+        # these runs fill all of A.X, and so make no plan
         built = []
         init = sp.csc_matrix.__init__
 
@@ -618,6 +622,15 @@ class TestEveryBlockIsASlice:
         ran.append(standard_nc_train(config, g, nc_masks(g)).gnn_evals)
         assert len(ran) == 9 and all(ran)
         assert built == []
+        # runs that share a graph share its one plan, converted to CSC by
+        # the first run's set-up
+        g = planned_graph()
+        split = split_classes(g.num_classes, (2, 2, 2), 0)
+        for name in optim.OPTIMIZER_NAMES:
+            config = small_config(episodes=6, val_interval=3, query=10,
+                                  repeats=1, optimizer=name)
+            assert fsnc.train_protocol(config, g, split).gnn_evals
+        assert built == [sp.csc_matrix]
 
 
 def shared_tops(config, graph, split, operator):
@@ -1764,6 +1777,26 @@ class TestWorkLedger:
         assert op.matrix.nnz == 395832
         assert plan == (None if piece is None else
                         (piece.rows.size, piece.matrix.nnz))
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_fsnc_large_plan_fills_csr_rows(self, seed):
+        # the benchmark's fsnc-large run set-up at variant `seed`: its plan
+        # is CSC, and its one fill gives the full CSR product's rows, byte
+        # for byte
+        g = generate_csbm(CsbmParams(K=20, nodes_per_class=1000, p=0.015,
+                                     q=0.0002, D=4.0, l=128, seed=seed))
+        split = split_classes(g.num_classes, (16, 2, 2), seed)
+        cfg = ProtocolConfig(repeats=1, episodes=8, patience=3,
+                             val_interval=4, val_tasks=3, test_tasks=3,
+                             hidden=16, optimizer="adam", seed=seed)
+        op = normalize(g, cfg.scheme)
+        plan = fsnc.run_setup(cfg, g, split, op, True)[2]
+        assert plan.matrix.format == "csc"
+        op.fill_input(g.features, plan)
+        assert op.apply_count == 1
+        want = graphcore._product(op.matrix, g.features)[plan.rows]
+        assert (op.propagate_input(g.features, plan.rows).tobytes()
+                == want.tobytes())
 
 
 def nc_masks(g, seed=0):

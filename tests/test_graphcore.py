@@ -532,6 +532,68 @@ class TestProducts:
                 assert op.apply_t(x).tobytes() == (op.matrix @ x).tobytes()
 
 
+class TestPlan:
+    """The layer-0 plan (`cut_plan`) is the wide slice A[rows], held CSC
+    where every row ascends and CSR otherwise, with read-only arrays. Its
+    fill is one product, counted once, whose rows are those of the full
+    CSR product, byte for byte."""
+
+    @staticmethod
+    def fill(op, rows, rng):
+        """The plan of the distinct `rows`, after checking that it fills
+        `op`'s memo with the full CSR product's rows on inputs of every
+        width `TestProducts.inputs` gives, one counted product per fill."""
+        plan = op.cut_plan(rows)
+        wide = op.cut_slice(rows, False)
+        assert plan.rows is rows and plan.cols is None
+        assert plan.matrix.shape == wide.matrix.shape
+        assert plan.matrix.nnz == wide.matrix.nnz
+        for x in TestProducts.inputs(op.matrix.shape[0], rng):
+            before = op.apply_count
+            op.fill_input(x, plan)
+            assert op.apply_count == before + 1
+            want = graphcore._product(op.matrix, x)[rows]
+            assert op.propagate_input(x, rows).tobytes() == want.tobytes()
+        return plan
+
+    @staticmethod
+    def row_sets(n, rng):
+        return [np.sort(rng.choice(n, int(rng.integers(1, n)), replace=False))
+                for _ in range(4)] + [np.arange(n)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gcn_sym_plan_is_column_major(self, seed):
+        rng = np.random.default_rng(seed)
+        g = (random_graph(rng, int(rng.integers(20, 90))) if seed % 2
+             else sparse_random_graph(seed))
+        op = normalize(g, "gcn-sym")
+        for rows in self.row_sets(g.n, rng):
+            assert self.fill(op, rows, rng).matrix.format == "csc"
+
+    @pytest.mark.parametrize("graph,fmt", [("csbm", "csr"),
+                                           ("isolated", "csc")])
+    def test_mean_neighbors_plan_is_column_major_where_rows_ascend(
+            self, graph, fmt):
+        # without an isolated node every row stores its columns descending
+        # and the plan keeps the CSR kernel; with one, they ascend
+        g = ORACLE_GRAPHS[graph]
+        assert (g.degrees() == 0).any() == (fmt == "csc")
+        op = normalize(g, "mean-neighbors")
+        assert op.matrix.has_sorted_indices == (fmt == "csc")
+        rng = np.random.default_rng(3)
+        for rows in self.row_sets(g.n, rng):
+            assert self.fill(op, rows, rng).matrix.format == fmt
+
+    @pytest.mark.parametrize("scheme", ["gcn-sym", "mean-neighbors"])
+    def test_plan_arrays_read_only(self, scheme):
+        g = ORACLE_GRAPHS["csbm"]
+        plan = normalize(g, scheme).cut_plan(np.arange(0, g.n, 3))
+        for name in ("data", "indices", "indptr"):
+            array = getattr(plan.matrix, name)
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+
 def adjacency(graph):
     """The adjacency matrix A of `graph` through scipy's COO-to-CSR
     conversion of both directions of every edge: unit entries, sorted

@@ -14,8 +14,9 @@ gives, for every metric, each side's median and quartiles, the change's
 relative move, how many pairs the change won (ties count for neither side)
 and a verdict:
 
-- `gain`: the change won at least 9 of every 10 pairs and its median is
-  better than the parent's by more than the parent's interquartile range;
+- `gain`: over at least 10 pairs (`GAIN_PAIRS`), the change won at least
+  9 of every 10 and its median is better than the parent's by more than
+  the parent's interquartile range;
 - `worse`: the change's median is worse by more than the metric's bound
   in the parent's BENCHMARK.json;
 - `unresolved`: the parent's interquartile range exceeds that bound and
@@ -40,6 +41,11 @@ import sys
 import bench_record
 
 
+# the fewest pairs a `gain` verdict rests on: a set of 2 pairs can win
+# both by chance on a metric that did not move
+GAIN_PAIRS = 10
+
+
 def summarize(parent_runs, change_runs, better, bounds):
     """One row per metric present in every run of both sides.
 
@@ -60,7 +66,8 @@ def summarize(parent_runs, change_runs, better, bounds):
         p_q1, p_med, p_q3 = bench_record.quartiles(old)
         c_q1, c_med, c_q3 = bench_record.quartiles(new)
         gain = sign * (p_med - c_med)          # > 0: the change is better
-        claim = 10 * wins >= 9 * len(old) and gain > p_q3 - p_q1
+        claim = (len(old) >= GAIN_PAIRS and 10 * wins >= 9 * len(old)
+                 and gain > p_q3 - p_q1)
         bound = bounds.get(name)
         scale = abs(p_med) if p_med else 1.0
         if claim:
