@@ -174,10 +174,11 @@ def rho_sweep(config: fsnc.ProtocolConfig, rho_list, graph: Graph,
               split: fsnc.ClassSplit) -> dict:
     """Single-repeat training-loss trace per rho (identical seeds, so
     traces differ only through rho), keyed by rho. A repeated rho, whose
-    trace would replace the first one's, is refused before any training."""
+    trace would replace the first one's, is refused before any training,
+    and so is a rho that is not positive and finite, under every optimizer."""
     rhos = [float(r) for r in rho_list]
-    if any(r <= 0 for r in rhos):
-        raise AnalysisError("rho values must be positive")
+    if not all(0 < r < np.inf for r in rhos):
+        raise AnalysisError("rho values must be positive and finite")
     for rho in rhos:
         if rhos.count(rho) > 1:
             raise AnalysisError(f"rho {rho} is given more than once")

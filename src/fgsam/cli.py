@@ -307,15 +307,15 @@ def _write_cost_report(args, name, rows, **meta) -> None:
                  [tuple(r.values()) for r in rows], **meta)
 
 
-def _run_fsnc_arm(config, graph, split, outdir, share_slices):
-    report = fsnc.train_protocol(config, graph, split, share_slices)
+def _run_fsnc_arm(config, graph, split, outdir):
+    report = fsnc.train_protocol(config, graph, split)
     _write_report(report, outdir)
     return report
 
 
 def cmd_fsnc(args, get, out, graph) -> int:
     config, _, split = _episodic(args, get, graph)
-    report = _run_fsnc_arm(config, graph, split, out, share_slices=False)
+    report = _run_fsnc_arm(config, graph, split, out)
     print(f"fsnc [{config.optimizer}] test acc "
           f"{report.test_acc_mean:.4f} +/- {report.test_acc_std:.4f} "
           f"(gnn evals {report.gnn_evals}, mlp evals {report.mlp_evals})")
@@ -327,8 +327,7 @@ def cmd_compare(args, get, out, graph) -> int:
     # every arm runs, so the config's optimizer is a placeholder
     config, ratio, split = _episodic(args, get, graph, optimizer=names[0])
     reports = {name: _run_fsnc_arm(replace(config, optimizer=name), graph,
-                                   split, os.path.join(out, name),
-                                   share_slices=True)
+                                   split, os.path.join(out, name))
                for name in names}
     traces = {name: {"gnn_evals": rep.gnn_evals, "mlp_evals": rep.mlp_evals,
                      "wall_seconds": rep.wall_seconds}
@@ -434,7 +433,7 @@ def cmd_landscape(args, get, out, graph) -> int:
 def cmd_drift(args, get, out, graph) -> int:
     config, _, split = _episodic(args, get, graph, optimizer="fgsam+",
                                  repeats=1, collect_bundles=True)
-    report = fsnc.train_protocol(config, graph, split, share_slices=False)
+    report = fsnc.train_protocol(config, graph, split)
     drift = analysis.grad_drift(report.repeats[0].bundles)
     names = analysis.DRIFT_NAMES
     # per exact step, each gradient's raw drift, then its relative drift

@@ -381,7 +381,7 @@ def repeat_tasks(config: ProtocolConfig, graph: Graph, split: ClassSplit,
 
 
 def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
-              operator: PropagationOperator, share: bool) -> tuple:
+              operator: PropagationOperator) -> tuple:
     """(tasks, slices, plan) of a run of `config.repeats` repeats.
 
     `tasks` holds the `repeat_tasks` of every repeat, whose root seeds run
@@ -398,22 +398,19 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     S_0 of A.X that all the training episodes and evaluation rounds read,
     found by one receptive-field walk over the union of their rows, and
     made column-major where its rows ascend (`PropagationOperator.cut_plan`),
-    so that a shared set-up converts it once per graph. The run fills its
-    own operator's memo from it with one product
-    (`PropagationOperator.fill_input`). It is None under the identity
-    operator, which fills nothing, and where the run fills all of A.X
-    instead: where any of those reads takes the full-graph path, or where
-    S_0 holds half of A's stored entries or more, a near-copy of A whose
-    rows the full fill gives the same bits.
+    once per graph. The run fills its own operator's memo from it with one
+    product (`PropagationOperator.fill_input`). It is None under the
+    identity operator, which fills nothing, and where the run fills all of
+    A.X instead: where any of those reads takes the full-graph path, or
+    where S_0 holds half of A's stored entries or more, a near-copy of A
+    whose rows the full fill gives the same bits.
 
-    With `share`, the set-up is made on the first request and kept on the
-    graph (`Graph.memo`) under the scheme, the layer count and `_draw_key`,
-    so every later arm, optimizer and rho reads the same tasks and
-    read-only arrays and wraps them in operators of its own. Without it,
-    the run draws its own tasks and plan, cuts no slice (each entry is
-    None) and keeps nothing on the graph. A one-layer forward or the
-    identity operator cuts no slice."""
-    slicing = share and config.layers > 1 and not operator.is_identity
+    The set-up is made on the first request and kept on the graph
+    (`Graph.memo`) under the scheme, the layer count and `_draw_key`, so
+    every later arm, optimizer and rho reads the same tasks and read-only
+    arrays and wraps them in operators of its own. A one-layer forward or
+    the identity operator cuts no slice (each entry is None)."""
+    slicing = config.layers > 1 and not operator.is_identity
 
     def worth(rows):
         return mdl.worth_slicing(operator, rows, config.layers)
@@ -447,8 +444,6 @@ def run_setup(config: ProtocolConfig, graph: Graph, split: ClassSplit,
             return tasks, slices, None
         return tasks, slices, operator.cut_plan(rows)
 
-    if not share:
-        return make()
     return graph.memo((operator.scheme, config.layers,
                        _draw_key(config, split)), make)
 
@@ -463,21 +458,17 @@ def _draw_key(config: ProtocolConfig, split: ClassSplit) -> tuple:
         config.seed, config.repeats)
 
 
-def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
-                   share_slices: bool = True) -> TrainReport:
+def train_protocol(config: ProtocolConfig, graph: Graph,
+                   split: ClassSplit) -> TrainReport:
     """`config.repeats` repeats of episodic training with validation and
     early stopping, each scored on its test round. Repeat r runs the tasks
     of root seed `config.seed + r` (`repeat_tasks`); the operator, its A.X
     fill, the blocks and the evaluation counters are this run's own.
 
-    With `share_slices`, the run reads its set-up (`run_setup`) from the
-    graph, where the first run with its scheme, layer count and draws made
-    it: the tasks, each training episode's and evaluation round's
-    last-layer slice, and the layer-0 plan it fills its A.X rows from. A
-    run that is the graph's only one passes False, so that the graph keeps
-    only its matrix: the run draws its own tasks and plan, and each episode
-    or round cuts its receptive field at use, or runs its forward on all n
-    rows. Both give the same bits.
+    The run reads its set-up (`run_setup`) from the graph, where the first
+    run with its scheme, layer count and draws made it: the tasks, each
+    training episode's and evaluation round's last-layer slice, and the
+    layer-0 plan it fills its A.X rows from.
 
     The clock of `wall_seconds` starts once the operator and the run's
     set-up are made, so that the first run on a graph carries none of what
@@ -485,8 +476,7 @@ def train_protocol(config: ProtocolConfig, graph: Graph, split: ClassSplit,
     before the first step, and so are the cuts below the last layer (three
     layers and more), which stay per operator."""
     operator = normalize(graph, config.scheme)
-    drawn, slices, plan = run_setup(config, graph, split, operator,
-                                    share_slices)
+    drawn, slices, plan = run_setup(config, graph, split, operator)
     t0 = time.perf_counter()
     operator.fill_input(graph.features, plan)
     dims = mdl.uniform_dims(graph.d0, config.hidden, config.hidden,

@@ -62,11 +62,11 @@ class Graph:
     def memo(self, key, make):
         """`make()`, called on the first request for `key` and shared by
         every later one on this graph, for as long as the graph lives: the
-        normalized matrices (`propagation_matrix`) and each shared run's
-        set-up, its tasks, last-layer slices and layer-0 plan
-        (`fsnc.run_setup`). The caller's `key` must hold every input that
-        decides the result, and its arrays must be read-only, as every
-        holder of the key reads the same ones."""
+        normalized matrices (`propagation_matrix`) and each run's set-up,
+        its tasks, last-layer slices and layer-0 plan (`fsnc.run_setup`).
+        The caller's `key` must hold every input that decides the result,
+        and its arrays must be read-only, as every holder of the key reads
+        the same ones."""
         if key not in self._memo:
             self._memo[key] = make()
         return self._memo[key]

@@ -219,9 +219,6 @@ class BaseOptimizer:
     def __init__(self, hp: Hyperparams):
         self.state = OptimizerState(hp=hp)
 
-    def step(self, objective: Objective, w: np.ndarray):
-        raise NotImplementedError
-
 
 class AdamOptimizer(BaseOptimizer):
     def step(self, objective, w):

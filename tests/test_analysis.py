@@ -227,10 +227,19 @@ class TestRhoSweep:
         adam_curve = [row["loss"] for row in adam_rep.repeats[0].trace]
         assert all(abs(a - b) < 1e-6 for a, b in zip(sam_curve, adam_curve))
 
-    def test_nonpositive_rho_rejected(self):
-        cfg, g, split = protocol_setup("sam")
-        with pytest.raises(AnalysisError):
-            rho_sweep(cfg, [0.0], g, split)
+    @pytest.mark.parametrize("optimizer", optim.OPTIMIZER_NAMES)
+    @pytest.mark.parametrize("rhos", [[0.0], [0.05, -0.1], [float("nan")],
+                                      [0.05, float("nan")],
+                                      [0.1, float("inf")]])
+    def test_nonpositive_rho_rejected(self, monkeypatch, rhos, optimizer):
+        # before any training, and before adam keeps only the first rho
+        cfg, g, split = protocol_setup(optimizer)
+        monkeypatch.setattr(fsnc, "train_protocol", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalysisError,
+                               match="must be positive and finite"):
+                rho_sweep(cfg, rhos, g, split)
 
     @pytest.mark.parametrize("rhos", [[0.1, 0.1], [0.05, 0.1, 0.05],
                                       [0.1, 1e-1]])

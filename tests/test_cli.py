@@ -231,6 +231,97 @@ class TestCompare:
         assert read_run_dir(os.path.join(out_cmp, "adam")) == solo
 
 
+@pytest.fixture(scope="module")
+def sparse_graph_dir(tmp_path_factory):
+    """1200 nodes of mean degree about 4: an episode's and a round's
+    receptive field is a small share of the graph, so a run slices both."""
+    out = str(tmp_path_factory.mktemp("sparse") / "graph")
+    assert run_cli("gen-csbm", "--k", "6", "--nodes-per-class", "200",
+                   "--p", "0.02", "--q", "0.001", "--dist", "3", "--dim",
+                   "6", "--seed", "1", "--out", out) == 0
+    return out
+
+
+# a two-repeat `fsnc` (`drift` runs one repeat) of short repeats
+SINGLE_ARM_FLAGS = {
+    "fsnc": ["--optimizer", "fgsam+", "--repeats", "2"], "drift": []}
+SHORT_FLAGS = ["--episodes", "10", "--val-interval", "5", "--val-tasks",
+               "4", "--test-tasks", "6", "--hidden", "8", "--k", "2"]
+
+
+class TestSingleArmShares:
+    """`fsnc` and `drift`, one arm on their graph, run the path of every
+    other run: the run set-up is kept on the graph (`fsnc.run_setup`), so
+    every slice is cut before the clock, and the run directory is the one
+    each episode's and round's receptive field cut at use gives."""
+
+    @pytest.mark.parametrize("command", ["fsnc", "drift"])
+    def test_every_cut_in_the_set_up_before_the_clock(
+            self, sparse_graph_dir, tmp_path, monkeypatch, command):
+        events, graphs, setups = [], [], []
+        load, setup = cli.load_graph, fsnc.run_setup
+        cut = graphcore.PropagationOperator.cut_slice
+
+        def spy_setup(*args):
+            setups.append(args)
+            events.append("set-up")
+            try:
+                return setup(*args)
+            finally:
+                events.append("set-up done")
+
+        def spy_cut(op, rows, narrow):
+            events.append("cut")
+            return cut(op, rows, narrow)
+
+        monkeypatch.setattr(cli, "load_graph",
+                            lambda path: graphs.append(load(path))
+                            or graphs[-1])
+        monkeypatch.setattr(fsnc, "run_setup", spy_setup)
+        monkeypatch.setattr(graphcore.PropagationOperator, "cut_slice",
+                            spy_cut)
+        record_clock(monkeypatch, events)
+        assert run_cli(command, "--graph", sparse_graph_dir, "--out",
+                       str(tmp_path / command), *SINGLE_ARM_FLAGS[command],
+                       *SHORT_FLAGS, "--split", "2/2/2") == 0
+        [g] = graphs
+        [(config, graph, split, _)] = setups
+        assert graph is g
+        first = events.index("clock")
+        assert events[0] == "set-up" and events[first - 1] == "set-up done"
+        assert events[1:first - 1].count("cut") > 0
+        assert set(events[1:first - 1]) == {"cut"}
+        assert set(events[first:]) == {"clock"}
+        assert list(g._memo) == [
+            ("matrix", config.scheme),
+            (config.scheme, config.layers, fsnc._draw_key(config, split))]
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("command", ["fsnc", "drift"])
+    def test_run_dir_is_the_cut_at_use_runs(self, graph_dir,
+                                            sparse_graph_dir, tmp_path,
+                                            monkeypatch, command, sparse):
+        # the oracle cuts no slice ahead: each episode and round cuts its
+        # receptive field at use, or runs its forward on all n rows
+        graph, split = ((sparse_graph_dir, "2/2/2") if sparse
+                        else (graph_dir, "4/2/2"))
+        argv = [command, "--graph", graph, *SINGLE_ARM_FLAGS[command],
+                *SHORT_FLAGS, "--split", split, "--out"]
+        shared, alone = str(tmp_path / "shared"), str(tmp_path / "alone")
+        assert run_cli(*argv, shared) == 0
+        setup = fsnc.run_setup
+
+        def cut_at_use(config, graph, split, operator):
+            tasks, slices, plan = setup(config, graph, split, operator)
+            return tasks, [(tuple(None for _ in tops),
+                            tuple(None for _ in evals))
+                           for tops, evals in slices], plan
+
+        monkeypatch.setattr(fsnc, "run_setup", cut_at_use)
+        assert run_cli(*argv, alone) == 0
+        assert read_run_dir(shared) == read_run_dir(alone)
+
+
 class TestNc:
     def test_smoke_and_echo_rerun(self, graph_dir, tmp_path):
         out1 = str(tmp_path / "nc1")
@@ -882,6 +973,9 @@ class TestErrors:
         ("fsnc", ["--split", "4/x/2"], None),
         ("rho-sweep", ["--rhos", "0.1,abc"], None),
         ("rho-sweep", ["--rhos", "0.1,0.1"], None),
+        ("rho-sweep", ["--rhos", "0.05,nan"], None),
+        ("rho-sweep", ["--rhos", "nan"], None),
+        ("rho-sweep", ["--rhos", "0.1,inf"], None),
         ("fsnc", [], "[protocol]\nway = two\n"),
         ("fsnc", [], "way = 2\n"),
         ("nc", ["--episodes", "0"], None),
@@ -891,7 +985,8 @@ class TestErrors:
         ("nc", ["--hidden", "0"], None),
         ("landscape", ["--grid-points", "-5"], None),
         ("landscape", ["--grid-points", "4"], None),
-    ], ids=["split", "rhos", "rhos-repeated", "config-value",
+    ], ids=["split", "rhos", "rhos-repeated", "rhos-nan-second",
+            "rhos-nan", "rhos-inf", "config-value",
             "config-no-section", "nc-episodes", "nc-patience", "nc-val-interval", "nc-layers",
             "nc-hidden", "grid-points", "grid-points-even"])
     def test_malformed_input_one_line_error(self, graph_dir, tmp_path, capsys,

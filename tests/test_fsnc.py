@@ -487,12 +487,9 @@ class TestNoCutInSteps:
     """Every block a training step reads is cut before the step's timed
     region: with its objective, or in the graph's memo."""
 
-    @pytest.mark.parametrize("shared", [True, False],
-                             ids=["shared", "unshared"])
     @pytest.mark.parametrize("layers", [2, 3])
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-    def test_no_optimizer_step_cuts_a_block(self, monkeypatch, dense, layers,
-                                            shared):
+    def test_no_optimizer_step_cuts_a_block(self, monkeypatch, dense, layers):
         g = small_graph() if dense else sparse_graph()
         split = split_classes(g.num_classes,
                               (4, 2, 2) if dense else (2, 2, 2), 0)
@@ -526,7 +523,7 @@ class TestNoCutInSteps:
                 episodes=8, val_interval=4, layers=layers, query=10,
                 optimizer=name, hp=optim.Hyperparams(rho=0.05,
                                                      lambda_topo=0.5, k=2))
-            fsnc.train_protocol(config, g, split, shared)
+            fsnc.train_protocol(config, g, split)
         assert set(steps) == {"adam", "sam", "fgsam", "fgsam+"}
         assert cuts == []
 
@@ -538,12 +535,10 @@ class TestEveryBlockIsASlice:
     read-only arrays are CSC, made once per graph, where its rows ascend,
     as every `gcn-sym` row does."""
 
-    @pytest.mark.parametrize("dense,shared,seen", [
-        (False, True, {"fill", "evaluation", "step"}),
-        (False, False, {"fill", "evaluation", "step"}),
-        (True, True, {"step"})],
-        ids=["sparse-shared", "sparse-unshared", "dense-shared"])
-    def test_blocks_read_only(self, monkeypatch, dense, shared, seen):
+    @pytest.mark.parametrize("dense,seen", [
+        (False, {"fill", "evaluation", "step"}), (True, {"step"})],
+        ids=["sparse", "dense"])
+    def test_blocks_read_only(self, monkeypatch, dense, seen):
         g = small_graph() if dense else planned_graph()
         split = split_classes(g.num_classes,
                               (4, 2, 2) if dense else (2, 2, 2), 0)
@@ -585,11 +580,11 @@ class TestEveryBlockIsASlice:
             config = small_config(repeats=1, episodes=6, val_interval=3,
                                   val_tasks=2, test_tasks=3, layers=3,
                                   optimizer=name)
-            fsnc.train_protocol(config, g, split, shared)
+            fsnc.train_protocol(config, g, split)
         # a sparse graph's fill runs on the run's layer-0 plan and its
-        # evaluation rounds and steps on shared slices, or on receptive
-        # fields cut at use; a dense graph's steps run on shared wide slices
-        # and every other forward on all n rows
+        # evaluation rounds and steps on shared slices; a dense graph's
+        # steps run on shared wide slices and every other forward on all n
+        # rows
         assert labels == seen
 
     def test_no_csc_matrix_built(self, monkeypatch):
@@ -636,7 +631,7 @@ class TestEveryBlockIsASlice:
 def shared_tops(config, graph, split, operator):
     """(episodes, slices): the training episodes of the first repeat of a
     shared run set-up (`fsnc.run_setup`) and their last-layer slices."""
-    tasks, slices, _ = fsnc.run_setup(config, graph, split, operator, True)
+    tasks, slices, _ = fsnc.run_setup(config, graph, split, operator)
     return tasks[0][0], slices[0][0]
 
 
@@ -930,9 +925,9 @@ class TestPlan:
             cuts.append((narrow, in_step[0]))
             return cut(op, rows, narrow)
 
-        def spy_setup(config, graph, split, operator, share):
+        def spy_setup(config, graph, split, operator):
             before = len(cuts)
-            out = setup(config, graph, split, operator, share)
+            out = setup(config, graph, split, operator)
             setups.append([narrow for narrow, _ in cuts[before:]])
             return out
 
@@ -1070,12 +1065,11 @@ class TestSharedTasks:
                            g, split)
         assert roots == [4 + r for r in range(repeats)]
 
-    @pytest.mark.parametrize("share", [False, True], ids=["own", "shared"])
-    def test_memos_filled_before_the_clock(self, monkeypatch, share):
-        # the first run on a fresh graph builds its matrix and draws every
-        # repeat's tasks, and when it shares slices cuts them and its
-        # layer-0 plan, before its clock starts, so its wall time carries
-        # none of what later runs on the graph reuse
+    def test_memos_filled_before_the_clock(self, monkeypatch):
+        # the first run on a fresh graph builds its matrix, draws every
+        # repeat's tasks and cuts their slices and its layer-0 plan before
+        # its clock starts, so its wall time carries none of what later
+        # runs on the graph reuse
         roots = self.count_draws(monkeypatch)
         g = small_graph()
         split = split_classes(g.num_classes, (4, 2, 2), 0)
@@ -1089,37 +1083,30 @@ class TestSharedTasks:
             return clock()
 
         monkeypatch.setattr(fsnc, "time", SimpleNamespace(perf_counter=spy))
-        train_protocol(cfg, g, split, share_slices=share)
+        train_protocol(cfg, g, split)
         memo, drawn = at_clock[0]
         # nothing is built, drawn or cut once the clock runs
         assert drawn == roots == [0, 1, 2]
         assert memo.keys() == g._memo.keys()
         assert all(memo[key] is g._memo[key] for key in memo)
-        want = [("matrix", "gcn-sym")]
-        if share:
-            # one set-up, the tasks, slices and plan that a later run reads
-            setup = fsnc.run_setup(cfg, g, split, normalize(g, "gcn-sym"),
-                                   True)
-            key = ("gcn-sym", cfg.layers, fsnc._draw_key(cfg, split))
-            assert memo[key] is setup
-            want.append(key)
-        assert list(memo) == want
+        # one set-up, the tasks, slices and plan that a later run reads
+        setup = fsnc.run_setup(cfg, g, split, normalize(g, "gcn-sym"))
+        key = ("gcn-sym", cfg.layers, fsnc._draw_key(cfg, split))
+        assert memo[key] is setup
+        assert list(memo) == [("matrix", "gcn-sym"), key]
 
-    @pytest.mark.parametrize("share", [False, True], ids=["own", "shared"])
-    def test_four_arms_leave_one_set_up(self, share):
-        # an unshared run leaves only the matrix on the graph; four shared
-        # arms of one config leave it and one set-up, whose draw key holds
-        # the config's seed and repeat count
+    def test_four_arms_leave_one_set_up(self):
+        # four arms of one config leave the matrix on the graph and one
+        # set-up, whose draw key holds the config's seed and repeat count
         g = small_graph()
         split = split_classes(g.num_classes, (4, 2, 2), 0)
         cfg = small_config(repeats=2, episodes=6, val_interval=3, seed=3)
         for name in optim.OPTIMIZER_NAMES:
             train_protocol(dataclasses.replace(cfg, optimizer=name), g,
-                           split, share_slices=share)
-        want = [("matrix", "gcn-sym")]
-        if share:
-            want.append(("gcn-sym", cfg.layers, fsnc._draw_key(cfg, split)))
-        assert list(g._memo) == want
+                           split)
+        assert list(g._memo) == [
+            ("matrix", "gcn-sym"),
+            ("gcn-sym", cfg.layers, fsnc._draw_key(cfg, split))]
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -1161,7 +1148,7 @@ class TestSharedTasks:
                     split, **{flip: getattr(split, flip)[::-1].copy()})
             config = small_config(**given)
             return fsnc.run_setup(config, graph, split,
-                                  normalize(graph, config.scheme), True)
+                                  normalize(graph, config.scheme))
 
         first = setup(g, {})
         # a hit returns the same set-up; other settings are not in the key
@@ -1575,17 +1562,16 @@ class TestWorkLedger:
         monkeypatch.setattr(fsnc, "run_setup", spy_setup)
         monkeypatch.setattr(fsnc, "normalize", spy_normalize)
 
-        def arm(name, graph, share_slices=True):
+        def arm(name, graph):
             before = len(cuts)
             report = train_protocol(dataclasses.replace(cfg, optimizer=name),
-                                    graph, split, share_slices)
+                                    graph, split)
             made = cuts[before:]
             return without_walls(report), operators[-1].apply_count, made
 
         names = optim.OPTIMIZER_NAMES
         shared = [arm(name, g) for name in names]
-        drawn = fsnc.run_setup(cfg, g, split, normalize(g, cfg.scheme),
-                               True)[0]
+        drawn = fsnc.run_setup(cfg, g, split, normalize(g, cfg.scheme))[0]
         # every repeat's training episodes' rows cut once, in the order
         # drawn, then its evaluation rounds' rows where the round slices,
         # and last the run's layer-0 plan, once: its walk one layer below
@@ -1606,23 +1592,12 @@ class TestWorkLedger:
         assert all(got is rows
                    for (got, _), rows in zip(shared[0][2], sliced))
         # each arm's report, evaluation counts and products are the ones
-        # it gives on a fresh graph, where it cuts the slices itself, and
-        # on one where it cuts none ahead
+        # it gives on a fresh graph, where it cuts the slices itself
         for name, (report, applied, _) in zip(names, shared):
             fresh, fresh_applied, fresh_made = arm(name, make())
             np.testing.assert_equal(report, fresh)
             assert applied == fresh_applied > 0
             assert len(fresh_made) == first
-            alone = make()
-            unshared, unshared_applied, unshared_made = arm(
-                name, alone, share_slices=False)
-            np.testing.assert_equal(report, unshared)
-            assert applied == unshared_applied
-            # the plan of its own, and each sliced task's block at use
-            wheres = [where for _, where in unshared_made]
-            assert wheres.count("run_setup") == planned
-            assert wheres.count(None) == (tasks if sparse else 0)
-            assert list(alone._memo) == [("matrix", cfg.scheme)]
 
     def test_later_arms_cut_nothing_and_fill_once(self, monkeypatch):
         # four arms share one sparse graph: the first cuts the last-layer
@@ -1672,9 +1647,8 @@ class TestWorkLedger:
         assert fills == [["clock", ((planned.size, g.n),
                                     op.row_nnz(planned))]] * 4
 
-    @pytest.mark.parametrize("share", [False, True], ids=["own", "shared"])
     def test_one_layer_run_fills_its_reads_from_a_wide_slice(
-            self, monkeypatch, share):
+            self, monkeypatch):
         # a one-layer forward only gathers rows of A.X, so a one-layer run
         # plans one wide slice of the sorted union of every row its tasks
         # read, here 882 of 2 000 rows with 5 991 of A's 13 626 entries,
@@ -1697,7 +1671,7 @@ class TestWorkLedger:
 
         monkeypatch.setattr(PropagationOperator, "cut_slice", spy_cut)
         monkeypatch.setattr(PropagationOperator, "apply", spy_apply)
-        train_protocol(cfg, g, split, share)
+        train_protocol(cfg, g, split)
         reads = np.unique(np.concatenate([
             rows for root in (0, 1)
             for episodes, rounds, test in [
@@ -1723,7 +1697,7 @@ class TestWorkLedger:
                               else (4, 2, 2), 0)
         cfg = small_config(episodes=6, val_interval=3, query=10, repeats=2)
         op = normalize(g, scheme)
-        op.fill_input(g.features, fsnc.run_setup(cfg, g, split, op, False)[2])
+        op.fill_input(g.features, fsnc.run_setup(cfg, g, split, op)[2])
         slot = op._input_memo[2]
         rows = np.arange(g.n) if slot is None else np.flatnonzero(slot >= 0)
         assert (slot is not None) == sparse
@@ -1739,7 +1713,7 @@ class TestWorkLedger:
         split = split_classes(g.num_classes, (2, 2, 2), 0)
         cfg = small_config(episodes=6, val_interval=3, query=10, repeats=2)
         op = normalize(g, scheme)
-        tasks, _, plan = fsnc.run_setup(cfg, g, split, op, False)
+        tasks, _, plan = fsnc.run_setup(cfg, g, split, op)
         assert plan is None
         reads = [rows for episodes, rounds, test in tasks
                  for rows in [e.rows for e in episodes]
@@ -1771,7 +1745,7 @@ class TestWorkLedger:
             fill(op, x, piece)
 
         monkeypatch.setattr(PropagationOperator, "fill_input", spy_fill)
-        train_protocol(cfg, g, split, share_slices=False)
+        train_protocol(cfg, g, split)
         [piece] = pieces
         op = normalize(g, cfg.scheme)
         assert op.matrix.nnz == 395832
@@ -1790,7 +1764,7 @@ class TestWorkLedger:
                              val_interval=4, val_tasks=3, test_tasks=3,
                              hidden=16, optimizer="adam", seed=seed)
         op = normalize(g, cfg.scheme)
-        plan = fsnc.run_setup(cfg, g, split, op, True)[2]
+        plan = fsnc.run_setup(cfg, g, split, op)[2]
         assert plan.matrix.format == "csc"
         op.fill_input(g.features, plan)
         assert op.apply_count == 1

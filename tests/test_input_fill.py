@@ -19,17 +19,14 @@ def sparse_graph():
                                     q=0.001, D=3.0, l=6, seed=1))
 
 
-def protocol(share):
-    def run(monkeypatch):
-        g = sparse_graph()
-        config = fsnc.ProtocolConfig(
-            way=2, shot=3, query=5, repeats=2, episodes=6, val_interval=3,
-            val_tasks=3, test_tasks=3, hidden=8, optimizer="fgsam+",
-            hp=optim.Hyperparams(rho=0.05, k=2))
-        fsnc.train_protocol(config, g, fsnc.split_classes(6, (2, 2, 2), 0),
-                            share)
-        return g
-    return run
+def protocol(monkeypatch):
+    g = sparse_graph()
+    config = fsnc.ProtocolConfig(
+        way=2, shot=3, query=5, repeats=2, episodes=6, val_interval=3,
+        val_tasks=3, test_tasks=3, hidden=8, optimizer="fgsam+",
+        hp=optim.Hyperparams(rho=0.05, k=2))
+    fsnc.train_protocol(config, g, fsnc.split_classes(6, (2, 2, 2), 0))
+    return g
 
 
 def standard_nc(monkeypatch):
@@ -71,8 +68,7 @@ def landscape(monkeypatch):
 
 # each runs one entry point, given pytest's monkeypatch, and returns its graph
 ENTRY_POINTS = {
-    "train_protocol-shared": protocol(True),
-    "train_protocol-own": protocol(False),
+    "train_protocol": protocol,
     "standard_nc_train": standard_nc,
     "run_bench": bench,
     "check_supervised": gradient_check(gradcheck.check_supervised,
